@@ -1,14 +1,13 @@
-"""E14/E15: the compiled backends vs the seed tree-walker.
+"""E14/E15: the pycode backend vs the seed tree-walker.
 
-Each workload is compiled once and then run under all three backends
-(``Interpreter(backend=...)``); walk, closure, and pycode must produce
-identical results.  The recorded ``*_speedup`` ratios are the
-paper-style payoff of compiling method bodies — to Python closures
-with slot frames and inline caches (E14), and further to generated
-Python source with guarded direct calls and native operators (E15,
-``pycode_*_speedup`` measured against the *closure* backend).  The E9
-workload reruns the MultiJava dispatcher benchmark so the speedups are
-measured on expanded (generated) code, not just hand-written loops.
+Each workload is compiled once and then run under both backends
+(``Interpreter(backend=...)``); walk and pycode must produce identical
+results.  The recorded ``pycode_*_speedup`` ratios (walk ms / pycode
+ms) are the paper-style payoff of compiling method bodies to generated
+Python source with inline caches, guarded direct calls and native
+operators.  The E9 workload reruns the MultiJava dispatcher benchmark
+so the speedups are measured on expanded (generated) code, not just
+hand-written loops.
 """
 
 import time
@@ -107,7 +106,7 @@ REPEATS = 5
 
 def _time_backend(program, backend, repeats=REPEATS):
     """Best-of-N wall-clock ms for Demo.main() under one backend (the
-    first closure run compiles plans; best-of excludes that warmup)."""
+    first pycode run generates plans; best-of excludes that warmup)."""
     best = float("inf")
     value = None
     for _ in range(repeats):
@@ -121,29 +120,19 @@ def _time_backend(program, backend, repeats=REPEATS):
 def _compare(name, source, multijava=False):
     program = make_compiler(multijava=multijava).compile(source)
     walk_ms, walk_value = _time_backend(program, "walk")
-    closure_ms, closure_value = _time_backend(program, "closure")
     pycode_ms, pycode_value = _time_backend(program, "pycode")
-    assert walk_value == closure_value, (
-        f"{name}: backends disagree ({walk_value!r} vs {closure_value!r})")
     assert walk_value == pycode_value, (
         f"{name}: pycode disagrees ({walk_value!r} vs {pycode_value!r})")
-    speedup = walk_ms / closure_ms if closure_ms else 0.0
-    pycode_speedup = closure_ms / pycode_ms if pycode_ms else 0.0
+    pycode_speedup = walk_ms / pycode_ms if pycode_ms else 0.0
     record_metric(f"{name}_walk_ms", round(walk_ms, 3), "ms",
                   area="interp")
-    record_metric(f"{name}_closure_ms", round(closure_ms, 3), "ms",
-                  area="interp")
     record_metric(f"{name}_pycode_ms", round(pycode_ms, 3), "ms",
-                  area="interp")
-    record_metric(f"{name}_speedup", round(speedup, 3), "x",
                   area="interp")
     record_metric(f"pycode_{name}_speedup", round(pycode_speedup, 3),
                   "x", area="interp")
     return {
         "walk_ms": walk_ms,
-        "closure_ms": closure_ms,
         "pycode_ms": pycode_ms,
-        "speedup": speedup,
         "pycode_speedup": pycode_speedup,
         "value": walk_value,
     }
@@ -153,17 +142,14 @@ def _rows(timings):
     return [
         ["result", timings["value"]],
         ["walk ms", round(timings["walk_ms"], 2)],
-        ["closure ms", round(timings["closure_ms"], 2)],
         ["pycode ms", round(timings["pycode_ms"], 2)],
-        ["closure speedup", f"{timings['speedup']:.2f}x"],
-        ["pycode vs closure", f"{timings['pycode_speedup']:.2f}x"],
+        ["pycode vs walk", f"{timings['pycode_speedup']:.2f}x"],
     ]
 
 
 def test_e14_loop_workload():
     timings = _compare("loop", LOOP_SOURCE)
     report("E14/E15: loop workload", _rows(timings), area="interp")
-    assert timings["speedup"] > 1.0
     assert timings["pycode_speedup"] > 1.0
 
 
@@ -171,20 +157,16 @@ def test_e14_call_workload():
     timings = _compare("call", CALL_SOURCE)
     report("E14/E15: virtual-call workload", _rows(timings),
            area="interp")
-    # The E14 headline: inline caches must pay off on call-heavy code.
-    # 2x here is a loose floor for noisy runners; the committed
-    # baseline records ~4-5x.
-    assert timings["speedup"] >= 2.0
-    # The E15 headline: guarded direct calls through generated code
-    # must be at least 2x faster again than the closure backend.
-    assert timings["pycode_speedup"] >= 2.0
+    # The headline: inline caches and guarded direct calls through
+    # generated code must pay off on call-heavy code.  4x is a loose
+    # floor for noisy runners; the committed baseline records far more.
+    assert timings["pycode_speedup"] >= 4.0
 
 
 def test_e14_field_workload():
     timings = _compare("field", FIELD_SOURCE)
     report("E14/E15: field-access workload", _rows(timings),
            area="interp")
-    assert timings["speedup"] > 1.0
     assert timings["pycode_speedup"] > 1.0
 
 
@@ -193,29 +175,34 @@ def test_e14_multijava_workload():
     report("E14/E15: E9 MultiJava dispatch workload", _rows(timings),
            area="interp")
     assert timings["value"] == 4000 * 3
-    assert timings["speedup"] >= 1.2
-    assert timings["pycode_speedup"] >= 1.0
+    assert timings["pycode_speedup"] >= 1.2
 
 
 def test_e14_inline_cache_health():
-    """After the timed runs, the call inline caches should be almost
-    entirely hits (each site sees a handful of receiver classes)."""
+    """On the call workload, virtual calls should almost never resolve
+    afresh: a pycode call site is a monomorphic inline cache (its
+    patched class guard) backed by a per-site dict cache, so only a
+    site's first receivers (misses) and megamorphic overflow pay a
+    full lookup."""
+    program = make_compiler().compile(CALL_SOURCE)
     family = REGISTRY.get("maya_interp_ic_events_total")
-    assert family is not None
 
     def total(event):
         return sum(child.value for labels, child in family.samples()
                    if labels[0] == "call" and labels[1] == event)
 
-    hits, misses = total("hit"), total("miss")
-    lookups = hits + misses
-    assert lookups > 0
-    hit_rate = hits / lookups
+    before = total("miss") + total("megamorphic")
+    interp = Interpreter(program, backend="pycode")
+    interp.run_static("Demo")
+    lookups = total("miss") + total("megamorphic") - before
+    calls = interp.counters.method_calls
+    assert calls > 0
+    hit_rate = 1.0 - lookups / calls
     record_metric("ic_call_hit_rate_pct", round(hit_rate * 100, 2), "%",
                   area="interp")
     report("E14: inline-cache health", [
-        ["call IC hits", hits],
-        ["call IC misses", misses],
+        ["method calls", calls],
+        ["call IC lookups (miss + megamorphic)", lookups],
         ["hit rate", f"{hit_rate:.1%}"],
     ], area="interp")
     assert hit_rate > 0.99

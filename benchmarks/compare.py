@@ -25,8 +25,8 @@ What counts as a regression:
   parsing work it used to skip;
 * backend speedups (``*_speedup``), dispatch throughput
   (``*_calls_per_s``) and inline-cache hit rates (``*_hit_rate_pct``)
-  are higher-is-better — a drop means the closure backend's payoff
-  shrank;
+  are higher-is-better — a drop means a fast path's payoff (e.g. the
+  pycode backend over the walker) shrank;
 * budget metrics (``*_overhead_pct``) are gated by an *absolute*
   ceiling, not a trajectory: observability overhead must stay under
   its 5% budget regardless of how the baseline drifted — relative
@@ -53,8 +53,8 @@ NAME_RULES: Tuple[Tuple[str, str, float], ...] = (
     ("*never_parsed*", "higher", 0.25),
     ("overhead_ratio*", "lower", 0.50),
     ("fingerprint_size_ratio", "lower", 0.60),
-    # Backend speedup ratios (walk ms / closure ms) — a drop means the
-    # closure backend stopped paying off.
+    # Speedup ratios, e.g. pycode_*_speedup (walk ms / pycode ms) — a
+    # drop means the generated code stopped paying off.
     ("*_speedup", "higher", 0.35),
     ("*_calls_per_s", "higher", 0.50),
     # Warm-daemon throughput — a drop means the compile service's

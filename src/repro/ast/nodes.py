@@ -106,9 +106,9 @@ class Node:
     origin = None
 
     #: Stable node-kind tag: the snake_case class name, assigned
-    #: automatically for every subclass.  The closure backend dispatches
-    #: its one-pass compiler on these strings (and uses them in
-    #: telemetry labels) instead of on class identity.
+    #: automatically for every subclass.  The pycode backend dispatches
+    #: its code generator on these strings (and uses them in telemetry
+    #: labels) instead of on class identity.
     node_kind = "node"
 
     def __init_subclass__(cls, **kwargs):
@@ -407,12 +407,6 @@ class BlockStmts(Node):
     _fields = ("stmts",)
 
     stmts: List[Statement]
-
-    #: Stamped by the checker: how many bindings the enclosing method
-    #: had declared when this block finished checking.  On a method's
-    #: outermost body block this is the full per-method count, which the
-    #: closure backend uses to size slot frames.  None when unchecked.
-    declared_locals: Optional[int] = None
 
 
 class Block(Statement):

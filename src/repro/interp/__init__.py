@@ -5,15 +5,13 @@ library or MultiJava produces can be *run*, and the interpreter's
 operation counters (allocations, method calls, field reads) let the
 benchmarks measure what the paper's optimized expansions save.
 
-Three execution backends share one observable semantics: the seed
-tree-walker (``backend="walk"``, the default), the closure compiler
-with slot frames and inline caches (``backend="closure"``, in
-``repro.interp.closures``), and the Python code generator with
-profile-guided specialization — guarded direct calls, native
-operators, an on-disk source cache — (``backend="pycode"``, in
-``repro.interp.pycodegen``).  The pycode tier falls back to closures,
-and closures to the walker, whenever a construct is out of scope for
-the faster tier.
+Two execution backends share one observable semantics: the Python
+code generator with profile-guided specialization — guarded direct
+calls, native operators, inline caches, an on-disk source cache —
+(``backend="pycode"``, the default, in ``repro.interp.pycodegen``) and
+the seed tree-walker (``backend="walk"``), which is the reference
+semantics the differential tests compare against.  A method the code
+generator declines runs on the walker.
 """
 
 from repro.interp.values import JavaArray, JavaNull, JavaObject, JavaThrow, java_str

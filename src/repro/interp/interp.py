@@ -1,4 +1,4 @@
-"""The tree-walking interpreter (and the seam to the closure backend)."""
+"""The tree-walking interpreter (and the seam to the pycode backend)."""
 
 from __future__ import annotations
 
@@ -55,10 +55,9 @@ _OP_CHILDREN = {
     "statements": _C_STATEMENTS,
 }
 
-#: Lazily imported closure backend (repro.interp.closures); deferred so
+#: Lazily imported pycode backend (repro.interp.pycodegen); deferred so
 #: walk-only embedders never pay the import and to break the module
-#: cycle (closures imports this module's helpers).
-_closures = None
+#: cycle (pycodegen imports this module's helpers).
 _pycodegen = None
 
 
@@ -129,6 +128,12 @@ class Counters:
 #: RecursionError would.
 DEFAULT_MAX_CALL_DEPTH = 256
 
+#: The execution backends ``Interpreter`` accepts, and the one it uses
+#: when neither the caller nor ``MAYA_BACKEND`` picks (``mayac`` and
+#: ``mayad`` share it).
+BACKENDS = ("walk", "pycode")
+DEFAULT_BACKEND = "pycode"
+
 _RECURSION_LIMIT = 10_000
 
 
@@ -164,14 +169,12 @@ class _Continue(Exception):
 class Interpreter:
     """Executes a CompiledProgram.
 
-    ``backend`` selects the execution strategy: ``"walk"`` (the seed
-    tree-walker, the default), ``"closure"`` (slot frames + inline
-    caches; see ``repro.interp.closures``) or ``"pycode"`` (generated
-    Python source with specialized call sites; see
+    ``backend`` selects the execution strategy: ``"pycode"`` (generated
+    Python source with specialized call sites, the default; see
     ``repro.interp.pycodegen`` — methods its codegen cannot reproduce
-    fall back to the closure backend, and from there to the walker).
-    When None, the ``MAYA_BACKEND`` environment variable decides,
-    defaulting to walk.
+    fall back to the walker) or ``"walk"`` (the seed tree-walker, the
+    reference semantics).  When None, the ``MAYA_BACKEND`` environment
+    variable decides, defaulting to :data:`DEFAULT_BACKEND`.
     """
 
     def __init__(self, program: CompiledProgram, echo: bool = False,
@@ -179,19 +182,13 @@ class Interpreter:
                  max_steps: Optional[int] = None,
                  backend: Optional[str] = None):
         if backend is None:
-            backend = os.environ.get("MAYA_BACKEND", "") or "walk"
-        if backend not in ("walk", "closure", "pycode"):
+            backend = os.environ.get("MAYA_BACKEND", "") or DEFAULT_BACKEND
+        if backend not in BACKENDS:
             raise MayaError(
                 f"unknown interpreter backend {backend!r} "
-                f"(expected 'walk', 'closure' or 'pycode')"
+                f"(expected 'walk' or 'pycode')"
             )
         self.backend = backend
-        if backend in ("closure", "pycode"):
-            global _closures
-            if _closures is None:
-                from repro.interp import closures
-
-                _closures = closures
         if backend == "pycode":
             global _pycodegen
             if _pycodegen is None:
@@ -384,15 +381,7 @@ class Interpreter:
             plan = _pycodegen.plan_for(method, self)
             if plan is not _pycodegen.FALLBACK:
                 return _pycodegen.run_plan(self, plan, receiver, args)
-            # Codegen declined this method: drop to the closure tier.
-            plan = _closures.plan_for(method)
-            if plan is not _closures.WALK:
-                return _closures.run_plan(self, plan, receiver, args)
-        elif self.backend == "closure" and method.decl is not None \
-                and method.decl.body is not None:
-            plan = _closures.plan_for(method)
-            if plan is not _closures.WALK:
-                return _closures.run_plan(self, plan, receiver, args)
+            # Codegen declined this method: it runs on the walker below.
         impl = None
         if method.decl is None:
             # Built-in implementation: search the receiver's runtime

@@ -1,12 +1,12 @@
 """The ahead-of-time Python-codegen execution backend.
 
-The third rung of the backend ladder (``walk`` -> ``closure`` ->
-``pycode``): a per-method compiler from the *typed* AST to Python
-source, ``compile()``d once and executed as a real Python function.
-Where the closure backend pays one Python call per AST node, this
+The default execution backend (``pycode``; the tree-walker ``walk`` is
+the oracle and the fallback): a per-method compiler from the *typed*
+AST to Python source, ``compile()``d once and executed as a real Python
+function.  Where the walker re-dispatches on every AST node, this
 backend pays native bytecode: Java locals become Python locals, loops
-become Python loops, ``try``/``finally`` becomes Python's, and the
-static-type fast paths the closure backend selects per node are emitted
+become Python loops, ``try``/``finally`` becomes Python's, and
+``int``/``boolean`` operations the checker typed statically are emitted
 as bare operators.
 
 Profile-guided specialization happens at the call sites:
@@ -36,12 +36,11 @@ Observable behaviour is bit-for-bit the walker's: the same operation
 counters bump at the same points, the same Java exceptions carry the
 same messages, and any shape this compiler cannot prove it reproduces
 raises :class:`CodegenError`, caching a ``FALLBACK`` sentinel so the
-method transparently drops to the closure backend (and from there, to
-the walker).  Plans are invalidated by ``MEMBER_EPOCH``; because
-patched sites bypass ``plan_for`` entirely, this module registers an
-epoch listener (``repro.types.types.on_member_epoch_bump``) that
-unpatches every live plan's sites the moment intercession changes any
-class's member table.
+method transparently runs on the walker.  Plans are invalidated by
+``MEMBER_EPOCH``; because patched sites bypass ``plan_for`` entirely,
+this module registers an epoch listener
+(``repro.types.types.on_member_epoch_bump``) that unpatches every live
+plan's sites the moment intercession changes any class's member table.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ import json
 import os
 import re
 import sys
+import threading
 import weakref
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -73,22 +74,6 @@ from repro.interp.interp import (
     _num,
     _primitive_cast,
 )
-from repro.interp.closures import (
-    MEGAMORPHIC,
-    _IC_CALL_HIT,
-    _IC_CALL_MEGA,
-    _IC_CALL_MISS,
-    _IC_FIELD_HIT,
-    _IC_FIELD_MEGA,
-    _IC_FIELD_MISS,
-    _IC_TYPE_HIT,
-    _IC_TYPE_MISS,
-    _is_int_type,
-    _is_numeric_type,
-    _is_string_type,
-    _FOLDABLE,
-)
-from repro.interp import closures as _closures
 from repro.interp.values import (
     JavaArray,
     JavaObject,
@@ -99,12 +84,46 @@ from repro.interp.values import (
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import REGISTRY
 from repro.typecheck import resolve_name, resolve_type_name, static_type_of
-from repro.types import ArrayType, BOOLEAN, PrimitiveType, array_of
+from repro.types import (
+    ArrayType,
+    BOOLEAN,
+    BYTE,
+    DOUBLE,
+    FLOAT,
+    INT,
+    LONG,
+    PrimitiveType,
+    SHORT,
+    array_of,
+)
 from repro.types import types as _types
 
+#: Inline-cache events by site kind (call / field / type) — surfaced in
+#: ``--profile`` and exported by ``--metrics-out``.
+_IC_EVENTS = REGISTRY.counter(
+    "maya_interp_ic_events_total",
+    "Pycode-backend inline-cache events, by site kind.",
+    ("site", "event"))
+_IC_CALL_HIT = _IC_EVENTS.labels("call", "hit")
+_IC_CALL_MISS = _IC_EVENTS.labels("call", "miss")
+_IC_CALL_MEGA = _IC_EVENTS.labels("call", "megamorphic")
+_IC_FIELD_HIT = _IC_EVENTS.labels("field", "hit")
+_IC_FIELD_MISS = _IC_EVENTS.labels("field", "miss")
+_IC_FIELD_MEGA = _IC_EVENTS.labels("field", "megamorphic")
+_IC_TYPE_HIT = _IC_EVENTS.labels("type", "hit")
+_IC_TYPE_MISS = _IC_EVENTS.labels("type", "miss")
+
+#: Inline-cache size past which a site is megamorphic: new receiver
+#: classes stop being cached (existing entries keep hitting).
+MEGAMORPHIC = 8
+
+#: Bound on how many Methods may hold a cached plan attribute (long-lived
+#: daemon sessions otherwise accumulate plans for every method of every
+#: program they ever compiled).
+PLAN_CACHE_SIZE = int(os.environ.get("MAYA_PLAN_CACHE_SIZE") or 4096)
+
 #: Method-body codegen outcomes (compiled / fallback / disk_hit /
-#: link_error) — the pycode analogue of
-#: ``maya_interp_closure_compiles_total``.
+#: link_error).
 _CODEGEN = REGISTRY.counter(
     "maya_interp_codegen_total",
     "Pycode-backend method compilations, by outcome.",
@@ -128,27 +147,31 @@ _CG_CORRUPT = REGISTRY.counter(
     "On-disk codegen cache entries found corrupt, quarantined, and "
     "regenerated.")
 
-#: Artifact schema version; stale formats are plain misses.
-PYCODE_FORMAT = 1
+#: Artifact schema version; stale formats are plain misses.  Bumped
+#: whenever the generated source changes (2: no null guard on literal
+#: receivers).
+PYCODE_FORMAT = 2
 
 #: Opt-in on-disk source cache directory (``MAYA_CODEGEN_CACHE`` or the
 #: daemon's ``codegen_cache_dir``).
 _DISK_DIR: Optional[str] = os.environ.get("MAYA_CODEGEN_CACHE") or None
 
-#: Plan sentinel: this method always executes on a lower-tier backend.
+#: Plan sentinel: this method always executes on the tree-walker.
 FALLBACK = object()
 
-#: Missing-value sentinel shared with the closure backend's semantics.
-_MISSING = _closures._MISSING
+#: Missing-key sentinel distinct from any storable value.
+_MISSING = object()
 
-#: Every live compiled plan, so the member-epoch listener can unpatch
-#: specialized sites the moment intercession changes a member table.
-_LIVE_PLANS: "weakref.WeakSet" = weakref.WeakSet()
+#: A weak reference to every live compiled plan, so the member-epoch
+#: listener can unpatch specialized sites the moment intercession
+#: changes a member table.  Each reference drops itself from the set
+#: when its plan dies.
+_LIVE_PLANS: "set[weakref.ref]" = set()
 
 
 class CodegenError(Exception):
     """A node shape the Python codegen does not reproduce exactly; the
-    method falls back to the closure backend (then the walker)."""
+    method falls back to the tree-walker."""
 
 
 class _LinkError(Exception):
@@ -201,20 +224,79 @@ class PyPlan:
             reset()
 
 
+def _track(plan: PyPlan) -> None:
+    _LIVE_PLANS.add(weakref.ref(plan, _LIVE_PLANS.discard))
+
+
 def _on_member_epoch_bump(_epoch: int) -> None:
-    for plan in list(_LIVE_PLANS):
-        plan.invalidate_sites()
+    # Snapshot weak references, not plans: epoch bumps fire on every
+    # member declaration during a build, and a strong snapshot would
+    # keep every dead-but-uncollected program reachable through a
+    # garbage collection that runs meanwhile.
+    for ref in list(_LIVE_PLANS):
+        plan = ref()
+        if plan is not None:
+            plan.invalidate_sites()
 
 
 _types.on_member_epoch_bump(_on_member_epoch_bump)
 
 
-#: Bounded registry for ``Method._pycode_plan`` attributes, mirroring
-#: the closure backend's plan registry (evictions land in the
-#: ``maya_cache_events_total{cache="interp.pycode.plans"}`` family).
-_PLAN_REGISTRY = _closures.PlanRegistry(
-    "_pycode_plan", _closures.PLAN_CACHE_SIZE,
-    perf.cache_stats("interp.pycode.plans"))
+class PlanRegistry:
+    """A bounded LRU registry of Methods carrying a cached plan.
+
+    The plan itself stays directly on the Method (one ``getattr`` on
+    the hit path — the registry is never consulted there); ``note()``
+    is called only on compile misses, so eviction order is
+    least-recently-*compiled*, and evicting a method just deletes its
+    plan attribute — the next call recompiles.  Evictions are counted
+    in the ``maya_cache_events_total`` registry family.
+    """
+
+    def __init__(self, attr: str, maxsize: int, stats) -> None:
+        self.attr = attr
+        self.maxsize = max(1, maxsize)
+        self.stats = stats
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[int, weakref.ref]" = OrderedDict()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def note(self, method) -> None:
+        """Record that ``method`` just (re)compiled a plan, evicting the
+        oldest plans past the bound."""
+        victims = []
+        with self._lock:
+            key = id(method)
+            existing = self._entries.pop(key, None)
+            if existing is None or existing() is not method:
+                existing = weakref.ref(method)
+            self._entries[key] = existing
+            while len(self._entries) > self.maxsize:
+                _key, ref = self._entries.popitem(last=False)
+                victims.append(ref)
+        for ref in victims:
+            victim = ref()
+            if victim is None:
+                continue  # the Method died; nothing left to evict
+            try:
+                delattr(victim, self.attr)
+            except AttributeError:
+                continue  # already invalidated some other way
+            self.stats.evict()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: Bounded registry for ``Method._pycode_plan`` attributes (evictions
+#: land in the ``maya_cache_events_total{cache="interp.pycode.plans"}``
+#: family).
+_PLAN_REGISTRY = PlanRegistry("_pycode_plan", PLAN_CACHE_SIZE,
+                              perf.cache_stats("interp.pycode.plans"))
 
 
 def plan_for(method, interp):
@@ -222,7 +304,7 @@ def plan_for(method, interp):
 
     ``interp`` supplies the class registry used to link disk-cached
     artifacts; the plan itself never captures the interpreter, so plans
-    are shared across Interpreter instances (like closure plans).
+    are shared across Interpreter instances.
     """
     cached = getattr(method, "_pycode_plan", None)
     epoch = _types.MEMBER_EPOCH
@@ -256,7 +338,7 @@ def _build_plan(method, interp):
         plan = _disk_load(interp, method, key)
         if plan is not None:
             _CG_DISK_HIT.value += 1
-            _LIVE_PLANS.add(plan)
+            _track(plan)
             return plan
     try:
         source, consts, sites = gen.generate()
@@ -268,7 +350,7 @@ def _build_plan(method, interp):
     _CG_COMPILED.value += 1
     if key is not None:
         _disk_store(method, key, source, consts, sites)
-    _LIVE_PLANS.add(plan)
+    _track(plan)
     return plan
 
 
@@ -314,8 +396,8 @@ def _make_call_site(ns, index, method):
     """A self-patching virtual call site.
 
     The generated guard is ``if _k is _sN_k: <direct call>``;  this
-    dispatcher is the slow path.  While unpatched it behaves like the
-    closure backend's inline cache, and the first receiver class it
+    dispatcher is the slow path.  While unpatched it is a per-site
+    inline cache keyed by receiver class, and the first receiver class it
     sees specializes the site.  Reached with a *patched* guard it is a
     deopt: counted, and past ``MEGAMORPHIC`` misses the site unpatches
     itself permanently (generic dict-IC mode)."""
@@ -388,8 +470,8 @@ def _make_static_site(ns, index, method):
 
 
 def _make_ifield_site(ns, index, name):
-    """Unchecked runtime field *read* — the closure backend's field
-    inline cache, verbatim (including the array-length probe)."""
+    """Unchecked runtime field *read* — an inline cache keyed by
+    receiver class (including the array-length probe)."""
     cache: Dict[object, object] = {}
 
     def read(interp, receiver):
@@ -737,6 +819,33 @@ def _disk_store(method, key: str, source, consts, sites) -> None:
 #: Literal types whose ``repr`` round-trips as Python source.
 _INLINE_LITERALS = (bool, int, float, str, type(None))
 
+_NUMERIC_TYPES = (INT, LONG, SHORT, BYTE, DOUBLE, FLOAT)
+
+#: Operators folded at codegen time when both operands are int literals.
+_FOLDABLE = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
+
+
+def _is_int_type(t) -> bool:
+    return t is INT or t is LONG or t is SHORT or t is BYTE
+
+
+def _is_numeric_type(t) -> bool:
+    return t in _NUMERIC_TYPES
+
+
+def _is_string_type(t) -> bool:
+    return getattr(t, "name", "") == "java.lang.String"
+
 
 def _stmts_of(block):
     return block.stmts if isinstance(block, n.BlockStmts) else block
@@ -806,6 +915,8 @@ class _MethodGen:
         self.names: Dict[str, str] = {}
         self.unbound: Dict[str, str] = {}
         self._atomic = {"v_this", "interp"}
+        #: Inline literal atoms that are never null (no null guard).
+        self._nonnull = set()
         self.consts: List[Tuple[str, object, object]] = []
         self.sites: List[Tuple[int, str, object, object]] = []
         self.formal_names = [self.pyname(f.name.name) for f in self.formals]
@@ -844,6 +955,8 @@ class _MethodGen:
         if type(value) in _INLINE_LITERALS:
             atom = repr(value)
             self._atomic.add(atom)
+            if value is not None:
+                self._nonnull.add(atom)
             return atom
         descr = None
         try:
@@ -852,6 +965,14 @@ class _MethodGen:
         except (TypeError, ValueError):
             pass
         return self.const(value, descr)
+
+    def null_guard(self, atom: str, detail) -> None:
+        """Throw the walker's NullPointerException when ``atom`` is
+        null; a non-null literal needs no guard (and ``'s' is None``
+        would draw a SyntaxWarning from ``compile()``)."""
+        if atom not in self._nonnull:
+            self.put(f"if {atom} is None: raise interp.throw("
+                     f"'java.lang.NullPointerException', {detail!r})")
 
     def spill(self, atom: str) -> str:
         """Force a (pure) atom into a stable temp."""
@@ -912,7 +1033,7 @@ class _MethodGen:
 
     def tick(self) -> None:
         """The per-statement op count + step budget check (identical
-        observable points to the walker and closure backends)."""
+        observable points to the walker)."""
         self.put("_ST.value += 1")
         self.put("if _ms is not None and _cnt.statements > _ms: "
                  "interp._raise_step_limit()")
@@ -1234,7 +1355,8 @@ class _MethodGen:
             raise CodegenError(str(error)) from None
 
     def field_read(self, base: str, field) -> str:
-        """The closure backend's ``_wrap_field_read``, inlined."""
+        """A checked field read (the array-length sentinel, a static
+        read, or an instance read with the walker's null check)."""
         if field is None:  # the checker's array-length sentinel
             t = self.temp()
             self.put(f"{t} = len({base})")
@@ -1248,8 +1370,7 @@ class _MethodGen:
         fname = field.name
         t = self.temp()
         self.put("_FR.value += 1")
-        self.put(f"if {b} is None: raise interp.throw("
-                 f"'java.lang.NullPointerException', {fname!r})")
+        self.null_guard(b, fname)
         self.put(f"{t} = {b}.fields.get({fname!r}, _MI)")
         self.put(f"if {t} is _MI: {t} = {b}.fields[{fname!r}] = "
                  f"{self.literal_atom(default_value(field.type))}")
@@ -1316,8 +1437,7 @@ class _MethodGen:
         i = self.spill(idx)
         t = self.temp()
         self.put("_AR.value += 1")
-        self.put(f"if {a} is None: raise interp.throw("
-                 f"'java.lang.NullPointerException', None)")
+        self.null_guard(a, None)
         self.put(f"{t} = {a}.values")
         self.put(f"if {i} < 0 or {i} >= len({t}): raise interp.throw("
                  f"'java.lang.IndexOutOfBoundsException', str({i}))")
@@ -1395,8 +1515,7 @@ class _MethodGen:
         t = self.temp()
         tup = ", ".join(arg_atoms) + ("," if len(arg_atoms) == 1 else "")
         if null_check:
-            self.put(f"if {r} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', {mname!r})")
+            self.null_guard(r, mname)
             self.put("_MC.value += 1")
         else:
             # A this-call may legally see a None receiver (static
@@ -1442,8 +1561,7 @@ class _MethodGen:
         index = self.site("scall", method, _descr_of_method(method))
         if null_check:
             r = self.spill(recv)
-            self.put(f"if {r} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', {method.name!r})")
+            self.null_guard(r, method.name)
             recv = r
         self.put("_MC.value += 1")
         t = self.temp()
@@ -1794,8 +1912,7 @@ class _MethodGen:
             a = self.spill(arr)
             i = self.spill(idx)
             self.put("_AW.value += 1")
-            self.put(f"if {a} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', None)")
+            self.null_guard(a, None)
             t = self.temp()
             self.put(f"{t} = {a}.values")
             self.put(f"if {i} < 0 or {i} >= len({t}): "

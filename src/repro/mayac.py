@@ -19,13 +19,12 @@ Options:
     --use NAME        import a metaprogram compiler-wide (repeatable;
                       the paper's -use option)
     --run CLASS       interpret CLASS.main() after compiling
-    --backend walk|closure|pycode
-                      execution backend for --run: the seed tree-walker
-                      (default), the closure compiler with slot frames
-                      and inline caches, or the pycode backend that
-                      generates Python source with specialized call
-                      sites; also settable via the MAYA_BACKEND
-                      environment variable
+    --backend walk|pycode
+                      execution backend for --run: the pycode backend
+                      that generates Python source with specialized
+                      call sites (default), or the seed tree-walker
+                      (the reference semantics); also settable via the
+                      MAYA_BACKEND environment variable
     --dump-codegen [METHOD]
                       print the pycode backend's generated Python
                       source (optionally only for methods whose
@@ -108,6 +107,7 @@ from repro.diag import (
     DiagnosticError,
 )
 from repro.interp import Interpreter
+from repro.interp.interp import BACKENDS, DEFAULT_BACKEND
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
 from repro.obs import export as obs_export
@@ -139,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="import a metaprogram compiler-wide")
     parser.add_argument("--run", metavar="CLASS",
                         help="run CLASS.main() after compiling")
-    parser.add_argument("--backend", choices=("walk", "closure", "pycode"),
+    parser.add_argument("--backend", choices=BACKENDS,
                         default=None,
                         help="execution backend for --run (default: "
-                             "MAYA_BACKEND or walk)")
+                             f"MAYA_BACKEND or {DEFAULT_BACKEND})")
     parser.add_argument("--dump-codegen", nargs="?", const="",
                         default=None, metavar="METHOD",
                         help="print the pycode backend's generated "

@@ -333,8 +333,8 @@ class Profiler:
 
     @staticmethod
     def _render_inline_caches() -> List[str]:
-        """The closure backend's inline-cache section (empty when the
-        closure backend never ran)."""
+        """The pycode backend's inline-cache section (empty when no
+        pycode inline cache was consulted)."""
         family = REGISTRY.get("maya_interp_ic_events_total")
         if family is None:
             return []
@@ -344,7 +344,7 @@ class Profiler:
                 by_site.setdefault(site, {})[event] = child.value
         if not by_site:
             return []
-        lines = ["inline caches (closure backend):"]
+        lines = ["inline caches (pycode backend):"]
         for site in sorted(by_site):
             events = by_site[site]
             hits = events.get("hit", 0)

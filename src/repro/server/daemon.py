@@ -36,8 +36,9 @@ daemon):
 
 Compile requests may also carry a ``run`` option naming a class whose
 ``main()`` is interpreted in the worker after a successful compile
-(pycode backend by default, so repeat runs across workers reuse the
-shared codegen cache); captured output rides back on the response.
+(on the interpreter's default backend, pycode, so repeat runs across
+workers reuse the shared codegen cache); captured output rides back on
+the response.
 """
 
 from __future__ import annotations
@@ -888,14 +889,16 @@ class MayaDaemon:
     def _run_program(program, options: dict) -> dict:
         """Interpret ``options['run']``.main() in this worker.
 
-        Defaults to the pycode backend so repeat runs — on any worker —
-        link plans out of the shared on-disk codegen cache instead of
-        regenerating them.  Failures are *this request's* problem: they
-        ride back under the ``run`` key, never as a compile error."""
+        Uses the interpreter's default backend (``MAYA_BACKEND``, else
+        pycode) unless the request names one; on pycode, repeat runs —
+        on any worker — link plans out of the shared on-disk codegen
+        cache instead of regenerating them.  Failures are *this
+        request's* problem: they ride back under the ``run`` key, never
+        as a compile error."""
         from repro.interp import Interpreter, JavaThrow
 
         cls = str(options.get("run"))
-        backend = str(options.get("backend") or "pycode")
+        backend = options.get("backend") or None
         run_started = time.perf_counter()
         # Per-request IC/deopt counts are before/after deltas of the
         # process-wide families (approximate when runs overlap across

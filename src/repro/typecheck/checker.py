@@ -526,12 +526,6 @@ def check_block(block: n.BlockStmts, scope: Scope) -> None:
         except CheckError as error:
             _recover(scope, error)
         index += 1
-    # Record how many bindings the enclosing method has declared so far.
-    # The outermost body block is checked last, so its stamp is the full
-    # per-method count; the closure backend sizes slot frames from it.
-    root = scope.local_root()
-    if root is not None:
-        block.declared_locals = root.locals_declared
 
 
 def check_statement(stmt, scope: Scope) -> None:

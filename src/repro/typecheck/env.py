@@ -31,8 +31,7 @@ class Scope:
     """
 
     __slots__ = ("parent", "bindings", "env", "owner", "this_type",
-                 "return_type", "static_context", "locals_declared",
-                 "_local_names")
+                 "return_type", "static_context")
 
     def __init__(self, parent: Optional["Scope"] = None, env=None):
         self.parent = parent
@@ -42,14 +41,6 @@ class Scope:
         self.this_type: Optional[ClassType] = parent.this_type if parent else None
         self.return_type: Optional[Type] = parent.return_type if parent else None
         self.static_context: bool = parent.static_context if parent else False
-        #: On method-root scopes: how many *distinct* names have been
-        #: bound anywhere under this scope (params, locals, catch
-        #: formals).  Both execution backends use one storage cell per
-        #: name per invocation, so this is the method's frame size; the
-        #: closure backend sizes slot frames from the checker's stamp
-        #: of it.  None on non-root scopes (counts bubble to the root).
-        self.locals_declared: Optional[int] = None
-        self._local_names: Optional[set] = None
 
     def child(self) -> "Scope":
         return Scope(self)
@@ -61,19 +52,7 @@ class Scope:
         scope.this_type = None if static else owner
         scope.static_context = static
         scope.return_type = return_type
-        scope.locals_declared = 0
-        scope._local_names = set()
         return scope
-
-    def local_root(self) -> Optional["Scope"]:
-        """The nearest enclosing scope that counts declared locals (the
-        method root), or None outside any method."""
-        scope: Optional[Scope] = self
-        while scope is not None:
-            if scope.locals_declared is not None:
-                return scope
-            scope = scope.parent
-        return None
 
     def class_scope(self, owner: ClassType) -> "Scope":
         scope = Scope(self)
@@ -84,10 +63,6 @@ class Scope:
     def define(self, name: str, type_: Type, kind: str = "local", node=None) -> Binding:
         binding = Binding(name, type_, kind, node)
         self.bindings[name] = binding
-        root = self.local_root()
-        if root is not None and name not in root._local_names:
-            root._local_names.add(name)
-            root.locals_declared += 1
         return binding
 
     def lookup(self, name: str) -> Optional[Binding]:

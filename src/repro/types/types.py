@@ -17,7 +17,7 @@ class TypeError_(DiagnosticError):
 #: Monotone member-table epoch: bumped whenever any class gains or
 #: loses a member (intercession's declare_method / remove_method /
 #: declare_field).  Execution-side caches keyed on resolved members —
-#: the closure backend's compiled method plans and inline caches —
+#: the pycode backend's compiled method plans and inline caches —
 #: record the epoch they were built under and rebuild on mismatch,
 #: the same invalidation discipline the dispatcher's plan cache uses
 #: for its import epoch.

@@ -1,41 +1,51 @@
-"""Differential tests for the three execution backends.
+"""Differential tests for the two execution backends.
 
-The closure backend (slot frames + inline caches) and the pycode
-backend (generated Python source with specialized call sites) must be
-observably identical to the seed tree-walker: same stdout, same
-operation-counter snapshots (step equivalence), and the same thrown
-``JavaThrow`` classes.  Every shipped example runs under every backend,
-plus targeted programs covering the ``_virtual_lookup`` shadowing
-edges, inline cache transitions, and the pycode backend's
-deoptimization paths (guard failures must be invisible apart from the
-deopt counter).
+The pycode backend (generated Python source with specialized call
+sites, the default) must be observably identical to the seed
+tree-walker: same stdout, same operation-counter snapshots (step
+equivalence), and the same thrown ``JavaThrow`` classes.  Every shipped
+example runs under both backends, plus targeted programs covering the
+``_virtual_lookup`` shadowing edges, inline cache transitions, the
+pycode backend's deoptimization paths (guard failures must be invisible
+apart from the deopt counter) and its fallback to the walker.
 """
 
 import json
 import pathlib
+import warnings
 
 import pytest
 
 from repro.core import MayaError
 from repro.interp import Interpreter, JavaThrow, StepLimitExceeded
-from repro.interp import closures, pycodegen
+from repro.interp import pycodegen
 from repro.mayac import main as mayac_main
 from repro.obs.metrics import REGISTRY
 
 from tests.conftest import compile_source
 from tests.test_examples import EXAMPLES_DIR, HELLO, SCRIPTS, run_example
 
-BACKENDS = ("walk", "closure", "pycode")
+BACKENDS = ("walk", "pycode")
 
 
 def run_all(source, cls="Demo", macros=False, multijava=False, args=()):
     """Run ``cls.main()`` under every backend; return per-backend
-    (return value, output lines, counter snapshot)."""
+    (return value, output lines, counter snapshot).
+
+    The pycode run turns warnings into errors and must decline no
+    method: a ``SyntaxWarning`` from ``compile()`` would otherwise
+    surface on users' stderr (under ``-W error`` it becomes a
+    ``SyntaxError``, which silently drops the method to the walker)."""
     program = compile_source(source, macros, multijava)
     results = {}
     for backend in BACKENDS:
-        interp = Interpreter(program, backend=backend)
-        value = interp.run_static(cls, args=args)
+        fallbacks = _codegen_counts().get("fallback", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            interp = Interpreter(program, backend=backend)
+            value = interp.run_static(cls, args=args)
+        assert _codegen_counts().get("fallback", 0) == fallbacks, \
+            "pycode declined a method"
         results[backend] = (value, interp.output,
                             interp.counters.snapshot())
     return results
@@ -61,13 +71,13 @@ def assert_equivalent(source, cls="Demo", macros=False, multijava=False):
 class TestBackendSelection:
     SRC = "class Demo { static int main() { return 41 + 1; } }"
 
-    def test_default_is_walk(self, monkeypatch):
+    def test_default_is_pycode(self, monkeypatch):
         monkeypatch.delenv("MAYA_BACKEND", raising=False)
         program = compile_source(self.SRC)
-        assert Interpreter(program).backend == "walk"
+        assert Interpreter(program).backend == "pycode"
 
     def test_env_var_selects_backend(self, monkeypatch):
-        for backend in ("closure", "pycode"):
+        for backend in BACKENDS:
             monkeypatch.setenv("MAYA_BACKEND", backend)
             program = compile_source(self.SRC)
             interp = Interpreter(program)
@@ -75,14 +85,16 @@ class TestBackendSelection:
             assert interp.run_static("Demo") == 42
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("MAYA_BACKEND", "closure")
+        monkeypatch.setenv("MAYA_BACKEND", "pycode")
         program = compile_source(self.SRC)
         assert Interpreter(program, backend="walk").backend == "walk"
 
     def test_unknown_backend_rejected(self):
         program = compile_source(self.SRC)
-        with pytest.raises(MayaError, match="unknown interpreter backend"):
-            Interpreter(program, backend="jit")
+        for backend in ("jit", "closure"):
+            with pytest.raises(MayaError,
+                               match="unknown interpreter backend"):
+                Interpreter(program, backend=backend)
 
     def test_mayac_backend_flag(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -96,6 +108,25 @@ class TestBackendSelection:
         for backend in BACKENDS[1:]:
             assert outputs["walk"] == outputs[backend]
         assert "hi 42" in outputs["pycode"]
+        with pytest.raises(SystemExit):
+            mayac_main([str(src), "--run", "Demo", "--backend", "closure"])
+        capsys.readouterr()
+
+    def test_daemon_runs_share_the_default(self, monkeypatch):
+        # mayad has no default of its own: a run request that names no
+        # backend follows MAYA_BACKEND, else the interpreter default.
+        from repro.server.daemon import MayaDaemon
+
+        program = compile_source("class Demo { static int helper() "
+                                 "{ return 1; } static void main() "
+                                 "{ System.out.println(Demo.helper()); } }")
+        for env, generated in (("walk", 0), ("", 2)):
+            monkeypatch.setenv("MAYA_BACKEND", env)
+            before = _codegen_counts().get("compiled", 0)
+            result = MayaDaemon._run_program(program, {"run": "Demo"})
+            assert result["output"] == ["1"]
+            assert _codegen_counts().get("compiled", 0) - before \
+                == generated
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +178,21 @@ class TestDifferentialPrograms:
                 }
             }
         """)
+
+    def test_literal_receivers(self):
+        # A literal receiver is never null, so pycode emits no null
+        # guard for it (``'abc' is None`` draws a SyntaxWarning).
+        walk = assert_equivalent("""
+            class Demo {
+                static void main() {
+                    System.out.println("abc".charAt(1));
+                    System.out.println("hello".length() + "xy".indexOf("y"));
+                    System.out.println("a".equals("a"));
+                    System.out.println("ab".concat("cd").toUpperCase());
+                }
+            }
+        """)
+        assert walk[1] == ["b", "6", "true", "ABCD"]
 
     def test_fields_arrays_and_objects(self):
         assert_equivalent("""
@@ -528,15 +574,16 @@ class TestInlineCaches:
         """
         program = compile_source(source)
         before = _ic_counts()
-        interp = Interpreter(program, backend="closure")
+        interp = Interpreter(program, backend="pycode")
         assert interp.run_static("Demo") == 3 * sum(range(10))
         after = _ic_counts()
         mega = after.get(("call", "megamorphic"), 0) - \
             before.get(("call", "megamorphic"), 0)
         hits = after.get(("call", "hit"), 0) - \
             before.get(("call", "hit"), 0)
-        # 10 receiver classes at one site: 8 cached, 2 spill to
-        # megamorphic lookups every round after that.
+        # 10 receiver classes at one site: once the site unpatches for
+        # good, 8 classes stay cached and the other 2 spill to
+        # megamorphic lookups every round.
         assert mega >= 4
         assert hits >= 8 * 2  # cached classes keep hitting
 
@@ -551,18 +598,13 @@ class TestInlineCaches:
             }
         """
         program = compile_source(source)
-        family = REGISTRY.get("maya_interp_closure_compiles_total")
-
-        def compiled_count():
-            return sum(child.value for labels, child in family.samples()
-                       if labels[0] == "compiled")
-
-        first = Interpreter(program, backend="closure")
+        method = program.class_named("Demo").type.methods["main"][0]
+        first = Interpreter(program, backend="pycode")
         assert first.run_static("Demo") == 10
-        after_first = compiled_count()
-        second = Interpreter(program, backend="closure")
+        _epoch, plan = method._pycode_plan
+        second = Interpreter(program, backend="pycode")
         assert second.run_static("Demo") == 10
-        assert compiled_count() == after_first  # plan cache hit
+        assert method._pycode_plan[1] is plan  # one plan, shared
 
     def test_profile_renders_ic_section(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -578,9 +620,9 @@ class TestInlineCaches:
             }
         """)
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure", "--profile"]) == 0
+                           "--backend", "pycode", "--profile"]) == 0
         err = capsys.readouterr().err
-        assert "inline caches (closure backend):" in err
+        assert "inline caches (pycode backend):" in err
         assert "call" in err
 
     def test_metrics_out_exports_ic_families(self, tmp_path, capsys):
@@ -596,7 +638,7 @@ class TestInlineCaches:
         """)
         out = tmp_path / "metrics.json"
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure",
+                           "--backend", "pycode",
                            "--metrics-out", str(out),
                            "--metrics-format", "json"]) == 0
         capsys.readouterr()
@@ -604,7 +646,7 @@ class TestInlineCaches:
         names = {family["name"] for family in payload["families"]}
         assert "maya_interp_ic_events_total" in names
         assert "maya_interp_ops_total" in names
-        assert "maya_interp_closure_compiles_total" in names
+        assert "maya_interp_codegen_total" in names
 
     def test_prometheus_export_includes_ic(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -612,7 +654,7 @@ class TestInlineCaches:
                        "{ System.out.println(\"m\"); } }")
         out = tmp_path / "metrics.prom"
         assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "closure",
+                           "--backend", "pycode",
                            "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         text = out.read_text()
@@ -679,42 +721,11 @@ class TestCountersView:
 
 
 # ---------------------------------------------------------------------------
-# Checker bookkeeping the backend relies on
+# AST bookkeeping the code generator relies on
 # ---------------------------------------------------------------------------
 
 
-class TestDeclaredLocals:
-    def test_body_stamped_with_declared_count(self):
-        program = compile_source("""
-            class Demo {
-                static int main() {
-                    int a = 1;
-                    { int b = 2; int c = 3; }
-                    for (int i = 0; i < 2; i++) { int d = i; }
-                    return a;
-                }
-            }
-        """)
-        decl = program.class_named("Demo").decl
-        method = next(m for m in decl.members
-                      if getattr(m, "name", None) is not None
-                      and m.name.name == "main")
-        # a, b, c, i, d — five bindings under the method root.
-        assert method.body.declared_locals == 5
-
-    def test_formals_counted(self):
-        program = compile_source("""
-            class Demo {
-                static int add(int x, int y) { int z = x + y; return z; }
-                static int main() { return Demo.add(1, 2); }
-            }
-        """)
-        decl = program.class_named("Demo").decl
-        method = next(m for m in decl.members
-                      if getattr(m, "name", None) is not None
-                      and m.name.name == "add")
-        assert method.body.declared_locals == 3  # x, y, z
-
+class TestNodeKinds:
     def test_node_kind_tags(self):
         from repro.ast import nodes as n
 
@@ -760,11 +771,14 @@ class TestExamplesUnderAllBackends:
 
 
 # ---------------------------------------------------------------------------
-# Macro and MultiJava expansions under the closure backend
+# Macro and MultiJava expansions under the pycode backend
 # ---------------------------------------------------------------------------
 
 
 class TestExpandedCodeUnderClosure:
+    """Expanded code (the class keeps the name of the retired closure
+    tier it first covered) runs identically under pycode."""
+
     def test_foreach_expansion(self):
         assert_equivalent("""
             import java.util.*;
@@ -826,15 +840,13 @@ class TestWalkFallback:
                 static int main() { return 7; }
             }
         """)
-        decl = program.class_named("Demo").decl
-        method_decl = decl.members[0]
-        klass = program.class_named("Demo").type
-        method = klass.methods["main"][0]
-        plan = closures.plan_for(method)
-        assert plan is not closures.WALK
-        cached_epoch, cached = method._closure_plan
+        interp = Interpreter(program, backend="pycode")
+        method = program.class_named("Demo").type.methods["main"][0]
+        plan = pycodegen.plan_for(method, interp)
+        assert plan is not pycodegen.FALLBACK
+        cached_epoch, cached = method._pycode_plan
         assert cached is plan
-        assert closures.plan_for(method) is plan
+        assert pycodegen.plan_for(method, interp) is plan
 
     def test_intercession_invalidates_plans(self):
         program = compile_source("""
@@ -842,14 +854,60 @@ class TestWalkFallback:
                 static int main() { return 7; }
             }
         """)
-        klass = program.class_named("Demo").type
-        method = klass.methods["main"][0]
-        first = closures.plan_for(method)
+        interp = Interpreter(program, backend="pycode")
+        method = program.class_named("Demo").type.methods["main"][0]
+        first = pycodegen.plan_for(method, interp)
         from repro.types import bump_member_epoch
 
         bump_member_epoch()
-        second = closures.plan_for(method)
+        second = pycodegen.plan_for(method, interp)
         assert second is not first  # recompiled under the new epoch
+
+    SRC = """
+        class Demo {
+            static int risky(int[] a, int i) {
+                System.out.println("risky " + i);
+                return a[i] * 2;
+            }
+            static int main() {
+                int[] a = new int[3];
+                a[1] = 21;
+                int total = Demo.risky(a, 1);
+                System.out.println("total " + total);
+                return Demo.risky(a, 5);
+            }
+        }
+    """
+
+    def test_declined_method_runs_on_walker(self, monkeypatch):
+        # Force codegen to decline one method: the walker must run it
+        # with the same stdout, counters and JavaThrow as a whole walk
+        # run, and the decline is counted as a fallback.
+        program = compile_source(self.SRC)
+        real_gen = pycodegen._MethodGen
+
+        def declining_gen(method):
+            if method.name == "risky":
+                raise pycodegen.CodegenError("forced decline")
+            return real_gen(method)
+
+        monkeypatch.setattr(pycodegen, "_MethodGen", declining_gen)
+        runs = {}
+        for backend in BACKENDS:
+            before = _codegen_counts().get("fallback", 0)
+            interp = Interpreter(program, backend=backend)
+            with pytest.raises(JavaThrow) as exc:
+                interp.run_static("Demo")
+            runs[backend] = (interp.output, interp.counters.snapshot(),
+                             exc.value.value.class_type.name,
+                             _codegen_counts().get("fallback", 0) - before)
+        method = program.class_named("Demo").type.methods["risky"][0]
+        assert method._pycode_plan[1] is pycodegen.FALLBACK
+        assert runs["walk"][:3] == runs["pycode"][:3]
+        assert runs["walk"][0] == ["risky 1", "total 42", "risky 5"]
+        assert runs["walk"][2] == "java.lang.IndexOutOfBoundsException"
+        assert runs["pycode"][3] == 1  # risky declined once, then cached
+        assert runs["walk"][3] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -946,7 +1004,7 @@ class TestPycodeBackend:
         # C0 patches the site; C1..C8 deopt until the MEGAMORPHIC
         # threshold unpatches it for good, so rounds 2-3 add nothing.
         delta = _deopt_count() - before
-        assert delta == closures.MEGAMORPHIC
+        assert delta == pycodegen.MEGAMORPHIC
 
     def test_pycode_plan_reused_across_interpreters(self):
         program = compile_source("""
@@ -985,6 +1043,33 @@ class TestPycodeBackend:
         assert all(plan.ns[k] is None for k in patched)
         # ...and the memoized plan is recompiled under the new epoch.
         assert pycodegen.plan_for(method, interp) is not plan
+
+    def test_epoch_listener_does_not_pin_dead_plans(self):
+        # Epochs bump on every member a build declares.  A collection
+        # that runs inside the listener must still free a dead plan
+        # (and whatever program it references).
+        import gc
+        import weakref
+
+        from repro.types import bump_member_epoch
+
+        def tracked_plan(resets):
+            plan = pycodegen.PyPlan(None, {}, "", resets, "test")
+            pycodegen._track(plan)
+            return plan
+
+        live = tracked_plan([gc.collect])
+        dead = tracked_plan([])
+        dead.ns["cycle"] = dead  # collectable only by the cycle GC
+        dead_ref = weakref.ref(dead)
+        gc.disable()
+        try:
+            del dead
+            bump_member_epoch()
+            assert dead_ref() is None
+        finally:
+            gc.enable()
+        assert live.resets == [gc.collect]
 
     def test_dump_source_is_compilable_python(self):
         program = compile_source(POLY_SOURCE)
@@ -1148,7 +1233,7 @@ class TestPlanCacheBound:
                 self.evictions += 1
 
         stats = Stats()
-        registry = closures.PlanRegistry("_test_plan", 2, stats)
+        registry = pycodegen.PlanRegistry("_test_plan", 2, stats)
         methods = [FakeMethod() for _ in range(3)]
         for m in methods:
             m._test_plan = (0, object())
@@ -1171,7 +1256,7 @@ class TestPlanCacheBound:
                 self.evictions += 1
 
         stats = Stats()
-        registry = closures.PlanRegistry("_test_plan", 2, stats)
+        registry = pycodegen.PlanRegistry("_test_plan", 2, stats)
         a, b, c = FakeMethod(), FakeMethod(), FakeMethod()
         for m in (a, b):
             m._test_plan = (0, object())

@@ -231,7 +231,9 @@ RUN_SOURCE = """
 
 class TestCodegenCacheCorruption:
     """The workers' shared on-disk pycode codegen cache applies the
-    same quarantine-on-corrupt ladder as the LALR table cache."""
+    same quarantine-on-corrupt ladder as the LALR table cache.  Runs
+    name the pycode backend, so a daemon started under
+    ``MAYA_BACKEND=walk`` still exercises the cache."""
 
     def _codegen_counts(self):
         from repro.obs.metrics import REGISTRY
@@ -254,7 +256,8 @@ class TestCodegenCacheCorruption:
             # disk cache (each request has fresh Method objects, so
             # the disk entries are the only cross-request reuse).
             first = client.compile(RUN_SOURCE, "v0.maya",
-                                   cache=False, run="Victim")
+                                   cache=False, run="Victim",
+                                   backend="pycode")
             assert first["status"] == "ok"
             assert first["run"]["output"] == ["42"]
             assert any(path.name.startswith("pycode-")
@@ -263,7 +266,8 @@ class TestCodegenCacheCorruption:
             # returning injected garbage.
             faults.configure("cache.codegen.load:corrupt:times=1")
             second = client.compile(RUN_SOURCE, "v1.maya",
-                                    cache=False, run="Victim")
+                                    cache=False, run="Victim",
+                                    backend="pycode")
             assert second["status"] == "ok"
             assert second["run"]["output"] == ["42"]
         finally:
@@ -281,10 +285,12 @@ class TestCodegenCacheCorruption:
         try:
             client = MayaClient(server.address, retries=0)
             assert client.compile(RUN_SOURCE, "v0.maya", cache=False,
-                                  run="Victim")["status"] == "ok"
+                                  run="Victim",
+                                  backend="pycode")["status"] == "ok"
             before = self._codegen_counts()
             assert client.compile(RUN_SOURCE, "v1.maya", cache=False,
-                                  run="Victim")["status"] == "ok"
+                                  run="Victim",
+                                  backend="pycode")["status"] == "ok"
             after = self._codegen_counts()
         finally:
             server.stop()
@@ -301,10 +307,12 @@ class TestCodegenCacheCorruption:
         try:
             client = MayaClient(server.address, retries=0)
             assert client.compile(RUN_SOURCE, "v0.maya", cache=False,
-                                  run="Victim")["status"] == "ok"
+                                  run="Victim",
+                                  backend="pycode")["status"] == "ok"
             faults.configure("cache.codegen.load:raise")
             response = client.compile(RUN_SOURCE, "v1.maya",
-                                      cache=False, run="Victim")
+                                      cache=False, run="Victim",
+                                      backend="pycode")
             assert response["status"] == "ok"
             assert response["run"]["output"] == ["42"]
         finally:
