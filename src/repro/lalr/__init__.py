@@ -1,10 +1,10 @@
 """LALR(1) parser generation and the parse driver.
 
-The generator follows the textbook construction (Aho et al., which the
-paper also cites for its pattern-parsing description): LR(0) automaton,
-LALR(1) lookaheads by spontaneous generation and propagation, and a
-parse table that rejects unresolved conflicts rather than resolving
-them YACC-style (paper section 4.1).
+The generator builds the LR(0) automaton (Aho et al., which the paper
+also cites for its pattern-parsing description), computes LALR(1)
+lookaheads with DeRemer & Pennello's relational construction, and
+fills a parse table that rejects unresolved conflicts rather than
+resolving them YACC-style (paper section 4.1).
 """
 
 from repro.lalr.tables import (

@@ -2,27 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from repro.lalr.encoded import EncodedGrammar
 
-# An item is prod_index * DOT_STRIDE + dot.
-DOT_STRIDE = 64
-
-
-def item(prod_index: int, dot: int) -> int:
-    return prod_index * DOT_STRIDE + dot
-
-
-def item_parts(encoded_item: int) -> Tuple[int, int]:
-    return divmod(encoded_item, DOT_STRIDE)
-
 
 class Automaton:
-    """The LR(0) automaton: kernel item sets and transitions."""
+    """The LR(0) automaton: kernel item sets and transitions.
+
+    An item is ``prod_index * stride + dot``; the stride exceeds the
+    longest right-hand side, so advancing the dot (``item + 1``) never
+    runs into the next production's items.  Its floor of 64 keeps the
+    item values, and so the state numbering, of every grammar without
+    a longer production as they have always been.
+    """
 
     def __init__(self, grammar: EncodedGrammar):
         self.grammar = grammar
+        self.stride = max(64, 1 + max(len(rhs) for _, rhs in grammar.productions))
         self.states: List[FrozenSet[int]] = []
         self.transitions: List[Dict[int, int]] = []
         self.start_state: Dict[int, int] = {}
@@ -37,12 +34,13 @@ class Automaton:
             return cached
         grammar = self.grammar
         productions = grammar.productions
+        stride = self.stride
         out: Set[int] = set(kernel)
         stack = list(kernel)
         seen_nt: Set[int] = set()
         while stack:
             encoded = stack.pop()
-            prod_index, dot = item_parts(encoded)
+            prod_index, dot = divmod(encoded, stride)
             _, rhs = productions[prod_index]
             if dot >= len(rhs):
                 continue
@@ -51,7 +49,7 @@ class Automaton:
                 continue
             seen_nt.add(symbol)
             for next_prod in grammar.by_lhs.get(symbol, ()):
-                new_item = item(next_prod, 0)
+                new_item = next_prod * stride
                 if new_item not in out:
                     out.add(new_item)
                     stack.append(new_item)
@@ -64,6 +62,7 @@ class Automaton:
     def _build(self) -> None:
         grammar = self.grammar
         productions = grammar.productions
+        stride = self.stride
         index_of: Dict[FrozenSet[int], int] = {}
 
         def intern_state(kernel: FrozenSet[int]) -> int:
@@ -78,7 +77,7 @@ class Automaton:
 
         worklist: List[int] = []
         for start_sym, prod_index in grammar.start_production.items():
-            kernel = frozenset([item(prod_index, 0)])
+            kernel = frozenset([prod_index * stride])
             self.start_state[start_sym] = intern_state(kernel)
 
         position = 0
@@ -88,7 +87,7 @@ class Automaton:
             full = self.closure(self.states[state])
             moves: Dict[int, Set[int]] = {}
             for encoded in full:
-                prod_index, dot = item_parts(encoded)
+                prod_index, dot = divmod(encoded, stride)
                 _, rhs = productions[prod_index]
                 if dot < len(rhs):
                     moves.setdefault(rhs[dot], set()).add(encoded + 1)

@@ -8,12 +8,11 @@ so parses (and pattern parses) can begin at any node-type nonterminal.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.grammar import Grammar, GrammarError, Nonterminal, Production
 
 EOF = 0
-PROBE = -1  # the '#' probe terminal of the LALR propagation algorithm
 
 EOF_NAME = "$eof"
 
@@ -56,7 +55,6 @@ class EncodedGrammar:
         # reduce/reduce conflicts (e.g. FieldAccess vs MethodName).
         self.start_production: Dict[int, int] = {}  # start symbol id -> prod index
         self.start_eof: Dict[int, int] = {}  # start symbol id -> eof terminal id
-        self.eof_of_production: Dict[int, int] = {}  # start prod index -> eof id
         for start in grammar.start_symbols:
             start_id = intern(start)
             fake_lhs_name = f"__start_{start.name}"
@@ -74,7 +72,6 @@ class EncodedGrammar:
             self.start_eof[start_id] = eof_id
             prod_index = len(self.productions)
             self.start_production[start_id] = prod_index
-            self.eof_of_production[prod_index] = eof_id
             self.productions.append((fake_id, (start_id,)))
             self.production_objects.append(None)
 
@@ -84,7 +81,6 @@ class EncodedGrammar:
             self.by_lhs.setdefault(lhs, []).append(index)
 
         self._compute_first()
-        self._first_suffix_cache: Dict[Tuple[int, int], Tuple[FrozenSet[int], bool]] = {}
 
     # -- FIRST/nullable ---------------------------------------------------
 
@@ -113,24 +109,6 @@ class EncodedGrammar:
                     changed = True
         self.nullable = nullable
         self.first = [frozenset(s) for s in first]
-
-    def first_of_suffix(self, prod_index: int, dot: int) -> Tuple[FrozenSet[int], bool]:
-        """FIRST of rhs[dot:], plus whether the suffix is nullable."""
-        key = (prod_index, dot)
-        cached = self._first_suffix_cache.get(key)
-        if cached is not None:
-            return cached
-        _, rhs = self.productions[prod_index]
-        out: Set[int] = set()
-        nullable = True
-        for symbol in rhs[dot:]:
-            out.update(self.first[symbol])
-            if symbol not in self.nullable:
-                nullable = False
-                break
-        result = (frozenset(out), nullable)
-        self._first_suffix_cache[key] = result
-        return result
 
     def name(self, sym_id: int) -> str:
         return self.symbol_names[sym_id]

@@ -1,10 +1,13 @@
 """LALR(1) lookahead computation and parse-table construction.
 
-Lookaheads are computed with the spontaneous-generation/propagation
-algorithm (Aho et al. 4.7.4).  Conflicts are resolved only through
-declared operator precedence; anything left over raises ConflictError —
-Maya's generator "rejects grammars that contain unresolved LALR(1)
-conflicts" instead of applying YACC's default resolutions.
+Lookaheads are computed with DeRemer & Pennello's relational
+construction (TOPLAS 1982): the ``reads``/``includes``/``lookback``
+relations over nonterminal transitions of the LR(0) automaton, closed
+by two ``digraph`` passes over terminal bitsets.  Conflicts are
+resolved only through declared operator precedence; anything left over
+raises ConflictError — Maya's generator "rejects grammars that contain
+unresolved LALR(1) conflicts" instead of applying YACC's default
+resolutions.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults, perf
 from repro.obs.metrics import REGISTRY
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
-from repro.lalr.automaton import DOT_STRIDE, Automaton, item, item_parts
-from repro.lalr.encoded import EOF, PROBE, EncodedGrammar
+from repro.lalr.automaton import Automaton
+from repro.lalr.encoded import EncodedGrammar
 
 
 class ConflictError(Exception):
@@ -103,7 +106,7 @@ class ParseTables:
         return sorted(
             self.encoded.name(t)
             for t in self.action[state]
-            if t != PROBE and not self.encoded.name(t).startswith("$eof")
+            if not self.encoded.name(t).startswith("$eof")
         )
 
     def has_goto(self, state: int, sym_id: int) -> bool:
@@ -112,40 +115,34 @@ class ParseTables:
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
-        lookaheads = self._compute_lookaheads()
         encoded = self.encoded
-        automaton = self.automaton
-        productions = encoded.productions
+        transitions = self.automaton.transitions
+        accepts = {
+            transitions[state][start]: start
+            for start, state in self.automaton.start_state.items()
+        }
         conflicts: List[str] = []
-
-        start_prods = set(encoded.start_production.values())
-
-        for state, kernel in enumerate(automaton.states):
+        for state, reductions in enumerate(self._lookaheads()):
             actions: Dict[int, Tuple[str, int]] = {}
             gotos: Dict[int, int] = {}
-            for symbol, target in automaton.transitions[state].items():
+            for symbol, target in transitions[state].items():
                 if encoded.is_terminal[symbol]:
                     actions[symbol] = (SHIFT, target)
                 else:
                     gotos[symbol] = target
-
-            kernel_las = {
-                k: set(lookaheads.get((state, k), ())) for k in kernel
-            }
-            full = self._lr1_closure(kernel_las)
-            for encoded_item, las in full.items():
-                prod_index, dot = item_parts(encoded_item)
-                _, rhs = productions[prod_index]
-                if dot != len(rhs):
-                    continue
-                if prod_index in start_prods:
-                    eof_id = self.encoded.eof_of_production[prod_index]
-                    actions[eof_id] = (ACCEPT, prod_index)
-                    continue
-                for la in las:
-                    if la == PROBE:
-                        continue
-                    self._add_reduce(state, actions, la, prod_index, conflicts)
+            start = accepts.get(state)
+            if start is not None:
+                actions[encoded.start_eof[start]] = (
+                    ACCEPT, encoded.start_production[start])
+            # Fixed order (production, then terminal id) keeps the
+            # tables and the conflict list deterministic.
+            for prod_index in sorted(reductions):
+                las = reductions[prod_index]
+                while las:
+                    low = las & -las
+                    las ^= low
+                    self._add_reduce(state, actions, low.bit_length() - 1,
+                                     prod_index, conflicts)
             self.action.append(actions)
             self.goto.append(gotos)
 
@@ -208,92 +205,119 @@ class ParseTables:
             return "shift"
         return "error"
 
-    # -- lookaheads -----------------------------------------------------------
+    # -- lookaheads (DeRemer & Pennello 1982) ---------------------------------
 
-    def _lr1_closure(
-        self, seed: Dict[int, Set[int]]
-    ) -> Dict[int, Set[int]]:
-        """LR(1) closure of items with lookahead sets (PROBE allowed)."""
+    def _lookaheads(self) -> List[Dict[int, int]]:
+        """Per state, each reduce item's lookahead set as a bitset over
+        terminal ids: ``[state] -> {prod_index: bits}``.
+
+        Read(p, A) is DR(p, A) -- the terminals shifted right after the
+        nonterminal transition p --A--> -- closed under ``reads`` (past
+        nullable nonterminals).  Follow(p, A) is Read closed under
+        ``includes``: (p', B) when A ends a production of B, up to a
+        nullable tail, entered from p'.  A reduce by B -> w in state q
+        takes Follow(p, B) over its ``lookback`` set, every p from which
+        w leads to q.
+        """
         encoded = self.encoded
-        productions = encoded.productions
-        items: Dict[int, Set[int]] = {k: set(v) for k, v in seed.items()}
-        worklist: List[Tuple[int, int]] = [
-            (k, la) for k, las in seed.items() for la in las
-        ]
-        while worklist:
-            encoded_item, la = worklist.pop()
-            prod_index, dot = item_parts(encoded_item)
-            _, rhs = productions[prod_index]
-            if dot >= len(rhs):
-                continue
-            symbol = rhs[dot]
-            if encoded.is_terminal[symbol]:
-                continue
-            firsts, nullable = encoded.first_of_suffix(prod_index, dot + 1)
-            new_las = set(firsts)
-            if nullable:
-                new_las.add(la)
-            for next_prod in encoded.by_lhs.get(symbol, ()):
-                target = item(next_prod, 0)
-                existing = items.setdefault(target, set())
-                for new_la in new_las:
-                    if new_la not in existing:
-                        existing.add(new_la)
-                        worklist.append((target, new_la))
-        return items
-
-    def _compute_lookaheads(self) -> Dict[Tuple[int, int], Set[int]]:
-        """Kernel-item lookaheads via spontaneous generation + propagation."""
         automaton = self.automaton
-        encoded = self.encoded
+        transitions = automaton.transitions
+        is_terminal = encoded.is_terminal
+        nullable = encoded.nullable
         productions = encoded.productions
 
-        lookaheads: Dict[Tuple[int, int], Set[int]] = {}
-        propagations: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        index: Dict[Tuple[int, int], int] = {}
+        for state, moves in enumerate(transitions):
+            for symbol in moves:
+                if not is_terminal[symbol]:
+                    index[(state, symbol)] = len(index)
+        direct = [0] * len(index)
+        reads: List[List[int]] = [[] for _ in index]
+        for (state, symbol), x in index.items():
+            after = transitions[state][symbol]
+            for next_symbol in transitions[after]:
+                if is_terminal[next_symbol]:
+                    direct[x] |= 1 << next_symbol
+                elif next_symbol in nullable:
+                    reads[x].append(index[(after, next_symbol)])
+        for start, state in automaton.start_state.items():
+            direct[index[(state, start)]] |= 1 << encoded.start_eof[start]
 
-        for start_sym, prod_index in encoded.start_production.items():
-            state = automaton.start_state[start_sym]
-            lookaheads.setdefault((state, item(prod_index, 0)), set()).add(
-                encoded.start_eof[start_sym]
-            )
+        # nullable_tail[p]: the least k with productions[p].rhs[k:] nullable.
+        nullable_tail = []
+        for _, rhs in productions:
+            k = len(rhs)
+            while k and rhs[k - 1] in nullable:
+                k -= 1
+            nullable_tail.append(k)
+        includes: List[List[int]] = [[] for _ in index]
+        lookback: List[Dict[int, List[int]]] = [{} for _ in transitions]
+        for (state, lhs), x in index.items():
+            for prod_index in encoded.by_lhs.get(lhs, ()):
+                _, rhs = productions[prod_index]
+                last = nullable_tail[prod_index] - 1
+                q = state
+                for position, symbol in enumerate(rhs):
+                    if position >= last and not is_terminal[symbol]:
+                        includes[index[(q, symbol)]].append(x)
+                    q = transitions[q][symbol]
+                lookback[q].setdefault(prod_index, []).append(x)
 
-        for state, kernel in enumerate(automaton.states):
-            transitions = automaton.transitions[state]
-            for kernel_item in kernel:
-                probe = self._lr1_closure({kernel_item: {PROBE}})
-                for encoded_item, las in probe.items():
-                    prod_index, dot = item_parts(encoded_item)
-                    _, rhs = productions[prod_index]
-                    if dot >= len(rhs):
-                        continue
-                    target_state = transitions[rhs[dot]]
-                    target_key = (target_state, encoded_item + 1)
-                    for la in las:
-                        if la == PROBE:
-                            propagations.setdefault(
-                                (state, kernel_item), []
-                            ).append(target_key)
-                        else:
-                            lookaheads.setdefault(target_key, set()).add(la)
+        follow = _digraph(includes, _digraph(reads, direct))
+        result: List[Dict[int, int]] = []
+        for reductions in lookback:
+            merged: Dict[int, int] = {}
+            for prod_index, sources in reductions.items():
+                bits = 0
+                for x in sources:
+                    bits |= follow[x]
+                merged[prod_index] = bits
+            result.append(merged)
+        return result
 
-        # Deduplicate propagation targets.
-        for key, targets in propagations.items():
-            propagations[key] = list(dict.fromkeys(targets))
 
-        # Fixpoint propagation.
-        worklist = list(lookaheads.keys())
-        while worklist:
-            source = worklist.pop()
-            source_las = lookaheads.get(source)
-            if not source_las:
-                continue
-            for target in propagations.get(source, ()):
-                target_las = lookaheads.setdefault(target, set())
-                before = len(target_las)
-                target_las.update(source_las)
-                if len(target_las) != before:
-                    worklist.append(target)
-        return lookaheads
+def _digraph(relation: List[List[int]], base: List[int]) -> List[int]:
+    """DeRemer & Pennello's ``digraph``: F(x) = base(x) | F(y) for every
+    x R y, one pass with Tarjan-style SCC collapsing (a strongly
+    connected component shares one set).  Iterative, so relation chains
+    of any length stay clear of the recursion limit."""
+    result = list(base)
+    done = len(base) + 1
+    depth = [0] * len(base)  # 0: unvisited; done: finished
+    stack: List[int] = []
+    path: List[Tuple[int, int, Iterator[int]]] = []
+
+    def enter(x: int) -> None:
+        stack.append(x)
+        depth[x] = len(stack)
+        path.append((x, len(stack), iter(relation[x])))
+
+    for root in range(len(base)):
+        if depth[root]:
+            continue
+        enter(root)
+        while path:
+            x, own, edges = path[-1]
+            for y in edges:
+                if not depth[y]:
+                    enter(y)
+                    break
+                depth[x] = min(depth[x], depth[y])
+                result[x] |= result[y]
+            else:
+                path.pop()
+                if depth[x] == own:
+                    while True:
+                        top = stack.pop()
+                        depth[top] = done
+                        result[top] = result[x]
+                        if top == x:
+                            break
+                if path:
+                    parent = path[-1][0]
+                    depth[parent] = min(depth[parent], depth[x])
+                    result[parent] |= result[x]
+    return result
 
 
 class _RestoredAutomaton:
