@@ -4,10 +4,11 @@
   and rebuild from a warm cache; exactly one module recompiles.  Bar:
   ≥5x over clean.
 * **E17a — parallel clean build**: a 100-module fan-out built with
-  ``jobs=1`` vs ``jobs=cpu_count`` (fork workers, like mayac).  The
-  ≥2x bar is asserted only on multi-core hosts — under the GIL on one
-  CPU there is nothing to win and the honest ratio is ~1x — but the
-  measured value is always recorded, and byte-equality always asserted.
+  ``jobs=1`` vs ``jobs=cpu_count`` (fork workers; the serial walk where
+  ``os.fork`` is unavailable).  The ≥2x bar is asserted only on
+  multi-core hosts with fork — on one CPU there is nothing to win and
+  the honest ratio is ~1x — but the measured value is always recorded,
+  and byte-equality always asserted.
   Deep-chain and diamond shapes are reported alongside for scheduling
   shape coverage (a 30-deep chain has zero exploitable parallelism; a
   diamond has exactly two lanes).
@@ -207,11 +208,10 @@ def diamond_project():
     return sources
 
 
-def _timed_build(sources, jobs: int, mode: str, cache_dir=None,
+def _timed_build(sources, jobs: int, cache_dir=None,
                  need_bodies: bool = False, deep_restore: bool = True):
     builder = ModuleBuilder(MemorySources(sources), cache_dir=cache_dir,
-                            jobs=jobs, mode=mode,
-                            deep_restore=deep_restore)
+                            jobs=jobs, deep_restore=deep_restore)
     started = time.perf_counter()
     result = builder.build(["app.Main"], need_bodies=need_bodies)
     return (time.perf_counter() - started) * 1000.0, result
@@ -221,14 +221,14 @@ def test_parallel_clean_speedup():
     """E17a: fan a clean build over the import DAG."""
     cpus = os.cpu_count() or 1
     jobs = max(2, min(cpus, 8))
-    mode = "fork" if fork_available() else "thread"
+    fork = fork_available()
 
     shapes = []
     wide = wide_project()
     serial_ms, parallel_ms = [], []
     for _ in range(ROUNDS):
-        one_ms, one = _timed_build(wide, 1, mode)
-        many_ms, many = _timed_build(wide, jobs, mode)
+        one_ms, one = _timed_build(wide, 1)
+        many_ms, many = _timed_build(wide, jobs)
         assert many.expanded() == one.expanded()
         assert many.report() == one.report()
         serial_ms.append(one_ms)
@@ -242,22 +242,23 @@ def test_parallel_clean_speedup():
 
     for label, sources in (("deep (30-chain)", chain_project()),
                            ("diamond (2 lanes x 10)", diamond_project())):
-        one_ms, one = _timed_build(sources, 1, mode)
-        many_ms, many = _timed_build(sources, jobs, mode)
+        one_ms, one = _timed_build(sources, 1)
+        many_ms, many = _timed_build(sources, jobs)
         assert many.expanded() == one.expanded()
         shapes.append([label, f"{one_ms:.0f} ms", f"{many_ms:.0f} ms",
                        f"{one_ms / many_ms:.2f}x"])
 
     report(
         f"E17a: parallel clean builds, jobs=1 vs jobs={jobs} "
-        f"({mode} workers, {cpus} CPUs, median of {ROUNDS} for wide)",
+        f"({'fork workers' if fork else 'serial: no fork'}, {cpus} CPUs, "
+        f"median of {ROUNDS} for wide)",
         shapes,
         header=["shape", "jobs=1", f"jobs={jobs}", "speedup"])
     record_metric("modules_parallel_clean_speedup", round(speedup, 3), "x")
     record_metric("modules_parallel_wide_jobs1_ms", round(serial, 3), "ms")
     record_metric("modules_parallel_wide_jobsN_ms", round(parallel, 3),
                   "ms")
-    if cpus >= 2 and mode == "fork":
+    if cpus >= 2 and fork:
         assert speedup >= MIN_PARALLEL_SPEEDUP, \
             f"wide clean build only {speedup:.2f}x with {cpus} CPUs"
     else:
@@ -274,15 +275,13 @@ def test_warm_restore_speedup():
     scratch = tempfile.mkdtemp(prefix="bench-deep-")
     shallow_ms, deep_ms = [], []
     try:
-        _timed_build(sources, 1, "thread", cache_dir=scratch)  # warm it
+        _timed_build(sources, 1, cache_dir=scratch)  # warm it
         baseline = None
         for _ in range(ROUNDS):
-            cold_ms, cold = _timed_build(sources, 1, "thread",
-                                         cache_dir=scratch,
+            cold_ms, cold = _timed_build(sources, 1, cache_dir=scratch,
                                          need_bodies=True,
                                          deep_restore=False)
-            warm_ms, warm = _timed_build(sources, 1, "thread",
-                                         cache_dir=scratch,
+            warm_ms, warm = _timed_build(sources, 1, cache_dir=scratch,
                                          need_bodies=True,
                                          deep_restore=True)
             assert cold.reused == cold.order

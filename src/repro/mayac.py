@@ -43,11 +43,13 @@ Options:
                       MAYA_MODULE_CACHE environment variable)
     --module-report   print which modules were recompiled vs. reused
                       to stderr after a module-mode build
-    --jobs N          build up to N modules concurrently where the
-                      import DAG allows (module mode; ``auto`` = one
-                      per CPU; also honours MAYA_JOBS).  Output is
-                      byte-identical to --jobs 1; forwarded to the
-                      daemon under --daemon
+    --jobs N          compile up to N modules at once on forked worker
+                      processes where the import DAG allows (module
+                      mode; ``auto`` = one per CPU; also honours
+                      MAYA_JOBS; serial where os.fork is unavailable).
+                      Output is byte-identical to --jobs 1.  In-process
+                      builds only: under --daemon it is ignored, as
+                      daemon module builds are serial
     --no-macros       do not register the maya.util library
     --multijava       register the MultiJava extension
     --max-errors N    stop collecting after N errors (default 20)
@@ -164,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "stderr after a module-mode build")
     parser.add_argument("--jobs", metavar="N",
                         default=os.environ.get("MAYA_JOBS"),
-                        help="build up to N modules concurrently where "
-                             "the import DAG allows ('auto' = one per "
-                             "CPU; default 1; also honours MAYA_JOBS)")
+                        help="compile up to N modules at once on forked "
+                             "workers where the import DAG allows "
+                             "('auto' = one per CPU; default 1; also "
+                             "honours MAYA_JOBS; ignored under "
+                             "--daemon)")
     parser.add_argument("--no-macros", action="store_true",
                         help="skip the maya.util macro library")
     parser.add_argument("--multijava", action="store_true",
@@ -282,19 +286,11 @@ def _daemon_modules(args, client) -> int:
         return 1
     payload = {name: info.source for name, info in graph.modules.items()}
     try:
-        from repro.modules import resolve_jobs
-
-        resolve_jobs(args.jobs)  # validate before shipping
-    except ValueError as error:
-        print(f"mayac: {error}", file=sys.stderr)
-        return 2
-    try:
         response = client.compile_modules(
             payload, roots, expand=args.expand,
             provenance=args.provenance, use=args.use,
             multijava=args.multijava, no_macros=args.no_macros,
-            fuel=args.fuel, max_errors=args.max_errors,
-            jobs=args.jobs)
+            fuel=args.fuel, max_errors=args.max_errors)
     except DaemonError as error:
         print(f"mayac: {error}", file=sys.stderr)
         return 3
@@ -488,11 +484,9 @@ def _local_main(args) -> int:
             return finish(2)
         # Fork workers give real CPU parallelism under the GIL; the
         # in-process CLI is single-threaded here, so forking is safe.
-        # MAYA_JOBS_MODE=thread opts into the shared-memory scheduler.
-        mode = os.environ.get("MAYA_JOBS_MODE", "fork")
         builder = ModuleBuilder(sources, cache_dir=args.module_cache,
                                 options=options, env=compiler.env,
-                                jobs=jobs, mode=mode)
+                                jobs=jobs)
         need_bodies = bool(args.run) or args.dump_codegen is not None
         try:
             roots = [sources.module_name_for(path) for path in args.files]

@@ -4,11 +4,12 @@
 module, either **recompiles** (cache miss: the module or something
 upstream changed) or **reuses** (cache hit: restore the cached class
 skeletons into the shared registry and take the cached expanded
-artifact verbatim).  With ``jobs > 1`` the walk becomes a DAG
-schedule (:mod:`repro.modules.schedule`): modules whose dependencies
-have all completed compile concurrently, on threads or — for mayac,
-where the GIL would otherwise serialize the CPU work — on a pool of
-forked worker processes (:mod:`repro.modules.procpool`).
+artifact verbatim).  With ``jobs > 1`` and ``os.fork`` available, the
+cache misses first compile on a pool of forked worker processes
+(:mod:`repro.modules.procpool`), scheduled over the import DAG
+(:mod:`repro.modules.schedule`) so modules whose dependencies have
+all completed compile concurrently; elsewhere ``jobs`` has no effect.
+Either way, the program is assembled by the same serial walk.
 
 Three invariants make incremental and parallel output
 indistinguishable from a clean serial build — the property the test
@@ -23,11 +24,13 @@ layer hammers:
   grammar copy built by replaying the same export list in the same
   order, so the same module source always expands to the same bytes —
   on any thread, in any process.
-* **Aggregation is serial.**  Artifact order is a pure function of the
+* **Integration is serial.**  Artifact order is a pure function of the
   graph, and everything that accumulates module outputs — the
   ``--expand`` concatenation, the report, the program's unit/class
-  tables — is assembled in topological order after the schedule
-  drains, so the combined output never depends on completion order.
+  tables — is assembled by one walk in topological order, after any
+  forked workers have finished, so the combined output never depends
+  on completion order.  A fork-compiled module integrates exactly like
+  a cache hit.
 
 Grammar deltas cross module edges by *export replay*: a module exports
 the metaprogram names it ``use``s at top level (plus its deps' exports,
@@ -47,13 +50,13 @@ stale format, unpickle failure, a check error against restored deps —
 falls back to compiling the expanded text, which PR 8 proved
 byte-equivalent.
 
-**Failure semantics under parallelism.**  Tasks run against scratch
-diagnostic engines; the first failure halts dispatch, and the builder
-replays the topo-earliest failed module serially on the real engine —
-the error a ``--jobs 1`` build would render, minus any sibling noise.
-The one observable difference from serial: modules *independent* of
-the failed one may already have compiled (and cached) before the halt,
-like any ``make -j``.
+**Failure semantics under parallelism.**  The first module a worker
+fails on halts dispatch.  That module (and anything the workers never
+reached) has no cache entry, so the integration walk recompiles it in
+the parent on the real diagnostic engine — the error a ``--jobs 1``
+build renders, minus any sibling noise.  The one observable difference
+from serial: modules *independent* of the failed one may already have
+compiled (and cached) before the halt, like any ``make -j``.
 """
 
 from __future__ import annotations
@@ -66,12 +69,13 @@ from repro.ast import nodes as n
 from repro.ast import to_source
 from repro.core.compiler import CompiledClass, MayaCompiler
 from repro.core.env import CompileEnv, MayaError
-from repro.diag import DiagnosticEngine, DiagnosticError
+from repro.diag import DiagnosticError
 from repro.hygiene.fresh import reset_fresh_names
 from repro.lalr import ConflictError
 from repro.lexer import Location
 from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
+from repro.modules import procpool
 from repro.modules.cache import (ModuleCache, ModuleEntry, grammar_token,
                                  module_key, options_signature)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
@@ -115,22 +119,17 @@ class ModuleBuild:
     """One module's outcome within a build."""
 
     __slots__ = ("name", "key", "expanded", "reused", "exports", "classes",
-                 "unit", "entry")
+                 "entry")
 
     def __init__(self, name: str, key: str, expanded: str, reused: bool,
                  exports: List[str], classes: List[CompiledClass],
-                 unit=None, entry: Optional[ModuleEntry] = None):
+                 entry: Optional[ModuleEntry] = None):
         self.name = name
         self.key = key
         self.expanded = expanded
         self.reused = reused
         self.exports = exports
         self.classes = classes
-        #: The module's compilation unit when one was materialized
-        #: this build (recompile, or a warm hit with ``need_bodies``);
-        #: the parallel integrator re-orders the program's unit list
-        #: from these.
-        self.unit = unit
         #: The cache entry this build produced or replayed (builder
         #: internal: the fork pool ships these between processes).
         self.entry = entry
@@ -174,8 +173,6 @@ class ModuleBuilder:
                  options: Optional[dict] = None,
                  env: Optional[CompileEnv] = None,
                  jobs: Optional[int] = None,
-                 mode: str = "thread",
-                 task_spawn=None,
                  deep_restore: bool = True):
         self.sources = sources
         self.cache = ModuleCache(cache_dir)
@@ -184,22 +181,14 @@ class ModuleBuilder:
         self.compiler = MayaCompiler(self.env)
         self.provenance = bool(self.options.get("provenance"))
         self._options_sig = options_signature(self.options)
-        #: Worker count for the DAG schedule (1 = the serial walk).
+        #: Forked workers for cache misses (1 = none).  Forking needs
+        #: a single-threaded process at build start, so the
+        #: multithreaded daemon always builds with 1.
         self.jobs = resolve_jobs(jobs) if jobs is not None else 1
-        #: ``thread`` or ``fork`` — how parallel tasks execute.  Fork
-        #: needs a single-threaded process at build start (mayac);
-        #: the daemon always uses threads on its own worker pool.
-        self.mode = mode
-        #: Optional external-pool enqueue for helper drains (the
-        #: daemon passes its request queue's submit here).
-        self.task_spawn = task_spawn
         #: False forces warm materializations down the expanded-text
         #: path even when a deep artifact exists — the control arm of
         #: the warm-restore benchmark, and an escape hatch.
         self.deep_restore = deep_restore
-        # Serializes materialization fallbacks that must not interleave
-        # with sibling tasks' fresh-name streams.
-        self._fresh_lock = threading.Lock()
 
     # -- the build loop ----------------------------------------------------
 
@@ -223,10 +212,7 @@ class ModuleBuilder:
             info.key = module_key(name, info.source, self._options_sig,
                                   dep_keys)
         jobs = min(self.jobs, len(order))
-        if jobs > 1:
-            builds = self._build_parallel(graph, order, need_bodies, jobs)
-        else:
-            builds = self._build_serial(graph, order, need_bodies)
+        builds = self._build_modules(graph, order, need_bodies, jobs)
         result = BuildResult(self.env, graph, builds, self.compiler.program)
         obs_log.emit("modules.build.done",
                      modules=len(result.order),
@@ -235,67 +221,30 @@ class ModuleBuilder:
                      jobs=jobs)
         return result
 
-    def _build_serial(self, graph: ModuleGraph, order: Sequence[str],
-                      need_bodies: bool) -> Dict[str, ModuleBuild]:
-        builds: Dict[str, ModuleBuild] = {}
-        for name in order:
-            info = graph.modules[name]
-            entry = self.cache.load(name, info.key) if self.cache else None
-            if entry is not None:
-                builds[name] = self._reuse(info, entry, builds, need_bodies)
-            else:
-                builds[name] = self._recompile(info, builds)
-        return builds
+    def _build_modules(self, graph: ModuleGraph, order: Sequence[str],
+                       need_bodies: bool,
+                       jobs: int) -> Dict[str, ModuleBuild]:
+        """The integration walk: every module in topological order,
+        on the real diagnostic engine.
 
-    # -- the parallel build ------------------------------------------------
-
-    def _build_parallel(self, graph: ModuleGraph, order: Sequence[str],
-                        need_bodies: bool,
-                        jobs: int) -> Dict[str, ModuleBuild]:
-        """Schedule one task per module over the import DAG.
-
-        Thread mode: tasks run the ordinary reuse/recompile paths
-        against the shared program (scratch diagnostics), exactly as
-        the serial walk would, just concurrently where the DAG allows.
-        Fork mode: cache misses compile in worker processes and come
-        back as cache-entry payloads; the parent integrates every
-        module through the warm-hit path afterwards.  Either way the
-        serial integration pass below re-asserts topological order for
-        everything order-sensitive and replays the topo-earliest
-        failure (if any) on the real diagnostic engine.
+        A module with a cache entry — from the disk cache, or compiled
+        just now by a forked worker — integrates through the warm-hit
+        path; a fork-compiled one reports and counts as a recompile,
+        since work happened this build.  A module without one (a
+        miss in a serial build, or a module a worker failed on or
+        never reached) recompiles here, so a failure raises the same
+        error a ``--jobs 1`` build would.
         """
-        entries: Dict[str, Optional[ModuleEntry]] = {}
-        with perf.phase("module-cache-probe"):
-            for name in order:
-                info = graph.modules[name]
-                entries[name] = self.cache.load(name, info.key) \
-                    if self.cache else None
-
-        builds: Dict[str, ModuleBuild] = {}
-        use_fork = self.mode == "fork" and self.task_spawn is None
-        if use_fork:
-            from repro.modules import procpool
-
-            use_fork = procpool.fork_available()
+        entries: Dict[str, Optional[ModuleEntry]] = {
+            name: self.cache.load(name, graph.modules[name].key)
+            for name in order}
         fork_built: set = set()
-        with perf.phase("module-schedule"):
-            if use_fork:
+        if jobs > 1 and procpool.fork_available():
+            with perf.phase("module-schedule"):
                 fork_built = self._schedule_forked(graph, order, entries,
                                                    jobs)
-            else:
-                self._schedule_threaded(graph, order, entries, builds,
-                                        need_bodies, jobs)
-
-        # Serial integration: topo order, real diagnostics.  Thread
-        # tasks already produced their ModuleBuild; anything missing
-        # (fork results, failed or skipped tasks) goes through the
-        # ordinary serial paths here — a failed task's replay raises
-        # the same error a --jobs 1 build would.  A fork-compiled
-        # module integrates like a warm hit (its entry is in hand) but
-        # reports and counts as a recompile: work happened this build.
+        builds: Dict[str, ModuleBuild] = {}
         for name in order:
-            if name in builds:
-                continue
             info = graph.modules[name]
             entry = entries[name]
             if entry is not None:
@@ -303,31 +252,7 @@ class ModuleBuilder:
                                            recompiled=name in fork_built)
             else:
                 builds[name] = self._recompile(info, builds)
-        self._canonicalize(order, builds)
         return builds
-
-    def _schedule_threaded(self, graph: ModuleGraph, order: Sequence[str],
-                           entries: Dict[str, Optional[ModuleEntry]],
-                           builds: Dict[str, ModuleBuild],
-                           need_bodies: bool, jobs: int) -> None:
-        def run_one(name: str):
-            info = graph.modules[name]
-            entry = entries[name]
-            if entry is not None:
-                build = self._reuse(info, entry, builds, need_bodies,
-                                    scratch=True)
-            else:
-                build = self._recompile(info, builds, scratch=True)
-            builds[name] = build
-            return build
-
-        scheduler = DagScheduler(
-            order, {name: graph.modules[name].deps for name in order},
-            run_one)
-        scheduler.run_threaded(jobs, spawn=self.task_spawn)
-        # Failed tasks may have left a half-built ModuleBuild out of
-        # ``builds`` (they raised first) — the integration loop replays
-        # them serially; nothing to do here.
 
     def _schedule_forked(self, graph: ModuleGraph, order: Sequence[str],
                          entries: Dict[str, Optional[ModuleEntry]],
@@ -336,8 +261,6 @@ class ModuleBuilder:
 
         Returns the names compiled in workers (the integration pass
         accounts them as recompiles, not cache hits)."""
-        from repro.modules import procpool
-
         child_builds: Dict[str, ModuleBuild] = {}
 
         def run_job(job: dict) -> dict:
@@ -380,41 +303,15 @@ class ModuleBuilder:
             pool.close()
         return fork_built
 
-    def _canonicalize(self, order: Sequence[str],
-                      builds: Dict[str, ModuleBuild]) -> None:
-        """Re-assert topological order on the shared program's unit
-        and class tables after a parallel build, so ``program.source``
-        and class iteration never depend on completion order."""
-        program = self.compiler.program
-        built_units = [b.unit for b in builds.values() if b.unit is not None]
-        if built_units:
-            foreign = [u for u in program.units if u not in built_units]
-            program.units[:] = foreign + [
-                builds[name].unit for name in order
-                if builds[name].unit is not None]
-        module_classes = {}
-        for name in order:
-            for compiled in builds[name].classes:
-                module_classes[compiled.type.name] = compiled
-        if module_classes:
-            foreign = {qualified: compiled
-                       for qualified, compiled in program.classes.items()
-                       if qualified not in module_classes}
-            program.classes.clear()
-            program.classes.update(foreign)
-            program.classes.update(module_classes)
-
     # -- cache hit ---------------------------------------------------------
 
     def _reuse(self, info: ModuleInfo, entry: ModuleEntry,
                builds: Dict[str, ModuleBuild],
-               need_bodies: bool, scratch: bool = False,
+               need_bodies: bool,
                recompiled: bool = False) -> ModuleBuild:
-        unit = None
         classes: List[CompiledClass] = []
         if need_bodies:
-            module_env = self._module_env(info, scratch=scratch)
-            unit, classes = self._materialize(info, entry, module_env)
+            classes = self._materialize(info, entry, self._module_env(info))
         else:
             restore_interface(entry.iface, self.env.registry)
         if recompiled:
@@ -425,10 +322,10 @@ class ModuleBuilder:
                      module=info.name, materialized=need_bodies)
         return ModuleBuild(info.name, info.key, entry.expanded,
                            not recompiled, list(entry.exports), classes,
-                           unit=unit, entry=entry)
+                           entry=entry)
 
     def _materialize(self, info: ModuleInfo, entry: ModuleEntry,
-                     module_env: CompileEnv):
+                     module_env: CompileEnv) -> List[CompiledClass]:
         """Forced-body materialization of a warm hit.
 
         Deep path first: restore the pickled checked AST and re-run
@@ -440,11 +337,11 @@ class ModuleBuilder:
         filename = f"{info.filename}#expanded"
         if entry.deep is not None and self.deep_restore:
             try:
-                unit = load_unit(entry.deep)
                 compiled = self.compiler.compile_checked_unit(
-                    unit, filename, module_env, source=entry.expanded)
+                    load_unit(entry.deep), filename, module_env,
+                    source=entry.expanded)
                 _DEEP_RESTORED_TOTAL.inc()
-                return unit, compiled
+                return compiled
             except (SnapshotError, DiagnosticError):
                 pass  # fall through to the text path
         _DEEP_FALLBACK_TOTAL.inc()
@@ -453,21 +350,18 @@ class ModuleBuilder:
         # yields real method bodies.  Fresh names restart so the
         # re-materialized unit matches the cached bytes.
         sink: List = []
-        with self._fresh_lock:
-            reset_fresh_names()
-            self.compiler.compile_unit(entry.expanded, filename,
-                                       module_env, unit_sink=sink)
-        unit = sink[-1] if sink else None
-        return unit, self._classes_of(unit, module_env)
+        reset_fresh_names()
+        self.compiler.compile_unit(entry.expanded, filename, module_env,
+                                   unit_sink=sink)
+        return self._classes_of(sink[-1] if sink else None, module_env)
 
     # -- cache miss --------------------------------------------------------
 
     def _recompile(self, info: ModuleInfo,
-                   builds: Dict[str, ModuleBuild],
-                   scratch: bool = False) -> ModuleBuild:
+                   builds: Dict[str, ModuleBuild]) -> ModuleBuild:
         obs_log.emit("modules.module.recompiled", level="debug",
                      module=info.name, deps=len(info.deps))
-        module_env = self._module_env(info, scratch=scratch)
+        module_env = self._module_env(info)
         self._replay_exports(info, builds, module_env)
         reset_fresh_names()
         sink: List = []
@@ -497,12 +391,12 @@ class ModuleBuilder:
         _COMPILED_TOTAL.inc()
         self.cache.store(entry)
         return ModuleBuild(info.name, info.key, expanded, False,
-                           exports, classes, unit=unit, entry=entry)
+                           exports, classes, entry=entry)
 
     def _classes_of(self, unit, module_env: CompileEnv
                     ) -> List[CompiledClass]:
         """This unit's compiled classes, by declaration — never by
-        diffing the shared program table, which other tasks mutate."""
+        diffing the shared program table."""
         if unit is None:
             return []
         package = module_env.package
@@ -519,34 +413,19 @@ class ModuleBuilder:
 
     # -- per-module environments -------------------------------------------
 
-    def _module_env(self, info: ModuleInfo,
-                    scratch: bool = False) -> CompileEnv:
+    def _module_env(self, info: ModuleInfo) -> CompileEnv:
         """A child env with its own grammar copy and import list.
 
         Grammar deltas a module's ``use``s (or replayed dep exports)
         apply must not leak into sibling modules; ``Grammar.copy``
         shares interned Production objects, so identity-keyed dispatch
         plans still hit across modules.
-
-        ``scratch`` swaps in a throwaway diagnostic engine (same
-        budgets and deadline as the real one): parallel tasks report
-        through it so a failing sibling can't contaminate the
-        authoritative serial replay's error stream.
         """
         module_env = self.env.child()
         module_env.grammar = self.env.grammar.copy(f"module:{info.name}")
         module_env.imports = []
         module_env.package = info.name.rsplit(".", 1)[0] \
             if "." in info.name else ""
-        if scratch:
-            real = self.env.diag
-            engine = DiagnosticEngine(
-                max_errors=real.max_errors,
-                max_expansion_depth=real.max_expansion_depth,
-                max_mayan_reentry=real.max_mayan_reentry)
-            engine.deadline = real.deadline
-            engine.sources.update(real.sources)
-            module_env.diag = engine
         return module_env
 
     def _replay_exports(self, info: ModuleInfo,

@@ -1,12 +1,13 @@
 """A fork-based worker pool: real CPU parallelism for module compiles.
 
-Threads keep the DAG scheduler honest, but under the GIL they cannot
-make a CPU-bound clean build faster.  Where ``os.fork`` exists, mayac
-builds with processes instead: each worker is a **fork of the already
-warmed parent** — grammar, macro/metaprogram namespace, LALR table
-cache, and the builder itself all arrive by copy-on-write, so a child
-compiles a module exactly the way the parent would have, with no
-re-setup protocol and no way to drift from the serial configuration.
+Module compiles are CPU-bound pure Python, so under the GIL threads
+cannot make a build faster; the only parallel substrate is processes.
+Where ``os.fork`` exists, ``--jobs N`` builds with them: each worker
+is a **fork of the already warmed parent** — grammar, macro/
+metaprogram namespace, LALR table cache, and the builder itself all
+arrive by copy-on-write, so a child compiles a module exactly the way
+the parent would have, with no re-setup protocol and no way to drift
+from the serial configuration.
 
 The unit of work is one module; the reply is one cache-entry payload
 (the same JSON shape the on-disk module cache stores, deep artifact
@@ -18,10 +19,10 @@ artifacts are assembled, a fork-compiled module is indistinguishable
 from a disk-cached one.
 
 A worker that dies (or returns garbage) fails only its current module;
-the scheduler's failure barrier then has the builder replay that
-module serially in the parent for the authoritative diagnostic.  Fork
-is unavailable (or unsafe) in threaded processes, so the daemon never
-uses this pool — it fans out on its own worker threads instead.
+the scheduler's failure barrier then leaves that module to the
+builder's serial walk, which recompiles it in the parent for the
+authoritative diagnostic.  Fork is unsafe in threaded processes, so
+the daemon never uses this pool — its module builds are serial.
 """
 
 from __future__ import annotations

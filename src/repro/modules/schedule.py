@@ -1,42 +1,32 @@
-"""The DAG scheduler: parallel module builds with serial semantics.
+"""The DAG scheduler behind parallel module builds.
 
-``DagScheduler`` replaces the builder's serial topo walk for
-``--jobs N > 1``: every module is one *task*, a task becomes **ready**
-when all of its direct dependencies have completed, and ready tasks run
-concurrently on a bounded pool of drain loops.  Determinism is not a
-property of the schedule — completion order is whatever the OS gives
-us — but of what the tasks are allowed to observe:
+With ``--jobs N > 1`` the builder compiles its cache misses on forked
+worker processes (:mod:`repro.modules.procpool`), and this scheduler
+decides when: every module is one *task*, a task becomes **ready**
+when all of its direct dependencies have completed, and ready tasks
+run concurrently on a bounded pool of drain loops — threads that
+dispatch jobs to the workers and block on their pipes, so the GIL is
+released while the children compile.  Determinism is not a property
+of the schedule — completion order is whatever the OS gives us — but
+of what the tasks are allowed to observe:
 
-* a task only starts after its deps *finished publishing* (classes in
-  the registry, exports recorded), so every compile sees exactly the
-  dependency state a serial build would have shown it;
+* a task only starts after its deps *finished*, so every compile sees
+  exactly the dependency interfaces and exports a serial build would
+  have shown it;
 * per-module outputs (expanded bytes, exports, cache entries) are pure
   functions of (source, options, dep exports) — fresh-name counters
-  are thread-local and reset per module, grammar copies are
-  per-module;
+  reset per module, grammar copies are per-module;
 * everything order-sensitive that *aggregates* those outputs (the
   ``--module-report``, the concatenated ``--expand`` artifact, the
-  program's unit/class tables) is (re)assembled serially in topo
-  order after the pool drains.
+  program's unit/class tables) is assembled by the builder's serial
+  topological walk after the pool drains.
 
 **Failure barrier.**  The first task error stops dispatch (in-flight
-tasks finish, nothing new starts).  The builder then replays the
-topo-earliest failed module *serially on the real diagnostic engine*,
-so the rendered error — message, carets, notes, exit — is the one a
-``--jobs 1`` build of the same sources produces.  Parallel tasks run
-against scratch engines precisely so a doomed sibling can't leak
-half-formed diagnostics into that authoritative replay.
-
-**Pools.**  Two drain-loop substrates share this scheduler:
-
-* ``run_threaded`` — N-1 helper threads plus the calling thread
-  (mayac in-process, and the daemon, whose helpers are enqueued onto
-  its existing worker pool via a ``spawn`` callable; a full daemon
-  queue just means fewer helpers — the owner always drains, so
-  fan-out can never deadlock admission);
-* the fork pool in :mod:`repro.modules.procpool` — real processes for
-  CPU parallelism under the GIL; scheduler tasks become job
-  dispatches and the drain loops block on pipes.
+tasks finish, nothing new starts).  The failed module — and every
+module stranded downstream of it — has no cache entry, so the
+builder's serial walk recompiles it *on the real diagnostic engine*:
+the rendered error — message, carets, notes, exit — is the one a
+``--jobs 1`` build of the same sources produces.
 """
 
 from __future__ import annotations
@@ -65,7 +55,9 @@ def resolve_jobs(value=None) -> int:
     """The effective ``--jobs`` count.
 
     Precedence: explicit value, then ``MAYA_JOBS``, then 1 (serial —
-    parallelism is opt-in; the daemon opts its requests in itself).
+    parallelism is opt-in).  It sizes in-process builds only: the
+    daemon, being multithreaded, cannot fork and always builds
+    serially.
     ``0`` or ``"auto"`` mean one job per CPU.
     """
     if value is None:
@@ -152,7 +144,7 @@ class DagScheduler:
             result = None
             try:
                 result = self._run(task.name)
-            except BaseException as caught:  # contained: replayed serially
+            except BaseException as caught:  # contained: recompiled serially
                 error = caught
             TASK_RUN_MS.observe((time.perf_counter() - started) * 1000.0)
             with self._lock:
@@ -212,29 +204,16 @@ class DagScheduler:
 
     # -- pool fronts -------------------------------------------------------
 
-    def run_threaded(self, jobs: int,
-                     spawn: Optional[Callable[[Callable[[], None]], bool]]
-                     = None) -> None:
+    def run_threaded(self, jobs: int) -> None:
         """Drain with the calling thread plus up to ``jobs - 1``
-        helpers.  ``spawn`` enqueues a helper onto an external pool
-        (the daemon's workers) and may refuse (queue full) — the owner
-        drain below makes progress regardless, so helper placement is
-        best-effort by design."""
+        helper threads."""
         helpers: List[threading.Thread] = []
-        want = max(0, min(jobs, len(self.tasks)) - 1)
-        for _ in range(want):
-            if spawn is not None:
-                # External pool: fire-and-forget.  The owner's drain
-                # cannot return while any task is RUNNING, so a helper
-                # that arrives late (or never) finds no work and exits
-                # touching nothing but the scheduler's own lock.
-                spawn(self.drain)
-            else:
-                thread = threading.Thread(target=self.drain,
-                                          name="maya-module-build",
-                                          daemon=True)
-                thread.start()
-                helpers.append(thread)
+        for _ in range(max(0, min(jobs, len(self.tasks)) - 1)):
+            thread = threading.Thread(target=self.drain,
+                                      name="maya-module-build",
+                                      daemon=True)
+            thread.start()
+            helpers.append(thread)
         try:
             self.drain()
         finally:
@@ -244,8 +223,8 @@ class DagScheduler:
     # -- outcomes ----------------------------------------------------------
 
     def failed(self) -> List[Task]:
-        """Failed tasks, in topo order (earliest is the one the builder
-        replays serially for the authoritative diagnostic)."""
+        """Failed tasks, in topo order (the earliest is the one a serial
+        build would have stopped at)."""
         return sorted((t for t in self.tasks.values()
                        if t.state == Task.FAILED),
                       key=lambda t: t.index)

@@ -165,11 +165,9 @@ class MayaClient:
 
     def compile_modules(self, sources: dict, roots, **options) -> dict:
         """Compile a multi-file program: ``sources`` maps module names
-        to source text, ``roots`` lists the entry modules.
-
-        ``options['jobs']`` caps how many of the request's independent
-        modules the daemon builds concurrently on its worker pool
-        (default: the pool size; output is byte-identical to 1)."""
+        to source text, ``roots`` lists the entry modules.  The daemon
+        builds the modules serially; concurrent requests overlap
+        across its workers."""
         return self.request("compile", sources=dict(sources),
                             roots=list(roots), options=options)
 

@@ -198,23 +198,6 @@ class _Request:
         return True
 
 
-class _SubTask:
-    """A module-build helper drain on the request queue.
-
-    A worker building a multi-module request fans its independent
-    modules across the pool by enqueueing these; an idle worker that
-    pulls one joins the request's DAG scheduler until no runnable
-    module remains, then goes back to serving requests.  Placement is
-    best-effort (a full queue just means fewer helpers) and the owning
-    worker always drains its own scheduler, so fan-out can neither
-    deadlock admission nor strand a request."""
-
-    __slots__ = ("run",)
-
-    def __init__(self, run):
-        self.run = run
-
-
 class _Worker:
     __slots__ = ("thread", "current", "zombie", "name")
 
@@ -843,47 +826,23 @@ class MayaDaemon:
                         env: CompileEnv, degraded: bool):
         """A ModuleBuilder for one multi-file request.  Degraded re-runs
         bypass the shared module cache (same reasoning as the LALR
-        bypass: a poisoned entry must not kill the rerun) and run
-        strictly serially — isolation over throughput on the rerun.
+        bypass: a poisoned entry must not kill the rerun).
 
-        Independent modules fan out across the daemon's own worker
-        pool (never forked processes: the daemon is multithreaded):
-        helper drains ride the request queue as :class:`_SubTask`
-        items, capped at the pool size so a single request cannot
-        monopolize admission."""
-        from repro.modules import MemorySources, ModuleBuilder, resolve_jobs
+        The build is serial: the daemon is multithreaded, so it cannot
+        fork workers, and threads cannot overlap CPU-bound compiles
+        under the GIL.  Requests overlap across workers instead."""
+        from repro.modules import MemorySources, ModuleBuilder
 
         build_options = {
             key: options.get(key)
             for key in ("multijava", "use", "no_macros", "provenance")
             if options.get(key)
         }
-        requested = options.get("jobs")
-        if degraded:
-            jobs = 1
-        else:
-            try:
-                jobs = resolve_jobs(requested) \
-                    if requested not in (None, "") else self.config.workers
-            except ValueError:
-                jobs = 1
-            jobs = max(1, min(jobs, self.config.workers))
-
-        def spawn(drain) -> bool:
-            try:
-                self._queue.put_nowait(_SubTask(drain))
-            except queue_mod.Full:
-                return False  # fewer helpers; the owner still drains
-            QUEUE_DEPTH.inc()
-            return True
-
         return ModuleBuilder(
             MemorySources(payload["sources"]),
             cache_dir=None if degraded else self.config.module_cache_dir,
             options=build_options,
-            env=env,
-            jobs=jobs,
-            task_spawn=spawn if jobs > 1 else None)
+            env=env)
 
     @staticmethod
     def _run_program(program, options: dict) -> dict:
@@ -981,12 +940,6 @@ class MayaDaemon:
                 self._retire(worker)
                 return
             QUEUE_DEPTH.dec()
-            if isinstance(request, _SubTask):
-                # Help another worker's module build, then resume
-                # serving requests.  Errors stay inside the drain (the
-                # scheduler contains task failures for serial replay).
-                request.run()
-                continue
             if request.abandoned:
                 # Expired while queued: the handler already answered.
                 request.resolve(error_response(

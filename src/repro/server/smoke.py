@@ -23,11 +23,10 @@ Scenarios (``--scenario``):
   ``deadline-exceeded`` and the pool must backfill;
 * ``worker-crash``  — one worker crashes; the request must be
   re-run in degraded mode and *succeed*;
-* ``modules``       — multi-file compile requests fan each build
-  across the worker pool (``jobs``) and hammer the shared incremental
-  module cache while one on-disk entry *and* one interface payload
-  are served corrupt; every request must succeed anyway (quarantine
-  + recompile).
+* ``modules``       — concurrent multi-file compile requests hammer
+  the shared incremental module cache while one on-disk entry *and*
+  one interface payload are served corrupt; every request must
+  succeed anyway (quarantine + recompile).
 """
 
 from __future__ import annotations
@@ -134,7 +133,6 @@ def run_drill(requests: int, scenario: str, workers: int = 4,
                     pool.submit(client.compile_modules,
                                 MODULE_SOURCES, ["app.Main"],
                                 expand=True, cache=False,
-                                jobs=workers,
                                 deadline_ms=int(deadline_s * 1000))
                     for i in range(requests)
                 ]

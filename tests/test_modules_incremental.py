@@ -14,11 +14,11 @@ apply a random single-module edit, and prove two properties:
   ``maya_modules_reused_total`` counters, so a builder that silently
   recompiled-and-discarded would still be caught.
 * **Parallelism-invariance** — every trial also runs at ``jobs=4``
-  (threaded DAG schedule) against its own cache, and the combined
+  (forked workers, the ``--jobs`` substrate; the serial walk where
+  ``os.fork`` is unavailable) against its own cache, and the combined
   artifact, the recompiled set, the ``--module-report`` text, and the
   on-disk cache-entry bytes must all be identical to the serial
-  build's.  A smaller loop repeats this through the fork-worker pool
-  (the mayac ``--jobs`` substrate).
+  build's.
 """
 
 import hashlib
@@ -26,11 +26,9 @@ import os
 import random
 
 from repro.modules import MemorySources, ModuleBuilder, ModuleGraph
-from repro.modules.procpool import fork_available
 from repro.obs.metrics import REGISTRY
 
 TRIALS = 50
-FORK_TRIALS = 6
 SEED = 0x4D617961  # "Maya"
 
 
@@ -120,7 +118,7 @@ def test_incremental_rebuild_equals_clean_build(tmp_path):
             f"trial {trial}: incremental artifact diverged for {target}"
 
         # Parallelism-invariance: replay the whole trial at jobs=4 on
-        # the threaded schedule; every observable — artifact bytes,
+        # forked workers; every observable — artifact bytes,
         # recompiled set, report text, cache-entry bytes — matches.
         cache4 = tmp_path / f"trial{trial}-jobs4"
         first4 = ModuleBuilder(MemorySources(sources),
@@ -137,42 +135,6 @@ def test_incremental_rebuild_equals_clean_build(tmp_path):
         assert incremental4.report() == incremental.report()
         assert _cache_digests(str(cache4)) == _cache_digests(str(cache)), \
             f"trial {trial}: jobs=4 wrote different cache bytes"
-
-
-def test_fork_builds_equal_serial_builds(tmp_path):
-    """The same invariance through the fork-worker pool (mayac's
-    ``--jobs`` substrate): artifacts, reports, and cache bytes match
-    the serial build's, clean and after an edit."""
-    if not fork_available():
-        import pytest
-
-        pytest.skip("no os.fork on this platform")
-    rng = random.Random(SEED + 3)
-    for trial in range(FORK_TRIALS):
-        sources, roots = random_project(rng)
-        edited, target = edit_module(rng, sources)
-        serial_cache = tmp_path / f"fork{trial}-serial"
-        fork_cache = tmp_path / f"fork{trial}-fork"
-
-        serial = ModuleBuilder(MemorySources(sources),
-                               cache_dir=str(serial_cache)).build(roots)
-        forked = ModuleBuilder(MemorySources(sources),
-                               cache_dir=str(fork_cache),
-                               jobs=4, mode="fork").build(roots)
-        assert forked.expanded() == serial.expanded()
-        assert forked.report() == serial.report()
-
-        serial_edit = ModuleBuilder(MemorySources(edited),
-                                    cache_dir=str(serial_cache)
-                                    ).build(roots)
-        forked_edit = ModuleBuilder(MemorySources(edited),
-                                    cache_dir=str(fork_cache),
-                                    jobs=4, mode="fork").build(roots)
-        assert forked_edit.recompiled == serial_edit.recompiled
-        assert forked_edit.expanded() == serial_edit.expanded()
-        assert forked_edit.report() == serial_edit.report()
-        assert _cache_digests(str(fork_cache)) \
-            == _cache_digests(str(serial_cache))
 
 
 def test_discovery_order_is_deterministic():

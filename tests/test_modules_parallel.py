@@ -1,10 +1,11 @@
 """The parallel module-build machinery, unit by unit.
 
 Covers the DAG scheduler's ordering and failure barrier, the
-``--jobs`` resolution rules, exact metric totals under concurrency
-(both many builders racing and one builder fanning out), failure
-parity between serial and parallel builds (same exception, same
-message), the deep (checked-AST) warm path, and the fork worker pool.
+``--jobs`` resolution rules, exact metric totals (one forked build, and
+many serial builders racing on threads the way daemon workers do),
+failure parity between serial and forked builds (same exception, same
+message), the serial fallback where ``os.fork`` is unavailable, the
+deep (checked-AST) warm path, and the fork worker pool.
 """
 
 import os
@@ -16,7 +17,7 @@ from repro.core.env import CompileEnv
 from repro.diag import DiagnosticError
 from repro.interp import Interpreter
 from repro.modules import (MemorySources, ModuleBuilder, load_unit,
-                           snapshot_unit, SnapshotError)
+                           procpool, snapshot_unit, SnapshotError)
 from repro.modules.procpool import ChildJobError, ForkPool, fork_available
 from repro.modules.schedule import DagScheduler, resolve_jobs
 from repro.obs.metrics import REGISTRY
@@ -124,15 +125,6 @@ class TestDagScheduler:
         assert states["a"] == scheduler.tasks["a"].DONE
         assert states["c"] == scheduler.tasks["c"].SKIPPED
 
-    def test_external_spawn_may_refuse(self):
-        # A spawn that never places helpers (full daemon queue): the
-        # owner drain must still finish everything.
-        ran = []
-        scheduler = DagScheduler(["a", "b"], {"a": [], "b": []},
-                                 ran.append)
-        scheduler.run_threaded(4, spawn=lambda drain: False)
-        assert sorted(ran) == ["a", "b"]
-
 
 class TestParallelBuilder:
     def test_exact_counter_totals_one_build(self, tmp_path):
@@ -157,9 +149,11 @@ class TestParallelBuilder:
         assert _counter("maya_modules_deep_fallback_total") == fallback0
 
     def test_exact_counter_totals_many_racing_builders(self, tmp_path):
-        # PR 6 idiom: hammer the shared counters from many concurrent
-        # builds and assert *exact* totals — a lost update or a
-        # double-count under the fan-out shows up as an off-by-N.
+        # Hammer the shared counters from many concurrent serial builds
+        # (the daemon's pattern: one build per worker thread — never
+        # forked, since forking a multithreaded process is unsafe) and
+        # assert *exact* totals: a lost update or a double-count shows
+        # up as an off-by-N.
         builders = 6
         sources = [project(width=3, prefix=f"race{i}")
                    for i in range(builders)]
@@ -171,7 +165,7 @@ class TestParallelBuilder:
                 ModuleBuilder(MemorySources(sources[i]),
                               cache_dir=str(tmp_path / str(i)),
                               env=CompileEnv(),
-                              jobs=3).build(["app.Main"])
+                              jobs=1).build(["app.Main"])
             except BaseException as error:  # pragma: no cover
                 errors.append(error)
 
@@ -191,17 +185,38 @@ class TestParallelBuilder:
             "import lib.M0;\n"
             "class Main { static int run() { return M0.nope(); } }")
 
-        def message(jobs, mode="thread"):
+        def message(jobs):
             with pytest.raises(DiagnosticError) as caught:
                 ModuleBuilder(MemorySources(sources), env=CompileEnv(),
-                              jobs=jobs, mode=mode).build(["app.Main"])
+                              jobs=jobs).build(["app.Main"])
             return str(caught.value)
 
         serial = message(1)
         assert "nope" in serial
         assert message(4) == serial
-        if fork_available():
-            assert message(4, mode="fork") == serial
+
+    def test_no_fork_falls_back_to_the_serial_walk(self, monkeypatch):
+        # Without os.fork, jobs=4 is the serial walk: same bytes, and
+        # no helper thread is ever started.
+        sources = project(width=5)
+        serial = ModuleBuilder(MemorySources(sources), env=CompileEnv(),
+                               jobs=1).build(["app.Main"])
+        monkeypatch.setattr(procpool, "fork_available", lambda: False)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = threading.active_count()
+        fallback = ModuleBuilder(MemorySources(sources), env=CompileEnv(),
+                                 jobs=4).build(["app.Main"])
+        assert threading.active_count() == before
+        assert started == []
+        assert fallback.expanded() == serial.expanded()
+        assert fallback.report() == serial.report()
 
     def test_program_tables_are_canonical_after_parallel_build(self):
         sources = project(width=5)

@@ -561,26 +561,6 @@ class TestModuleCacheCorruption:
         assert any(path.suffix == ".quarantine"
                    for path in tmp_path.iterdir())
 
-    def test_parallel_request_survives_iface_fault(self, tmp_path):
-        """The same drill through the fan-out path: a jobs>1 request
-        whose warm hit trips the iface gate still succeeds with
-        byte-identical output."""
-        server = _daemon(module_cache_dir=str(tmp_path), workers=4)
-        try:
-            client = MayaClient(server.address, retries=0)
-            first = client.compile_modules(MODULE_SOURCES, ["app.Main"],
-                                           cache=False, expand=True,
-                                           jobs=4)
-            assert first["status"] == "ok"
-            faults.configure("cache.module.iface:corrupt:times=1")
-            second = client.compile_modules(MODULE_SOURCES, ["app.Main"],
-                                            cache=False, expand=True,
-                                            jobs=4)
-            assert second["status"] == "ok"
-            assert second["expanded"] == first["expanded"]
-        finally:
-            server.stop()
-
 
 class TestCrashReconstructionFromEventLog:
     """The observability acceptance bar: a contained worker crash must
