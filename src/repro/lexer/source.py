@@ -2,18 +2,39 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Location:
-    """A point in a source file (1-based line and column)."""
+    """A point in a source file (1-based line and column).
 
-    filename: str
-    line: int
-    column: int
+    Immutable by convention.  Slotted, with a three-field pickle form:
+    the scanner builds one per token and a module snapshot pickles one
+    per node, so both the constructor and the pickled form stay small.
+    """
 
-    UNKNOWN: "Location" = None  # set below
+    __slots__ = ("filename", "line", "column")
+
+    UNKNOWN: "Location"  # set below
+
+    def __init__(self, filename: str, line: int, column: int):
+        self.filename = filename
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Location:
+            return NotImplemented
+        return (self.line == other.line and self.column == other.column
+                and self.filename == other.filename)
+
+    def __hash__(self) -> int:
+        return hash((self.filename, self.line, self.column))
+
+    def __reduce__(self):
+        return (Location, (self.filename, self.line, self.column))
+
+    def __repr__(self) -> str:
+        return (f"Location(filename={self.filename!r}, line={self.line!r}, "
+                f"column={self.column!r})")
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

@@ -12,9 +12,10 @@ restores the deep artifact and re-runs only shaping + checking —
 skipping lexing and parsing outright — instead of recompiling the
 expanded source from text.
 
-**What keys an entry.**  ``module_key`` is a SHA-256 over the module's
-own source text, the output-affecting build options, and — recursively
-— the keys of its direct dependencies in import order.  A key therefore
+**What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
+snapshot format numbers, the module's own source text, the
+output-affecting build options, and — recursively — the keys of its
+direct dependencies in import order.  A key therefore
 fingerprints the whole *transitive* input cone: editing any upstream
 module changes every downstream key, so exactly the downstream modules
 miss (and recompile) while everything else replays from disk.  This is
@@ -26,7 +27,10 @@ the same content-addressing discipline as the LALR table cache's
 * absent entry, or an injected I/O fault at ``cache.module.load`` —
   a plain miss; recompile, store;
 * *stale* entry (old format, key mismatch after an edit) — a plain
-  miss too: well-formed, just not ours; it is overwritten on store;
+  miss too: well-formed, just not ours; it is overwritten on store.
+  A snapshot format bump is a key mismatch, so an entry whose deep
+  blob the running code cannot load is rebuilt once, not restored
+  through the expanded-source fallback on every warm hit;
 * *corrupt* entry (truncated JSON, wrong shape) — quarantined to
   ``*.quarantine``, counted in ``maya_module_cache_corrupt_total``,
   and regenerated.  A bad cache file must never take a build down;
@@ -46,7 +50,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import faults, perf
 from repro.modules.iface import validate_interface
-from repro.modules.snapshot import blob_digest
+from repro.modules.snapshot import SNAPSHOT_FORMAT, blob_digest
 from repro.obs.metrics import REGISTRY
 
 #: Format 2: deep artifact (pickled checked AST) + grammar token.
@@ -81,7 +85,8 @@ def module_key(name: str, source: str, options_sig: str,
     cone, so recursion bottoms out at leaf modules.
     """
     digest = hashlib.sha256()
-    digest.update(f"maya-module/{CACHE_FORMAT}\x00".encode("utf-8"))
+    digest.update(f"maya-module/{CACHE_FORMAT}/{SNAPSHOT_FORMAT}\x00"
+                  .encode("utf-8"))
     digest.update(options_sig.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(name.encode("utf-8"))

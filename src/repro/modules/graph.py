@@ -8,13 +8,16 @@ brings the module's classes into scope (the ordinary Java meaning the
 registry already implements) and, in module mode, makes its exported
 Mayans/`syntax` extensions visible to the importing file.
 
-Discovery is deliberately cheap: dependencies are read from the lexed
-token stream, not a parse.  The stream lexer collapses every ``{...}``
-body into a single BraceTree token, so scanning the *top level* for
-``import <dotted name> ;`` sequences is exact — an ``import`` inside a
-class body cannot be confused for a declaration.  Cheap discovery is
-what makes the dirty-check of an incremental rebuild fast: deciding
-*what* to recompile never parses anything.
+Dependencies are read from the lexed token stream, not a parse.  The
+stream lexer collapses every ``{...}`` body into a single BraceTree
+token, so scanning the *top level* for ``import <dotted name> ;``
+sequences is exact — an ``import`` inside a class body cannot be
+confused for a declaration.  Deciding *what* to recompile therefore
+never parses anything, but it does lex every module of the project on
+every build, so discovery costs what the scanner costs: 44 ms for the
+22-module benchmark project, 1.7 ms of lexing per module of ~2,500
+characters and ~660 tokens (2-CPU x86-64 host, Python 3.11; EXPERIMENTS
+E18).
 
 Failure modes are located diagnostics, all pointing at the ``import``
 site (the paper's diagnostics discipline): a module that imports itself

@@ -39,15 +39,17 @@ from __future__ import annotations
 import hashlib
 import io
 import pickle
-import pickletools
 from typing import Optional
 
 from repro.ast import nodes as n
 from repro.lexer import Location
 
 #: Bump when the snapshot's structural conventions change; baked into
-#: the pickle header so stale blobs fail closed as a format mismatch.
-SNAPSHOT_FORMAT = 1
+#: the pickle header so stale blobs fail closed as a format mismatch,
+#: and folded into every module cache key so a bump re-keys the cache
+#: rather than leaving old entries to fall back on every warm hit.
+#: Format 2: raw ``pickle.dumps`` output, three-field ``Location``.
+SNAPSHOT_FORMAT = 2
 
 _PRIMITIVE = (str, int, float, bool, type(None))
 
@@ -105,14 +107,17 @@ def snapshot_unit(unit: "n.CompilationUnit") -> Optional[bytes]:
     except _Unsnappable:
         return None
     try:
-        body = pickle.dumps((SNAPSHOT_FORMAT, clone), protocol=4)
+        # The raw dump is already a deterministic function of the
+        # tree (its shape and which objects it shares), so identical
+        # builds give identical blobs: the jobs=1 vs jobs=N property
+        # test compares entry files.  ``pickletools.optimize`` would
+        # only drop unused PUT opcodes, canonicalising nothing, at
+        # about twelve times the cost of the dump.
+        return pickle.dumps((SNAPSHOT_FORMAT, clone), protocol=4)
     except Exception:
         # A field slipped through carrying unpicklable state; the
         # expanded-source artifact still covers this module.
         return None
-    # Canonical byte form: identical trees must produce identical
-    # blobs (the jobs=1 vs jobs=N property test compares entry files).
-    return pickletools.optimize(body)
 
 
 def blob_digest(blob: bytes) -> str:

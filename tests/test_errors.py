@@ -12,6 +12,7 @@ import pytest
 from repro.interp import Interpreter, JavaThrow
 from repro.lalr import ParseError
 from repro.lexer import LexError
+from repro.mayac import main as mayac_main
 from repro.multijava import MultiJavaError
 from repro.typecheck import CheckError
 from tests.conftest import compile_source, run_main
@@ -40,6 +41,16 @@ class TestLexErrors:
         # that opening brace, not at EOF.
         assert "unclosed '{' opened at 1:9" in text
         assert "<string>:1:9: [lex]" in text
+
+    def test_malformed_number_in_mayac_is_located(self, tmp_path, capsys):
+        # int("0x", 16) raises ValueError; mayac must print a located
+        # diagnostic, not that exception's bare message.
+        source = tmp_path / "hex.maya"
+        source.write_text("class A {\n  int x = 0x;\n}\n")
+        assert mayac_main([str(source)]) == 1
+        err = capsys.readouterr().err
+        assert f"{source}:2:11: [lex] error: malformed number '0x'" in err
+        assert "ValueError" not in err
 
 
 class TestParseErrors:

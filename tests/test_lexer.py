@@ -1,5 +1,8 @@
 """Unit tests for the scanner and stream lexer."""
 
+import pickle
+import time
+
 import pytest
 
 from repro.lexer import LexError, Token, scan, stream_lex
@@ -83,6 +86,75 @@ class TestScanner:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             scan("a ` b")
+
+    @pytest.mark.parametrize("source, column, message", [
+        ("x = 0x;", 5, "malformed number '0x'"),
+        ("1e", 1, "malformed number '1e'"),
+        ("a = 1e+ b", 5, "malformed number '1e+'"),
+        ("2.5e-L", 1, "malformed number '2.5e-'"),
+        ("1\u00b2", 1, "malformed number '1\u00b2'"),
+        ("a.\u00b2", 2, "malformed number '.\u00b2'"),
+        ("  \u00b2", 3, "unexpected character '\u00b2'"),
+        ("1e999L", 1, "malformed number '1e999'"),
+    ])
+    def test_malformed_numbers_are_located(self, source, column, message):
+        with pytest.raises(LexError) as exc:
+            scan("\n" + source, "n.maya")
+        assert exc.value.location.line == 2
+        assert exc.value.location.column == column
+        assert str(exc.value) == f"n.maya:2:{column}: {message}"
+
+    def test_unicode_digits_and_letters(self):
+        tokens = scan("\u0663\u0664 + caf\u00e9 x\u00b2")
+        assert [(t.kind, t.value) for t in tokens] == [
+            ("IntLit", 34), ("+", None), ("Identifier", None),
+            ("Identifier", None)]
+        with pytest.raises(LexError, match="unexpected character"):
+            scan("\u00bd")
+
+    def test_carriage_return_advances_the_column(self):
+        tokens = scan("a\r\n\rb")
+        assert (tokens[1].location.line, tokens[1].location.column) == (2, 2)
+
+    def test_location_pickles_as_three_fields(self):
+        location = scan("\n  x", "f.maya")[0].location
+        assert location.__reduce__() == (type(location), ("f.maya", 2, 3))
+        assert pickle.loads(pickle.dumps(location)) == location
+        assert repr(location) == \
+            "Location(filename='f.maya', line=2, column=3)"
+
+
+class TestLinearTime:
+    """Inputs that make a backtracking pattern blow up must lex (or
+    fail at the right place) in time linear in their size."""
+
+    BOUND_S = 5.0
+
+    def timed(self, source):
+        start = time.perf_counter()
+        try:
+            result = scan(source)
+        except LexError as error:
+            result = error
+        assert time.perf_counter() - start < self.BOUND_S
+        return result
+
+    def test_megabyte_of_whitespace_then_junk(self):
+        error = self.timed(" \t\r\n" * 250_000 + "#")
+        assert isinstance(error, LexError)
+        assert "unexpected character '#'" in str(error)
+        assert (error.location.line, error.location.column) == (250_001, 1)
+
+    def test_many_comments_then_an_unterminated_one(self):
+        error = self.timed("/* */ " * 100_000 + "/*" + " x" * 50_000)
+        assert isinstance(error, LexError)
+        assert "unterminated block comment" in str(error)
+        assert error.location.column == 600_001
+
+    def test_long_identifier(self):
+        tokens = self.timed("a" * 200_000 + " ;")
+        assert [t.kind for t in tokens] == ["Identifier", ";"]
+        assert len(tokens[0].text) == 200_000
 
 
 class TestStreamLexer:

@@ -373,6 +373,30 @@ class TestModuleCache:
         assert cache.load("lib.Base", "k") is None
         cache.store(ModuleEntry("lib.Base", "k", "", [], [], []))
 
+    def test_snapshot_format_bump_rekeys_instead_of_falling_back(
+            self, tmp_path, monkeypatch):
+        # A cache written by code with another snapshot format holds
+        # deep blobs this code refuses to load.  Its keys must not
+        # match, or every warm hit would fall back to the text path
+        # for good: a hit is never rewritten.
+        from repro.modules import cache as module_cache
+        from repro.modules import snapshot
+        with monkeypatch.context() as old_format:
+            old_format.setattr(snapshot, "SNAPSHOT_FORMAT", 1)
+            old_format.setattr(module_cache, "SNAPSHOT_FORMAT", 1)
+            make_builder(CHAIN, tmp_path).build(["app.Main"],
+                                                need_bodies=True)
+        rebuilt = make_builder(CHAIN, tmp_path).build(["app.Main"],
+                                                      need_bodies=True)
+        assert rebuilt.recompiled == rebuilt.order
+        restored = counter("maya_modules_deep_restored_total")
+        fallback = counter("maya_modules_deep_fallback_total")
+        warm = make_builder(CHAIN, tmp_path).build(["app.Main"],
+                                                   need_bodies=True)
+        assert warm.recompiled == []
+        assert counter("maya_modules_deep_fallback_total") == fallback
+        assert counter("maya_modules_deep_restored_total") == restored + 3
+
     def test_stale_entry_is_a_plain_miss_not_corruption(self, tmp_path):
         corrupt = counter("maya_module_cache_corrupt_total")
         make_builder(CHAIN, tmp_path).build(["app.Main"])
