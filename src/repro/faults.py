@@ -39,7 +39,6 @@ from typing import Dict, List, Optional
 
 #: Instrumented checkpoints.  Keep in sync with the DESIGN fault table.
 SITE_CACHE_LOAD = "cache.disk.load"
-SITE_CODEGEN_CACHE_LOAD = "cache.codegen.load"
 SITE_MODULE_CACHE_LOAD = "cache.module.load"
 SITE_MODULE_IFACE = "cache.module.iface"
 SITE_WORKER_EXECUTE = "worker.execute"

@@ -24,13 +24,10 @@ Profile-guided specialization happens at the call sites:
   ``invoke_exact``) so a patched call chain observes exactly one depth
   increment per Java frame.
 
-Generated source is cached on disk (``MAYA_CODEGEN_CACHE`` or
-:func:`enable_codegen_cache`) keyed by a content fingerprint of the
-method's unparsed declaration — the same content-addressed discipline
-as the LALR table cache in ``repro.lalr.tables``, including the
-quarantine-on-corrupt ladder (``maya_interp_codegen_cache_corrupt_total``)
-and the ``cache.codegen.load`` fault site.  Daemon workers point this
-cache at a shared directory so one worker's codegen warms the others.
+Plans live in memory only, on the Method (bounded by
+:class:`PlanRegistry`): generating and ``compile()``-ing a method's
+source costs about what a disk lookup would, whose key alone needs the
+unparsed body (EXPERIMENTS.md, E19).
 
 Observable behaviour is bit-for-bit the walker's: the same operation
 counters bump at the same points, the same Java exceptions carry the
@@ -45,20 +42,15 @@ plan's sites the moment intercession changes any class's member table.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
-import sys
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro import faults, perf
+from repro import perf
 from repro.ast import nodes as n
-from repro.ast import unparse
 from repro.core import MayaError
 from repro.interp.interp import (
     _C_ALLOCATIONS,
@@ -122,16 +114,13 @@ MEGAMORPHIC = 8
 #: program they ever compiled).
 PLAN_CACHE_SIZE = int(os.environ.get("MAYA_PLAN_CACHE_SIZE") or 4096)
 
-#: Method-body codegen outcomes (compiled / fallback / disk_hit /
-#: link_error).
+#: Method-body codegen outcomes (compiled / fallback).
 _CODEGEN = REGISTRY.counter(
     "maya_interp_codegen_total",
     "Pycode-backend method compilations, by outcome.",
     ("outcome",))
 _CG_COMPILED = _CODEGEN.labels("compiled")
 _CG_FALLBACK = _CODEGEN.labels("fallback")
-_CG_DISK_HIT = _CODEGEN.labels("disk_hit")
-_CG_LINK_ERROR = _CODEGEN.labels("link_error")
 
 #: Guard failures at specialized sites: the call deopts to the generic
 #: inline-cache dispatcher (observable behaviour unchanged).
@@ -140,21 +129,6 @@ _DEOPTS = REGISTRY.counter(
     "Pycode specialized-site guard failures (deopt to generic dispatch).",
     ("site",))
 _DEOPT_CALL = _DEOPTS.labels("call")
-
-#: Corrupt on-disk codegen cache entries detected (then quarantined).
-_CG_CORRUPT = REGISTRY.counter(
-    "maya_interp_codegen_cache_corrupt_total",
-    "On-disk codegen cache entries found corrupt, quarantined, and "
-    "regenerated.")
-
-#: Artifact schema version; stale formats are plain misses.  Bumped
-#: whenever the generated source changes (2: no null guard on literal
-#: receivers).
-PYCODE_FORMAT = 2
-
-#: Opt-in on-disk source cache directory (``MAYA_CODEGEN_CACHE`` or the
-#: daemon's ``codegen_cache_dir``).
-_DISK_DIR: Optional[str] = os.environ.get("MAYA_CODEGEN_CACHE") or None
 
 #: Plan sentinel: this method always executes on the tree-walker.
 FALLBACK = object()
@@ -172,32 +146,6 @@ _LIVE_PLANS: "set[weakref.ref]" = set()
 class CodegenError(Exception):
     """A node shape the Python codegen does not reproduce exactly; the
     method falls back to the tree-walker."""
-
-
-class _LinkError(Exception):
-    """A disk artifact whose symbol descriptors no longer resolve."""
-
-
-def enable_codegen_cache(path: Optional[str]) -> None:
-    """Point the persistent codegen cache at ``path`` (None disables)."""
-    global _DISK_DIR
-    _DISK_DIR = path
-
-
-@contextmanager
-def codegen_cache_at(path: Optional[str]):
-    """Scope the persistent codegen cache to ``path``, restoring the
-    previous directory on exit (tests and the daemon)."""
-    previous = _DISK_DIR
-    enable_codegen_cache(path)
-    try:
-        yield
-    finally:
-        enable_codegen_cache(previous)
-
-
-def disable_codegen_cache() -> None:
-    enable_codegen_cache(None)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +250,14 @@ _PLAN_REGISTRY = PlanRegistry("_pycode_plan", PLAN_CACHE_SIZE,
 def plan_for(method, interp):
     """The cached compiled plan for a method (or ``FALLBACK``).
 
-    ``interp`` supplies the class registry used to link disk-cached
-    artifacts; the plan itself never captures the interpreter, so plans
-    are shared across Interpreter instances.
+    The plan never captures ``interp``, so plans are shared across
+    Interpreter instances.
     """
     cached = getattr(method, "_pycode_plan", None)
     epoch = _types.MEMBER_EPOCH
     if cached is not None and cached[0] == epoch:
         return cached[1]
-    plan = _build_plan(method, interp)
+    plan = _build_plan(method)
     method._pycode_plan = (epoch, plan)
     _PLAN_REGISTRY.note(method)
     return plan
@@ -322,34 +269,19 @@ def run_plan(interp, plan: PyPlan, receiver, args):
     return plan.entry(interp, receiver, *args)
 
 
-def _build_plan(method, interp):
+def _build_plan(method):
     decl = method.decl
     if method.impl is not None or decl is None or decl.body is None:
         # A builtin or an intercession-attached Python impl: never
         # codegen's job, so not counted as a fallback.
         return FALLBACK
     try:
-        gen = _MethodGen(method)
-    except CodegenError:
-        _CG_FALLBACK.value += 1
-        return FALLBACK
-    key = _cache_key(method) if _DISK_DIR is not None else None
-    if key is not None:
-        plan = _disk_load(interp, method, key)
-        if plan is not None:
-            _CG_DISK_HIT.value += 1
-            _track(plan)
-            return plan
-    try:
-        source, consts, sites = gen.generate()
-        plan = _link(interp, method, source, _live_consts(consts),
-                     _live_sites(sites))
+        source, consts, sites = _MethodGen(method).generate()
+        plan = _link(method, source, consts, sites)
     except (CodegenError, SyntaxError):
         _CG_FALLBACK.value += 1
         return FALLBACK
     _CG_COMPILED.value += 1
-    if key is not None:
-        _disk_store(method, key, source, consts, sites)
     _track(plan)
     return plan
 
@@ -590,15 +522,7 @@ def _runtime_ns() -> dict:
     }
 
 
-def _live_consts(consts):
-    return [(name, value) for name, value, _descr in consts]
-
-
-def _live_sites(sites):
-    return [(index, kind, payload) for index, kind, payload, _d in sites]
-
-
-def _link(interp, method, source, consts, sites) -> PyPlan:
+def _link(method, source, consts, sites) -> PyPlan:
     label = method_label(method)
     ns = _runtime_ns()
     for name, value in consts:
@@ -615,201 +539,6 @@ def method_label(method) -> str:
     owner = method.declaring_class.name if method.declaring_class else "?"
     params = ", ".join(str(p) for p in method.param_types)
     return f"{owner}.{method.name}({params})"
-
-
-# ---------------------------------------------------------------------------
-# Symbol descriptors (persisting consts/sites across processes)
-# ---------------------------------------------------------------------------
-
-
-def _descr_of_type(t):
-    if isinstance(t, PrimitiveType):
-        return ["prim", t.name]
-    if isinstance(t, ArrayType):
-        dims = 0
-        while isinstance(t, ArrayType):
-            t = t.element
-            dims += 1
-        base = _descr_of_type(t)
-        return ["arr", base, dims] if base is not None else None
-    name = getattr(t, "name", None)
-    if isinstance(name, str):
-        return ["cls", name]
-    return None
-
-
-def _descr_of_method(m):
-    if m is None or m.declaring_class is None:
-        return None
-    params = [str(p) for p in m.param_types]
-    if m.name == "<init>":
-        return ["ctor", m.declaring_class.name, params]
-    return ["mth", m.declaring_class.name, m.name, params]
-
-
-def _descr_of_field(f):
-    if f is None or f.declaring_class is None:
-        return None
-    return ["fld", f.declaring_class.name, f.name]
-
-
-def _resolve_class(interp, qname):
-    try:
-        klass = interp.registry.require(qname)
-    except Exception:
-        raise _LinkError(qname) from None
-    if klass is None:
-        raise _LinkError(qname)
-    return klass
-
-
-def _resolve_descr(interp, descr):
-    kind = descr[0]
-    if kind == "prim":
-        t = _types.PRIMITIVES.get(descr[1])
-        if t is None:
-            raise _LinkError(descr[1])
-        return t
-    if kind == "cls":
-        return _resolve_class(interp, descr[1])
-    if kind == "arr":
-        return array_of(_resolve_descr(interp, descr[1]), descr[2])
-    if kind == "fld":
-        field = _resolve_class(interp, descr[1]).fields.get(descr[2])
-        if field is None:
-            raise _LinkError(f"{descr[1]}.{descr[2]}")
-        return field
-    if kind == "mth":
-        klass = _resolve_class(interp, descr[1])
-        for m in klass.methods.get(descr[2], ()):
-            if [str(p) for p in m.param_types] == descr[3]:
-                return m
-        raise _LinkError(f"{descr[1]}.{descr[2]}")
-    if kind == "ctor":
-        klass = _resolve_class(interp, descr[1])
-        for ctor in klass.constructors:
-            if [str(p) for p in ctor.param_types] == descr[2]:
-                return ctor
-        if not descr[2]:
-            return _types.Method("<init>", (), _types.VOID, (), klass)
-        raise _LinkError(f"{descr[1]}.<init>")
-    if kind == "lit":
-        return descr[1]
-    raise _LinkError(f"descriptor kind {kind!r}")
-
-
-def _resolve_site_payload(interp, kind, descr):
-    if kind in ("call", "scall"):
-        return _resolve_descr(interp, descr)
-    if kind in ("ifield", "sfield"):
-        return descr  # a plain field name
-    return _resolve_descr(interp, descr)  # instanceof / cast target type
-
-
-# ---------------------------------------------------------------------------
-# The on-disk source cache (same ladder as repro.lalr.tables)
-# ---------------------------------------------------------------------------
-
-
-def _cache_key(method) -> Optional[str]:
-    try:
-        body_src = unparse.to_source(method.decl)
-    except Exception:
-        return None
-    owner = method.declaring_class.name if method.declaring_class else "?"
-    digest = hashlib.sha256()
-    digest.update(repr((PYCODE_FORMAT, sys.version_info[:2], owner,
-                        method.name,
-                        [str(p) for p in method.param_types])).encode())
-    digest.update(body_src.encode())
-    return digest.hexdigest()[:32]
-
-
-def _disk_path(key: str) -> str:
-    return os.path.join(_DISK_DIR, f"pycode-{key}.json")
-
-
-def _quarantine(path: str) -> None:
-    try:
-        os.replace(path, path + ".quarantine")
-    except OSError:
-        pass
-
-
-def _disk_load(interp, method, key: str) -> Optional[PyPlan]:
-    stats = perf.cache_stats("interp.pycode.disk")
-    path = _disk_path(key)
-    try:
-        faults.check(faults.SITE_CODEGEN_CACHE_LOAD)
-        with open(path, "rb") as handle:
-            payload = handle.read()
-        if faults.corrupting(faults.SITE_CODEGEN_CACHE_LOAD):
-            payload = b"\x00 injected corrupt codegen entry"
-        artifact = json.loads(payload.decode("utf-8"))
-        if (not isinstance(artifact, dict)
-                or artifact.get("format") != PYCODE_FORMAT
-                or artifact.get("key") != key):
-            # Stale (old format / different method): a plain miss.
-            stats.miss()
-            return None
-        consts = [(name, _resolve_descr(interp, descr))
-                  for name, descr in artifact["consts"]]
-        sites = [(index, kind,
-                  _resolve_site_payload(interp, kind, descr))
-                 for index, kind, descr in artifact["sites"]]
-        plan = _link(interp, method, artifact["source"], consts, sites)
-    except (FileNotFoundError, faults.InjectedFault):
-        stats.miss()
-        return None
-    except _LinkError:
-        # Well-formed artifact whose symbols no longer resolve here:
-        # not corruption — regenerate (and overwrite) without
-        # quarantining.
-        _CG_LINK_ERROR.value += 1
-        stats.miss()
-        return None
-    except Exception:
-        # Garbage bytes, truncated JSON, unparsable source: quarantine
-        # the entry, count it, and regenerate — a bad cache file must
-        # never take the backend down.
-        _quarantine(path)
-        _CG_CORRUPT.inc()
-        stats.miss()
-        return None
-    stats.hit()
-    return plan
-
-
-def _disk_store(method, key: str, source, consts, sites) -> None:
-    if _DISK_DIR is None:
-        return
-    const_descrs = []
-    for name, _value, descr in consts:
-        if descr is None:
-            return  # a non-portable constant: keep this plan in-memory
-        const_descrs.append([name, descr])
-    site_descrs = []
-    for index, kind, _payload, descr in sites:
-        if descr is None:
-            return
-        site_descrs.append([index, kind, descr])
-    artifact = {
-        "format": PYCODE_FORMAT,
-        "key": key,
-        "method": method_label(method),
-        "source": source,
-        "consts": const_descrs,
-        "sites": site_descrs,
-    }
-    path = _disk_path(key)
-    try:
-        os.makedirs(_DISK_DIR, exist_ok=True)
-        scratch = f"{path}.{os.getpid()}.tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle)
-        os.replace(scratch, path)  # atomic: readers never see partials
-    except OSError:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +646,8 @@ class _MethodGen:
         self._atomic = {"v_this", "interp"}
         #: Inline literal atoms that are never null (no null guard).
         self._nonnull = set()
-        self.consts: List[Tuple[str, object, object]] = []
-        self.sites: List[Tuple[int, str, object, object]] = []
+        self.consts: List[Tuple[str, object]] = []
+        self.sites: List[Tuple[int, str, object]] = []
         self.formal_names = [self.pyname(f.name.name) for f in self.formals]
 
     # -- emission helpers ------------------------------------------------
@@ -945,9 +674,9 @@ class _MethodGen:
             self.names[name] = pname
         return pname
 
-    def const(self, value, descr) -> str:
+    def const(self, value) -> str:
         name = f"_k{len(self.consts)}"
-        self.consts.append((name, value, descr))
+        self.consts.append((name, value))
         self._atomic.add(name)
         return name
 
@@ -958,13 +687,7 @@ class _MethodGen:
             if value is not None:
                 self._nonnull.add(atom)
             return atom
-        descr = None
-        try:
-            json.dumps(value)
-            descr = ["lit", value]
-        except (TypeError, ValueError):
-            pass
-        return self.const(value, descr)
+        return self.const(value)
 
     def null_guard(self, atom: str, detail) -> None:
         """Throw the walker's NullPointerException when ``atom`` is
@@ -1025,10 +748,10 @@ class _MethodGen:
         finally:
             self.indent -= 1
 
-    def site(self, kind: str, payload, descr) -> int:
+    def site(self, kind: str, payload) -> int:
         index = self.nsite
         self.nsite += 1
-        self.sites.append((index, kind, payload, descr))
+        self.sites.append((index, kind, payload))
         return index
 
     def tick(self) -> None:
@@ -1052,8 +775,7 @@ class _MethodGen:
             "    try:",
         ]
         body = self.lines or ["        pass"]
-        unb = self.const(dict(self.unbound),
-                         ["lit", dict(self.unbound)])
+        unb = self.const(dict(self.unbound))
         footer = [
             "    except (UnboundLocalError, NameError) as _exc:",
             f"        _unb(_exc, {unb})",
@@ -1263,7 +985,7 @@ class _MethodGen:
                 caught = resolve_type_name(clause.formal.type_name,
                                            formal_scope)
             pname = self.pyname(clause.formal.name.name)
-            kc = self.const(caught, _descr_of_type(caught))
+            kc = self.const(caught)
             clauses.append((kc, pname, clause.body))
         self.put("try:")
         self.suite(lambda: self.block(stmt.body))
@@ -1307,7 +1029,7 @@ class _MethodGen:
             else:
                 thunks.append(lambda item=item: self.expr(item))
         parts = self.seq(thunks)
-        ke = self.const(element, _descr_of_type(element))
+        ke = self.const(element)
         t = self.temp()
         self.put(f"{t} = _JA({ke}, [{', '.join(parts)}])")
         return t
@@ -1336,8 +1058,8 @@ class _MethodGen:
             base = self.field_read("v_this", fields[0])
             fields = fields[1:]
         elif kind == "static":
-            kp = self.const(payload, _descr_of_type(payload))
-            kf = self.const(fields[0], _descr_of_field(fields[0]))
+            kp = self.const(payload)
+            kf = self.const(fields[0])
             t = self.temp()
             self.put(f"{t} = interp._read_static({kp}, {kf})")
             base = t
@@ -1362,7 +1084,7 @@ class _MethodGen:
             self.put(f"{t} = len({base})")
             return t
         if field.is_static:
-            kf = self.const(field, _descr_of_field(field))
+            kf = self.const(field)
             t = self.temp()
             self.put(f"{t} = interp._read_field({base}, {kf})")
             return t
@@ -1407,7 +1129,7 @@ class _MethodGen:
         field = getattr(expr, "field", _MISSING)
         if field is _MISSING:
             # Unchecked access: runtime field lookup, inline-cached.
-            index = self.site("ifield", name, name)
+            index = self.site("ifield", name)
             r = self.spill(recv)
             t = self.temp()
             self.put(f"{t} = _s{index}(interp, {r})")
@@ -1420,7 +1142,7 @@ class _MethodGen:
                      f"interp._class_of_value({r}).find_field({name!r}))")
             return t
         if name == "length" or field.is_static:
-            kf = self.const(field, _descr_of_field(field))
+            kf = self.const(field)
             r = self.spill(recv)
             t = self.temp()
             if name == "length":
@@ -1509,7 +1231,7 @@ class _MethodGen:
     def _virtual_call(self, method, args, recv_expr=None, recv_atom=None,
                       null_check=True) -> str:
         arg_atoms, recv = self._call_operands(args, recv_expr, recv_atom)
-        index = self.site("call", method, _descr_of_method(method))
+        index = self.site("call", method)
         mname = method.name
         r = self.spill(recv)
         t = self.temp()
@@ -1542,15 +1264,15 @@ class _MethodGen:
         if not null_check:
             self.indent -= 1
             # The static target constant for the None-receiver branch.
-            km = self.const(method, _descr_of_method(method))
+            km = self.const(method)
             # Alias it under the name the branch above used.
             self._alias_const(km, f"_s{index}_m0")
         return t
 
     def _alias_const(self, existing: str, alias: str) -> None:
-        for i, (name, value, descr) in enumerate(self.consts):
+        for i, (name, value) in enumerate(self.consts):
             if name == existing:
-                self.consts[i] = (alias, value, descr)
+                self.consts[i] = (alias, value)
                 self._atomic.add(alias)
                 return
         raise CodegenError("alias target missing")
@@ -1558,7 +1280,7 @@ class _MethodGen:
     def _static_call(self, method, args, recv_expr=None, recv_atom=None,
                      null_check=False) -> str:
         arg_atoms, recv = self._call_operands(args, recv_expr, recv_atom)
-        index = self.site("scall", method, _descr_of_method(method))
+        index = self.site("scall", method)
         if null_check:
             r = self.spill(recv)
             self.null_guard(r, method.name)
@@ -1579,8 +1301,8 @@ class _MethodGen:
         _, klass, ctor = self._target_of(expr)
         arg_atoms = self.seq(
             [lambda a=a: self.expr(a) for a in expr.args])
-        kk = self.const(klass, _descr_of_type(klass))
-        kc = self.const(ctor, _descr_of_method(ctor))
+        kk = self.const(klass)
+        kc = self.const(ctor)
         t = self.temp()
         self.put(f"{t} = interp.construct({kk}, {kc}, "
                  f"[{', '.join(arg_atoms)}])")
@@ -1596,7 +1318,7 @@ class _MethodGen:
                                    array_of(element, total_dims))
         dim_atoms = self.seq(
             [lambda d=d: self.expr(d) for d in expr.dim_exprs])
-        ke = self.const(element, _descr_of_type(element))
+        ke = self.const(element)
         t = self.temp()
         self.put(f"{t} = interp._allocate({ke}, "
                  f"[{', '.join(dim_atoms)}], {expr.extra_dims})")
@@ -1756,7 +1478,7 @@ class _MethodGen:
             raise CodegenError("unscoped instanceof")
         target = resolve_type_name(expr.type_name, expr.scope)
         value = self.expr(expr.expr)
-        index = self.site("instanceof", target, _descr_of_type(target))
+        index = self.site("instanceof", target)
         t = self.temp()
         self.put(f"{t} = _s{index}(interp, {value})")
         return t
@@ -1767,11 +1489,11 @@ class _MethodGen:
         target = resolve_type_name(expr.type_name, expr.scope)
         value = self.expr(expr.expr)
         if isinstance(target, PrimitiveType):
-            kt = self.const(target, _descr_of_type(target))
+            kt = self.const(target)
             t = self.temp()
             self.put(f"{t} = _pcast({value}, {kt})")
             return t
-        index = self.site("cast", target, _descr_of_type(target))
+        index = self.site("cast", target)
         t = self.temp()
         self.put(f"{t} = _s{index}(interp, {value})")
         return t
@@ -1871,8 +1593,8 @@ class _MethodGen:
                     self.put(f"interp.statics[{key!r}] = {value}")
                 return emit
             first, mids, last = fields[0], fields[1:-1], fields[-1]
-            kp = self.const(payload, _descr_of_type(payload))
-            kf = self.const(first, _descr_of_field(first))
+            kp = self.const(payload)
+            kf = self.const(first)
 
             def emit(value):
                 t = self.temp()
@@ -1883,23 +1605,23 @@ class _MethodGen:
 
     def _store_chain(self, target: str, mids, last, value: str) -> None:
         for field in mids:
-            kf = self.const(field, _descr_of_field(field))
+            kf = self.const(field)
             t = self.temp()
             self.put(f"{t} = interp._read_field({target}, {kf})")
             target = t
-        kl = self.const(last, _descr_of_field(last))
+        kl = self.const(last)
         self.put(f"interp._write_field({target}, {kl}, {value})")
 
     def _store_field_access(self, lhs):
         field = getattr(lhs, "field", None)
         if field is not None:
-            kf = self.const(field, _descr_of_field(field))
+            kf = self.const(field)
 
             def emit(value):
                 recv = self.expr(lhs.receiver)
                 self.put(f"interp._write_field({recv}, {kf}, {value})")
             return emit
-        index = self.site("sfield", lhs.name, lhs.name)
+        index = self.site("sfield", lhs.name)
 
         def emit(value):
             recv = self.expr(lhs.receiver)

@@ -21,10 +21,10 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults, perf
-from repro.obs.metrics import REGISTRY
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
+from repro.store import Store
 
 
 class ConflictError(Exception):
@@ -386,19 +386,16 @@ class LRUCache:
 TABLE_CACHE_SIZE = 32
 _TABLE_CACHE = LRUCache(TABLE_CACHE_SIZE, perf.cache_stats("lalr.tables"))
 
-#: Opt-in on-disk cache directory (``mayac --table-cache`` or the
+#: Opt-in on-disk cache (``mayac --table-cache`` or the
 #: MAYA_TABLE_CACHE environment variable).  Cold-starting mayac skips
 #: full LALR generation for any grammar already seen on this machine —
 #: in particular the base Java grammar.
-_DISK_CACHE_DIR: Optional[str] = os.environ.get("MAYA_TABLE_CACHE") or None
+_DISK = Store(os.environ.get("MAYA_TABLE_CACHE") or None,
+              "lalr.tables.disk", faults.SITE_CACHE_LOAD)
 
+#: Part of every entry's name, so a format bump writes fresh entries
+#: instead of missing on the old ones forever.
 _SNAPSHOT_FORMAT = 1
-
-#: Corrupt/truncated on-disk entries detected (then quarantined).
-_CORRUPT_TOTAL = REGISTRY.counter(
-    "maya_table_cache_corrupt_total",
-    "On-disk LALR table cache entries found corrupt, quarantined, and "
-    "regenerated.")
 
 #: When set (via :func:`bypass_caches`), ``tables_for`` neither reads
 #: nor writes any shared cache — the daemon's degraded single-shot
@@ -420,15 +417,14 @@ def bypass_caches():
 
 def enable_disk_cache(path: Optional[str]) -> None:
     """Point the persistent table cache at ``path`` (None disables)."""
-    global _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = path
+    _DISK.directory = path
 
 
 @contextmanager
 def disk_cache_at(path: Optional[str]):
     """Scope the persistent table cache to ``path``, restoring the
     previous directory on exit (tests and the daemon smoke drill)."""
-    previous = _DISK_CACHE_DIR
+    previous = _DISK.directory
     enable_disk_cache(path)
     try:
         yield
@@ -445,78 +441,33 @@ def table_cache_clear() -> None:
     _TABLE_CACHE.clear()
 
 
-def _disk_path(fingerprint: GrammarFingerprint) -> str:
-    digest = hashlib.sha256(repr(fingerprint.key).encode()).hexdigest()
-    return os.path.join(_DISK_CACHE_DIR, f"tables-{digest[:32]}.pickle")
-
-
-def _quarantine(path: str) -> None:
-    """Move a corrupt cache entry aside (best-effort) so the *next*
-    load doesn't re-parse the same garbage, and the bad bytes stay
-    available for postmortems instead of being overwritten."""
-    try:
-        os.replace(path, path + ".quarantine")
-    except OSError:
-        pass
+def _disk_name(fingerprint: GrammarFingerprint) -> str:
+    digest = hashlib.sha256(
+        f"{_SNAPSHOT_FORMAT}\x00{fingerprint.key!r}".encode()).hexdigest()
+    return f"tables-{digest[:32]}.pickle"
 
 
 def _disk_load(grammar: Grammar, fingerprint: GrammarFingerprint):
-    if _DISK_CACHE_DIR is None:
-        return None
-    stats = perf.cache_stats("lalr.tables.disk")
-    path = _disk_path(fingerprint)
-    try:
-        faults.check(faults.SITE_CACHE_LOAD)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        if faults.corrupting(faults.SITE_CACHE_LOAD):
-            raise pickle.UnpicklingError("injected corrupt cache entry")
-        if not isinstance(payload, dict):
-            raise pickle.UnpicklingError("cache payload is not a dict")
-        if (payload.get("format") != _SNAPSHOT_FORMAT
-                or payload.get("key") != fingerprint.key):
-            # A *stale* entry (old format, different grammar) is a
-            # plain miss: well-formed, just not ours to use.
-            stats.miss()
-            return None
-        tables = ParseTables.from_snapshot(grammar, payload["snapshot"])
-    except (FileNotFoundError, faults.InjectedFault):
-        # Absent entry, or an injected I/O failure: a plain miss —
-        # regenerate without touching the file.
-        stats.miss()
-        return None
-    except Exception:
-        # Truncated pickle, garbage bytes, malformed snapshot: the
-        # entry is *corrupt*.  Crash-safe hygiene: quarantine it, count
-        # it, and fall through to regeneration — a bad cache file must
-        # never take the loader (or the daemon above it) down.
-        _quarantine(path)
-        _CORRUPT_TOTAL.inc()
-        stats.miss()
-        return None
-    stats.hit()
-    return tables
+    def decode(data: bytes) -> Optional[ParseTables]:
+        payload = pickle.loads(data)
+        if (payload["format"] != _SNAPSHOT_FORMAT
+                or payload["key"] != fingerprint.key):
+            return None  # stale: well-formed, just not ours to use
+        return ParseTables.from_snapshot(grammar, payload["snapshot"])
+
+    return _DISK.load(_disk_name(fingerprint), decode)
 
 
 def _disk_store(tables: ParseTables, fingerprint: GrammarFingerprint) -> None:
-    if _DISK_CACHE_DIR is None:
-        return
-    path = _disk_path(fingerprint)
-    if os.path.exists(path):
+    if not _DISK:
         return
     payload = {
         "format": _SNAPSHOT_FORMAT,
         "key": fingerprint.key,
         "snapshot": tables.snapshot(),
     }
-    try:
-        os.makedirs(_DISK_CACHE_DIR, exist_ok=True)
-        scratch = f"{path}.{os.getpid()}.tmp"
-        with open(scratch, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(scratch, path)  # atomic: readers never see a partial file
-    except OSError:
-        pass
+    _DISK.store(_disk_name(fingerprint),
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def build_tables(grammar: Grammar) -> ParseTables:

@@ -20,24 +20,25 @@ fingerprints the whole *transitive* input cone: editing any upstream
 module changes every downstream key, so exactly the downstream modules
 miss (and recompile) while everything else replays from disk.  This is
 the same content-addressing discipline as the LALR table cache's
-``GrammarFingerprint`` keys and the pycode backend's source cache.
+``GrammarFingerprint`` keys.
 
-**Hygiene ladder** (shared with the LALR and codegen caches):
+**Hygiene ladder.**  Entries live in a :class:`repro.store.Store`,
+which owns the policy for crash-safe files: a SHA-256 checksum over
+the whole entry, atomic writes, and quarantine of corrupt entries
+(counted as ``maya_cache_events_total{cache="modules.disk",
+event="corrupt"}``).  In this cache's terms:
 
-* absent entry, or an injected I/O fault at ``cache.module.load`` —
-  a plain miss; recompile, store;
+* absent entry, or an injected I/O fault at ``cache.module.load`` or
+  ``cache.module.iface`` — a plain miss; recompile, store;
 * *stale* entry (old format, key mismatch after an edit) — a plain
   miss too: well-formed, just not ours; it is overwritten on store.
   A snapshot format bump is a key mismatch, so an entry whose deep
   blob the running code cannot load is rebuilt once, not restored
   through the expanded-source fallback on every warm hit;
-* *corrupt* entry (truncated JSON, wrong shape) — quarantined to
-  ``*.quarantine``, counted in ``maya_module_cache_corrupt_total``,
-  and regenerated.  A bad cache file must never take a build down;
-* *corrupt skeleton/deep payload* (``cache.module.iface`` fault site:
-  the entry JSON parses but the interface list is malformed or the
-  deep blob fails its checksum) — same quarantine + regenerate arm,
-  counted separately in ``maya_module_cache_iface_corrupt_total``.
+* *corrupt* entry (any changed byte, truncated JSON, wrong shape, or
+  class skeletons that fail :func:`validate_interface`, which is where
+  an injected ``cache.module.iface`` corruption lands) — quarantined
+  and regenerated.  A bad cache file must never take a build down.
 """
 
 from __future__ import annotations
@@ -48,22 +49,13 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro import faults, perf
+from repro import faults
 from repro.modules.iface import validate_interface
-from repro.modules.snapshot import SNAPSHOT_FORMAT, blob_digest
-from repro.obs.metrics import REGISTRY
+from repro.modules.snapshot import SNAPSHOT_FORMAT
+from repro.store import Store
 
 #: Format 2: deep artifact (pickled checked AST) + grammar token.
 CACHE_FORMAT = 2
-
-_CORRUPT_TOTAL = REGISTRY.counter(
-    "maya_module_cache_corrupt_total",
-    "On-disk module cache entries found corrupt, quarantined, and "
-    "regenerated.")
-_IFACE_CORRUPT_TOTAL = REGISTRY.counter(
-    "maya_module_cache_iface_corrupt_total",
-    "Module cache entries whose skeleton/deep payload was corrupt "
-    "(checksum or shape); quarantined and regenerated.")
 
 
 def options_signature(options: Dict[str, object]) -> str:
@@ -157,7 +149,6 @@ class ModuleEntry:
         }
         if self.deep is not None:
             payload["deep"] = base64.b64encode(self.deep).decode("ascii")
-            payload["deep_sha"] = blob_digest(self.deep)
         return payload
 
     @classmethod
@@ -180,116 +171,46 @@ class ModuleEntry:
             raise ValueError("malformed module cache entry")
         return entry
 
-    def check_payloads(self, payload: dict) -> None:
-        """The skeleton/deep integrity gate (``cache.module.iface``).
-
-        The entry JSON parsed, but the parts a warm hit will *trust
-        without re-deriving* — the interface skeletons and the deep
-        blob — get their own validation: structural for the skeletons,
-        a checksum for the blob.  Raises ``ValueError`` on any
-        mismatch so the load ladder quarantines and regenerates."""
-        validate_interface(self.iface)
-        if self.deep is not None:
-            recorded = payload.get("deep_sha")
-            if recorded != blob_digest(self.deep):
-                raise ValueError("deep artifact fails its checksum")
-
 
 class ModuleCache:
     """The on-disk store: one entry file per module name."""
 
     def __init__(self, directory: Optional[str]):
-        self.directory = directory
-        self.stats = perf.cache_stats("modules.disk")
+        self._store = Store(directory, "modules.disk",
+                            faults.SITE_MODULE_CACHE_LOAD)
 
     def __bool__(self) -> bool:
-        return self.directory is not None
+        return bool(self._store)
 
-    def _path(self, name: str) -> str:
+    @staticmethod
+    def _name(name: str) -> str:
         safe = name.replace(os.sep, ".")
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
-        return os.path.join(self.directory, f"module-{safe}-{digest}.json")
+        return f"module-{safe}-{digest}.json"
+
+    def _path(self, name: str) -> str:
+        return self._store.path(self._name(name))
 
     def load(self, name: str, key: str) -> Optional[ModuleEntry]:
         """The entry for ``name`` if present and keyed ``key``."""
-        if self.directory is None:
-            return None
-        path = self._path(name)
-        try:
-            faults.check(faults.SITE_MODULE_CACHE_LOAD)
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            if faults.corrupting(faults.SITE_MODULE_CACHE_LOAD):
-                text = text[: len(text) // 2]  # injected truncation
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("module cache payload is not an object")
-            if (payload.get("format") != CACHE_FORMAT
-                    or payload.get("key") != key):
-                # Stale (edited module, old format): a plain miss.
-                self.stats.miss()
-                return None
+        def decode(data: bytes) -> Optional[ModuleEntry]:
+            payload = json.loads(data.decode("utf-8"))
+            if payload["format"] != CACHE_FORMAT or payload["key"] != key:
+                return None  # stale (edited module, old format)
             entry = ModuleEntry.from_payload(payload)
-        except (FileNotFoundError, faults.InjectedFault):
-            self.stats.miss()
-            return None
-        except Exception:
-            # Truncated/garbage entry: quarantine, count, regenerate.
-            self._quarantine(path)
-            _CORRUPT_TOTAL.inc()
-            self.stats.miss()
-            return None
-        try:
             faults.check(faults.SITE_MODULE_IFACE)
             if faults.corrupting(faults.SITE_MODULE_IFACE):
-                # Injected skeleton/deep corruption: clobber exactly
-                # the payloads the integrity gate vouches for.
-                if entry.deep is not None:
-                    entry.deep = entry.deep[: len(entry.deep) // 2]
-                entry.iface = [{"truncated": True}]
-            entry.check_payloads(payload)
-        except faults.InjectedFault:
-            self.stats.miss()
-            return None
-        except Exception:
-            # The entry parsed but its skeleton/deep payload cannot be
-            # trusted: same quarantine-and-regenerate arm, its own
-            # counter.  Never a crash.
-            self._quarantine(path)
-            _IFACE_CORRUPT_TOTAL.inc()
-            self.stats.miss()
-            return None
-        self.stats.hit()
-        return entry
+                entry.iface = [{"truncated": True}]  # injected
+            validate_interface(entry.iface)
+            return entry
+
+        return self._store.load(self._name(name), decode)
 
     def store(self, entry: ModuleEntry) -> None:
-        if self.directory is None:
+        if not self._store:
             return
-        path = self._path(entry.name)
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            scratch = f"{path}.{os.getpid()}.{_store_tag()}.tmp"
-            with open(scratch, "w", encoding="utf-8") as handle:
-                # sort_keys: identical builds write byte-identical
-                # entry files, whatever thread or process produced
-                # them — the jobs=1 vs jobs=N property test diffs the
-                # cache directories directly.
-                json.dump(entry.payload(), handle, sort_keys=True)
-            os.replace(scratch, path)  # atomic: no partial entries
-        except OSError:
-            pass
-
-    @staticmethod
-    def _quarantine(path: str) -> None:
-        try:
-            os.replace(path, path + ".quarantine")
-        except OSError:
-            pass
-
-
-def _store_tag() -> str:
-    """Disambiguates scratch files across the scheduler's threads (the
-    pid alone stopped being unique once builds went parallel)."""
-    import threading
-
-    return str(threading.get_ident())
+        # sort_keys: identical builds write byte-identical entry files,
+        # whatever thread or process produced them — the jobs=1 vs
+        # jobs=N property test diffs the cache directories directly.
+        self._store.store(self._name(entry.name), json.dumps(
+            entry.payload(), sort_keys=True).encode("utf-8"))

@@ -28,15 +28,14 @@ Anything else surprising — an unforced ``LazyNode``, an unknown leaf
 object, a constructor that refuses the copied fields — makes
 :func:`snapshot_unit` **decline** (return None) rather than persist a
 blob it can't vouch for; the cache entry then simply lacks a deep
-artifact and warm hits fall back to the expanded-source compile.  The
-same never-trust-the-disk ladder guards the load side: a blob that
-fails its checksum or unpickle is reported by raising
-:class:`SnapshotError`, and the caller quarantines/regenerates.
+artifact and warm hits fall back to the expanded-source compile.  On
+the load side the cache entry's checksum (:mod:`repro.store`) vouches
+for the blob's bytes; a blob that still fails to unpickle into a unit
+raises :class:`SnapshotError`, and the caller falls back the same way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import pickle
 from typing import Optional
@@ -118,11 +117,6 @@ def snapshot_unit(unit: "n.CompilationUnit") -> Optional[bytes]:
         # A field slipped through carrying unpicklable state; the
         # expanded-source artifact still covers this module.
         return None
-
-
-def blob_digest(blob: bytes) -> str:
-    """Checksum persisted next to the blob; load verifies it first."""
-    return hashlib.sha256(blob).hexdigest()
 
 
 class _NodeUnpickler(pickle.Unpickler):

@@ -29,16 +29,14 @@ daemon):
   deadline is marked a zombie (it exits after its current request) and
   replaced, so capacity cannot wedge behind a hung compile;
 * **cache hygiene** — shared caches hand off immutable epoch-stamped
-  snapshots (:mod:`repro.server.state`); corrupt on-disk table-cache
-  entries are quarantined and regenerated (:mod:`repro.lalr.tables`),
-  and the workers' shared on-disk pycode codegen cache applies the
-  same quarantine-on-corrupt ladder (:mod:`repro.interp.pycodegen`).
+  snapshots (:mod:`repro.server.state`); corrupt entries in the
+  on-disk table and module caches are quarantined and regenerated
+  (:mod:`repro.store`).
 
 Compile requests may also carry a ``run`` option naming a class whose
 ``main()`` is interpreted in the worker after a successful compile
-(on the interpreter's default backend, pycode, so repeat runs across
-workers reuse the shared codegen cache); captured output rides back on
-the response.
+(on the interpreter's default backend, pycode); captured output rides
+back on the response.
 """
 
 from __future__ import annotations
@@ -109,7 +107,6 @@ class DaemonConfig:
                  max_deadline_s: float = 120.0, fuel_cap: int = 1024,
                  max_errors_cap: int = 200,
                  artifact_cache_size: int = 256, prewarm: bool = True,
-                 codegen_cache_dir: Optional[str] = None,
                  module_cache_dir: Optional[str] = None,
                  trace_requests: bool = True,
                  slow_request_ms: float = 1000.0,
@@ -128,13 +125,7 @@ class DaemonConfig:
         self.max_errors_cap = max_errors_cap
         self.artifact_cache_size = artifact_cache_size
         self.prewarm = prewarm
-        #: Every worker links generated pycode plans through this shared
-        #: on-disk cache (same quarantine-on-corrupt discipline as the
-        #: LALR table cache); defaults to MAYA_CODEGEN_CACHE.
-        self.codegen_cache_dir = (codegen_cache_dir
-                                  or os.environ.get("MAYA_CODEGEN_CACHE")
-                                  or None)
-        #: Workers share the incremental module cache the same way:
+        #: Workers share one on-disk incremental module cache:
         #: multi-file compile requests reuse any module whose transitive
         #: fingerprint matches, whichever worker built it last.
         self.module_cache_dir = (module_cache_dir
@@ -267,10 +258,6 @@ class MayaDaemon:
             obs_log.LOG.set_level(self.config.log_level)
         if self.config.log_out:
             obs_log.LOG.set_sink(self.config.log_out)
-        if self.config.codegen_cache_dir:
-            from repro.interp import pycodegen
-
-            pycodegen.enable_codegen_cache(self.config.codegen_cache_dir)
         if self.config.prewarm:
             self.prewarm_s = state.prewarm()
         with self._pool_lock:

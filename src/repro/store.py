@@ -1,0 +1,136 @@
+"""One crash-safe on-disk store for the compiler's persistent caches.
+
+The LALR table cache (:mod:`repro.lalr.tables`) and the incremental
+module cache (:mod:`repro.modules.cache`) keep their entries here.  A
+store maps a name to bytes; each owner keeps its own payload format
+and keys, and this module owns the policy for the files:
+
+* **checksum** — an entry file is one header line carrying the
+  SHA-256 of the whole payload, then the payload.  Any byte that
+  changed on disk (a torn write, disk rot, a hand edit) fails the
+  check before the owner decodes anything;
+* **atomic writes** — every write goes to a scratch file unique to
+  that write (``tempfile.mkstemp`` in the target directory), then
+  ``os.replace``: a reader sees the old entry or the new one, never a
+  partial file, and concurrent writers of one name never share a
+  scratch file;
+* **the load ladder** — an absent entry, an injected I/O fault at the
+  owner's fault site, or a *stale* entry (well-formed, but the owner's
+  decoder says it is not for this key or format) is a plain miss.  A
+  bad checksum or a decoder that raises means the entry is *corrupt*:
+  it is moved aside to ``*.quarantine`` (so the next load does not
+  trip over it and the bytes stay for postmortems), counted, and the
+  caller regenerates.  A bad cache file never takes a build down.
+
+Hits, misses and corrupt entries land in the
+``maya_cache_events_total{cache,event}`` family under the store's
+cache name; a corrupt entry also counts as a miss.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+from typing import Callable, Optional, TypeVar
+
+from repro import faults, perf
+from repro.obs.metrics import REGISTRY
+
+#: The family :func:`repro.perf.cache_stats` views; a corrupt entry is
+#: one more event there.
+_EVENTS = REGISTRY.get("maya_cache_events_total")
+
+_MAGIC = b"maya-store sha256="
+
+T = TypeVar("T")
+
+
+def _header(payload: bytes) -> bytes:
+    return _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii")
+
+
+class Store:
+    """A directory of checksummed entries, one file per name.
+
+    ``cache`` names the store in ``maya_cache_events_total``; ``site``
+    is the fault site polled on every load.  A store without a
+    directory is disabled: it is falsy, loads miss without counting,
+    and stores do nothing.
+    """
+
+    def __init__(self, directory: Optional[str], cache: str, site: str):
+        self.directory = directory
+        self.site = site
+        self._stats = perf.cache_stats(cache)
+        self._corrupt = _EVENTS.labels(cache, "corrupt")
+
+    def __bool__(self) -> bool:
+        return self.directory is not None
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.directory, name)
+
+    def load(self, name: str,
+             decode: Callable[[bytes], Optional[T]]) -> Optional[T]:
+        """The decoded entry ``name``, or None on a miss.
+
+        ``decode`` turns verified payload bytes into the owner's value.
+        It returns None for a stale entry and raises for one it cannot
+        parse; an :class:`repro.faults.InjectedFault` it raises is a
+        plain miss like any other injected I/O fault."""
+        if self.directory is None:
+            return None
+        path = self.path(name)
+        try:
+            faults.check(self.site)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            if faults.corrupting(self.site):
+                data = data[: len(data) // 2]  # injected torn entry
+            header, _, payload = data.partition(b"\n")
+            if header != _header(payload):
+                raise ValueError(f"{path}: checksum mismatch")
+            value = decode(payload)
+        except (FileNotFoundError, faults.InjectedFault):
+            self._stats.miss()
+            return None
+        except Exception:
+            self._quarantine(path)
+            self._corrupt.inc()
+            self._stats.miss()
+            return None
+        if value is None:
+            self._stats.miss()
+        else:
+            self._stats.hit()
+        return value
+
+    def store(self, name: str, payload: bytes) -> None:
+        """Write ``name`` atomically; a failed write leaves no file."""
+        if self.directory is None:
+            return
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            fd, scratch = tempfile.mkstemp(dir=self.directory,
+                                           prefix=f"{name}.",
+                                           suffix=".tmp")
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_header(payload) + b"\n")
+                handle.write(payload)
+            os.replace(scratch, self.path(name))
+        except OSError:
+            try:
+                os.unlink(scratch)
+            except OSError:
+                pass
+
+    @staticmethod
+    def _quarantine(path: str) -> None:
+        try:
+            os.replace(path, path + ".quarantine")
+        except OSError:
+            pass

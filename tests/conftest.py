@@ -13,6 +13,13 @@ from repro import MayaCompiler
 from repro.interp import Interpreter
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
+from repro.obs.metrics import REGISTRY
+
+
+def corrupt_entries(cache: str) -> int:
+    """Entries of one on-disk cache quarantined as corrupt so far."""
+    return REGISTRY.get("maya_cache_events_total").labels(
+        cache, "corrupt").value
 
 
 def make_compiler(macros: bool = False, multijava: bool = False) -> MayaCompiler:

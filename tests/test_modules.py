@@ -23,6 +23,7 @@ from repro.modules import (CACHE_FORMAT, MemorySources, ModuleBuilder,
                            ModuleCache, ModuleEntry, ModuleGraph,
                            module_key, options_signature, scan_imports)
 from repro.obs.metrics import REGISTRY
+from tests.conftest import corrupt_entries
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -398,17 +399,17 @@ class TestModuleCache:
         assert counter("maya_modules_deep_restored_total") == restored + 3
 
     def test_stale_entry_is_a_plain_miss_not_corruption(self, tmp_path):
-        corrupt = counter("maya_module_cache_corrupt_total")
+        before = corrupt_entries("modules.disk")
         make_builder(CHAIN, tmp_path).build(["app.Main"])
         edited = dict(CHAIN)
         edited["lib.Base"] = edited["lib.Base"] + "\n// edited\n"
         make_builder(edited, tmp_path).build(["app.Main"])
-        assert counter("maya_module_cache_corrupt_total") == corrupt
+        assert corrupt_entries("modules.disk") == before
         assert not list(tmp_path.glob("*.quarantine"))
 
     def test_corrupt_entry_is_quarantined_counted_and_rebuilt(
             self, tmp_path):
-        corrupt = counter("maya_module_cache_corrupt_total")
+        before = corrupt_entries("modules.disk")
         make_builder(CHAIN, tmp_path).build(["app.Main"])
         victim = next(p for p in tmp_path.iterdir()
                       if "lib.Base" in p.name)
@@ -417,24 +418,24 @@ class TestModuleCache:
         # lib.Base misses (corrupt) which invalidates nothing else —
         # downstream keys never depended on the cache's health.
         assert result.recompiled == ["lib.Base"]
-        assert counter("maya_module_cache_corrupt_total") == corrupt + 1
+        assert corrupt_entries("modules.disk") == before + 1
         assert len(list(tmp_path.glob("*.quarantine"))) == 1
         # The regenerated entry is good again.
         third = make_builder(CHAIN, tmp_path).build(["app.Main"])
         assert third.recompiled == []
 
     def test_wrong_shape_payload_is_corrupt(self, tmp_path):
-        corrupt = counter("maya_module_cache_corrupt_total")
+        before = corrupt_entries("modules.disk")
         cache = ModuleCache(str(tmp_path))
         key = "k" * 64
-        path = cache._path("lib.Base")
-        path_obj = pathlib.Path(path)
-        path_obj.write_text(json.dumps({
+        # Written through the store, so the checksum holds and the
+        # shape check is what rejects the entry.
+        cache._store.store(cache._name("lib.Base"), json.dumps({
             "format": CACHE_FORMAT, "name": "lib.Base", "key": key,
             "expanded": 42, "iface": [], "exports": [], "deps": [],
-        }), encoding="utf-8")
+        }).encode("utf-8"))
         assert cache.load("lib.Base", key) is None
-        assert counter("maya_module_cache_corrupt_total") == corrupt + 1
+        assert corrupt_entries("modules.disk") == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.core import CompileContext, CompileEnv
 from repro.dispatch import AmbiguousDispatchError, Mayan
 from repro.dispatch.dispatcher import _ORDER_STATS, _PLAN_STATS
 from repro.lalr import Parser
+from repro.lalr import tables as lalr_tables
 from repro.lalr.tables import (
     LRUCache,
     disable_disk_cache,
@@ -26,6 +27,12 @@ from repro.lalr.tables import (
 )
 from repro.lexer import stream_lex
 from repro import perf
+from tests.conftest import corrupt_entries
+
+
+def payload_of(entry):
+    """An on-disk store entry's payload (after its checksum line)."""
+    return entry.read_bytes().partition(b"\n")[2]
 
 
 def parse_with(env, start, source):
@@ -249,31 +256,28 @@ class TestDiskCache:
         """Crash-safe hygiene: garbage bytes are moved to a
         ``.quarantine`` file (for postmortems, and so the next load
         doesn't re-parse them), counted, and regenerated in place."""
-        from repro.obs.metrics import REGISTRY
-
-        corrupt_total = REGISTRY.get("maya_table_cache_corrupt_total")
         enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
             (entry,) = tmp_path.glob("tables-*.pickle")
             entry.write_bytes(b"\x00\xffgarbage bytes, not a pickle")
-            before = corrupt_total.value
+            before = corrupt_entries("lalr.tables.disk")
 
             table_cache_clear()
             assert tables_for(CompileEnv().grammar).action
-            assert corrupt_total.value == before + 1
+            assert corrupt_entries("lalr.tables.disk") == before + 1
             # The bad bytes were set aside, and regeneration re-wrote a
             # good entry at the original path.
             quarantined = entry.with_suffix(".pickle.quarantine")
             assert quarantined.read_bytes().startswith(b"\x00\xff")
-            assert pickle.loads(entry.read_bytes())["format"] >= 1
+            assert pickle.loads(payload_of(entry))["format"] >= 1
 
             # A quarantined entry is never trusted again: the next load
             # round-trips the regenerated file cleanly.
             table_cache_clear()
             assert tables_for(CompileEnv().grammar).action
-            assert corrupt_total.value == before + 1
+            assert corrupt_entries("lalr.tables.disk") == before + 1
         finally:
             disable_disk_cache()
             table_cache_clear()
@@ -281,22 +285,19 @@ class TestDiskCache:
     def test_stale_format_is_a_miss_not_corruption(self, tmp_path):
         """A well-formed entry from an older snapshot format is just a
         miss: no quarantine, no corruption count."""
-        from repro.obs.metrics import REGISTRY
-
-        corrupt_total = REGISTRY.get("maya_table_cache_corrupt_total")
         enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
             (entry,) = tmp_path.glob("tables-*.pickle")
-            payload = pickle.loads(entry.read_bytes())
+            payload = pickle.loads(payload_of(entry))
             payload["format"] = 0
-            entry.write_bytes(pickle.dumps(payload))
-            before = corrupt_total.value
+            lalr_tables._DISK.store(entry.name, pickle.dumps(payload))
+            before = corrupt_entries("lalr.tables.disk")
 
             table_cache_clear()
             assert tables_for(CompileEnv().grammar).action
-            assert corrupt_total.value == before
+            assert corrupt_entries("lalr.tables.disk") == before
             assert not list(tmp_path.glob("*.quarantine"))
         finally:
             disable_disk_cache()
@@ -310,9 +311,9 @@ class TestDiskCache:
             table_cache_clear()
             CompileEnv().tables()
             (entry,) = tmp_path.glob("tables-*.pickle")
-            payload = pickle.loads(entry.read_bytes())
+            payload = pickle.loads(payload_of(entry))
             payload["key"] = ("tampered",)
-            entry.write_bytes(pickle.dumps(payload))
+            lalr_tables._DISK.store(entry.name, pickle.dumps(payload))
 
             table_cache_clear()
             tables = tables_for(CompileEnv().grammar)  # regenerated

@@ -14,6 +14,7 @@ from repro.server import DaemonConfig, MayaClient, MayaDaemon
 from repro.server import protocol
 from repro.server.client import DaemonError
 from repro.server.daemon import CRASHES, REPLACED
+from tests.conftest import corrupt_entries
 
 SOURCE = "class Victim { static void main() { } }"
 
@@ -175,9 +176,7 @@ class TestHangContainment:
 class TestCacheCorruption:
     def test_corrupt_disk_entry_is_quarantined_and_regenerated(
             self, tmp_path):
-        corrupt = lalr_tables.REGISTRY.get(
-            "maya_table_cache_corrupt_total")
-        before = corrupt.value
+        before = corrupt_entries("lalr.tables.disk")
         with lalr_tables.disk_cache_at(str(tmp_path)):
             server = _daemon()
             try:
@@ -198,7 +197,7 @@ class TestCacheCorruption:
                 assert response["status"] == "ok"
             finally:
                 server.stop()
-            assert corrupt.value == before + 1
+            assert corrupt_entries("lalr.tables.disk") == before + 1
             quarantined = [name for name in tmp_path.iterdir()
                            if name.suffix == ".quarantine"]
             assert len(quarantined) == 1
@@ -219,108 +218,6 @@ class TestCacheCorruption:
                 assert response["status"] == "ok"
             finally:
                 server.stop()
-
-
-RUN_SOURCE = """
-    class Victim {
-        static int helper(int n) { return n + 1; }
-        static void main() { System.out.println(Victim.helper(41)); }
-    }
-"""
-
-
-class TestCodegenCacheCorruption:
-    """The workers' shared on-disk pycode codegen cache applies the
-    same quarantine-on-corrupt ladder as the LALR table cache.  Runs
-    name the pycode backend, so a daemon started under
-    ``MAYA_BACKEND=walk`` still exercises the cache."""
-
-    def _codegen_counts(self):
-        from repro.obs.metrics import REGISTRY
-
-        family = REGISTRY.get("maya_interp_codegen_total")
-        return {labels[0]: child.value
-                for labels, child in family.samples()}
-
-    def test_corrupt_codegen_entry_is_quarantined_and_regenerated(
-            self, tmp_path):
-        from repro.interp import pycodegen
-        from repro.obs.metrics import REGISTRY
-
-        corrupt = REGISTRY.get("maya_interp_codegen_cache_corrupt_total")
-        before = corrupt.value
-        server = _daemon(codegen_cache_dir=str(tmp_path))
-        try:
-            client = MayaClient(server.address, retries=0)
-            # First run generates the plans and populates the shared
-            # disk cache (each request has fresh Method objects, so
-            # the disk entries are the only cross-request reuse).
-            first = client.compile(RUN_SOURCE, "v0.maya",
-                                   cache=False, run="Victim",
-                                   backend="pycode")
-            assert first["status"] == "ok"
-            assert first["run"]["output"] == ["42"]
-            assert any(path.name.startswith("pycode-")
-                       for path in tmp_path.iterdir())
-            # Second run links from disk — with the first load
-            # returning injected garbage.
-            faults.configure("cache.codegen.load:corrupt:times=1")
-            second = client.compile(RUN_SOURCE, "v1.maya",
-                                    cache=False, run="Victim",
-                                    backend="pycode")
-            assert second["status"] == "ok"
-            assert second["run"]["output"] == ["42"]
-        finally:
-            server.stop()
-            pycodegen.disable_codegen_cache()
-        assert corrupt.value == before + 1
-        quarantined = [path for path in tmp_path.iterdir()
-                       if path.suffix == ".quarantine"]
-        assert len(quarantined) == 1
-
-    def test_workers_share_disk_cache_across_requests(self, tmp_path):
-        from repro.interp import pycodegen
-
-        server = _daemon(codegen_cache_dir=str(tmp_path))
-        try:
-            client = MayaClient(server.address, retries=0)
-            assert client.compile(RUN_SOURCE, "v0.maya", cache=False,
-                                  run="Victim",
-                                  backend="pycode")["status"] == "ok"
-            before = self._codegen_counts()
-            assert client.compile(RUN_SOURCE, "v1.maya", cache=False,
-                                  run="Victim",
-                                  backend="pycode")["status"] == "ok"
-            after = self._codegen_counts()
-        finally:
-            server.stop()
-            pycodegen.disable_codegen_cache()
-        hits = after.get("disk_hit", 0) - before.get("disk_hit", 0)
-        fresh = after.get("compiled", 0) - before.get("compiled", 0)
-        assert hits >= 2  # main + helper linked from the shared cache
-        assert fresh == 0
-
-    def test_daemon_survives_codegen_cache_load_failure(self, tmp_path):
-        from repro.interp import pycodegen
-
-        server = _daemon(codegen_cache_dir=str(tmp_path))
-        try:
-            client = MayaClient(server.address, retries=0)
-            assert client.compile(RUN_SOURCE, "v0.maya", cache=False,
-                                  run="Victim",
-                                  backend="pycode")["status"] == "ok"
-            faults.configure("cache.codegen.load:raise")
-            response = client.compile(RUN_SOURCE, "v1.maya",
-                                      cache=False, run="Victim",
-                                      backend="pycode")
-            assert response["status"] == "ok"
-            assert response["run"]["output"] == ["42"]
-        finally:
-            server.stop()
-            pycodegen.disable_codegen_cache()
-        # An injected load failure is a plain miss, never a quarantine.
-        assert not [path for path in tmp_path.iterdir()
-                    if path.suffix == ".quarantine"]
 
 
 class TestSocketFaults:
@@ -405,16 +302,13 @@ MODULE_SOURCES = {
 
 class TestModuleCacheCorruption:
     """The workers' shared incremental module cache applies the same
-    quarantine-on-corrupt ladder as the table and codegen caches: a
-    poisoned entry is quarantined, counted, and recompiled — never a
-    failed request, never a dead daemon."""
+    quarantine-on-corrupt ladder as the table cache: a poisoned entry
+    is quarantined, counted, and recompiled — never a failed request,
+    never a dead daemon."""
 
     def test_corrupt_module_entry_is_quarantined_and_regenerated(
             self, tmp_path):
-        from repro.modules import cache as module_cache
-
-        corrupt = module_cache._CORRUPT_TOTAL
-        before = corrupt.value
+        before = corrupt_entries("modules.disk")
         server = _daemon(module_cache_dir=str(tmp_path))
         try:
             client = MayaClient(server.address, retries=0)
@@ -438,16 +332,13 @@ class TestModuleCacheCorruption:
             assert len(second["modules"]["recompiled"]) == 1
         finally:
             server.stop()
-        assert corrupt.value == before + 1
+        assert corrupt_entries("modules.disk") == before + 1
         quarantined = [path for path in tmp_path.iterdir()
                        if path.suffix == ".quarantine"]
         assert len(quarantined) == 1
 
     def test_truncated_entry_on_disk_is_survived(self, tmp_path):
-        from repro.modules import cache as module_cache
-
-        corrupt = module_cache._CORRUPT_TOTAL
-        before = corrupt.value
+        before = corrupt_entries("modules.disk")
         server = _daemon(module_cache_dir=str(tmp_path))
         try:
             client = MayaClient(server.address, retries=0)
@@ -463,7 +354,7 @@ class TestModuleCacheCorruption:
             assert response["status"] == "ok"
         finally:
             server.stop()
-        assert corrupt.value == before + 1
+        assert corrupt_entries("modules.disk") == before + 1
         assert any(path.suffix == ".quarantine"
                    for path in tmp_path.iterdir())
 
@@ -493,10 +384,7 @@ class TestModuleCacheCorruption:
         """``cache.module.iface``: the entry JSON parses but the class
         skeletons / deep blob are garbage.  The integrity gate must
         quarantine, count, and regenerate — never crash a request."""
-        from repro.modules import cache as module_cache
-
-        iface_corrupt = module_cache._IFACE_CORRUPT_TOTAL
-        before = iface_corrupt.value
+        before = corrupt_entries("modules.disk")
         server = _daemon(module_cache_dir=str(tmp_path))
         try:
             client = MayaClient(server.address, retries=0)
@@ -520,21 +408,19 @@ class TestModuleCacheCorruption:
             assert third["modules"]["reused"] == ["lib.Util", "app.Main"]
         finally:
             server.stop()
-        assert iface_corrupt.value == before + 1
+        assert corrupt_entries("modules.disk") == before + 1
         assert sum(1 for path in tmp_path.iterdir()
                    if path.suffix == ".quarantine") == 1
 
     def test_truncated_deep_blob_on_disk_falls_back(self, tmp_path):
-        """Organic rot in the deep payload (checksum intact JSON, bad
-        blob bytes): the checksum gate catches it, the warm hit
-        quarantines and the module recompiles — output unchanged."""
+        """Organic rot in the deep payload (well-formed JSON, bad blob
+        bytes, the old checksum line): the entry checksum catches it,
+        the warm hit quarantines and the module recompiles — output
+        unchanged."""
         import base64
         import json as json_mod
 
-        from repro.modules import cache as module_cache
-
-        iface_corrupt = module_cache._IFACE_CORRUPT_TOTAL
-        before = iface_corrupt.value
+        before = corrupt_entries("modules.disk")
         server = _daemon(module_cache_dir=str(tmp_path))
         try:
             client = MayaClient(server.address, retries=0)
@@ -543,13 +429,14 @@ class TestModuleCacheCorruption:
             assert first["status"] == "ok"
             victim = next(path for path in tmp_path.iterdir()
                           if path.name.startswith("module-"))
-            payload = json_mod.loads(victim.read_text(encoding="utf-8"))
+            checksum, _, text = victim.read_bytes().partition(b"\n")
+            payload = json_mod.loads(text)
             assert payload.get("deep"), "entry should carry a deep blob"
             blob = base64.b64decode(payload["deep"])
             payload["deep"] = base64.b64encode(
                 blob[: len(blob) // 2]).decode("ascii")
-            victim.write_text(json_mod.dumps(payload, sort_keys=True),
-                              encoding="utf-8")
+            victim.write_bytes(checksum + b"\n" + json_mod.dumps(
+                payload, sort_keys=True).encode("utf-8"))
             second = client.compile_modules(MODULE_SOURCES, ["app.Main"],
                                             cache=False, run="Main")
             assert second["status"] == "ok"
@@ -557,7 +444,7 @@ class TestModuleCacheCorruption:
             assert len(second["modules"]["recompiled"]) == 1
         finally:
             server.stop()
-        assert iface_corrupt.value == before + 1
+        assert corrupt_entries("modules.disk") == before + 1
         assert any(path.suffix == ".quarantine"
                    for path in tmp_path.iterdir())
 
