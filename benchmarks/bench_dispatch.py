@@ -55,8 +55,10 @@ def test_e7_dispatch_scaling(benchmark):
     _parse_many(loaded)
     loaded_time = time.perf_counter() - start
 
-    # 44 dispatched reductions per "1 + 2 * 3 - 4 / 5" parse (5 hit the
-    # Mayan chain on Literal; the rest take the no-Mayan fast path).
+    # 44 reductions per "1 + 2 * 3 - 4 / 5" parse: 9 are dispatched (5
+    # hit the Mayan chain on Literal, 4 build the binary operators) and
+    # the parse driver takes the other 35, identity unit reductions, as
+    # chains without dispatching.
     reductions = 50 * 44
     report("E7: dispatch overhead (50 expression parses)", [
         ["no user Mayans", f"{bare_time * 1e3:.2f} ms"],

@@ -59,6 +59,16 @@ class CompileContext(ParserContext):
                 value.origin = self._origins[-1]
         return value
 
+    def skips_units(self, productions, value) -> bool:
+        # reduce() would stamp nothing on this value ...
+        if isinstance(value, n.Node) and (
+                value.syntax is None or value.scope is None
+                or value.location is Location.UNKNOWN
+                or (self._origins and value.origin is None)):
+            return False
+        # ... and every dispatch on the chain would take the identity.
+        return self.env.dispatcher.skip_units(productions)
+
     def parse_subtree(self, tree, content_symbol):
         from repro.patterns.templates import PseudoToken
 

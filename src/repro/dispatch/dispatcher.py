@@ -51,6 +51,19 @@ _DISPATCH_TOTAL = perf.REGISTRY.counter(
 _DISPATCH_FAST = _DISPATCH_TOTAL.labels("base")
 _DISPATCH_MAYAN = _DISPATCH_TOTAL.labels("mayan")
 
+#: Unit reductions the parse driver took as one step instead of
+#: dispatching (see :meth:`Dispatcher.skip_units`); with the family
+#: above, it accounts for every reduction of the automaton.
+_UNITS_SKIPPED = perf.REGISTRY.counter(
+    "maya_parser_unit_reductions_skipped_total",
+    "Unit reductions skipped by the parse driver's chain shortcut.",
+).labels()
+
+
+def identity(ctx, values, location):
+    """The base action of a ``passthrough`` production: its operand."""
+    return values[0]
+
 
 class DispatchError(DiagnosticError):
     """A Mayan dispatch failure."""
@@ -156,7 +169,10 @@ class Dispatcher:
         self.root = parent.root if parent is not None else self
         self._chains: Dict[Production, List] = {}
         self._plans: Dict[Production, _DispatchPlan] = {}
+        # (epoch, {unit chain: skippable?}) for skip_units.
+        self._unit_verdicts: Tuple[int, Dict] = (-1, {})
         self.dispatch_count = 0
+        self.units_skipped = 0
         if parent is None:
             # Import epoch for the whole dispatcher tree: bumped by any
             # import_mayan so every scope's cached plans go stale.
@@ -204,6 +220,33 @@ class Dispatcher:
         else:
             _PLAN_STATS.hit()
         return plan
+
+    def skip_units(self, productions: Tuple[Production, ...]) -> bool:
+        """Whether the parse driver may skip a chain of unit reductions:
+        every production's base action is :func:`identity` and no Mayan
+        on it is visible from this scope.  Verdicts are cached per chain
+        until the tree's import epoch moves; a yes is counted as the
+        chain's reductions skipped."""
+        epoch = self.root._epoch
+        cached_epoch, verdicts = self._unit_verdicts
+        if cached_epoch != epoch:
+            verdicts = {}
+            self._unit_verdicts = (epoch, verdicts)
+        verdict = verdicts.get(productions)
+        if verdict is None:
+            base_actions = self.base_actions
+            verdict = verdicts[productions] = all(
+                base_actions.get(production) is identity
+                and not self.mayans_for(production)
+                for production in productions
+            )
+        if verdict:
+            skipped = len(productions)
+            self.units_skipped += skipped
+            if self.root is not self:
+                self.root.units_skipped += skipped
+            _UNITS_SKIPPED.value += skipped
+        return verdict
 
     def dispatch(self, production: Production, values: List[object],
                  location: Location, ctx) -> object:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.ast import nodes as n
+from repro.dispatch.dispatcher import identity
 from repro.grammar import (
     Assoc,
     Grammar,
@@ -161,7 +162,7 @@ def _build() -> Grammar:
         return production
 
     def passthrough(lhs, rhs, tag=None):
-        production = add(lhs, rhs, lambda ctx, v, loc: v[0], tag=tag)
+        production = add(lhs, rhs, identity, tag=tag)
         production.passthrough = True
         return production
 

@@ -6,6 +6,18 @@ semantic values to the ParserContext, which for node-type productions
 runs the Mayan dispatcher — "on each reduction, the dispatcher executes
 the appropriate Mayan to build an AST node" (paper figure 4).
 
+Most reductions of an expression are unit reductions: the identity
+``passthrough`` rules that climb one operand from ``PostfixExpr`` up to
+``Expression``.  After a reduction, the driver looks up the chain of
+unit reductions the automaton would take next on the same lookahead
+(``ParseTables.unit_chain``, memoized) and asks the context whether
+any of them is observable.  When no Mayan is visible on any production
+of the chain and the value needs no stamping, it jumps straight to the
+chain's final state (unit-production elimination, Anderson, Eve and
+Horning 1973); otherwise it reduces step by step.  A mid-method ``use``
+can import a Mayan onto a unit production at any time, so the answer
+is asked on every chain, not baked into the tables.
+
 ``allow_prefix`` parsing accepts the longest valid prefix and reports
 how many tokens were consumed.  The block/member drivers use it to
 parse one statement or declaration at a time, which is what lets a
@@ -52,6 +64,12 @@ class ParserContext:
     def reduce(self, production: Production, values: List[object], location: Location):
         raise NotImplementedError
 
+    def skips_units(self, productions: Tuple[Production, ...], value) -> bool:
+        """Whether reducing ``value`` through the unit ``productions``
+        would return it unchanged with nothing else to observe, so the
+        driver may skip those reductions.  The default never skips."""
+        return False
+
     def parse_subtree(self, tree: Token, content_symbol) -> object:
         raise NotImplementedError
 
@@ -81,6 +99,9 @@ class Parser:
         """
         tables = self.tables
         action_table = tables.action
+        symbol_ids = tables.encoded.symbol_ids
+        is_terminal = tables.encoded.is_terminal
+        reduce = self._reduce
         eof = tables.eof_id(start)
         state_stack: List[int] = [tables.start_state(start)]
         value_stack: List[object] = []
@@ -88,29 +109,33 @@ class Parser:
 
         position = offset
         length = len(tokens)
+        seen = -1
+        entry = None
 
         while True:
-            if position < length:
-                token = tokens[position]
-                terminal = tables.symbol_id(token.kind)
-                location = token.location
-            else:
-                token = None
-                terminal = eof
-                location = tokens[-1].location if tokens else Location.UNKNOWN
+            if position != seen:
+                seen = position
+                if position < length:
+                    token = tokens[position]
+                    terminal = symbol_ids.get(token.kind)
+                    location = token.location
+                    # Token-literal terminals (paper 4.1: production
+                    # arguments may be token literals such as
+                    # ``typedef``): prefer an action on the
+                    # spelling-specific terminal when a state has one.
+                    specific = symbol_ids.get(token.text) \
+                        if token.kind == "Identifier" else None
+                    if specific is not None and not is_terminal[specific]:
+                        specific = None
+                else:
+                    token = None
+                    terminal = eof
+                    specific = None
+                    location = tokens[-1].location if tokens else Location.UNKNOWN
 
-            state = state_stack[-1]
-            entry = None
-            if token is not None and token.kind == "Identifier":
-                # Token-literal terminals (paper 4.1: production arguments
-                # may be token literals such as ``typedef``): prefer an
-                # action on the spelling-specific terminal when this
-                # state has one.
-                specific = tables.symbol_id(token.text)
-                if specific is not None and tables.encoded.is_terminal[specific]:
-                    entry = action_table[state].get(specific)
-            if entry is None and terminal is not None:
-                entry = action_table[state].get(terminal)
+            if entry is None:
+                actions = action_table[state_stack[-1]]
+                entry = actions.get(specific) or actions.get(terminal)
 
             if entry is None and (allow_prefix or terminal is None):
                 # Try to finish the parse as if at end of input.
@@ -125,13 +150,12 @@ class Parser:
                             location,
                         )
                     return finished, position
-                entry = None  # fall through to error
 
             if entry is None:
                 raise ParseError(
                     f"unexpected {describe_token(token)} while parsing {start}",
                     location,
-                    tables.expected_terminals(state),
+                    tables.expected_terminals(state_stack[-1]),
                 )
 
             kind, value = entry
@@ -140,91 +164,31 @@ class Parser:
                 value_stack.append(token)
                 location_stack.append(location)
                 position += 1
+                entry = None
             elif kind == REDUCE:
-                self._apply_reduce(
-                    value, state_stack, value_stack, location_stack, location
-                )
+                entry = reduce(value, state_stack, value_stack, location_stack,
+                               location, terminal, specific)
             else:  # ACCEPT — only reachable via EOF terminal
                 return value_stack[-1], position
 
     # -- internals -----------------------------------------------------------
 
-    def _apply_reduce(
-        self,
-        prod_index: int,
-        state_stack: List[int],
-        value_stack: List[object],
-        location_stack: List[Location],
-        lookahead_location: Location,
-    ) -> None:
-        tables = self.tables
-        lhs_id, rhs = tables.encoded.productions[prod_index]
-        production = tables.encoded.production_objects[prod_index]
-        count = len(rhs)
-        if count:
-            values = value_stack[-count:]
-            location = location_stack[-count]
-            del state_stack[-count:]
-            del value_stack[-count:]
-            del location_stack[-count:]
-        else:
-            values = []
-            location = lookahead_location
-
-        if production.internal:
-            result = production.action(self.context, values)
-        else:
-            result = self.context.reduce(production, values, location)
-
-        state = state_stack[-1]
-        target = tables.goto[state].get(lhs_id)
-        if target is None:  # pragma: no cover - table construction guarantees this
-            raise ParseError(
-                f"internal error: no goto for {production.lhs.name}", location
-            )
-        state_stack.append(target)
-        value_stack.append(result)
-        location_stack.append(location)
-
-    def _try_finish(
-        self,
-        eof: int,
-        state_stack: List[int],
-        value_stack: List[object],
-        location_stack: List[Location],
-        location: Location,
-    ) -> Optional[object]:
-        """Run EOF actions to completion; None when the parse can't end here.
-
-        Works on copies (swapped back in on success) so a failed attempt
-        leaves the caller able to raise a precise error.
-        """
-        tables = self.tables
-        states = list(state_stack)
-        values = list(value_stack)
-        locations = list(location_stack)
-        while True:
-            entry = tables.action[states[-1]].get(eof)
-            if entry is None:
-                return None
-            kind, value = entry
-            if kind == ACCEPT:
-                state_stack[:] = states
-                value_stack[:] = values
-                location_stack[:] = locations
-                return values[-1]
-            if kind != REDUCE:
-                return None
-            self._reduce_on(value, states, values, locations, location)
-
-    def _reduce_on(
+    def _reduce(
         self,
         prod_index: int,
         states: List[int],
         values: List[object],
         locations: List[Location],
         lookahead_location: Location,
-    ) -> None:
+        terminal: Optional[int],
+        specific: Optional[int],
+    ) -> Optional[Tuple[str, int]]:
+        """Reduce by ``prod_index``, then skip the unit chain that follows
+        when the context says no one can observe it.
+
+        Returns the next action when the chain was taken (the memo
+        knows it), else None for the caller to look up.
+        """
         tables = self.tables
         lhs_id, rhs = tables.encoded.productions[prod_index]
         production = tables.encoded.production_objects[prod_index]
@@ -242,9 +206,58 @@ class Parser:
             result = production.action(self.context, handle)
         else:
             result = self.context.reduce(production, handle, location)
-        states.append(tables.goto[states[-1]][lhs_id])
+
+        under = states[-1]
+        target = tables.goto[under].get(lhs_id)
+        if target is None:  # pragma: no cover - table construction guarantees this
+            raise ParseError(
+                f"internal error: no goto for {production.lhs.name}", location
+            )
+        entry = None
+        if tables.chain_starts[prod_index]:
+            final, following, passed = tables.unit_chain(
+                under, prod_index, terminal, specific)
+            if passed and self.context.skips_units(passed, result):
+                target = final
+                entry = following
+        states.append(target)
         values.append(result)
         locations.append(location)
+        return entry
+
+    def _try_finish(
+        self,
+        eof: int,
+        state_stack: List[int],
+        value_stack: List[object],
+        location_stack: List[Location],
+        location: Location,
+    ) -> Optional[object]:
+        """Run EOF actions to completion; None when the parse can't end here.
+
+        Works on copies (swapped back in on success) so a failed attempt
+        leaves the caller able to raise a precise error.
+        """
+        action_table = self.tables.action
+        states = list(state_stack)
+        values = list(value_stack)
+        locations = list(location_stack)
+        entry = None
+        while True:
+            if entry is None:
+                entry = action_table[states[-1]].get(eof)
+                if entry is None:
+                    return None
+            kind, value = entry
+            if kind == ACCEPT:
+                state_stack[:] = states
+                value_stack[:] = values
+                location_stack[:] = locations
+                return values[-1]
+            if kind != REDUCE:
+                return None
+            entry = self._reduce(value, states, values, locations, location,
+                                 eof, None)
 
 
 def describe_token(token: Optional[Token]) -> str:

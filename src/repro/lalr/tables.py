@@ -68,6 +68,7 @@ class ParseTables:
             )
             self.action = _snapshot["action"]
             self.goto = _snapshot["goto"]
+        self._init_unit_chains()
 
     def snapshot(self) -> dict:
         """Picklable derived data for the on-disk table cache."""
@@ -111,6 +112,68 @@ class ParseTables:
 
     def has_goto(self, state: int, sym_id: int) -> bool:
         return sym_id in self.goto[state]
+
+    # -- unit chains -------------------------------------------------------
+
+    def _init_unit_chains(self) -> None:
+        """Mark the unit productions a chain may pass over, and the
+        productions after which a chain can start.
+
+        A production is a unit when it is a non-internal ``passthrough``
+        with exactly one right-hand-side symbol, a nonterminal.  (That
+        its base action is the identity is the dispatcher's to check:
+        the tables do not know the actions.)  A chain can only follow a
+        reduction whose left-hand side is some unit's right-hand side
+        (``chain_starts``).  The chain memo is derived data only: it is
+        not part of ``snapshot``.
+        """
+        encoded = self.encoded
+        self.is_unit = [
+            production is not None and production.passthrough
+            and not production.internal and len(rhs) == 1
+            and not encoded.is_terminal[rhs[0]]
+            for (_, rhs), production in zip(encoded.productions,
+                                            encoded.production_objects)
+        ]
+        unit_rhs = {rhs[0] for (_, rhs), unit
+                    in zip(encoded.productions, self.is_unit) if unit}
+        self.chain_starts = [lhs in unit_rhs
+                             for lhs, _ in encoded.productions]
+        self._unit_chains: Dict[Tuple, Tuple] = {}
+
+    def unit_chain(self, under: int, prod_index: int, terminal: Optional[int],
+                   specific: Optional[int]) -> Tuple:
+        """The unit reductions that follow reducing ``prod_index`` over
+        state ``under`` with lookahead ``terminal`` (``specific``: the
+        identifier's spelling-specific terminal, preferred when a state
+        has an action on it, or None).
+
+        Returns ``(final state, next action, productions passed over)``:
+        the state the driver reaches after the whole chain, the action
+        it takes there on the same lookahead, and the unit productions
+        on the way (empty when there is no chain).  Every unit reduction
+        pops one state and lands back on ``under``, so the chain is a
+        walk over ``under``'s gotos.  Entries are deterministic and
+        written once, so threads share the memo without a lock.
+        """
+        key = (under, prod_index, terminal, specific)
+        chain = self._unit_chains.get(key)
+        if chain is None:
+            productions = self.encoded.productions
+            objects = self.encoded.production_objects
+            gotos = self.goto[under]
+            state = gotos[productions[prod_index][0]]
+            passed = []
+            while True:
+                actions = self.action[state]
+                entry = actions.get(specific) or actions.get(terminal)
+                if (entry is None or entry[0] != REDUCE
+                        or not self.is_unit[entry[1]]):
+                    break
+                passed.append(objects[entry[1]])
+                state = gotos[productions[entry[1]][0]]
+            chain = self._unit_chains[key] = (state, entry, tuple(passed))
+        return chain
 
     # -- construction --------------------------------------------------------
 

@@ -257,7 +257,8 @@ class Profiler:
             lines.append(f"  {'total':<18} {total * 1e3:9.2f} ms")
         if dispatcher is not None:
             lines.append(f"dispatch: {dispatcher.dispatch_count} reductions "
-                         f"dispatched")
+                         f"dispatched, {dispatcher.units_skipped} unit "
+                         f"reductions skipped")
         counters = self.counters
         for name in sorted(counters):
             lines.append(f"counter: {name} = {counters[name]}")

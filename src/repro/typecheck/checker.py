@@ -18,6 +18,7 @@ from repro.obs import lazy as obs_lazy
 from repro.types import (
     ArrayType,
     BOOLEAN,
+    BYTE,
     CHAR,
     ClassType,
     DOUBLE,
@@ -27,6 +28,7 @@ from repro.types import (
     LONG,
     NULL,
     PrimitiveType,
+    SHORT,
     Type,
     TypeError_,
     array_of,
@@ -323,7 +325,8 @@ def _type_of(expr) -> Type:
     if isinstance(expr, n.Assignment):
         lhs_type = static_type_of(expr.lhs)
         value_type = static_type_of(expr.value)
-        if expr.op == "=" and not can_assign(value_type, lhs_type):
+        if expr.op == "=" and not _assignable(expr.value, value_type,
+                                              lhs_type):
             raise CheckError(
                 f"cannot assign {value_type} to {lhs_type}", expr
             )
@@ -349,6 +352,39 @@ def _type_of(expr) -> Type:
         return scope.this_type.superclass
 
     raise CheckError(f"cannot type {type(expr).__name__}", expr)
+
+
+#: JLS 5.2: an ``int`` constant narrows to these types when it fits.
+_NARROWING_RANGES = {BYTE: (-128, 127), SHORT: (-32768, 32767)}
+
+
+def _int_constant(expr) -> Optional[int]:
+    """The value of an ``int`` literal, optionally negated or
+    parenthesized; None for any other expression."""
+    sign = 1
+    while True:
+        if isinstance(expr, n.ParenExpr):
+            expr = expr.inner
+        elif isinstance(expr, n.UnaryExpr) and expr.op == "-":
+            sign = -sign
+            expr = expr.operand
+        else:
+            break
+    if isinstance(expr, n.Literal) and expr.kind == "int":
+        return sign * expr.value
+    return None
+
+
+def _assignable(expr, value_type: Type, target: Type) -> bool:
+    """Assignment conversion of ``expr`` (JLS 5.2): ``can_assign``, or
+    an ``int`` constant whose value fits a ``byte`` or ``short``."""
+    if can_assign(value_type, target):
+        return True
+    bounds = _NARROWING_RANGES.get(target)
+    if bounds is None or value_type is not INT:
+        return False
+    value = _int_constant(expr)
+    return value is not None and bounds[0] <= value <= bounds[1]
 
 
 def _require(expr, expected: Type, what: str) -> None:
@@ -633,7 +669,7 @@ def _check_local_var(stmt: n.LocalVarDecl, scope: Scope) -> None:
                 _check_expr(init, scope)
                 if not isinstance(init, n.ArrayInitializer):
                     init_type = static_type_of(init)
-                    if not can_assign(init_type, var_type):
+                    if not _assignable(init, init_type, var_type):
                         raise CheckError(
                             f"cannot initialize {var_type} {name_ident} "
                             f"with {init_type}", stmt

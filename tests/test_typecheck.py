@@ -184,6 +184,57 @@ class TestAssignment:
                               "v": "java.util.Vector"})
 
 
+class TestConstantNarrowing:
+    """JLS 5.2: an ``int`` constant that fits narrows to byte or short
+    in an initializer or a simple assignment."""
+
+    SOURCE = """
+        class Demo {
+            static byte top = 127;
+            static void main() {
+                byte b = 127;
+                short s = -32768;
+                byte c = (-(5));
+                b = -128;
+                s = 32767;
+                System.out.println(top + " " + b + " " + s + " " + c);
+            }
+        }
+    """
+
+    def test_fitting_constants_accepted(self):
+        compile_source(self.SOURCE)
+
+    def test_assignment_to_byte_types_as_byte(self):
+        assert str(type_of("b = -128", {"b": "byte"})) == "byte"
+
+    @pytest.mark.parametrize("declaration", [
+        "byte b = 128;", "byte b = -129;", "short s = 32768;",
+        "short s = -32769;", "byte b = 1.5;", "byte b = 5L;",
+    ])
+    def test_out_of_range_or_non_int_rejected(self, declaration):
+        with pytest.raises(CheckError, match="cannot initialize"):
+            compile_source(f"class C {{ void f() {{ {declaration} }} }}")
+
+    def test_out_of_range_assignment_rejected(self):
+        with pytest.raises(CheckError, match="cannot assign int to short"):
+            type_of("s = 40000", {"s": "short"})
+
+    def test_non_constant_rejected(self):
+        with pytest.raises(CheckError, match="cannot assign int to byte"):
+            type_of("b = i", {"b": "byte", "i": "int"})
+
+    @pytest.mark.parametrize("backend", ["walk", "pycode"])
+    def test_runs_on_both_backends(self, backend, tmp_path, capsys):
+        from repro.mayac import main
+
+        source = tmp_path / "Demo.maya"
+        source.write_text(self.SOURCE)
+        assert main([str(source), "--run", "Demo",
+                     "--backend", backend]) == 0
+        assert capsys.readouterr().out == "127 -128 32767 -5\n"
+
+
 class TestProgramLevelChecks:
     def test_return_type_mismatch(self):
         with pytest.raises(CheckError):
