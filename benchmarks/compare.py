@@ -27,10 +27,6 @@ What counts as a regression:
   (``*_calls_per_s``) and inline-cache hit rates (``*_hit_rate_pct``)
   are higher-is-better — a drop means a fast path's payoff (e.g. the
   pycode backend over the walker) shrank;
-* budget metrics (``*_overhead_pct``) are gated by an *absolute*
-  ceiling, not a trajectory: observability overhead must stay under
-  its 5% budget regardless of how the baseline drifted — relative
-  change on a near-zero baseline is meaningless noise;
 * a metric present in the baseline but missing from the fresh run is a
   regression too (the benchmark lost coverage);
 * anything else (counts, unclassified units) is reported as
@@ -61,17 +57,6 @@ NAME_RULES: Tuple[Tuple[str, str, float], ...] = (
     # shared caches stopped paying off.
     ("*_requests_per_s", "higher", 0.50),
     ("*_hit_rate_pct", "higher", 0.05),
-)
-
-#: (name glob, ceiling).  These gate the *absolute* value of the
-#: fresh run: the metric is a budget, and the build fails the moment
-#: the budget is blown, whatever the baseline said.  Checked before
-#: NAME_RULES; ``--tolerance-scale`` deliberately does not loosen
-#: them (a budget is a budget).
-ABSOLUTE_CEILINGS: Tuple[Tuple[str, float], ...] = (
-    # Observability (per-request tracing + event log) must cost < 5%
-    # of the warm-daemon path — see benchmarks/bench_obs.py.
-    ("*_overhead_pct", 5.0),
 )
 
 #: unit -> (direction, relative tolerance) when no name rule matches.
@@ -120,17 +105,6 @@ def compare_metric(area: str, name: str, base: Dict[str, object],
 
     change = (new - old) / old if old else 0.0
     row["change"] = round(change, 4)
-    for pattern, ceiling in ABSOLUTE_CEILINGS:
-        if fnmatch.fnmatch(name, pattern):
-            row["ceiling"] = ceiling
-            if new > ceiling:
-                row.update(status="regression",
-                           detail=f"{new:g} over the {ceiling:g} budget")
-            else:
-                row.update(status="ok",
-                           detail=f"within the {ceiling:g} budget")
-            return row
-
     rule = classify(name, unit)
     if rule is None:
         row.update(status="info", detail="untracked unit")

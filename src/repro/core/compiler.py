@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional
 
-from repro import perf, trace
+from repro import trace
 from repro.obs import lazy as obs_lazy
 from repro.ast import nodes as n
 from repro.ast import to_source
@@ -121,10 +121,9 @@ class MayaCompiler:
 
         try:
             with trace.span("compile", filename, filename=filename):
-                with perf.phase("lex"), trace.span("phase", "lex"):
+                with trace.phase("lex"):
                     tokens = stream_lex(source, filename)
-                with perf.phase("parse+expand"), \
-                        trace.span("phase", "parse+expand"):
+                with trace.phase("parse+expand"):
                     unit = parse_compilation_unit(ctx, tokens)
                 self.program.units.append(unit)
                 if unit_sink is not None:
@@ -134,15 +133,14 @@ class MayaCompiler:
                     decl for decl in unit.types
                     if isinstance(decl, (n.ClassDecl, n.InterfaceDecl))
                 ]
-                with perf.phase("shape"), trace.span("phase", "shape"):
+                with trace.phase("shape"):
                     compiled = self._shape(type_decls, unit_env)
                 for hook in unit_env.unit_hooks:
                     hook(self.program, unit, unit_env)
                 # Parse/shape errors poison downstream phases wholesale,
                 # so report what was collected before compiling bodies.
                 self._raise_pending(engine, mark)
-                with perf.phase("bodies+check"), \
-                        trace.span("phase", "bodies+check"):
+                with trace.phase("bodies+check"):
                     self._compile_bodies(compiled, unit_env)
         except CompileFailed:
             raise
@@ -201,13 +199,12 @@ class MayaCompiler:
                 decl for decl in unit.types
                 if isinstance(decl, (n.ClassDecl, n.InterfaceDecl))
             ]
-            with perf.phase("shape"), trace.span("phase", "shape"):
+            with trace.phase("shape"):
                 compiled = self._shape(type_decls, unit_env)
             for hook in unit_env.unit_hooks:
                 hook(self.program, unit, unit_env)
             self._raise_pending(engine, mark)
-            with perf.phase("bodies+check"), \
-                    trace.span("phase", "bodies+check"):
+            with trace.phase("bodies+check"):
                 self._compile_bodies(compiled, unit_env)
         self._raise_pending(engine, mark)
         self.program.units.append(unit)

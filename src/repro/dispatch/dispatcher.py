@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import perf, trace
+from repro import trace
 from repro.diag import (
     DEFAULT_EXPANSION_DEPTH,
     DEFAULT_MAYAN_REENTRY,
@@ -30,6 +30,7 @@ from repro.diag import (
 )
 from repro.grammar import Production
 from repro.lexer import Location
+from repro.obs.metrics import CACHE_EVENTS, REGISTRY
 from repro.dispatch.specializers import (
     CROSS,
     EQUAL,
@@ -39,12 +40,14 @@ from repro.dispatch.specializers import (
     match_params,
 )
 
-_PLAN_STATS = perf.cache_stats("dispatch.plans")
-_ORDER_STATS = perf.cache_stats("dispatch.orders")
+_PLAN_HIT = CACHE_EVENTS.labels("dispatch.plans", "hit")
+_PLAN_MISS = CACHE_EVENTS.labels("dispatch.plans", "miss")
+_ORDER_HIT = CACHE_EVENTS.labels("dispatch.orders", "hit")
+_ORDER_MISS = CACHE_EVENTS.labels("dispatch.orders", "miss")
 
 #: Reductions routed through the dispatcher, split by whether any Mayan
 #: was in scope (children bound once: the hot path pays one inc).
-_DISPATCH_TOTAL = perf.REGISTRY.counter(
+_DISPATCH_TOTAL = REGISTRY.counter(
     "maya_dispatch_reductions_total",
     "Reductions routed through the Mayan dispatcher, by path.",
     ("path",))
@@ -54,7 +57,7 @@ _DISPATCH_MAYAN = _DISPATCH_TOTAL.labels("mayan")
 #: Unit reductions the parse driver took as one step instead of
 #: dispatching (see :meth:`Dispatcher.skip_units`); with the family
 #: above, it accounts for every reduction of the automaton.
-_UNITS_SKIPPED = perf.REGISTRY.counter(
+_UNITS_SKIPPED = REGISTRY.counter(
     "maya_parser_unit_reductions_skipped_total",
     "Unit reductions skipped by the parse driver's chain shortcut.",
 ).labels()
@@ -216,9 +219,9 @@ class Dispatcher:
         if plan is None or plan.epoch != root._epoch:
             plan = _DispatchPlan(root._epoch, tuple(self.mayans_for(production)))
             self._plans[production] = plan
-            _PLAN_STATS.miss()
+            _PLAN_MISS.inc()
         else:
-            _PLAN_STATS.hit()
+            _PLAN_HIT.inc()
         return plan
 
     def skip_units(self, productions: Tuple[Production, ...]) -> bool:
@@ -295,7 +298,6 @@ class Dispatcher:
         reentry_limit = getattr(engine, "max_mayan_reentry",
                                 DEFAULT_MAYAN_REENTRY)
         tracer = trace.current()
-        profiler = perf.active
 
         def run(index: int):
             if index < len(chain):
@@ -306,10 +308,6 @@ class Dispatcher:
                     engine.check_deadline()
                 self._check_fuel(mayan, location, stack,
                                  depth_limit, reentry_limit)
-                if profiler is not None:
-                    profiler.count("expansions")
-                    profiler.count(f"expansions[{mayan}]")
-                    profiler.observe("expansion.depth", len(stack) + 1)
                 # One Origin per activation, on the dispatch hot path:
                 # pass the raw Mayan and Location (Origin stringifies /
                 # spans them lazily) and only walk the stack for a use
@@ -379,7 +377,7 @@ class Dispatcher:
                      getattr(registry, "version", None))
         cached = plan.orders.get(order_key)
         if cached is None:
-            _ORDER_STATS.miss()
+            _ORDER_MISS.inc()
             applicable = [
                 (position, plan.candidates[position], bindings_at[position])
                 for position in range(len(plan.candidates))
@@ -394,7 +392,7 @@ class Dispatcher:
                 raise
             plan.orders[order_key] = cached
         else:
-            _ORDER_STATS.hit()
+            _ORDER_HIT.inc()
             if isinstance(cached, _AmbiguityRecord):
                 raise _ambiguity_error(
                     location, production, cached.mayan_a, cached.mayan_b

@@ -66,9 +66,8 @@ class Counters:
     paper's optimized expansions save).
 
     Since the telemetry unification this is a per-interpreter *view*
-    over the process-wide ``maya_interp_ops_total{op}`` registry family
-    — the same port PR 4 did for ``perf.CacheStats``.  Both backends
-    bump the registry children directly; each view subtracts the
+    over the process-wide ``maya_interp_ops_total{op}`` registry family.
+    Both backends bump the registry children directly; each view subtracts the
     baseline captured at construction / ``reset()``, so the historical
     per-interpreter semantics and ``snapshot()`` shape are unchanged
     while ``--metrics-out`` exports the same numbers.

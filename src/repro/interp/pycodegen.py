@@ -49,7 +49,6 @@ import weakref
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
-from repro import perf
 from repro.ast import nodes as n
 from repro.core import MayaError
 from repro.interp.interp import (
@@ -74,7 +73,7 @@ from repro.interp.values import (
     java_str,
 )
 from repro.obs import lazy as obs_lazy
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import CACHE_EVENTS, REGISTRY
 from repro.typecheck import resolve_name, resolve_type_name, static_type_of
 from repro.types import (
     ArrayType,
@@ -197,14 +196,14 @@ class PlanRegistry:
     the hit path — the registry is never consulted there); ``note()``
     is called only on compile misses, so eviction order is
     least-recently-*compiled*, and evicting a method just deletes its
-    plan attribute — the next call recompiles.  Evictions are counted
-    in the ``maya_cache_events_total`` registry family.
+    plan attribute — the next call recompiles.  Each eviction bumps
+    ``evictions``, a ``maya_cache_events_total`` counter child.
     """
 
-    def __init__(self, attr: str, maxsize: int, stats) -> None:
+    def __init__(self, attr: str, maxsize: int, evictions) -> None:
         self.attr = attr
         self.maxsize = max(1, maxsize)
-        self.stats = stats
+        self.evictions = evictions
         self._lock = threading.Lock()
         self._entries: "OrderedDict[int, weakref.ref]" = OrderedDict()
 
@@ -233,7 +232,7 @@ class PlanRegistry:
                 delattr(victim, self.attr)
             except AttributeError:
                 continue  # already invalidated some other way
-            self.stats.evict()
+            self.evictions.inc()
 
     def clear(self) -> None:
         with self._lock:
@@ -243,8 +242,9 @@ class PlanRegistry:
 #: Bounded registry for ``Method._pycode_plan`` attributes (evictions
 #: land in the ``maya_cache_events_total{cache="interp.pycode.plans"}``
 #: family).
-_PLAN_REGISTRY = PlanRegistry("_pycode_plan", PLAN_CACHE_SIZE,
-                              perf.cache_stats("interp.pycode.plans"))
+_PLAN_REGISTRY = PlanRegistry(
+    "_pycode_plan", PLAN_CACHE_SIZE,
+    CACHE_EVENTS.labels("interp.pycode.plans", "eviction"))
 
 
 def plan_for(method, interp):

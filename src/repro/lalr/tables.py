@@ -20,10 +20,11 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro import faults, perf
+from repro import faults, trace
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
+from repro.obs.metrics import CACHE_EVENTS
 from repro.store import Store
 
 
@@ -58,10 +59,13 @@ class ParseTables:
         self.grammar = grammar
         self.encoded = EncodedGrammar(grammar)
         if _snapshot is None:
-            self.automaton = Automaton(self.encoded)
-            self.action: List[Dict[int, Tuple[str, int]]] = []
-            self.goto: List[Dict[int, int]] = []
-            self._build()
+            # Every generation passes here, the cached and the
+            # cache-bypassing path alike, so this is where it is timed.
+            with trace.phase("lalr.generate"):
+                self.automaton = Automaton(self.encoded)
+                self.action: List[Dict[int, Tuple[str, int]]] = []
+                self.goto: List[Dict[int, int]] = []
+                self._build()
         else:
             self.automaton = _RestoredAutomaton(
                 _snapshot["start_state"], _snapshot["state_count"]
@@ -397,16 +401,19 @@ class _RestoredAutomaton:
 class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
-    Lookups and stores feed the named :class:`repro.perf.CacheStats`,
-    so hit rates and eviction pressure show up in ``mayac --profile``.
+    Lookups and stores count into ``maya_cache_events_total`` under
+    ``cache``, so hit rates and eviction pressure show up in ``mayac
+    --profile``.
     Thread-safe: the daemon's worker pool hits one shared instance
     concurrently, and ``move_to_end`` during a racing store would
     otherwise corrupt the recency order.
     """
 
-    def __init__(self, maxsize: int, stats: perf.CacheStats):
+    def __init__(self, maxsize: int, cache: str):
         self.maxsize = maxsize
-        self.stats = stats
+        self._hits, self._misses, self._evictions = (
+            CACHE_EVENTS.labels(cache, event)
+            for event in ("hit", "miss", "eviction"))
         self._data: "OrderedDict" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -414,10 +421,10 @@ class LRUCache:
         with self._lock:
             value = self._data.get(key)
             if value is None:
-                self.stats.miss()
+                self._misses.inc()
                 return None
             self._data.move_to_end(key)
-        self.stats.hit()
+        self._hits.inc()
         return value
 
     def put(self, key, value) -> None:
@@ -428,8 +435,8 @@ class LRUCache:
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 evictions += 1
-        for _ in range(evictions):
-            self.stats.evict()
+        if evictions:
+            self._evictions.inc(evictions)
 
     def clear(self) -> None:
         with self._lock:
@@ -447,7 +454,7 @@ class LRUCache:
 #: otherwise accumulate one full table set per extension ever seen;
 #: the LRU bound caps that at the working set.
 TABLE_CACHE_SIZE = 32
-_TABLE_CACHE = LRUCache(TABLE_CACHE_SIZE, perf.cache_stats("lalr.tables"))
+_TABLE_CACHE = LRUCache(TABLE_CACHE_SIZE, "lalr.tables")
 
 #: Opt-in on-disk cache (``mayac --table-cache`` or the
 #: MAYA_TABLE_CACHE environment variable).  Cold-starting mayac skips
@@ -554,8 +561,7 @@ def tables_for(grammar: Grammar) -> ParseTables:
     if tables is None:
         tables = _disk_load(grammar, fingerprint)
         if tables is None:
-            with perf.phase("lalr.generate"):
-                tables = ParseTables(grammar)
+            tables = ParseTables(grammar)
             _disk_store(tables, fingerprint)
         _TABLE_CACHE.put(fingerprint, tables)
     return tables

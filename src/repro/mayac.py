@@ -54,8 +54,11 @@ Options:
     --multijava       register the MultiJava extension
     --max-errors N    stop collecting after N errors (default 20)
     --fuel N          Mayan expansion depth budget (default 64)
-    --profile         print per-phase timings, dispatch counts, and
-                      cache hit rates to stderr after compiling
+    --profile         print self time per phase and span kind (the
+                      rows add up to the run's total; ``unattributed``
+                      is time outside every compiler span), expansion
+                      and dispatch counts, and cache hit rates to
+                      stderr after compiling
     --table-cache DIR persist generated LALR tables under DIR so later
                       runs skip table generation (also honours the
                       MAYA_TABLE_CACHE environment variable)
@@ -100,7 +103,7 @@ import argparse
 import os
 import sys
 
-from repro import MayaCompiler, perf, trace
+from repro import MayaCompiler, trace
 from repro.diag import (
     DEFAULT_EXPANSION_DEPTH,
     DEFAULT_MAX_ERRORS,
@@ -116,6 +119,7 @@ from repro.obs import export as obs_export
 from repro.obs import flamegraph as obs_flame
 from repro.obs import lazy as obs_lazy
 from repro.obs import log as obs_log
+from repro.obs import profile as obs_profile
 from repro.obs.metrics import REGISTRY
 
 
@@ -402,13 +406,15 @@ def _local_main(args) -> int:
 
         enable_disk_cache(args.table_cache)
     # --metrics-out wants phase timings and laziness figures covered,
-    # so it implies both profilers; each stays independently available.
-    want_profiler = args.profile or args.metrics_out
+    # so it implies the tracer and the laziness profiler.
     want_lazy = args.lazy_report or args.metrics_out
-    want_tracer = args.trace or args.trace_out or args.flamegraph
-    profiler = perf.activate(perf.Profiler()) if want_profiler else None
+    want_tracer = (args.trace or args.trace_out or args.flamegraph
+                   or args.profile or args.metrics_out)
     lazy_profiler = obs_lazy.activate() if want_lazy else None
     tracer = trace.activate() if want_tracer else None
+    # The root span: its self time is the run's unattributed time.
+    root = tracer.begin("mayac", " ".join(args.files)) \
+        if tracer is not None else None
     compiler = MayaCompiler()
     engine = compiler.env.diag
     engine.max_errors = max(1, args.max_errors)
@@ -421,11 +427,14 @@ def _local_main(args) -> int:
         compiler.use(name)
 
     def finish(code: int) -> int:
-        if profiler is not None:
+        if tracer is not None:
+            # Stop tracing before reporting, so every view below reads
+            # the same finished tree.
+            tracer.end(root)
+            trace.deactivate()
             if args.profile:
-                print(profiler.render(dispatcher=compiler.env.dispatcher),
+                print(obs_profile.render(tracer, compiler.env.dispatcher),
                       file=sys.stderr)
-            perf.deactivate()
         if lazy_profiler is not None:
             if args.lazy_report:
                 print(lazy_profiler.render(), file=sys.stderr)
@@ -438,8 +447,8 @@ def _local_main(args) -> int:
                 # metrics record is the registry snapshot (the same
                 # payload --metrics-out json writes).
                 metrics = obs_export.to_json(REGISTRY)
-                if profiler is not None:
-                    metrics["profile"] = profiler.snapshot()
+                if args.profile:
+                    metrics["profile"] = obs_profile.snapshot(tracer)
                 if lazy_profiler is not None:
                     metrics["laziness"] = lazy_profiler.snapshot()
                 if not _write_output(args.trace_out,
@@ -455,7 +464,6 @@ def _local_main(args) -> int:
                 if not _write_output(args.flamegraph, text,
                                      engine, "flamegraph"):
                     code = max(code, 1)
-            trace.deactivate()
         if args.metrics_out:
             if args.metrics_format == "json":
                 text = obs_export.to_json_text(REGISTRY)
@@ -531,7 +539,7 @@ def _local_main(args) -> int:
     if args.run and program is not None:
         interp = Interpreter(program, echo=True, backend=args.backend)
         try:
-            with perf.phase("interp"), trace.span("interp", args.run):
+            with trace.phase("interp"):
                 interp.run_static(args.run)
         except DiagnosticError as error:
             print(engine.render(error.diagnostic), file=sys.stderr)

@@ -64,7 +64,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence
 
-from repro import perf
+from repro import trace
 from repro.ast import nodes as n
 from repro.ast import to_source
 from repro.core.compiler import CompiledClass, MayaCompiler
@@ -240,7 +240,7 @@ class ModuleBuilder:
             for name in order}
         fork_built: set = set()
         if jobs > 1 and procpool.fork_available():
-            with perf.phase("module-schedule"):
+            with trace.phase("module-schedule"):
                 fork_built = self._schedule_forked(graph, order, entries,
                                                    jobs)
         builds: Dict[str, ModuleBuild] = {}

@@ -1,14 +1,17 @@
 """repro.obs: the telemetry subsystem.
 
-Three layers (see DESIGN.md "Telemetry"):
+The pieces (see DESIGN.md "Telemetry"):
 
 * :mod:`repro.obs.metrics` — labelled Counter/Gauge/Histogram families
   in a process-wide :data:`~repro.obs.metrics.REGISTRY`; every other
-  telemetry producer (``repro.perf``'s cache stats and profiler, the
-  span tracer, the laziness profiler, the dispatcher) records here.
+  telemetry producer (the caches, the span tracer's phase self times,
+  the laziness profiler, the dispatcher) records here.  Timing itself
+  comes from one place, the span tree of :mod:`repro.trace`.
 * :mod:`repro.obs.export` / :mod:`repro.obs.flamegraph` — exporters:
   Prometheus text exposition, structured JSON (the one metrics schema),
   folded stacks, and speedscope JSON from the tracer's span trees.
+* :mod:`repro.obs.profile` — the ``mayac --profile`` report: span self
+  times per phase and kind, expansion counts, and cache hit rates.
 * :mod:`repro.obs.lazy` — the laziness profiler: thunks created vs.
   forced per phase and production, measuring the paper's lazy
   parse/check claim (``mayac --lazy-report``).
@@ -27,7 +30,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     REGISTRY,
 )
-from repro.obs import export, flamegraph, lazy, log
+from repro.obs import export, flamegraph, lazy, log, profile
 from repro.obs.log import (
     EventLog,
     LOG,
@@ -55,4 +58,5 @@ __all__ = [
     "export",
     "flamegraph",
     "lazy",
+    "profile",
 ]

@@ -39,13 +39,9 @@ def folded_stacks(tracer) -> str:
 
     def walk(span, path: Tuple[str, ...]) -> None:
         path = path + (_frame_name(span),)
-        start, end = _span_bounds(span, span.start)
-        child_time = 0.0
         for child in span.children:
-            child_start, child_end = _span_bounds(child, end)
-            child_time += max(0.0, child_end - child_start)
             walk(child, path)
-        self_us = int(round(max(0.0, (end - start) - child_time) * 1e6))
+        self_us = int(round(span.self_time * 1e6))
         if self_us > 0:
             totals[path] = totals.get(path, 0) + self_us
 

@@ -23,7 +23,7 @@ before the profiler was activated are never counted as forced either
 construction.
 
 When no profiler is active every hook is one module-attribute read
-plus a ``None`` check — the same discipline as ``perf`` and ``trace``.
+plus a ``None`` check — the same discipline as :mod:`repro.trace`.
 """
 
 from __future__ import annotations
@@ -215,8 +215,7 @@ active: Optional[LazinessProfiler] = None
 def activate(profiler: Optional[LazinessProfiler] = None) -> LazinessProfiler:
     """Activate a laziness profiler.  A fresh profiler owns the
     ``maya_lazy_*`` registry families for its session, so they are
-    zeroed here (mirroring how a fresh ``perf.Profiler`` owns the
-    ``maya_phase_*`` families)."""
+    zeroed here."""
     global active
     if profiler is None:
         profiler = LazinessProfiler()

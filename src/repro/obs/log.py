@@ -26,9 +26,10 @@ the tree may import this module without cycles):
 
 Contexts bind per *thread of work*, not per thread: the daemon's
 connection handler and the worker executing the same request bind the
-**same** :class:`RequestContext` object, so per-phase timings recorded
-by the worker (via :func:`repro.perf.phase`) are visible to the
-handler assembling the response.
+**same** :class:`RequestContext` object, so outcomes the worker notes
+are visible to the handler assembling the response.  (Where the
+request's time went is not kept here: it is read from the request's
+span tree, see :mod:`repro.trace`.)
 """
 
 from __future__ import annotations
@@ -70,33 +71,20 @@ def mint_trace_id() -> str:
 class RequestContext:
     """Everything one in-flight request accumulates.
 
-    ``phases`` collects per-phase wall-clock (fed by ``perf.phase``),
-    ``outcomes`` free-form cache/service outcomes (``artifact: hit``,
-    ``modules_reused: 3``).  Both may be written from a worker thread
-    while a zombie or degraded re-run overlaps, hence the lock.
+    ``outcomes`` collects free-form cache/service outcomes
+    (``artifact: hit``, ``modules_reused: 3``).  They may be written
+    from a worker thread while a zombie or degraded re-run overlaps,
+    hence the lock.
     """
 
-    __slots__ = ("request_id", "trace_id", "started", "_phases",
-                 "outcomes", "_lock")
+    __slots__ = ("request_id", "trace_id", "outcomes", "_lock")
 
     def __init__(self, request_id: Optional[str] = None,
                  trace_id: Optional[str] = None):
         self.request_id = request_id or mint_request_id()
         self.trace_id = trace_id or mint_trace_id()
-        self.started = time.monotonic()
-        self._phases: Dict[str, float] = {}
         self.outcomes: Dict[str, object] = {}
         self._lock = threading.Lock()
-
-    def add_phase(self, name: str, seconds: float) -> None:
-        with self._lock:
-            self._phases[name] = self._phases.get(name, 0.0) + seconds
-
-    def phase_ms(self) -> Dict[str, float]:
-        """Per-phase milliseconds, rounded for the response payload."""
-        with self._lock:
-            return {name: round(seconds * 1000.0, 3)
-                    for name, seconds in sorted(self._phases.items())}
 
     def note(self, **outcomes) -> None:
         """Record cache/service outcomes onto the request."""

@@ -1,8 +1,8 @@
 """The metrics model: labelled counters, gauges, and histograms in a
 process-wide registry.
 
-Every telemetry producer in the compiler — cache statistics, the phase
-profiler, the dispatcher, the span tracer, the laziness profiler —
+Every telemetry producer in the compiler — cache statistics, the span
+tracer's phase self times, the dispatcher, the laziness profiler —
 records into one :data:`REGISTRY` of named metric families, so every
 consumer (``mayac --profile``, ``--metrics-out``, the ``--trace-out``
 JSONL metrics record) renders *the same numbers* instead of three
@@ -21,8 +21,8 @@ ad-hoc counter models.  The design follows the Prometheus data model:
 
 Nothing here imports the rest of the compiler, so any module may
 depend on it without cycles.  The module also tracks the *current
-compiler phase* (pushed by ``perf.phase``): label-attribution for
-metrics recorded deep inside a phase, e.g. lazy-thunk forcing.
+compiler phase* (pushed by :func:`repro.trace.phase`): label-attribution
+for metrics recorded deep inside a phase, e.g. lazy-thunk forcing.
 """
 
 from __future__ import annotations
@@ -418,9 +418,19 @@ class MetricsRegistry:
 #: The process-wide registry every compiler subsystem records into.
 REGISTRY = MetricsRegistry()
 
+#: Events of every named compiler cache (parse tables, dispatch plans,
+#: templates, the disk stores, ...).  Each cache binds its children
+#: once — ``CACHE_EVENTS.labels("dispatch.plans", "hit")`` — and bumps
+#: them on its own path; ``mayac --profile`` and the daemon's ``stats``
+#: op read the family.
+CACHE_EVENTS = REGISTRY.counter(
+    "maya_cache_events_total",
+    "Compiler cache events (parse tables, dispatch plans, templates, ...).",
+    ("cache", "event"))
+
 
 # ---------------------------------------------------------------------------
-# Current compiler phase (pushed by perf.phase) — label attribution
+# Current compiler phase (pushed by trace.phase) — label attribution
 # for metrics recorded while a phase is active.  Thread-local: daemon
 # workers each run their own compile pipeline, and one worker's phase
 # must not label another's metrics.

@@ -1,0 +1,154 @@
+"""The ``mayac --profile`` report: a view of the span tree plus the
+metrics registry.
+
+Time rows are span self times (:attr:`repro.trace.Span.self_time`).  A
+``phase`` span's row is its name (``lex``, ``lalr.generate``, ...),
+any other span's row is its kind (``compile``, ``dispatch``,
+``expand``, ``template``, ``gc``), and the ``mayac`` root's own time is
+``unattributed``.  Self times never overlap, so the rows add up to the
+total: the summed duration of the trace's roots.
+
+Expansion counts and the ``expansion.depth`` histogram come from the
+``expand`` spans, which record the Mayan and its depth.  Cache hit
+rates and the module, artifact and inline-cache sections come from the
+registry.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Tuple
+
+from repro.obs.metrics import REGISTRY, Histogram
+
+
+def _row(span) -> str:
+    if span.kind == "phase":
+        return span.name
+    if span.kind == "mayac":
+        return "unattributed"
+    return span.kind
+
+
+def self_times(spans) -> Dict[str, List]:
+    """``[self seconds, count]`` per row of ``spans``: the count is of
+    spans, and of collections for ``gc`` (one span can merge several,
+    see :func:`repro.trace._on_gc`)."""
+    rows: Dict[str, List] = {}
+    for span in spans:
+        row = rows.setdefault(_row(span), [0.0, 0])
+        row[0] += span.self_time
+        row[1] += span.attrs.get("collections", 1)
+    return rows
+
+
+def expansions(tracer) -> Tuple[Dict[str, int], Histogram]:
+    """Expansion counters (total and per Mayan) and the depth
+    histogram, from the trace's ``expand`` spans."""
+    counters: Dict[str, int] = {}
+    depth = Histogram("expansion.depth")
+    for span in tracer.spans_of_kind("expand"):
+        for name in ("expansions", f"expansions[{span.name}]"):
+            counters[name] = counters.get(name, 0) + 1
+        depth.observe(span.attrs["depth"])
+    return counters, depth
+
+
+def snapshot(tracer) -> Dict[str, object]:
+    """The report as plain data (embedded in the ``--trace-out``
+    metrics record)."""
+    counters, depth = expansions(tracer)
+    return {
+        "phases": {name: {"self_ms": round(seconds * 1e3, 3),
+                          "count": count}
+                   for name, (seconds, count)
+                   in sorted(self_times(tracer.iter_spans()).items())},
+        "counters": dict(sorted(counters.items())),
+        "histograms": [depth.snapshot()] if depth.count else [],
+    }
+
+
+def render(tracer, dispatcher=None) -> str:
+    """The human-readable report."""
+    lines = ["== mayac profile =="]
+    rows = self_times(tracer.iter_spans())
+    if rows:
+        lines.append("self times:")
+        for name in sorted(rows, key=lambda name: rows[name][0],
+                           reverse=True):
+            seconds, count = rows[name]
+            lines.append(f"  {name:<18} {seconds * 1e3:9.2f} ms  ({count}x)")
+        total = sum(root.duration for root in tracer.roots)
+        lines.append(f"  {'total':<18} {total * 1e3:9.2f} ms")
+    if dispatcher is not None:
+        lines.append(f"dispatch: {dispatcher.dispatch_count} reductions "
+                     f"dispatched, {dispatcher.units_skipped} unit "
+                     f"reductions skipped")
+    counters, depth = expansions(tracer)
+    for name in sorted(counters):
+        lines.append(f"counter: {name} = {counters[name]}")
+    if depth.count:
+        lines.append("histograms:")
+        lines.append(f"  {depth.name:<22} n={depth.count:<6} "
+                     f"min={depth.min} max={depth.max} "
+                     f"mean={depth.mean:.2f}")
+    for section in _HIT_RATE_SECTIONS:
+        lines.extend(_hit_rate_lines(*section))
+    lines.extend(_module_cache_lines())
+    return "\n".join(lines)
+
+
+#: (header, events family, (event, word) noted in parentheses) per
+#: hit-rate section.
+_HIT_RATE_SECTIONS = (
+    ("cache hit rates:", "maya_cache_events_total", ("eviction", "evicted")),
+    ("artifact cache (daemon responses):",
+     "maya_server_artifact_cache_events_total", (None, "")),
+    ("inline caches (pycode backend):", "maya_interp_ic_events_total",
+     ("megamorphic", "megamorphic")),
+)
+
+
+def _hit_rate_lines(header: str, family_name: str, noted) -> List[str]:
+    """One line per cache (or inline-cache site) of an events family:
+    hits, misses and the hit rate over its lookups (every event but
+    evictions and corrupt entries), plus the noted event's count.
+    Empty when no cache of the family saw a lookup."""
+    family = REGISTRY.get(family_name)
+    by_name: Dict[str, Dict[str, int]] = {}
+    for labels, child in family.samples() if family is not None else ():
+        name = labels[0] if len(labels) > 1 else "artifacts"
+        by_name.setdefault(name, {})[labels[-1]] = child.value
+    event, word = noted
+    lines = []
+    for name in sorted(by_name):
+        events = by_name[name]
+        hits, misses = events.get("hit", 0), events.get("miss", 0)
+        lookups = sum(count for kind, count in events.items()
+                      if kind not in ("eviction", "corrupt"))
+        extra = events.get(event, 0)
+        if not (lookups or extra):
+            continue
+        rate = hits / lookups if lookups else 0.0
+        lines.append(f"  {name:<22} {hits:>8} hits {misses:>6} misses  "
+                     f"{rate:6.1%}" + (f"  ({extra} {word})" if extra else ""))
+    return [header] + lines if lines else []
+
+
+def _module_cache_lines() -> List[str]:
+    """The module builder's incremental-cache section (empty when no
+    module-mode build ran): recompiled vs. reused counts and the reuse
+    ratio — the numbers ``--module-report`` prints per build, totalled
+    process-wide."""
+    compiled_family = REGISTRY.get("maya_modules_compiled_total")
+    reused_family = REGISTRY.get("maya_modules_reused_total")
+    compiled = compiled_family.value if compiled_family is not None else 0
+    reused = reused_family.value if reused_family is not None else 0
+    total = compiled + reused
+    if not total:
+        return []
+    return [
+        "module cache (incremental builds):",
+        f"  modules compiled       {compiled:>8}",
+        f"  modules reused         {reused:>8}",
+        f"  reuse ratio            {reused / total:>7.1%}",
+    ]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro import perf, trace
+from repro import trace
 from repro.diag import DiagnosticError, SourceSpan
 from repro.obs import lazy as obs_lazy
+from repro.obs.metrics import CACHE_EVENTS
 from repro.ast import nodes as n
 from repro.grammar import Symbol
 from repro.hygiene.analysis import analyze_template
@@ -41,8 +42,10 @@ class TemplateError(DiagnosticError):
     phase = "expand"
 
 
-_TEMPLATE_STATS = perf.cache_stats("templates.compiled")
-_CASE_STATS = perf.cache_stats("templates.syntax_case")
+_TEMPLATE_HIT = CACHE_EVENTS.labels("templates.compiled", "hit")
+_TEMPLATE_MISS = CACHE_EVENTS.labels("templates.compiled", "miss")
+_CASE_HIT = CACHE_EVENTS.labels("templates.syntax_case", "hit")
+_CASE_MISS = CACHE_EVENTS.labels("templates.syntax_case", "miss")
 
 
 class PseudoToken:
@@ -93,11 +96,11 @@ class Template:
         key = (env.grammar.fingerprint(), env.registry.uid)
         compiled = self._compiled.get(key)
         if compiled is None:
-            _TEMPLATE_STATS.miss()
+            _TEMPLATE_MISS.inc()
             compiled = _CompiledTemplate(self, env)
             self._compiled[key] = compiled
         else:
-            _TEMPLATE_STATS.hit()
+            _TEMPLATE_HIT.inc()
         return compiled
 
     def instantiate(self, ctx, **values):
@@ -320,11 +323,11 @@ def syntax_case(ctx, result: str, node, cases):
         key = (fingerprint, result, pattern)
         compiled = _case_cache.get(key)
         if compiled is None:
-            _CASE_STATS.miss()
+            _CASE_MISS.inc()
             compiled = compile_parameter_list(tables, result, pattern)
             _case_cache[key] = compiled
         else:
-            _CASE_STATS.hit()
+            _CASE_HIT.inc()
         production, params, _ = compiled
         if node.syntax is None or node.syntax[0] is not production:
             continue

@@ -21,7 +21,6 @@ Options:
                        (a flight recorder; same schema as --trace-out)
     --log-level LEVEL  event-log threshold (debug/info/warn/error)
     --slow-ms MS       slow-request log threshold (default 1000)
-    --no-trace-requests  disable per-request span tracing
 
 The daemon serves until SIGINT/SIGTERM, then drains and exits 0.
 SIGUSR1 flushes a fresh metrics snapshot to --metrics-out without
@@ -62,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None)
     parser.add_argument("--slow-ms", type=float, default=1000.0,
                         metavar="MS")
-    parser.add_argument("--no-trace-requests", action="store_true")
     return parser
 
 
@@ -77,7 +75,6 @@ def main(argv=None) -> int:
         workers=args.workers, queue_size=args.queue_size,
         default_deadline_s=args.deadline,
         max_deadline_s=args.max_deadline, prewarm=not args.no_prewarm,
-        trace_requests=not args.no_trace_requests,
         slow_request_ms=args.slow_ms,
         metrics_out=args.metrics_out,
         log_out=args.log_out, log_level=args.log_level)

@@ -57,6 +57,7 @@ from repro.diag import CompileFailed, DeadlineExceededError, DiagnosticError
 from repro.lalr import tables as lalr_tables
 from repro.obs import export as obs_export
 from repro.obs import log as obs_log
+from repro.obs import profile as obs_profile
 from repro.obs.metrics import REGISTRY
 from repro.server import protocol, state
 from repro.server.protocol import (
@@ -108,7 +109,6 @@ class DaemonConfig:
                  max_errors_cap: int = 200,
                  artifact_cache_size: int = 256, prewarm: bool = True,
                  module_cache_dir: Optional[str] = None,
-                 trace_requests: bool = True,
                  slow_request_ms: float = 1000.0,
                  latency_window: int = 512,
                  metrics_out: Optional[str] = None,
@@ -131,11 +131,6 @@ class DaemonConfig:
         self.module_cache_dir = (module_cache_dir
                                  or os.environ.get("MAYA_MODULE_CACHE")
                                  or None)
-        #: Per-request span tracing: every compile runs under its own
-        #: scoped tracer (workers never interleave spans), so a slow
-        #: request's span-tree breakdown is available the moment it
-        #: finishes.  Off saves ~1-2% on the warm path.
-        self.trace_requests = trace_requests
         #: Requests slower than this end-to-end (queue wait included)
         #: land in the slow-request log with their span breakdown.
         self.slow_request_ms = slow_request_ms
@@ -155,7 +150,7 @@ class _Request:
 
     __slots__ = ("payload", "options", "received", "deadline", "done",
                  "response", "abandoned", "worker", "degraded", "_lock",
-                 "context", "breakdown")
+                 "context", "breakdown", "phases")
 
     def __init__(self, payload: dict, deadline: float,
                  context: Optional["obs_log.RequestContext"] = None):
@@ -171,12 +166,14 @@ class _Request:
         self._lock = threading.Lock()
         #: The request context every thread touching this request binds
         #: (handler, worker, degraded re-run) — one shared object, so
-        #: phase timings and outcomes accumulate in one place.
+        #: outcomes accumulate in one place.
         self.context = context if context is not None \
             else obs_log.RequestContext()
-        #: Span-tree summary captured by the executing worker when
-        #: per-request tracing is on (feeds the slow-request log).
+        #: Span-tree summary and per-phase self milliseconds, read
+        #: from the executing worker's request tracer (they feed the
+        #: slow-request log and the response's ``stats.phases``).
         self.breakdown: Optional[List[dict]] = None
+        self.phases: Dict[str, float] = {}
 
     def resolve(self, response: dict) -> bool:
         """First writer wins; later resolutions (a zombie worker
@@ -669,9 +666,8 @@ class MayaDaemon:
             self.artifacts.store(key, response)
         stats = response.setdefault("stats", {})
         stats["total_ms"] = round(elapsed_ms, 3)
-        phases = context.phase_ms()
-        if phases:
-            stats["phases"] = phases
+        if request.phases:
+            stats["phases"] = request.phases
         if context.outcomes:
             stats["outcomes"] = dict(context.outcomes)
         obs_log.emit("server.request.done",
@@ -692,7 +688,7 @@ class MayaDaemon:
             "filename": request.payload.get("filename") or "<daemon>",
             "status": str(response.get("status")),
             "total_ms": round(elapsed_ms, 3),
-            "phases": request.context.phase_ms(),
+            "phases": request.phases,
             "outcomes": dict(request.context.outcomes),
             "breakdown": request.breakdown or [],
         }
@@ -703,14 +699,14 @@ class MayaDaemon:
                      spans=len(entry["breakdown"]))
 
     def _execute(self, request: _Request, degraded: bool = False) -> dict:
-        """Run one compile, under a per-request scoped tracer when
-        tracing is on (the span-tree breakdown feeds the slow-request
-        log; contextvars keep concurrent workers' spans apart)."""
-        if not self.config.trace_requests:
-            return self._execute_inner(request, degraded)
-        with trace.scoped() as tracer:
+        """Run one compile under its own request tracer (contextvars
+        keep concurrent workers' spans apart).  The span tree is the
+        request's only timer: ``stats.phases`` and the slow-request
+        breakdown are both read from it."""
+        with trace.scoped(trace.Tracer()) as tracer:
             response = self._execute_inner(request, degraded)
         request.breakdown = _span_breakdown(tracer)
+        request.phases = _phase_self_ms(tracer)
         return response
 
     def _execute_inner(self, request: _Request,
@@ -1078,6 +1074,7 @@ def _span_breakdown(tracer: "trace.Tracer",
             "name": span.name,
             "depth": depth,
             "dur_ms": round(span.duration * 1000.0, 3),
+            "self_ms": round(span.self_time * 1000.0, 3),
         })
         for child in span.children:
             walk(child, depth + 1)
@@ -1085,3 +1082,10 @@ def _span_breakdown(tracer: "trace.Tracer",
     for root in tracer.roots:
         walk(root, 0)
     return breakdown
+
+
+def _phase_self_ms(tracer: "trace.Tracer") -> Dict[str, float]:
+    """Self milliseconds per phase name over the whole span tree."""
+    rows = obs_profile.self_times(tracer.spans_of_kind("phase"))
+    return {name: round(seconds * 1000.0, 3)
+            for name, (seconds, _) in sorted(rows.items())}

@@ -34,12 +34,8 @@ import os
 import tempfile
 from typing import Callable, Optional, TypeVar
 
-from repro import faults, perf
-from repro.obs.metrics import REGISTRY
-
-#: The family :func:`repro.perf.cache_stats` views; a corrupt entry is
-#: one more event there.
-_EVENTS = REGISTRY.get("maya_cache_events_total")
+from repro import faults
+from repro.obs.metrics import CACHE_EVENTS
 
 _MAGIC = b"maya-store sha256="
 
@@ -62,8 +58,9 @@ class Store:
     def __init__(self, directory: Optional[str], cache: str, site: str):
         self.directory = directory
         self.site = site
-        self._stats = perf.cache_stats(cache)
-        self._corrupt = _EVENTS.labels(cache, "corrupt")
+        self._hits, self._misses, self._corrupt = (
+            CACHE_EVENTS.labels(cache, event)
+            for event in ("hit", "miss", "corrupt"))
 
     def __bool__(self) -> bool:
         return self.directory is not None
@@ -93,17 +90,17 @@ class Store:
                 raise ValueError(f"{path}: checksum mismatch")
             value = decode(payload)
         except (FileNotFoundError, faults.InjectedFault):
-            self._stats.miss()
+            self._misses.inc()
             return None
         except Exception:
             self._quarantine(path)
             self._corrupt.inc()
-            self._stats.miss()
+            self._misses.inc()
             return None
         if value is None:
-            self._stats.miss()
+            self._misses.inc()
         else:
-            self._stats.hit()
+            self._hits.inc()
         return value
 
     def store(self, name: str, payload: bytes) -> None:

@@ -6,14 +6,24 @@ Mayans run invisibly inside the parser, so the two debugging questions
 the model).  This module provides both:
 
 * **Spans** — a :class:`Tracer` records a tree of timed spans: one per
-  compiler phase (lex / parse+expand / shape / bodies+check / interp),
-  one per Mayan-relevant dispatch, one per Mayan activation (with the
-  mcpyrate-style before/after unparse of the rewrite), and one per
-  template instantiation.  The tree exports as JSONL
+  compiler phase (lex / parse+expand / shape / bodies+check /
+  lalr.generate / interp, opened by :func:`phase`), one per
+  Mayan-relevant dispatch, one per Mayan activation (with the
+  mcpyrate-style before/after unparse of the rewrite), one per
+  template instantiation, and — under a process-wide tracer — one per
+  garbage collection.  The tree exports as JSONL
   (``mayac --trace-out FILE``) or as an indented human view
   (``mayac --trace``).  Base-action reductions with no Mayans in scope
   are *not* spanned — they are counted in the metrics instead — so a
   trace stays proportional to the expansion work, not to the grammar.
+
+  The span tree is the compiler's only timer.  Each span's self time
+  (:attr:`Span.self_time`) is computed in one place, and every timing
+  view reads it: ``mayac --profile``, the daemon's ``stats.phases``
+  and slow-request breakdown, the ``self_ms`` of ``--trace-out``
+  records, the folded flamegraph and the ``maya_phase_*`` families.
+  Phases nest (a ``use`` generates tables in the middle of body
+  checking), so only self times add up to the wall clock.
 
 * **Provenance** — every AST node reduced or instantiated during a
   Mayan activation carries an :class:`Origin`:
@@ -29,14 +39,16 @@ plus a ``None`` check, so ``--trace`` off stays off the hot paths.
 from __future__ import annotations
 
 import contextvars
+import gc
 import json
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from repro.diag import SourceSpan
 from repro.obs import log as obs_log
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, pop_phase, push_phase
 
 #: How many origin links a diagnostic renders before eliding.
 MAX_ORIGIN_NOTES = 8
@@ -46,6 +58,16 @@ MAX_ORIGIN_NOTES = 8
 #: when the span tree itself is not exported.
 _SPANS_TOTAL = REGISTRY.counter(
     "maya_trace_spans_total", "Trace spans recorded, by kind.", ("kind",))
+
+#: Self time per compiler phase, added when a phase span ends.
+_PHASE_SECONDS = REGISTRY.counter(
+    "maya_phase_seconds_total",
+    "Self seconds spent per compiler phase (traced runs).",
+    ("phase",))
+_PHASE_RUNS = REGISTRY.counter(
+    "maya_phase_runs_total",
+    "Times each compiler phase ran (traced runs).",
+    ("phase",))
 
 
 class Origin:
@@ -168,10 +190,6 @@ def use_site_span(location, stack) -> SourceSpan:
 # Spans
 # ---------------------------------------------------------------------------
 
-#: Span kinds emitted by the compiler.
-SPAN_KINDS = ("compile", "phase", "dispatch", "expand", "template", "interp")
-
-
 class Span:
     """One timed node in the trace tree."""
 
@@ -194,6 +212,12 @@ class Span:
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
 
+    @property
+    def self_time(self) -> float:
+        """Seconds spent in this span outside its children."""
+        return max(0.0, self.duration
+                   - sum(child.duration for child in self.children))
+
     def __repr__(self) -> str:
         return f"<span #{self.id} {self.kind} {self.name!r}>"
 
@@ -213,6 +237,10 @@ class Tracer:
         self.stack: List[Span] = []
         self._next_id = 0
         self._epoch = time.perf_counter()
+        #: True while begin()/end() rework the stack: a collection that
+        #: starts then is not spanned (see :func:`_on_gc`).
+        self._busy = False
+        self._thread = threading.get_ident()
         context = obs_log.current_request()
         self.request_id = context.request_id if context else None
         self.trace_id = context.trace_id if context else None
@@ -220,6 +248,7 @@ class Tracer:
     # -- recording -------------------------------------------------------
 
     def begin(self, kind: str, name: str, **attrs) -> Span:
+        self._busy = True
         parent = self.stack[-1] if self.stack else None
         span = Span(self._next_id, parent.id if parent else None,
                     kind, name, attrs, time.perf_counter())
@@ -230,9 +259,11 @@ class Tracer:
         else:
             self.roots.append(span)
         self.stack.append(span)
+        self._busy = False
         return span
 
     def end(self, span: Span, **attrs) -> None:
+        self._busy = True
         span.end = time.perf_counter()
         if attrs:
             span.attrs.update(attrs)
@@ -243,6 +274,7 @@ class Tracer:
                 dangling.end = span.end
         if self.stack and self.stack[-1] is span:
             self.stack.pop()
+        self._busy = False
 
     @contextmanager
     def span(self, kind: str, name: str, **attrs) -> Iterator[Span]:
@@ -279,6 +311,7 @@ class Tracer:
                 "name": span.name,
                 "start_ms": round((span.start - self._epoch) * 1e3, 3),
                 "dur_ms": round(span.duration * 1e3, 3),
+                "self_ms": round(span.self_time * 1e3, 3),
                 "attrs": span.attrs,
             }
             if self.request_id is not None:
@@ -351,14 +384,53 @@ def current() -> Optional[Tracer]:
 
 
 def activate(tracer: Optional[Tracer] = None) -> Tracer:
+    """Make ``tracer`` (a fresh one by default) the process-wide
+    tracer.  Until :func:`deactivate`, every garbage collection on the
+    tracer's thread is recorded as a ``gc`` span."""
     global active
     active = tracer if tracer is not None else Tracer()
+    if _on_gc not in gc.callbacks:
+        gc.callbacks.append(_on_gc)
     return active
 
 
 def deactivate() -> None:
     global active
     active = None
+    if _on_gc in gc.callbacks:
+        gc.callbacks.remove(_on_gc)
+
+
+def _on_gc(event: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: collections become ``gc`` spans under
+    whatever span is open.  Consecutive collections under one open span
+    share a span that counts them (``collections``, ``collected``; the
+    name is the oldest generation reached), so a long ``interp`` phase
+    holds one ``gc`` child, not thousands; a merged span's start moves
+    up so that its duration is the sum of its collections.  A
+    collection that starts inside begin() or end() (the stack is
+    mid-change there) or on another thread is not spanned; its time
+    stays in the enclosing span."""
+    tracer = active
+    if tracer is None or tracer._thread != threading.get_ident():
+        return
+    stack = tracer.stack
+    if event == "start":
+        if tracer._busy:
+            return
+        siblings = stack[-1].children if stack else tracer.roots
+        if siblings and siblings[-1].kind == "gc":
+            span = siblings[-1]
+            span.start, span.end = time.perf_counter() - span.duration, None
+            stack.append(span)
+        else:
+            tracer.begin("gc", "gen0", collections=0, collected=0)
+    elif stack and stack[-1].kind == "gc":
+        span = stack[-1]
+        span.attrs["collections"] += 1
+        span.attrs["collected"] += info["collected"]
+        span.name = f"gen{max(info['generation'], int(span.name[3:]))}"
+        tracer.end(span)
 
 
 @contextmanager
@@ -372,6 +444,26 @@ def scoped(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
         yield tracer
     finally:
         _scoped.reset(token)
+
+
+@contextmanager
+def phase(name: str) -> Iterator[None]:
+    """A compiler phase.  Pushes the thread-local phase label that
+    metrics recorded inside it are attributed to (see
+    :func:`repro.obs.metrics.current_phase`) and, when a tracer is
+    current, records a ``phase`` span whose self time is added to the
+    ``maya_phase_*`` families when it ends."""
+    push_phase(name)
+    tracer = current()
+    entry = tracer.begin("phase", name) if tracer is not None else None
+    try:
+        yield
+    finally:
+        pop_phase()
+        if entry is not None:
+            tracer.end(entry)
+            _PHASE_SECONDS.labels(name).inc(entry.self_time)
+            _PHASE_RUNS.labels(name).inc()
 
 
 @contextmanager

@@ -13,13 +13,17 @@ from repro import MayaCompiler
 from repro.interp import Interpreter
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import CACHE_EVENTS
+
+
+def cache_events(cache: str, event: str) -> int:
+    """One cache's ``event`` count so far (hit, miss, eviction, ...)."""
+    return CACHE_EVENTS.labels(cache, event).value
 
 
 def corrupt_entries(cache: str) -> int:
     """Entries of one on-disk cache quarantined as corrupt so far."""
-    return REGISTRY.get("maya_cache_events_total").labels(
-        cache, "corrupt").value
+    return cache_events(cache, "corrupt")
 
 
 def make_compiler(macros: bool = False, multijava: bool = False) -> MayaCompiler:

@@ -1229,7 +1229,7 @@ class TestPlanCacheBound:
             def __init__(self):
                 self.evictions = 0
 
-            def evict(self):
+            def inc(self):
                 self.evictions += 1
 
         stats = Stats()
@@ -1252,7 +1252,7 @@ class TestPlanCacheBound:
             def __init__(self):
                 self.evictions = 0
 
-            def evict(self):
+            def inc(self):
                 self.evictions += 1
 
         stats = Stats()

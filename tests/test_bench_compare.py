@@ -19,7 +19,6 @@ BASELINE = {
         "lookup_us": {"unit": "us", "value": 0.5},
         "overhead_ratio_8_vs_0": {"unit": "x", "value": 2.5},
         "mj_never_forced_pct": {"unit": "%", "value": 40.0},
-        "obs_overhead_pct": {"unit": "pct", "value": 1.0},
         "statements": {"unit": "", "value": 60},
     },
     "reports": {},
@@ -78,21 +77,6 @@ class TestCompare:
         assert compare.main(["--baseline", str(baseline),
                              "--current", str(current)]) == 1
         assert "mj_never_forced_pct" in capsys.readouterr().out
-
-    def test_overhead_budget_is_absolute(self, dirs, capsys):
-        # The obs-overhead budget is a ceiling on the fresh value, not
-        # a trajectory: tripling a 1% baseline is fine (relative rules
-        # on near-zero baselines are noise), but crossing 5% fails
-        # even with a loosened tolerance scale.
-        baseline, current = dirs
-        rewrite(current, obs_overhead_pct=3.0)
-        assert compare.main(["--baseline", str(baseline),
-                             "--current", str(current)]) == 0
-        rewrite(current, obs_overhead_pct=6.2)
-        assert compare.main(["--baseline", str(baseline),
-                             "--current", str(current),
-                             "--tolerance-scale", "4"]) == 1
-        assert "over the 5 budget" in capsys.readouterr().out
 
     def test_missing_metric_fails(self, dirs, capsys):
         baseline, current = dirs

@@ -15,7 +15,6 @@ import pytest
 from repro.ast import nodes as n
 from repro.core import CompileContext, CompileEnv
 from repro.dispatch import AmbiguousDispatchError, Mayan
-from repro.dispatch.dispatcher import _ORDER_STATS, _PLAN_STATS
 from repro.lalr import Parser
 from repro.lalr import tables as lalr_tables
 from repro.lalr.tables import (
@@ -26,8 +25,7 @@ from repro.lalr.tables import (
     tables_for,
 )
 from repro.lexer import stream_lex
-from repro import perf
-from tests.conftest import corrupt_entries
+from tests.conftest import cache_events, corrupt_entries
 
 
 def payload_of(entry):
@@ -146,9 +144,9 @@ class TestDispatchPlanInvalidation:
         env = CompileEnv()
         tag_literal("x").run(env)
         parse_with(env, "Expression", "2")  # warm plans for this scope
-        hits = _PLAN_STATS.hits
+        hits = cache_events("dispatch.plans", "hit")
         parse_with(env, "Expression", "3")
-        assert _PLAN_STATS.hits > hits
+        assert cache_events("dispatch.plans", "hit") > hits
 
 
 class TestOrderCacheAndAmbiguity:
@@ -180,13 +178,13 @@ class TestOrderCacheAndAmbiguity:
         parser = Parser(env.tables(), ctx)
         with pytest.raises(AmbiguousDispatchError) as first:
             parser.parse("Expression", stream_lex('pair("a", "b")'))
-        hits = _ORDER_STATS.hits
+        hits = cache_events("dispatch.orders", "hit")
         with pytest.raises(AmbiguousDispatchError) as second:
             parser.parse("Expression", stream_lex('pair("a", "b")'))
         assert str(second.value) == str(first.value)
         assert second.value.mayan_a is first.value.mayan_a
         assert second.value.mayan_b is first.value.mayan_b
-        assert _ORDER_STATS.hits > hits  # replayed, not recomputed
+        assert cache_events("dispatch.orders", "hit") > hits  # replayed
 
     def test_order_cache_replay_preserves_tie_breaking(self):
         """Repeated dispatch through the cached order keeps the
@@ -200,17 +198,22 @@ class TestOrderCacheAndAmbiguity:
 
 class TestLRUCache:
     def test_eviction_is_lru_and_counted(self):
-        stats = perf.CacheStats("test.lru")
-        cache = LRUCache(2, stats)
+        before = {event: cache_events("test.lru", event)
+                  for event in ("hit", "miss", "eviction")}
+
+        def counted(event):
+            return cache_events("test.lru", event) - before[event]
+
+        cache = LRUCache(2, "test.lru")
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a": "b" is now oldest
         cache.put("c", 3)
-        assert stats.evictions == 1
+        assert counted("eviction") == 1
         assert "b" not in cache
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.get("b") is None
-        assert stats.hits == 3 and stats.misses == 1
+        assert counted("hit") == 3 and counted("miss") == 1
         assert len(cache) == 2
 
 

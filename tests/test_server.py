@@ -618,15 +618,41 @@ class TestRequestObservability:
         finally:
             server.stop()
 
-    def test_trace_requests_off_skips_breakdown(self):
+    def test_phases_are_the_breakdown_self_times(self):
+        # A cold request generates tables.  Generation is its own phase,
+        # in stats.phases and in the breakdown, and the phases are the
+        # breakdown's self times: they add up to no more than the
+        # compile, where summed inclusive times counted generation twice.
+        from repro.lalr import tables as lalr_tables
+
         server = MayaDaemon(DaemonConfig(
             workers=1, queue_size=4, prewarm=False,
-            trace_requests=False, slow_request_ms=0.0)).start()
+            slow_request_ms=0.0)).start()
         try:
-            client = MayaClient(server.address, retries=0)
-            client.compile("class Fast { }", "fast.maya", cache=False)
+            lalr_tables.table_cache_clear()
+            with lalr_tables.disk_cache_at(None):
+                client = MayaClient(server.address, retries=0)
+                response = client.compile("class Cold { }", "cold.maya",
+                                          cache=False)
+            stats = response["stats"]
+            phases = stats["phases"]
             entry = client.stats()["slow_requests"][-1]
-            assert entry["breakdown"] == []
+            breakdown = entry["breakdown"]
+            assert entry["request_id"] == response["request_id"]
+            assert "lalr.generate" in phases
+            assert any(span["kind"] == "phase"
+                       and span["name"] == "lalr.generate"
+                       for span in breakdown)
+            summed = {}
+            for span in breakdown:
+                if span["kind"] == "phase":
+                    summed[span["name"]] = \
+                        summed.get(span["name"], 0.0) + span["self_ms"]
+            assert phases.keys() == summed.keys()
+            for name, value in phases.items():
+                assert value == pytest.approx(summed[name], abs=0.01)
+            assert entry["phases"] == phases
+            assert sum(phases.values()) <= stats["compile_ms"]
         finally:
             server.stop()
 

@@ -116,6 +116,22 @@ class TestCrashContainment:
         finally:
             server.stop()
 
+    def test_degraded_rerun_reports_table_generation(self):
+        # The degraded re-run bypasses the table caches and generates
+        # from scratch; that time is its own phase, not hidden inside
+        # the phase that asked for the tables.
+        faults.configure("worker.execute:crash:times=1")
+        server = _daemon(prewarm=False)
+        try:
+            client = MayaClient(server.address, retries=0)
+            response = client.compile(SOURCE, "v.maya", cache=False)
+            assert response["degraded"] is True
+            phases = response["stats"]["phases"]
+            assert "lalr.generate" in phases
+            assert sum(phases.values()) <= response["stats"]["compile_ms"]
+        finally:
+            server.stop()
+
     def test_persistent_crash_reports_worker_crashed(self):
         faults.configure("worker.execute:crash")  # every execution
         server = _daemon()

@@ -23,8 +23,7 @@ from repro import faults
 from repro.core import CompileEnv, MayaCompiler
 from repro.lalr import tables
 from repro.modules import MemorySources, ModuleBuilder
-from repro.perf import cache_stats
-from tests.conftest import corrupt_entries
+from tests.conftest import cache_events, corrupt_entries
 
 #: Plain Java, so the base grammar's tables are the only ones loaded.
 PROGRAM = """
@@ -75,11 +74,11 @@ class TableStore:
     def build(self, cached=True):
         """(expanded output, whether the entry was served from disk)."""
         tables.table_cache_clear()
-        hits = cache_stats(self.cache).hits
+        hits = cache_events(self.cache, "hit")
         with tables.disk_cache_at(str(self.directory) if cached else None):
             output = MayaCompiler().compile(PROGRAM).source()
         tables.table_cache_clear()
-        return output, cache_stats(self.cache).hits > hits
+        return output, cache_events(self.cache, "hit") > hits
 
     def entry(self):
         (path,) = self.directory.glob("tables-*.pickle")
@@ -219,12 +218,12 @@ def test_concurrent_stores_of_one_key_leave_one_good_entry(tmp_path):
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            hits = cache_stats("lalr.tables.disk").hits
+            hits = cache_events("lalr.tables.disk", "hit")
             loaded = tables._disk_load(grammar, fingerprint)
     finally:
         sys.setswitchinterval(interval)
     assert loaded is not None
-    assert cache_stats("lalr.tables.disk").hits == hits + 1
+    assert cache_events("lalr.tables.disk", "hit") == hits + 1
     assert loaded.action == generated.action
     assert not quarantined(tmp_path)
     assert not list(tmp_path.glob("*.tmp"))

@@ -1,12 +1,16 @@
 """The observability layer: span tracing, provenance, trace metrics."""
 
+import gc
 import json
+import time
 
 import pytest
 
-from repro import perf, trace
+from repro import trace
 from repro.diag import SourceSpan
 from repro.mayac import main
+from repro.obs import profile as obs_profile
+from repro.obs.metrics import REGISTRY, Histogram, current_phase
 from tests.conftest import compile_source, make_compiler
 
 FOREACH_SOURCE = """
@@ -34,6 +38,19 @@ def tracer():
 def compile_traced(source: str, tracer) -> "trace.Tracer":
     compile_source(source, macros=True)
     return tracer
+
+
+def profile_rows(report: str):
+    """The ``--profile`` self-time rows (name -> ms) and the total."""
+    lines = report.splitlines()
+    start = lines.index("self times:") + 1
+    rows = {}
+    for line in lines[start:]:
+        name, ms = line.split()[:2]
+        if name == "total":
+            return rows, float(ms)
+        rows[name] = float(ms)
+    raise AssertionError("no total row")
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +116,15 @@ class TestTracer:
 
 
 class TestCompileSpans:
-    def test_phases_recorded(self, tracer):
-        compile_traced("class Empty { }", tracer)
+    def test_phases_recorded(self):
+        # A first compile fills the table cache; a miss would add an
+        # lalr.generate phase.
+        compile_source("class Empty { }", macros=True)
+        tracer = trace.activate()
+        try:
+            compile_source("class Empty { }", macros=True)
+        finally:
+            trace.deactivate()
         names = [span.name for span in tracer.spans_of_kind("phase")]
         assert names == ["lex", "parse+expand", "shape", "bodies+check"]
 
@@ -249,19 +273,15 @@ class TestProvenance:
 
 
 class TestMetrics:
-    def test_expansion_counters_and_depth_histogram(self):
-        profiler = perf.activate(perf.Profiler())
-        try:
-            compile_source(FOREACH_SOURCE, macros=True)
-        finally:
-            perf.deactivate()
-        assert profiler.counters["expansions"] == 1
-        assert profiler.counters["expansions[EForEach]"] == 1
-        depth = profiler.histograms["expansion.depth"]
+    def test_expansion_counters_and_depth_histogram(self, tracer):
+        compile_traced(FOREACH_SOURCE, tracer)
+        counters, depth = obs_profile.expansions(tracer)
+        assert counters["expansions"] == 1
+        assert counters["expansions[EForEach]"] == 1
         assert depth.count == 1 and depth.max == 1
 
     def test_histogram_buckets_and_stats(self):
-        histogram = perf.Histogram("h")
+        histogram = Histogram("h")
         for value in (1, 1, 3, 9, 200):
             histogram.observe(value)
         snap = histogram.snapshot()
@@ -271,16 +291,149 @@ class TestMetrics:
         assert snap["buckets"][">128"] == 1
 
     def test_profiler_snapshot_shape(self):
-        profiler = perf.Profiler()
-        with profiler.timed("lex"):
+        tracer = trace.Tracer()
+        with tracer.span("phase", "lex"):
             pass
-        profiler.count("expansions", 2)
-        profiler.observe("expansion.depth", 3)
-        snap = profiler.snapshot()
+        for depth in (1, 3):
+            with tracer.span("expand", "EForEach", depth=depth):
+                pass
+        snap = obs_profile.snapshot(tracer)
         assert "lex" in snap["phases"]
-        assert snap["counters"] == {"expansions": 2}
+        assert snap["counters"] == {"expansions": 2,
+                                    "expansions[EForEach]": 2}
         assert snap["histograms"][0]["name"] == "expansion.depth"
+        assert snap["histograms"][0]["max"] == 3
         json.dumps(snap)  # must be plain data
+
+
+# ---------------------------------------------------------------------------
+# Self time: the one timing source
+# ---------------------------------------------------------------------------
+
+
+def fixed_tracer(spans):
+    """A tracer whose spans have fixed clocks: ``spans`` is a list of
+    (kind, name, start_ms, end_ms, children)."""
+    tracer = trace.Tracer()
+
+    def build(kind, name, start, end, children):
+        span = tracer.begin(kind, name)
+        for child in children:
+            build(*child)
+        tracer.end(span)
+        span.start, span.end = start / 1e3, end / 1e3
+
+    for entry in spans:
+        build(*entry)
+    return tracer
+
+
+class TestSelfTime:
+    def test_self_time_excludes_children(self):
+        tracer = fixed_tracer([
+            ("compile", "u", 0, 10, [
+                ("phase", "parse+expand", 1, 9, [
+                    ("phase", "lalr.generate", 2, 6, []),
+                ]),
+            ]),
+        ])
+        compile_span, = tracer.roots
+        parse, = compile_span.children
+        generate, = parse.children
+        assert compile_span.self_time == pytest.approx(0.002)
+        assert parse.self_time == pytest.approx(0.004)
+        assert generate.self_time == pytest.approx(0.004)
+        total = sum(span.self_time for span in tracer.iter_spans())
+        assert total == pytest.approx(compile_span.duration)
+
+    def test_phase_self_times_accumulate_and_round(self):
+        from repro.server.daemon import _phase_self_ms
+
+        tracer = fixed_tracer([
+            ("compile", "u", 0, 30, [
+                ("phase", "lex", 0, 10.1, []),
+                ("phase", "parse", 11, 18, [
+                    ("phase", "lex", 12, 17.2, []),
+                ]),
+            ]),
+        ])
+        assert _phase_self_ms(tracer) == {"lex": 15.3, "parse": 1.8}
+
+    def test_phase_records_self_seconds_in_the_registry(self):
+        seconds = REGISTRY.get("maya_phase_seconds_total")
+        runs = REGISTRY.get("maya_phase_runs_total")
+        before = (seconds.labels("t-outer").value,
+                  runs.labels("t-outer").value)
+        with trace.scoped() as tracer:
+            with trace.phase("t-outer"):
+                with trace.phase("t-inner"):
+                    time.sleep(0.002)
+        outer, = tracer.roots
+        assert seconds.labels("t-outer").value - before[0] == \
+            pytest.approx(outer.self_time)
+        assert outer.self_time < outer.duration
+        assert runs.labels("t-outer").value == before[1] + 1
+
+    def test_phase_without_tracer_only_labels(self):
+        assert trace.current() is None
+        with trace.phase("t-label"):
+            assert current_phase() == "t-label"
+        assert current_phase() == ""
+
+    def test_phase_spans_lalr_generation(self):
+        from repro.lalr.tables import ParseTables
+        from tests.test_lalr import expr_grammar
+
+        with trace.scoped() as tracer:
+            ParseTables(expr_grammar())
+        assert [span.name for span in tracer.iter_spans()] == \
+            ["lalr.generate"]
+
+    def test_consecutive_collections_share_a_gc_span(self):
+        tracer = trace.activate()
+        try:
+            with tracer.span("phase", "t-outer") as outer:
+                gc.collect(0)
+                gc.collect(0)
+                gc.collect(2)
+                with tracer.span("phase", "t-inner") as inner:
+                    pass
+                gc.collect(1)
+        finally:
+            trace.deactivate()
+        assert [span.kind for span in outer.children] == \
+            ["gc", "phase", "gc"]
+        first, _, last = outer.children
+        assert first.name == "gen2"
+        assert first.attrs["collections"] >= 3
+        assert first.attrs["collected"] >= 0
+        assert last.attrs["collections"] >= 1
+        assert outer.start <= first.start <= first.end <= inner.start
+        assert inner.end <= last.start <= last.end <= outer.end
+        assert outer.self_time == pytest.approx(
+            outer.duration - first.duration - inner.duration
+            - last.duration)
+
+    def test_gc_spans_only_under_the_process_wide_tracer(self):
+        tracer = trace.activate()
+        try:
+            gc.collect()
+        finally:
+            trace.deactivate()
+        full, = [span for span in tracer.spans_of_kind("gc")
+                 if span.name == "gen2"]
+        assert "collected" in full.attrs
+        assert trace._on_gc not in gc.callbacks
+        with trace.scoped() as scoped:
+            gc.collect()
+        assert scoped.spans_of_kind("gc") == []
+
+    def test_trace_records_carry_self_ms(self):
+        tracer = fixed_tracer([
+            ("compile", "u", 0, 10, [("phase", "lex", 1, 4, [])]),
+        ])
+        records = tracer.to_records()
+        assert [r["self_ms"] for r in records] == [7.0, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +476,39 @@ class TestCliTrace:
         final = json.loads(out.read_text().splitlines()[-1])
         assert "profile" in final
         assert final["profile"]["counters"]["expansions"] >= 1
+
+    def test_profile_rows_add_up_to_the_total(self, demo_file, capsys):
+        from repro.lalr import tables as lalr_tables
+
+        lalr_tables.table_cache_clear()  # generation gets its own row
+        started = time.perf_counter()
+        assert main([demo_file, "--profile"]) == 0
+        wall_ms = (time.perf_counter() - started) * 1e3
+        rows, total = profile_rows(capsys.readouterr().err)
+        assert {"lalr.generate", "parse+expand", "bodies+check",
+                "unattributed"} <= rows.keys()
+        assert sum(rows.values()) == pytest.approx(total,
+                                                   abs=0.01 * len(rows))
+        assert total <= wall_ms
+
+    def test_profile_and_trace_out_agree(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "t.jsonl"
+        assert main([demo_file, "--profile", "--trace-out", str(out)]) == 0
+        rows, total = profile_rows(capsys.readouterr().err)
+        spans = [record for record in map(json.loads,
+                                          out.read_text().splitlines())
+                 if record["type"] == "span"]
+        phases = {}
+        for span in spans:
+            if span["kind"] == "phase":
+                phases[span["name"]] = \
+                    phases.get(span["name"], 0.0) + span["self_ms"]
+        assert phases
+        for name, self_ms in phases.items():
+            assert rows[name] == pytest.approx(self_ms, abs=0.01)
+        roots = sum(span["dur_ms"] for span in spans
+                    if span["parent"] is None)
+        assert roots == pytest.approx(total, abs=0.01)
 
     def test_trace_renders_human_view(self, demo_file, capsys):
         assert main([demo_file, "--trace"]) == 0
