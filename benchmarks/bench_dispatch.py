@@ -12,6 +12,7 @@ from repro.core import CompileContext, CompileEnv
 from repro.dispatch import Mayan
 from repro.lalr import Parser
 from repro.lexer import stream_lex
+from repro.obs.metrics import Deltas
 
 
 def _literal_mayan(tag):
@@ -101,15 +102,18 @@ def test_e7_specificity_selection(benchmark):
     ])
 
 
-def test_e7_dispatch_count(benchmark):
-    """Total dispatcher invocations for a small compile."""
+def test_e7_dispatched_reductions(benchmark):
+    """Total dispatcher invocations for a small compile: the growth of
+    ``maya_dispatch_reductions_total`` over it."""
     compiler = make_compiler(macros=True)
-    program = compiler.compile("""
+    reductions = Deltas("maya_dispatch_reductions_total")
+    compiler.compile("""
         class Counted {
             static int f(int x) { return x * 2 + 1; }
         }
     """)
-    count = compiler.env.dispatcher.dispatch_count
+    reductions.freeze()
+    count = reductions.total("maya_dispatch_reductions_total")
     report("E7: dispatcher reductions for a 3-line class", [
         ["reductions dispatched", count],
     ])

@@ -174,8 +174,6 @@ class Dispatcher:
         self._plans: Dict[Production, _DispatchPlan] = {}
         # (epoch, {unit chain: skippable?}) for skip_units.
         self._unit_verdicts: Tuple[int, Dict] = (-1, {})
-        self.dispatch_count = 0
-        self.units_skipped = 0
         if parent is None:
             # Import epoch for the whole dispatcher tree: bumped by any
             # import_mayan so every scope's cached plans go stale.
@@ -244,19 +242,12 @@ class Dispatcher:
                 for production in productions
             )
         if verdict:
-            skipped = len(productions)
-            self.units_skipped += skipped
-            if self.root is not self:
-                self.root.units_skipped += skipped
-            _UNITS_SKIPPED.value += skipped
+            _UNITS_SKIPPED.value += len(productions)
         return verdict
 
     def dispatch(self, production: Production, values: List[object],
                  location: Location, ctx) -> object:
         """Run the most applicable semantic action for a reduction."""
-        self.dispatch_count += 1
-        if self.root is not self:
-            self.root.dispatch_count += 1
         plan = self.plan_for(production)
 
         if not plan.candidates:

@@ -7,8 +7,8 @@ benchmarks measure what the paper's optimized expansions save.
 
 Two execution backends share one observable semantics: the Python
 code generator with profile-guided specialization — guarded direct
-calls, native operators, inline caches, an on-disk source cache —
-(``backend="pycode"``, the default, in ``repro.interp.pycodegen``) and
+calls, native operators, inline caches — (``backend="pycode"``, the
+default, in ``repro.interp.pycodegen``) and
 the seed tree-walker (``backend="walk"``), which is the reference
 semantics the differential tests compare against.  A method the code
 generator declines runs on the walker.

@@ -87,7 +87,7 @@ class Counters:
             self._base[name] = child.value
 
     def _get(self, name: str) -> int:
-        return max(0, _OP_CHILDREN[name].value - self._base[name])
+        return _OP_CHILDREN[name].value - self._base[name]
 
     @property
     def allocations(self) -> int:

@@ -274,7 +274,7 @@ def _daemon_modules(args, client) -> int:
     from repro.diag import DiagnosticError
     from repro.modules import FileSystemSources, ModuleGraph
     from repro.server.client import DaemonError
-    from repro.server.protocol import STATUS_COMPILE_ERROR, STATUS_OK
+    from repro.server.protocol import STATUS_OK
     from repro.types.builtins import standard_registry
 
     sources = FileSystemSources(args.module_path or [])
@@ -298,28 +298,36 @@ def _daemon_modules(args, client) -> int:
     except DaemonError as error:
         print(f"mayac: {error}", file=sys.stderr)
         return 3
-    status = response.get("status")
-    if status == STATUS_OK:
-        modules = response.get("modules") or {}
-        if args.module_report:
-            _print_module_report(modules.get("order", ()),
-                                 modules.get("recompiled", ()))
-        if args.expand and "expanded" in response:
-            print(response["expanded"])
-        return 0
-    for diagnostic in response.get("diagnostics", ()):
+    if response.get("status") != STATUS_OK:
+        return _daemon_failure(response)
+    modules = response.get("modules") or {}
+    if args.module_report:
+        _print_module_report(modules.get("order", ()),
+                             modules.get("recompiled", ()))
+    if args.expand and "expanded" in response:
+        print(response["expanded"])
+    return 0
+
+
+def _daemon_failure(response: dict) -> int:
+    """Print a failed daemon response's diagnostics and error count;
+    returns the exit code for its status."""
+    from repro.server.protocol import STATUS_COMPILE_ERROR
+
+    diagnostics = response.get("diagnostics", ())
+    for diagnostic in diagnostics:
         print(diagnostic.get("rendered")
               or diagnostic.get("message", ""), file=sys.stderr)
-    errors = len(response.get("diagnostics", ())) or 1
+    errors = len(diagnostics) or 1
     plural = "s" if errors != 1 else ""
     print(f"mayac: {errors} error{plural}", file=sys.stderr)
-    return 1 if status == STATUS_COMPILE_ERROR else 3
+    return 1 if response.get("status") == STATUS_COMPILE_ERROR else 3
 
 
 def _daemon_main(args) -> int:
     """Delegate compilation to a running mayad (``--daemon``)."""
     from repro.server.client import DaemonError, MayaClient
-    from repro.server.protocol import STATUS_COMPILE_ERROR, STATUS_OK
+    from repro.server.protocol import STATUS_OK
 
     if args.run:
         print("mayac: --run is not supported with --daemon "
@@ -346,18 +354,10 @@ def _daemon_main(args) -> int:
         except DaemonError as error:
             print(f"mayac: {error}", file=sys.stderr)
             return 3
-        status = response.get("status")
-        if status == STATUS_OK:
-            if args.expand and "expanded" in response:
-                print(response["expanded"])
-            continue
-        for diagnostic in response.get("diagnostics", ()):
-            print(diagnostic.get("rendered")
-                  or diagnostic.get("message", ""), file=sys.stderr)
-        errors = len(response.get("diagnostics", ())) or 1
-        plural = "s" if errors != 1 else ""
-        print(f"mayac: {errors} error{plural}", file=sys.stderr)
-        code = 1 if status == STATUS_COMPILE_ERROR else 3
+        if response.get("status") != STATUS_OK:
+            code = _daemon_failure(response)
+        elif args.expand and "expanded" in response:
+            print(response["expanded"])
     return code
 
 
@@ -412,6 +412,7 @@ def _local_main(args) -> int:
                    or args.profile or args.metrics_out)
     lazy_profiler = obs_lazy.activate() if want_lazy else None
     tracer = trace.activate() if want_tracer else None
+    reductions = obs_profile.reduction_counts() if args.profile else None
     # The root span: its self time is the run's unattributed time.
     root = tracer.begin("mayac", " ".join(args.files)) \
         if tracer is not None else None
@@ -433,7 +434,7 @@ def _local_main(args) -> int:
             tracer.end(root)
             trace.deactivate()
             if args.profile:
-                print(obs_profile.render(tracer, compiler.env.dispatcher),
+                print(obs_profile.render(tracer, reductions),
                       file=sys.stderr)
         if lazy_profiler is not None:
             if args.lazy_report:

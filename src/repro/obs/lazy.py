@@ -8,9 +8,9 @@ every lazy thunk creation (``ctx.lazy_subtree``, template lazy groups,
 compiler driver (the class compiler forcing method bodies, the checker
 forcing statement thunks, the interpreter, MultiJava's translator) is
 counted per production symbol and per compiler phase, along with the
-number of captured-but-unparsed tokens.  ``mayac --lazy-report``
-renders the result; the same numbers land in the metrics registry
-(``maya_lazy_*`` families) for ``--metrics-out``.
+number of captured-but-unparsed tokens, in the registry's
+``maya_lazy_*`` families (exported by ``--metrics-out``); ``mayac
+--lazy-report`` renders their growth over the run.
 
 Forcing is counted **at the driver boundary** — the call sites that
 *demand* a value — rather than inside ``LazyNode.force`` itself:
@@ -50,54 +50,42 @@ _TOKENS_FORCED = m.REGISTRY.counter(
     ("symbol",))
 
 
-def _symbol_name(symbol) -> str:
-    return getattr(symbol, "name", None) or str(symbol)
+#: The phase label of thunks created or forced outside any phase.
+_NO_PHASE = "(none)"
 
 
-def _token_weight(node) -> int:
+def _record(thunks, tokens, node) -> None:
+    """Count one thunk event by phase and content symbol, and the
+    tokens the thunk captured."""
+    symbol = getattr(node.symbol, "name", None) or str(node.symbol)
+    thunks.labels(m.current_phase() or _NO_PHASE, symbol).inc()
     tree = getattr(node, "tree_token", None)
     children = getattr(tree, "children", None)
-    return len(children) if children else 0
+    if children:
+        tokens.labels(symbol).inc(len(children))
 
 
 class LazinessProfiler:
-    """Created/forced tallies for one profiling session."""
+    """One profiling session's figures: a view over the ``maya_lazy_*``
+    families, counting what they gained between :func:`activate` and
+    :func:`deactivate` (which freezes the view)."""
 
     def __init__(self):
-        # (phase, symbol) -> thunk count
-        self.created: Dict[Tuple[str, str], int] = {}
-        self.forced: Dict[Tuple[str, str], int] = {}
-        # symbol -> captured-token count
-        self.tokens_created: Dict[str, int] = {}
-        self.tokens_forced: Dict[str, int] = {}
+        self._deltas = m.Deltas(_CREATED.name, _FORCED.name,
+                                _TOKENS_CREATED.name, _TOKENS_FORCED.name)
 
-    # -- recording -------------------------------------------------------
-
-    def record_created(self, symbol: str, tokens: int, phase: str) -> None:
-        key = (phase, symbol)
-        self.created[key] = self.created.get(key, 0) + 1
-        self.tokens_created[symbol] = self.tokens_created.get(symbol, 0) + tokens
-        _CREATED.labels(phase or "(none)", symbol).inc()
-        if tokens:
-            _TOKENS_CREATED.labels(symbol).inc(tokens)
-
-    def record_forced(self, symbol: str, tokens: int, phase: str) -> None:
-        key = (phase, symbol)
-        self.forced[key] = self.forced.get(key, 0) + 1
-        self.tokens_forced[symbol] = self.tokens_forced.get(symbol, 0) + tokens
-        _FORCED.labels(phase or "(none)", symbol).inc()
-        if tokens:
-            _TOKENS_FORCED.labels(symbol).inc(tokens)
+    def freeze(self) -> None:
+        self._deltas.freeze()
 
     # -- derived figures -------------------------------------------------
 
     @property
     def created_total(self) -> int:
-        return sum(self.created.values())
+        return self._deltas.total(_CREATED.name)
 
     @property
     def forced_total(self) -> int:
-        return sum(self.forced.values())
+        return self._deltas.total(_FORCED.name)
 
     @property
     def never_forced(self) -> int:
@@ -110,11 +98,11 @@ class LazinessProfiler:
 
     @property
     def tokens_created_total(self) -> int:
-        return sum(self.tokens_created.values())
+        return self._deltas.total(_TOKENS_CREATED.name)
 
     @property
     def tokens_forced_total(self) -> int:
-        return sum(self.tokens_forced.values())
+        return self._deltas.total(_TOKENS_FORCED.name)
 
     @property
     def never_parsed_token_fraction(self) -> float:
@@ -124,17 +112,21 @@ class LazinessProfiler:
         total = self.tokens_created_total
         return (total - self.tokens_forced_total) / total if total else 0.0
 
+    def _pairs(self, index: int) -> Dict[str, List[int]]:
+        """[created, forced] thunk counts per phase (``index`` 0) or
+        per symbol (1)."""
+        pairs: Dict[str, List[int]] = {}
+        for column, family in enumerate((_CREATED, _FORCED)):
+            for key, count in self._deltas.children(family.name).items():
+                pairs.setdefault(key[index], [0, 0])[column] += count
+        return pairs
+
     def by_symbol(self) -> List[Tuple[str, int, int]]:
         """(symbol, created, forced) rows, most-created first."""
-        created: Dict[str, int] = {}
-        forced: Dict[str, int] = {}
-        for (_, symbol), count in self.created.items():
-            created[symbol] = created.get(symbol, 0) + count
-        for (_, symbol), count in self.forced.items():
-            forced[symbol] = forced.get(symbol, 0) + count
         return sorted(
-            ((symbol, count, forced.get(symbol, 0))
-             for symbol, count in created.items()),
+            ((symbol, created, forced)
+             for symbol, (created, forced) in self._pairs(1).items()
+             if created),
             key=lambda row: (-row[1], row[0]),
         )
 
@@ -153,12 +145,14 @@ class LazinessProfiler:
                     round(self.never_parsed_token_fraction, 4),
             },
             "created_by_phase_symbol": {
-                f"{phase or '(none)'}/{symbol}": count
-                for (phase, symbol), count in sorted(self.created.items())
+                f"{phase}/{symbol}": count
+                for (phase, symbol), count
+                in sorted(self._deltas.children(_CREATED.name).items())
             },
             "forced_by_phase_symbol": {
-                f"{phase or '(none)'}/{symbol}": count
-                for (phase, symbol), count in sorted(self.forced.items())
+                f"{phase}/{symbol}": count
+                for (phase, symbol), count
+                in sorted(self._deltas.children(_FORCED.name).items())
             },
         }
 
@@ -190,21 +184,13 @@ class LazinessProfiler:
                     f"  {symbol:<22} created {created:<5} forced {forced:<5}"
                     f" never {never:<4} ({fraction:.0%})"
                 )
-        phases: Dict[str, Tuple[int, int]] = {}
-        for (phase, _), count in self.created.items():
-            created, forced = phases.get(phase, (0, 0))
-            phases[phase] = (created + count, forced)
-        for (phase, _), count in self.forced.items():
-            created, forced = phases.get(phase, (0, 0))
-            phases[phase] = (created, forced + count)
+        phases = self._pairs(0)
         if phases:
             lines.append("per phase:")
-            for phase in sorted(phases):
-                created, forced = phases[phase]
-                lines.append(
-                    f"  {phase or '(outside phases)':<22} "
-                    f"created {created:<5} forced {forced}"
-                )
+            for phase, (created, forced) in sorted(phases.items()):
+                label = "(outside phases)" if phase == _NO_PHASE else phase
+                lines.append(f"  {label:<22} created {created:<5} "
+                             f"forced {forced}")
         return "\n".join(lines)
 
 
@@ -212,20 +198,18 @@ class LazinessProfiler:
 active: Optional[LazinessProfiler] = None
 
 
-def activate(profiler: Optional[LazinessProfiler] = None) -> LazinessProfiler:
-    """Activate a laziness profiler.  A fresh profiler owns the
-    ``maya_lazy_*`` registry families for its session, so they are
-    zeroed here."""
+def activate() -> LazinessProfiler:
+    """Start a profiling session."""
     global active
-    if profiler is None:
-        profiler = LazinessProfiler()
-        m.REGISTRY.reset("maya_lazy_")
-    active = profiler
+    active = LazinessProfiler()
     return active
 
 
 def deactivate() -> None:
+    """End the session, freezing the active profiler's figures."""
     global active
+    if active is not None:
+        active.freeze()
     active = None
 
 
@@ -235,11 +219,9 @@ def deactivate() -> None:
 def thunk_created(node):
     """Record a freshly created lazy thunk; returns the node so
     creation sites can wrap their return expression."""
-    profiler = active
-    if profiler is not None:
+    if active is not None:
         node._lazy_tracked = True
-        profiler.record_created(_symbol_name(node.symbol),
-                                _token_weight(node), m.current_phase())
+        _record(_CREATED, _TOKENS_CREATED, node)
     return node
 
 
@@ -247,13 +229,11 @@ def thunk_forcing(node) -> None:
     """Record that a driver is about to force a thunk for the first
     time.  Call sites guard with ``isinstance(node, LazyNode)``; this
     hook handles the already-forced and untracked cases itself."""
-    profiler = active
-    if profiler is None:
+    if active is None:
         return
     if node.is_forced() or not getattr(node, "_lazy_tracked", False):
         return
     if getattr(node, "_lazy_force_counted", False):
         return
     node._lazy_force_counted = True
-    profiler.record_forced(_symbol_name(node.symbol),
-                           _token_weight(node), m.current_phase())
+    _record(_FORCED, _TOKENS_FORCED, node)

@@ -78,10 +78,6 @@ class Counter:
         with _VALUE_LOCK:
             self.value += amount
 
-    def _reset(self) -> None:
-        with _VALUE_LOCK:
-            self.value = 0
-
 
 class Gauge:
     """A value that can go up and down."""
@@ -102,10 +98,6 @@ class Gauge:
     def dec(self, amount: float = 1) -> None:
         with _VALUE_LOCK:
             self.value -= amount
-
-    def _reset(self) -> None:
-        with _VALUE_LOCK:
-            self.value = 0
 
 
 class Histogram:
@@ -192,14 +184,6 @@ class Histogram:
         if self.exemplar is not None:
             snapshot["exemplar"] = dict(self.exemplar)
         return snapshot
-
-    def _reset(self) -> None:
-        with _VALUE_LOCK:
-            self.count = 0
-            self.total = 0
-            self.min = self.max = None
-            self.buckets = [0] * (len(self.bounds) + 1)
-            self.exemplar = None
 
     def __repr__(self) -> str:
         return (f"Histogram({self.name}: n={self.count}, "
@@ -312,12 +296,6 @@ class MetricFamily:
     def value(self):
         return self._solo().value
 
-    def _reset(self) -> None:
-        # Reset in place (never drop children): hot paths bind children
-        # once at import time and keep bumping the same objects.
-        for child in self._children.values():
-            child._reset()
-
     def __repr__(self) -> str:
         return (f"<{self.kind} family {self.name} "
                 f"labels={list(self.labelnames)} "
@@ -403,14 +381,6 @@ class MetricsRegistry:
             })
         return {"schema": "maya.metrics/1", "families": families}
 
-    def reset(self, prefix: str = "") -> None:
-        """Zero every family (or those whose name has ``prefix``) —
-        for tests and per-run profiler isolation; families stay
-        registered so bound children remain valid."""
-        for name, family in self._families.items():
-            if name.startswith(prefix):
-                family._reset()
-
     def __repr__(self) -> str:
         return f"<MetricsRegistry families={len(self._families)}>"
 
@@ -427,6 +397,55 @@ CACHE_EVENTS = REGISTRY.counter(
     "maya_cache_events_total",
     "Compiler cache events (parse tables, dispatch plans, templates, ...).",
     ("cache", "event"))
+
+
+def family_total(name: str) -> float:
+    """The summed value of a family's children in :data:`REGISTRY` (0
+    when the family is not registered yet)."""
+    family = REGISTRY.get(name)
+    if family is None:
+        return 0
+    return sum(child.value for _, child in family.samples())
+
+
+class Deltas:
+    """A per-session view over counter families of :data:`REGISTRY`:
+    each child's growth since the view was made, from every thread
+    (counters only go up).  :meth:`freeze` ends the session."""
+
+    __slots__ = ("_names", "_base", "_end")
+
+    def __init__(self, *names: str):
+        self._names = names
+        self._base = self._read()
+        self._end: Optional[Dict[Tuple[str, Tuple[str, ...]], float]] = None
+
+    def _read(self) -> Dict[Tuple[str, Tuple[str, ...]], float]:
+        values = {}
+        for name in self._names:
+            family = REGISTRY.get(name)
+            for labels, child in (family.samples() if family is not None
+                                  else ()):
+                values[name, labels] = child.value
+        return values
+
+    def freeze(self) -> None:
+        if self._end is None:
+            self._end = self._read()
+
+    def children(self, name: str) -> Dict[Tuple[str, ...], float]:
+        """Label values -> growth, for each child of family ``name``
+        that grew."""
+        end = self._end if self._end is not None else self._read()
+        grown = {}
+        for (family, labels), value in end.items():
+            delta = value - self._base.get((family, labels), 0)
+            if family == name and delta:
+                grown[labels] = delta
+        return grown
+
+    def total(self, name: str) -> float:
+        return sum(self.children(name).values())
 
 
 # ---------------------------------------------------------------------------

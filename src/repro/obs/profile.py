@@ -9,16 +9,20 @@ any other span's row is its kind (``compile``, ``dispatch``,
 total: the summed duration of the trace's roots.
 
 Expansion counts and the ``expansion.depth`` histogram come from the
-``expand`` spans, which record the Mayan and its depth.  Cache hit
-rates and the module, artifact and inline-cache sections come from the
-registry.
+``expand`` spans, which record the Mayan and its depth.  The
+``dispatch:`` line is the run's growth of the reduction counters (a
+:class:`~repro.obs.metrics.Deltas` view); cache hit rates and the
+module and inline-cache sections come from the registry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.obs.metrics import REGISTRY, Histogram
+from repro.obs.metrics import REGISTRY, Deltas, Histogram, family_total
+
+_DISPATCHED = "maya_dispatch_reductions_total"
+_SKIPPED = "maya_parser_unit_reductions_skipped_total"
 
 
 def _row(span) -> str:
@@ -67,8 +71,15 @@ def snapshot(tracer) -> Dict[str, object]:
     }
 
 
-def render(tracer, dispatcher=None) -> str:
-    """The human-readable report."""
+def reduction_counts() -> Deltas:
+    """A view of the reductions dispatched and skipped from now on:
+    what the report's ``dispatch:`` line prints."""
+    return Deltas(_DISPATCHED, _SKIPPED)
+
+
+def render(tracer, reductions: Deltas) -> str:
+    """The human-readable report; ``reductions`` is the run's
+    :func:`reduction_counts`."""
     lines = ["== mayac profile =="]
     rows = self_times(tracer.iter_spans())
     if rows:
@@ -79,10 +90,9 @@ def render(tracer, dispatcher=None) -> str:
             lines.append(f"  {name:<18} {seconds * 1e3:9.2f} ms  ({count}x)")
         total = sum(root.duration for root in tracer.roots)
         lines.append(f"  {'total':<18} {total * 1e3:9.2f} ms")
-    if dispatcher is not None:
-        lines.append(f"dispatch: {dispatcher.dispatch_count} reductions "
-                     f"dispatched, {dispatcher.units_skipped} unit "
-                     f"reductions skipped")
+    lines.append(f"dispatch: {reductions.total(_DISPATCHED)} reductions "
+                 f"dispatched, {reductions.total(_SKIPPED)} unit "
+                 f"reductions skipped")
     counters, depth = expansions(tracer)
     for name in sorted(counters):
         lines.append(f"counter: {name} = {counters[name]}")
@@ -101,36 +111,45 @@ def render(tracer, dispatcher=None) -> str:
 #: hit-rate section.
 _HIT_RATE_SECTIONS = (
     ("cache hit rates:", "maya_cache_events_total", ("eviction", "evicted")),
-    ("artifact cache (daemon responses):",
-     "maya_server_artifact_cache_events_total", (None, "")),
     ("inline caches (pycode backend):", "maya_interp_ic_events_total",
      ("megamorphic", "megamorphic")),
 )
 
 
-def _hit_rate_lines(header: str, family_name: str, noted) -> List[str]:
-    """One line per cache (or inline-cache site) of an events family:
-    hits, misses and the hit rate over its lookups (every event but
-    evictions and corrupt entries), plus the noted event's count.
-    Empty when no cache of the family saw a lookup."""
+def hit_rates(family_name: str = "maya_cache_events_total"
+              ) -> Dict[str, Dict[str, float]]:
+    """Event counts per cache (or inline-cache site) of an events
+    family, plus ``hit_ratio``: hits over lookups (every event but
+    evictions and corrupt entries) when there were lookups.  The one
+    reader behind this report's hit-rate sections and the daemon's
+    ``stats.caches``."""
     family = REGISTRY.get(family_name)
-    by_name: Dict[str, Dict[str, int]] = {}
-    for labels, child in family.samples() if family is not None else ():
-        name = labels[0] if len(labels) > 1 else "artifacts"
-        by_name.setdefault(name, {})[labels[-1]] = child.value
+    caches: Dict[str, Dict[str, float]] = {}
+    for (name, event), child in (family.samples() if family is not None
+                                  else ()):
+        caches.setdefault(name, {})[event] = child.value
+    for events in caches.values():
+        lookups = sum(count for event, count in events.items()
+                      if event not in ("eviction", "corrupt"))
+        if lookups:
+            events["hit_ratio"] = events.get("hit", 0) / lookups
+    return caches
+
+
+def _hit_rate_lines(header: str, family_name: str, noted) -> List[str]:
+    """One line per cache of an events family that saw a lookup or the
+    noted event: hits, misses, the hit rate and the noted event's
+    count."""
     event, word = noted
     lines = []
-    for name in sorted(by_name):
-        events = by_name[name]
-        hits, misses = events.get("hit", 0), events.get("miss", 0)
-        lookups = sum(count for kind, count in events.items()
-                      if kind not in ("eviction", "corrupt"))
+    for name, events in sorted(hit_rates(family_name).items()):
         extra = events.get(event, 0)
-        if not (lookups or extra):
+        if not ("hit_ratio" in events or extra):
             continue
-        rate = hits / lookups if lookups else 0.0
-        lines.append(f"  {name:<22} {hits:>8} hits {misses:>6} misses  "
-                     f"{rate:6.1%}" + (f"  ({extra} {word})" if extra else ""))
+        lines.append(f"  {name:<22} {events.get('hit', 0):>8} hits "
+                     f"{events.get('miss', 0):>6} misses  "
+                     f"{events.get('hit_ratio', 0.0):6.1%}"
+                     + (f"  ({extra} {word})" if extra else ""))
     return [header] + lines if lines else []
 
 
@@ -139,10 +158,8 @@ def _module_cache_lines() -> List[str]:
     module-mode build ran): recompiled vs. reused counts and the reuse
     ratio — the numbers ``--module-report`` prints per build, totalled
     process-wide."""
-    compiled_family = REGISTRY.get("maya_modules_compiled_total")
-    reused_family = REGISTRY.get("maya_modules_reused_total")
-    compiled = compiled_family.value if compiled_family is not None else 0
-    reused = reused_family.value if reused_family is not None else 0
+    compiled = family_total("maya_modules_compiled_total")
+    reused = family_total("maya_modules_reused_total")
     total = compiled + reused
     if not total:
         return []

@@ -58,7 +58,7 @@ from repro.lalr import tables as lalr_tables
 from repro.obs import export as obs_export
 from repro.obs import log as obs_log
 from repro.obs import profile as obs_profile
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Deltas, family_total
 from repro.server import protocol, state
 from repro.server.protocol import (
     STATUS_BAD_REQUEST,
@@ -98,6 +98,16 @@ REQUEST_MS = REGISTRY.histogram(
 
 _STOP = object()
 
+_IC_EVENTS = "maya_interp_ic_events_total"
+_DEOPTS = "maya_interp_codegen_deopts_total"
+
+#: Upper bounds on a request's ``fuel`` and ``max_errors`` options.
+FUEL_CAP = 1024
+MAX_ERRORS_CAP = 200
+#: The rolling latency reservoir the ``stats`` op computes its
+#: p50/p95/p99 from (most recent N compile requests).
+LATENCY_WINDOW = 512
+
 
 class DaemonConfig:
     """Tunables for one :class:`MayaDaemon`."""
@@ -105,12 +115,9 @@ class DaemonConfig:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  socket_path: Optional[str] = None, workers: int = 4,
                  queue_size: int = 16, default_deadline_s: float = 30.0,
-                 max_deadline_s: float = 120.0, fuel_cap: int = 1024,
-                 max_errors_cap: int = 200,
-                 artifact_cache_size: int = 256, prewarm: bool = True,
+                 max_deadline_s: float = 120.0, prewarm: bool = True,
                  module_cache_dir: Optional[str] = None,
                  slow_request_ms: float = 1000.0,
-                 latency_window: int = 512,
                  metrics_out: Optional[str] = None,
                  log_out: Optional[str] = None,
                  log_level: Optional[str] = None):
@@ -121,9 +128,6 @@ class DaemonConfig:
         self.queue_size = max(1, queue_size)
         self.default_deadline_s = default_deadline_s
         self.max_deadline_s = max_deadline_s
-        self.fuel_cap = fuel_cap
-        self.max_errors_cap = max_errors_cap
-        self.artifact_cache_size = artifact_cache_size
         self.prewarm = prewarm
         #: Workers share one on-disk incremental module cache:
         #: multi-file compile requests reuse any module whose transitive
@@ -134,9 +138,6 @@ class DaemonConfig:
         #: Requests slower than this end-to-end (queue wait included)
         #: land in the slow-request log with their span breakdown.
         self.slow_request_ms = slow_request_ms
-        #: The rolling latency reservoir the ``stats`` op computes its
-        #: p50/p95/p99 from (most recent N compile requests).
-        self.latency_window = max(16, latency_window)
         #: When set, the ``stats`` op and SIGUSR1 flush a fresh JSON
         #: metrics snapshot here — live introspection, not post-mortem.
         self.metrics_out = metrics_out
@@ -201,7 +202,7 @@ class MayaDaemon:
 
     def __init__(self, config: Optional[DaemonConfig] = None):
         self.config = config or DaemonConfig()
-        self.artifacts = state.ArtifactCache(self.config.artifact_cache_size)
+        self.artifacts = state.ArtifactCache()
         self._queue: "queue_mod.Queue" = queue_mod.Queue(
             self.config.queue_size)
         self._workers: List[_Worker] = []
@@ -219,8 +220,7 @@ class MayaDaemon:
         #: Rolling end-to-end latencies (ms) of recent compile requests
         #: — the ``stats`` op's p50/p95/p99 come from here, so they
         #: reflect *current* behavior, not the process lifetime.
-        self._latencies: "deque[float]" = deque(
-            maxlen=self.config.latency_window)
+        self._latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         #: The most recent slow requests (span breakdown included).
         self.slow_requests: "deque[dict]" = deque(maxlen=32)
 
@@ -453,7 +453,7 @@ class MayaDaemon:
                 "busy": busy,
                 "idle": live - busy,
                 "zombies": zombies,
-                "replaced_total": int(_family_sum(
+                "replaced_total": int(family_total(
                     "maya_server_workers_replaced_total")),
             },
             "latency_ms": {
@@ -463,22 +463,22 @@ class MayaDaemon:
                 "p99": _percentile(latencies, 99),
             },
             "degradations": {
-                "shed_total": int(_family_sum("maya_server_shed_total")),
-                "deadline_total": int(_family_sum(
+                "shed_total": int(family_total("maya_server_shed_total")),
+                "deadline_total": int(family_total(
                     "maya_server_deadline_total")),
                 "crashes": {
                     labels[0]: int(child.value)
                     for labels, child in CRASHES.samples()
                 },
-                "disconnects_total": int(_family_sum(
+                "disconnects_total": int(family_total(
                     "maya_server_client_disconnects_total")),
             },
             "requests": requests_by,
             "caches": self._cache_stats(),
             "modules": {
-                "compiled_total": int(_family_sum(
+                "compiled_total": int(family_total(
                     "maya_modules_compiled_total")),
-                "reused_total": int(_family_sum(
+                "reused_total": int(family_total(
                     "maya_modules_reused_total")),
             },
             "slow_requests": list(self.slow_requests),
@@ -495,33 +495,13 @@ class MayaDaemon:
         return stats
 
     def _cache_stats(self) -> Dict[str, dict]:
-        """Per-cache hit/miss/ratio, from the shared-cache and artifact
-        event families, plus current epoch numbers."""
-        caches: Dict[str, dict] = {}
-        family = REGISTRY.get("maya_cache_events_total")
-        if family is not None:
-            for labels, child in family.samples():
-                cache, event = labels
-                caches.setdefault(cache, {})[event] = int(child.value)
-        artifact: Dict[str, int] = {}
-        family = REGISTRY.get("maya_server_artifact_cache_events_total")
-        if family is not None:
-            for labels, child in family.samples():
-                artifact[labels[0]] = int(child.value)
-        if artifact:
-            caches["artifact"] = artifact
-        for name, stats in caches.items():
-            hits = stats.get("hit", 0)
-            misses = stats.get("miss", 0)
-            if hits + misses:
-                stats["hit_ratio"] = round(hits / (hits + misses), 4)
-        epochs: Dict[str, float] = {}
-        family = REGISTRY.get("maya_server_cache_epoch")
-        if family is not None:
-            for labels, child in family.samples():
-                epochs[labels[0]] = child.value
-        epochs["artifact"] = self.artifacts.epoch
-        caches["epochs"] = epochs
+        """Per-cache events and hit ratio (the ``--profile`` reader),
+        plus the artifact cache's epoch."""
+        caches: Dict[str, dict] = obs_profile.hit_rates()
+        for events in caches.values():
+            if "hit_ratio" in events:
+                events["hit_ratio"] = round(events["hit_ratio"], 4)
+        caches["epochs"] = {"server.artifacts": self.artifacts.epoch}
         return caches
 
     def flush_metrics(self, path: Optional[str] = None) -> Optional[str]:
@@ -714,9 +694,8 @@ class MayaDaemon:
         """Run one compile in a fresh, isolated environment."""
         payload = request.payload
         options = request.options
-        fuel = _bounded_int(options.get("fuel"), self.config.fuel_cap)
-        max_errors = _bounded_int(options.get("max_errors"),
-                                  self.config.max_errors_cap)
+        fuel = _bounded_int(options.get("fuel"), FUEL_CAP)
+        max_errors = _bounded_int(options.get("max_errors"), MAX_ERRORS_CAP)
         env = CompileEnv.fresh_session(fuel=fuel, max_errors=max_errors,
                                        deadline=request.deadline)
         engine = env.diag
@@ -832,9 +811,7 @@ class MayaDaemon:
         """Interpret ``options['run']``.main() in this worker.
 
         Uses the interpreter's default backend (``MAYA_BACKEND``, else
-        pycode) unless the request names one; on pycode, repeat runs —
-        on any worker — link plans out of the shared on-disk codegen
-        cache instead of regenerating them.  Failures are *this
+        pycode) unless the request names one.  Failures are *this
         request's* problem: they ride back under the ``run`` key, never
         as a compile error."""
         from repro.interp import Interpreter, JavaThrow
@@ -842,11 +819,10 @@ class MayaDaemon:
         cls = str(options.get("run"))
         backend = options.get("backend") or None
         run_started = time.perf_counter()
-        # Per-request IC/deopt counts are before/after deltas of the
+        # Per-request IC/deopt counts are the growth of the
         # process-wide families (approximate when runs overlap across
         # workers, exact in the common serial case).
-        ic_before = _family_sum("maya_interp_ic_events_total")
-        deopts_before = _family_sum("maya_interp_codegen_deopts_total")
+        counts = Deltas(_IC_EVENTS, _DEOPTS)
         try:
             interp = Interpreter(program, backend=backend)
         except Exception as error:
@@ -865,12 +841,8 @@ class MayaDaemon:
             (time.perf_counter() - run_started) * 1000.0, 3)
         context = obs_log.current_request()
         if context is not None:
-            context.note(
-                ic_events=int(_family_sum("maya_interp_ic_events_total")
-                              - ic_before),
-                codegen_deopts=int(
-                    _family_sum("maya_interp_codegen_deopts_total")
-                    - deopts_before))
+            context.note(ic_events=int(counts.total(_IC_EVENTS)),
+                         codegen_deopts=int(counts.total(_DEOPTS)))
         return result
 
     @staticmethod
@@ -1039,15 +1011,6 @@ def _bounded_int(value, cap: int) -> Optional[int]:
         return max(1, min(int(value), cap))
     except (TypeError, ValueError):
         return None
-
-
-def _family_sum(name: str) -> float:
-    """The summed value of a metric family's children (0.0 when the
-    family does not exist yet)."""
-    family = REGISTRY.get(name)
-    if family is None:
-        return 0.0
-    return sum(child.value for _, child in family.samples())
 
 
 def _percentile(sorted_values: List[float], pct: float) -> float:

@@ -7,7 +7,7 @@ cannot afford: a reader observing a half-updated cache is a poisoned
 request.  The rule here is the classic read-copy-update discipline:
 
 * readers pin **one immutable snapshot** per request
-  (:meth:`EpochCache.snapshot`) and never see later writes;
+  (:meth:`ArtifactCache.snapshot`) and never see later writes;
 * writers build a *new* mapping off to the side and publish it with a
   single reference swap, bumping the epoch counter — publication is
   atomic, so there is no observable intermediate state;
@@ -28,63 +28,10 @@ import time
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import CACHE_EVENTS
 
-ARTIFACT_EVENTS = REGISTRY.counter(
-    "maya_server_artifact_cache_events_total",
-    "Content-addressed compiled-artifact cache events.",
-    labelnames=("event",),
-)
-EPOCH_GAUGE = REGISTRY.gauge(
-    "maya_server_cache_epoch",
-    "Current epoch of a shared daemon cache.",
-    labelnames=("cache",),
-)
-
-
-class EpochCache:
-    """A shared mapping published as immutable epoch-stamped snapshots."""
-
-    def __init__(self, name: str, max_entries: int = 256):
-        self.name = name
-        self.max_entries = max_entries
-        self._lock = threading.Lock()       # writers only
-        self._epoch = 0
-        self._snapshot: Mapping = MappingProxyType({})
-        self._gauge = EPOCH_GAUGE.labels(cache=name)
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    def snapshot(self) -> Mapping:
-        """The current immutable snapshot (pin once per request)."""
-        return self._snapshot
-
-    def get(self, key):
-        return self._snapshot.get(key)
-
-    def publish(self, key, value) -> None:
-        """Add ``key`` via copy-on-write swap; oldest entries are
-        evicted FIFO past ``max_entries``.  Publish-once: a key that is
-        already present keeps its original value (first writer wins, so
-        two workers racing on the same key cannot flap the cache)."""
-        with self._lock:
-            current = self._snapshot
-            if key in current:
-                return
-            fresh = dict(current)
-            fresh[key] = value
-            while len(fresh) > self.max_entries:
-                fresh.pop(next(iter(fresh)))
-            self._epoch += 1
-            self._gauge.set(self._epoch)
-            # The swap is the handoff: readers hold either the old or
-            # the new mapping, never a mixture.
-            self._snapshot = MappingProxyType(fresh)
-
-    def __len__(self) -> int:
-        return len(self._snapshot)
+#: Responses the artifact cache keeps; the oldest is evicted first.
+ARTIFACT_CACHE_SIZE = 256
 
 
 def artifact_key(source: str, filename: str, options: dict) -> str:
@@ -105,19 +52,32 @@ def artifact_key(source: str, filename: str, options: dict) -> str:
 
 
 class ArtifactCache:
-    """The content-addressed response cache, over :class:`EpochCache`."""
+    """The content-addressed response cache: a shared mapping published
+    as immutable epoch-stamped snapshots.  Lookups and FIFO evictions
+    count into ``maya_cache_events_total{cache="server.artifacts"}``."""
 
-    def __init__(self, max_entries: int = 256):
-        self._cache = EpochCache("artifacts", max_entries=max_entries)
-        self._hits = ARTIFACT_EVENTS.labels(event="hit")
-        self._misses = ARTIFACT_EVENTS.labels(event="miss")
+    def __init__(self, max_entries: int = ARTIFACT_CACHE_SIZE):
+        self.max_entries = max_entries
+        self._lock = threading.Lock()       # writers only
+        self._epoch = 0
+        self._snapshot: Mapping = MappingProxyType({})
+        self._hits, self._misses, self._evictions = (
+            CACHE_EVENTS.labels("server.artifacts", event)
+            for event in ("hit", "miss", "eviction"))
 
     @property
     def epoch(self) -> int:
-        return self._cache.epoch
+        return self._epoch
+
+    def snapshot(self) -> Mapping:
+        """The current immutable snapshot (pin once per request)."""
+        return self._snapshot
+
+    def __len__(self) -> int:
+        return len(self._snapshot)
 
     def lookup(self, key: str) -> Optional[dict]:
-        cached = self._cache.get(key)
+        cached = self._snapshot.get(key)
         if cached is None:
             self._misses.inc()
             return None
@@ -129,12 +89,29 @@ class ArtifactCache:
         return response
 
     def store(self, key: str, response: dict) -> None:
+        """Publish ``response`` under ``key`` via copy-on-write swap;
+        the oldest entries are evicted FIFO past ``max_entries``.
+        Publish-once: a key that is already present keeps its original
+        entry (first writer wins, so two workers racing on the same key
+        cannot flap the cache)."""
         # Per-request annotations never enter the shared entry: stats
         # are re-stamped per hit, and the ids must be the *hitting*
         # request's, not the one that happened to populate the cache.
         entry = {k: v for k, v in response.items()
                  if k not in ("cached", "stats", "request_id", "trace_id")}
-        self._cache.publish(key, entry)
+        with self._lock:
+            current = self._snapshot
+            if key in current:
+                return
+            fresh = dict(current)
+            fresh[key] = entry
+            while len(fresh) > self.max_entries:
+                fresh.pop(next(iter(fresh)))
+                self._evictions.inc()
+            self._epoch += 1
+            # The swap is the handoff: readers hold either the old or
+            # the new mapping, never a mixture.
+            self._snapshot = MappingProxyType(fresh)
 
 
 #: What prewarm compiles: grammar extension is *content*-fingerprinted,

@@ -17,6 +17,7 @@ from repro import trace
 from repro.obs import export, flamegraph
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import (
+    Deltas,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -113,8 +114,7 @@ class TestThreadSafety:
 
         hits = CACHE_EVENTS.labels("t-mt-view", "hit")
         misses = CACHE_EVENTS.labels("t-mt-view", "miss")
-        hits._reset()
-        misses._reset()
+        hits_before, misses_before = hits.value, misses.value
 
         def work(index):
             for _ in range(self.ROUNDS):
@@ -122,8 +122,8 @@ class TestThreadSafety:
                 misses.inc()
 
         self._hammer(work)
-        assert hits.value == self.THREADS * self.ROUNDS
-        assert misses.value == self.THREADS * self.ROUNDS
+        assert hits.value - hits_before == self.THREADS * self.ROUNDS
+        assert misses.value - misses_before == self.THREADS * self.ROUNDS
 
     def test_racing_registration_yields_one_family(self):
         registry = MetricsRegistry()
@@ -182,19 +182,6 @@ class TestRegistry:
     def test_sanitize_name(self):
         assert sanitize_name("expansion.depth") == "expansion_depth"
         assert sanitize_name("9lives") == "_9lives"
-
-    def test_reset_keeps_bound_children_alive(self):
-        # Hot paths bind children once at import time; reset must zero
-        # them in place, never orphan them.
-        registry = MetricsRegistry()
-        family = registry.counter("t_total", "T.", ("kind",))
-        child = family.labels("hot")
-        child.inc(5)
-        registry.reset()
-        assert child.value == 0
-        child.inc()
-        assert family.labels("hot") is child
-        assert child.value == 1
 
 
 class TestHistogram:
@@ -526,6 +513,28 @@ class TestCliTelemetry:
         err = capsys.readouterr().err
         assert "== mayac lazy report ==" in err
         assert "never forced" in err
+
+    def test_printed_counts_are_family_deltas(self, demo_file, capsys):
+        # --profile and --lazy-report print registry growth over the
+        # run, not tallies of their own.
+        import re
+
+        families = ("maya_dispatch_reductions_total",
+                    "maya_parser_unit_reductions_skipped_total",
+                    "maya_lazy_thunks_created_total",
+                    "maya_lazy_thunks_forced_total")
+        deltas = Deltas(*families)
+        assert mayac_main([demo_file, "--profile", "--lazy-report",
+                           "--run", "Demo"]) == 0
+        deltas.freeze()
+        err = capsys.readouterr().err
+        shown = re.search(r"dispatch: (\d+) reductions dispatched, (\d+) "
+                          r"unit reductions skipped", err).groups()
+        shown += re.search(r"thunks: (\d+) created, (\d+) forced",
+                           err).groups()
+        assert [int(n) for n in shown] == \
+            [deltas.total(name) for name in families]
+        assert all(deltas.total(name) > 0 for name in families)
 
     def test_lazy_report_nonzero_never_forced(self, tmp_path, capsys):
         # use-rescoped bodies leave abandoned thunks: a visible

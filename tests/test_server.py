@@ -17,7 +17,7 @@ from repro.server import DaemonConfig, MayaClient, MayaDaemon, parse_address
 from repro.server import protocol
 from repro.server.client import DaemonError
 from repro.server.daemon import REQUESTS, SHED, _Request
-from repro.server.state import EpochCache, artifact_key
+from repro.server.state import ArtifactCache, artifact_key
 
 FOREACH_TEMPLATE = """
     import java.util.*;
@@ -461,36 +461,47 @@ class TestClientRetry:
         assert hinted >= 0.2
 
 
-class TestEpochCache:
+class TestArtifactCache:
     def test_snapshot_isolation(self):
-        cache = EpochCache("test-snap")
+        cache = ArtifactCache()
         snap = cache.snapshot()
-        cache.publish("k", 1)
+        cache.store("k", {"v": 1})
         assert "k" not in snap          # pinned snapshot never mutates
-        assert cache.get("k") == 1
+        assert cache.lookup("k") == {"v": 1, "cached": True}
         assert cache.epoch == 1
 
     def test_publish_once(self):
-        cache = EpochCache("test-once")
-        cache.publish("k", 1)
-        cache.publish("k", 2)           # first writer wins
-        assert cache.get("k") == 1
+        cache = ArtifactCache()
+        cache.store("k", {"v": 1})
+        cache.store("k", {"v": 2})      # first writer wins
+        assert cache.lookup("k")["v"] == 1
         assert cache.epoch == 1
 
     def test_bounded_fifo_eviction(self):
-        cache = EpochCache("test-bound", max_entries=2)
-        cache.publish("a", 1)
-        cache.publish("b", 2)
-        cache.publish("c", 3)
-        assert cache.get("a") is None
-        assert cache.get("b") == 2 and cache.get("c") == 3
+        cache = ArtifactCache(max_entries=2)
+        cache.store("a", {"v": 1})
+        cache.store("b", {"v": 2})
+        cache.store("c", {"v": 3})
+        assert cache.lookup("a") is None
+        assert cache.lookup("b")["v"] == 2 and cache.lookup("c")["v"] == 3
         assert len(cache) == 2
 
+    def test_fifo_evictions_are_counted(self):
+        from repro.obs.metrics import CACHE_EVENTS
+
+        evictions = CACHE_EVENTS.labels("server.artifacts", "eviction")
+        before = evictions.value
+        cache = ArtifactCache(max_entries=2)
+        for key in "abcde":
+            cache.store(key, {"v": key})
+        cache.store("e", {"v": "again"})    # publish-once: no eviction
+        assert evictions.value - before == 3
+
     def test_concurrent_publishes_never_lose_entries(self):
-        cache = EpochCache("test-race", max_entries=1000)
+        cache = ArtifactCache(max_entries=1000)
         def publish(base):
             for i in range(50):
-                cache.publish((base, i), i)
+                cache.store((base, i), {"v": i})
         threads = [threading.Thread(target=publish, args=(b,))
                    for b in range(8)]
         for t in threads:
@@ -498,6 +509,7 @@ class TestEpochCache:
         for t in threads:
             t.join()
         assert len(cache) == 400
+        assert cache.epoch == 400
 
     def test_artifact_key_sensitivity(self):
         base = artifact_key("class A { }", "a.maya", {})
@@ -577,6 +589,28 @@ class TestRequestObservability:
         assert stats["requests"]["compile"]["ok"] >= 2
         assert "epochs" in stats["caches"]
         assert stats["log"]["emitted"] > 0
+
+    def test_stats_caches_match_the_profile_reader(self, daemon, client):
+        from repro.obs import profile as obs_profile
+
+        for _ in range(2):              # an artifact miss, then a hit
+            client.compile("class R { }", "r.maya")
+        caches = client.stats()["caches"]
+        reader = obs_profile.hit_rates()
+        assert caches.pop("epochs") == {
+            "server.artifacts": daemon.artifacts.epoch}
+        assert set(caches) == set(reader)
+        for name, events in reader.items():
+            if "hit_ratio" in events:
+                events = dict(events,
+                              hit_ratio=round(events["hit_ratio"], 4))
+            assert caches[name] == events, name
+        assert caches["server.artifacts"]["hit"] >= 1
+        text = "\n".join(obs_profile._hit_rate_lines(
+            "cache hit rates:", "maya_cache_events_total", (None, "")))
+        artifacts = caches["server.artifacts"]
+        assert (f"{artifacts['hit']:>8} hits {artifacts['miss']:>6} misses"
+                f"  {reader['server.artifacts']['hit_ratio']:6.1%}") in text
 
     def test_stats_op_flushes_metrics_out_live(self, tmp_path):
         out = tmp_path / "live-metrics.json"
