@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -21,6 +22,10 @@ from repro.interp.values import (
 )
 from repro.typecheck import resolve_type_name
 from repro.types import (
+    BOOLEAN,
+    DOUBLE,
+    INT,
+    NULL,
     ArrayType,
     ClassType,
     Method,
@@ -427,8 +432,6 @@ class Interpreter:
         raise MayaError(f"no class for value {value!r}")
 
     def _runtime_type(self, value) -> Type:
-        from repro.types import BOOLEAN, DOUBLE, INT, NULL
-
         if isinstance(value, bool):
             return BOOLEAN
         if isinstance(value, int):
@@ -932,14 +935,21 @@ def _binary_op(interp, op, left, right):
         if isinstance(a, int) and isinstance(b, int):
             quotient = abs(a) // abs(b)
             return quotient if (a >= 0) == (b >= 0) else -quotient
+        if b == 0:
+            # JLS 15.17.2: a zero divisor gives a signed infinity, or
+            # NaN for a zero or NaN dividend.
+            if a == 0 or a != a:
+                return math.nan
+            return math.copysign(math.inf, a) * math.copysign(1.0, b)
         return a / b
     if op == "%":
         if b == 0 and isinstance(a, int) and isinstance(b, int):
             raise interp.throw("java.lang.ArithmeticException", "% by zero")
         if isinstance(a, int) and isinstance(b, int):
             return a - _binary_op(interp, "/", a, b) * b
-        import math
-
+        # JLS 15.17.3: NaN for a zero divisor or an infinite dividend.
+        if b == 0 or math.isinf(a):
+            return math.nan
         return math.fmod(a, b)
     if op == "<":
         return a < b

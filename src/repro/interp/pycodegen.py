@@ -61,6 +61,7 @@ from repro.interp.interp import (
     _C_STATEMENTS,
     JavaStackOverflow,
     _binary_op,
+    _int32,
     _java_equal,
     _num,
     _primitive_cast,
@@ -457,7 +458,8 @@ def _make_instanceof_site(ns, index, target):
     def test(interp, value):
         if value is None:
             return False
-        runtime = interp._runtime_type(value)
+        runtime = value.class_type if type(value) is JavaObject \
+            else interp._runtime_type(value)
         verdict = cache.get(runtime, _MISSING)
         if verdict is _MISSING:
             _IC_TYPE_MISS.value += 1
@@ -477,7 +479,8 @@ def _make_cast_site(ns, index, target):
     def cast(interp, value):
         if value is None:
             return None
-        runtime = interp._runtime_type(value)
+        runtime = value.class_type if type(value) is JavaObject \
+            else interp._runtime_type(value)
         verdict = cache.get(runtime, _MISSING)
         if verdict is _MISSING:
             _IC_TYPE_MISS.value += 1
@@ -486,7 +489,7 @@ def _make_cast_site(ns, index, target):
             _IC_TYPE_HIT.value += 1
         if not verdict:
             raise interp.throw("java.lang.ClassCastException",
-                               f"{interp._runtime_type(value)} to {target}")
+                               f"{runtime} to {target}")
         return value
 
     ns[f"_s{index}"] = cast
@@ -517,7 +520,7 @@ def _runtime_ns() -> dict:
         "_JO": JavaObject, "_JA": JavaArray, "_JT": JavaThrow,
         "_MI": _MISSING, "_ME": MayaError,
         "_num": _num, "_bop": _binary_op, "_jeq": _java_equal,
-        "_jstr": java_str, "_pcast": _primitive_cast,
+        "_jstr": java_str, "_pcast": _primitive_cast, "_i32": _int32,
         "_ovf": _overflow, "_unb": _raise_unbound,
     }
 
@@ -1376,7 +1379,6 @@ class _MethodGen:
         op = expr.op
         lt = getattr(expr.left, "_static_type", None)
         rt = getattr(expr.right, "_static_type", None)
-        both_int = _is_int_type(lt) and _is_int_type(rt)
         both_numeric = _is_numeric_type(lt) and _is_numeric_type(rt)
         both_boolean = lt is BOOLEAN and rt is BOOLEAN
 
@@ -1398,18 +1400,13 @@ class _MethodGen:
         if op == "+":
             stype = getattr(expr, "_static_type", None)
             if _is_string_type(stype):
-                t = self.temp()
-                self.put(f"{t} = _jstr({left}) + _jstr({right})")
-                return t
-            if stype is not None:
-                if both_numeric:
-                    return f"({left} + {right})"
+                return self._concat(left, right)
+            if stype is None:
+                return self._generic_op(op, left, right)
+            if not both_numeric:
                 t = self.temp()
                 self.put(f"{t} = _num({left}) + _num({right})")
                 return t
-            t = self.temp()
-            self.put(f"{t} = _bop(interp, '+', {left}, {right})")
-            return t
 
         if op in ("==", "!="):
             if both_numeric:
@@ -1419,24 +1416,6 @@ class _MethodGen:
             self.put(f"{t} = {invert}_jeq({left}, {right})")
             return t
 
-        if both_numeric and op in ("<", ">", "<=", ">=", "-", "*"):
-            return f"({left} {op} {right})"
-
-        if both_int and op in ("/", "%"):
-            a = self.spill(left)
-            b = self.spill(right)
-            t = self.temp()
-            self.put(f"if {b} == 0: raise interp.throw("
-                     f"'java.lang.ArithmeticException', '{op} by zero')")
-            self.put(f"{t} = abs({a}) // abs({b})")
-            if op == "/":
-                self.put(f"if ({a} >= 0) != ({b} >= 0): {t} = -{t}")
-                return t
-            self.put(f"if ({a} >= 0) != ({b} >= 0): {t} = -{t}")
-            t2 = self.temp()
-            self.put(f"{t2} = {a} - {t} * {b}")
-            return t2
-
         if both_boolean and op in ("&", "|", "^"):
             if op == "&":
                 return f"({left} and {right})"
@@ -1444,6 +1423,66 @@ class _MethodGen:
                 return f"({left} or {right})"
             return f"({left} != {right})"
 
+        typed = self.typed_op(op, lt, rt, left, right, expr.right)
+        if typed is not None:
+            return typed
+        return self._generic_op(op, left, right)
+
+    def typed_op(self, op, lt, rt, left, right, right_expr):
+        """``left op right`` inline, when the operands' static types fix
+        what ``_binary_op`` would compute; None when they do not.
+
+        Binary expressions and compound assignments share this one
+        emitter, so a future JLS wrap of ``int``/``long`` results goes
+        here.  Floating ``/`` and ``%`` stay generic: a ``double`` local
+        may still hold a Python int (no widening on assignment yet), and
+        ``_binary_op`` picks integer or floating division at run time.
+        """
+        if _is_numeric_type(lt) and _is_numeric_type(rt) and \
+                op in ("+", "-", "*", "<", ">", "<=", ">="):
+            return f"({left} {op} {right})"
+        if not (_is_int_type(lt) and _is_int_type(rt)):
+            return None
+        if op in ("/", "%"):
+            return self._int_divide(op, left, right, right_expr)
+        if op in ("&", "|", "^", ">>"):
+            return f"({left} {op} {right})"
+        if op == "<<":
+            return f"_i32({left} << {right})"
+        if op == ">>>":
+            return f"(({left} & 0xFFFFFFFF) >> {right})"
+        return None
+
+    def _int_divide(self, op, left, right, right_expr) -> str:
+        """Java's truncating integer ``/`` or ``%``.  A nonzero int
+        literal divisor needs no zero check and no ``abs``."""
+        a = self.spill(left)
+        t = self.temp()
+        divisor = right_expr.value if isinstance(right_expr, n.Literal) \
+            and right_expr.kind in ("int", "long") else 0
+        if divisor:
+            b = repr(divisor)
+            self.put(f"{t} = abs({a}) // {abs(divisor)}")
+            negate = f"{a} < 0" if divisor > 0 else f"{a} >= 0"
+            self.put(f"if {negate}: {t} = -{t}")
+        else:
+            b = self.spill(right)
+            self.put(f"if {b} == 0: raise interp.throw("
+                     f"'java.lang.ArithmeticException', '{op} by zero')")
+            self.put(f"{t} = abs({a}) // abs({b})")
+            self.put(f"if ({a} >= 0) != ({b} >= 0): {t} = -{t}")
+        if op == "/":
+            return t
+        t2 = self.temp()
+        self.put(f"{t2} = {a} - {t} * {b}")
+        return t2
+
+    def _concat(self, left, right) -> str:
+        t = self.temp()
+        self.put(f"{t} = _jstr({left}) + _jstr({right})")
+        return t
+
+    def _generic_op(self, op, left, right) -> str:
         t = self.temp()
         self.put(f"{t} = _bop(interp, {op!r}, {left}, {right})")
         return t
@@ -1505,15 +1544,24 @@ class _MethodGen:
             store(value)
             return value
         op = expr.op[:-1]
-        # Compound assignment mirrors the walker exactly: the lhs is
-        # read once, the combine always goes through the generic
-        # operator, and the store re-evaluates the receiver.
+        # Compound assignment reads the lhs once, combines, then stores
+        # (re-evaluating the receiver), like the walker.  The combine is
+        # the typed emitter's when both static types are numeric (not
+        # char: ``int += char`` concatenates in both tiers today), a
+        # concatenation for a String lhs, else the generic operator.
+        # The JLS narrowing of the result (15.26.2) is not applied yet.
         current, value = self.seq([
             lambda: self.expr(expr.lhs),
             lambda: self.expr(expr.value),
         ])
-        t = self.temp()
-        self.put(f"{t} = _bop(interp, {op!r}, {current}, {value})")
+        lt = getattr(expr.lhs, "_static_type", None)
+        rt = getattr(expr.value, "_static_type", None)
+        if op == "+" and _is_string_type(lt):
+            t = self._concat(current, value)
+        else:
+            typed = self.typed_op(op, lt, rt, current, value, expr.value)
+            t = self.spill(typed) if typed is not None \
+                else self._generic_op(op, current, value)
         store(t)
         return t
 
@@ -1605,22 +1653,26 @@ class _MethodGen:
 
     def _store_chain(self, target: str, mids, last, value: str) -> None:
         for field in mids:
+            target = self.field_read(target, field)
+        self.field_write(target, last, value)
+
+    def field_write(self, target: str, field, value: str) -> None:
+        """A checked field store: static through the interpreter, an
+        instance field inline with the walker's count and null check."""
+        if field.is_static:
             kf = self.const(field)
-            t = self.temp()
-            self.put(f"{t} = interp._read_field({target}, {kf})")
-            target = t
-        kl = self.const(last)
-        self.put(f"interp._write_field({target}, {kl}, {value})")
+            self.put(f"interp._write_field({target}, {kf}, {value})")
+            return
+        r = self.spill(target)
+        self.put("_FW.value += 1")
+        self.null_guard(r, field.name)
+        self.put(f"{r}.fields[{field.name!r}] = {value}")
 
     def _store_field_access(self, lhs):
         field = getattr(lhs, "field", None)
         if field is not None:
-            kf = self.const(field)
-
-            def emit(value):
-                recv = self.expr(lhs.receiver)
-                self.put(f"interp._write_field({recv}, {kf}, {value})")
-            return emit
+            return lambda value: self.field_write(self.expr(lhs.receiver),
+                                                  field, value)
         index = self.site("sfield", lhs.name)
 
         def emit(value):

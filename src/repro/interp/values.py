@@ -7,6 +7,7 @@ classes keep their state in ``peer``); arrays are JavaArray.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from repro.types import ArrayType, ClassType, PrimitiveType, Type
@@ -80,6 +81,10 @@ def java_str(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
         if value == int(value) and abs(value) < 1e15:
             return f"{value:.1f}"
         return repr(value)
