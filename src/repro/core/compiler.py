@@ -18,7 +18,7 @@ reproduces the paper's figure-1 workflow: compiled extensions are
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro import trace
 from repro.obs import lazy as obs_lazy
@@ -37,6 +37,19 @@ from repro.core.env import CompileEnv, MayaError
 #: guard rails (fuel, call-depth budgets) tripping first, so users see
 #: a located error instead of a Python RecursionError.
 _RECURSION_LIMIT = 10_000
+
+
+def configuration(options: Mapping) -> dict:
+    """The compile configuration ``options`` selects: the keys
+    :meth:`MayaCompiler.configure` reads plus ``provenance``, with
+    defaults filled in and other keys dropped.  The module cache keys
+    on it."""
+    return {
+        "no_macros": bool(options.get("no_macros")),
+        "multijava": bool(options.get("multijava")),
+        "use": [str(name) for name in options.get("use") or ()],
+        "provenance": bool(options.get("provenance")),
+    }
 
 
 class CompiledClass:
@@ -90,6 +103,25 @@ class MayaCompiler:
         """Import metaprograms compiler-wide (the ``-use`` option)."""
         for name in names:
             self.env.find_metaprogram(name.split(".")).run(self.env)
+
+    def configure(self, options: Mapping) -> "MayaCompiler":
+        """Configure this compiler from ``options``, the one place
+        mayac, mayad and the module builder do: the ``maya.util``
+        library unless ``no_macros``, MultiJava if ``multijava``, then
+        each ``use`` (an unknown name raises :class:`MayaError`)."""
+        # Installers are looked up on their modules at call time, so a
+        # wrapper set on the module attribute (a layer timer) sees them.
+        from repro import macros
+
+        config = configuration(options)
+        if not config["no_macros"]:
+            macros.install_macro_library(self)
+        if config["multijava"]:
+            from repro import multijava
+
+            multijava.install_multijava(self)
+        self.use(*config["use"])
+        return self
 
     # -- compilation ---------------------------------------------------------
 

@@ -42,7 +42,6 @@ plan's sites the moment intercession changes any class's member table.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 import weakref
@@ -112,7 +111,7 @@ MEGAMORPHIC = 8
 #: Bound on how many Methods may hold a cached plan attribute (long-lived
 #: daemon sessions otherwise accumulate plans for every method of every
 #: program they ever compiled).
-PLAN_CACHE_SIZE = int(os.environ.get("MAYA_PLAN_CACHE_SIZE") or 4096)
+PLAN_CACHE_SIZE = 4096
 
 #: Method-body codegen outcomes (compiled / fallback).
 _CODEGEN = REGISTRY.counter(

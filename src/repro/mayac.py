@@ -103,7 +103,7 @@ import argparse
 import os
 import sys
 
-from repro import MayaCompiler, trace
+from repro import CompileEnv, MayaCompiler, trace
 from repro.diag import (
     DEFAULT_EXPANSION_DEPTH,
     DEFAULT_MAX_ERRORS,
@@ -113,8 +113,6 @@ from repro.diag import (
 )
 from repro.interp import Interpreter
 from repro.interp.interp import BACKENDS, DEFAULT_BACKEND
-from repro.macros import install_macro_library
-from repro.multijava import install_multijava
 from repro.obs import export as obs_export
 from repro.obs import flamegraph as obs_flame
 from repro.obs import lazy as obs_lazy
@@ -169,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print recompiled-vs-reused modules to "
                              "stderr after a module-mode build")
     parser.add_argument("--jobs", metavar="N",
-                        default=os.environ.get("MAYA_JOBS"),
                         help="compile up to N modules at once on forked "
                              "workers where the import DAG allows "
                              "('auto' = one per CPU; default 1; also "
@@ -256,6 +253,20 @@ def _write_output(path: str, text: str, engine, what: str) -> bool:
         return False
 
 
+def _options(args) -> dict:
+    """The compile options mayac's flags select: they configure a local
+    compile or module build, and are a ``--daemon`` request's options."""
+    return {
+        "use": list(args.use),
+        "multijava": args.multijava,
+        "no_macros": args.no_macros,
+        "provenance": args.provenance,
+        "expand": args.expand,
+        "fuel": args.fuel,
+        "max_errors": args.max_errors,
+    }
+
+
 def _module_mode(args) -> bool:
     """Module mode: several source files, or any --module-path."""
     return bool(args.module_path) or len(args.files) > 1
@@ -271,7 +282,6 @@ def _daemon_modules(args, client) -> int:
     """Module mode over --daemon: discover the graph locally (a token
     scan per file, no parsing), ship every module's source, and let the
     daemon's shared module cache do the incremental work."""
-    from repro.diag import DiagnosticError
     from repro.modules import FileSystemSources, ModuleGraph
     from repro.server.client import DaemonError
     from repro.server.protocol import STATUS_OK
@@ -290,11 +300,7 @@ def _daemon_modules(args, client) -> int:
         return 1
     payload = {name: info.source for name, info in graph.modules.items()}
     try:
-        response = client.compile_modules(
-            payload, roots, expand=args.expand,
-            provenance=args.provenance, use=args.use,
-            multijava=args.multijava, no_macros=args.no_macros,
-            fuel=args.fuel, max_errors=args.max_errors)
+        response = client.compile_modules(payload, roots, **_options(args))
     except DaemonError as error:
         print(f"mayac: {error}", file=sys.stderr)
         return 3
@@ -346,11 +352,8 @@ def _daemon_main(args) -> int:
                   file=sys.stderr)
             return 1
         try:
-            response = client.compile(
-                source, filename=path, expand=args.expand,
-                provenance=args.provenance, use=args.use,
-                multijava=args.multijava, no_macros=args.no_macros,
-                fuel=args.fuel, max_errors=args.max_errors)
+            response = client.compile(source, filename=path,
+                                      **_options(args))
         except DaemonError as error:
             print(f"mayac: {error}", file=sys.stderr)
             return 3
@@ -416,16 +419,10 @@ def _local_main(args) -> int:
     # The root span: its self time is the run's unattributed time.
     root = tracer.begin("mayac", " ".join(args.files)) \
         if tracer is not None else None
-    compiler = MayaCompiler()
-    engine = compiler.env.diag
-    engine.max_errors = max(1, args.max_errors)
-    engine.max_expansion_depth = max(1, args.fuel)
-    if not args.no_macros:
-        install_macro_library(compiler)
-    if args.multijava:
-        install_multijava(compiler)
-    for name in args.use:
-        compiler.use(name)
+    env = CompileEnv.fresh_session(fuel=args.fuel,
+                                   max_errors=args.max_errors)
+    engine = env.diag
+    options = _options(args)
 
     def finish(code: int) -> int:
         if tracer is not None:
@@ -480,24 +477,17 @@ def _local_main(args) -> int:
                                    resolve_jobs)
 
         sources = FileSystemSources(args.module_path or [])
-        options = {
-            "use": list(args.use),
-            "no_macros": args.no_macros,
-            "multijava": args.multijava,
-            "provenance": args.provenance,
-        }
         try:
             jobs = resolve_jobs(args.jobs)
         except ValueError as error:
             print(f"mayac: {error}", file=sys.stderr)
             return finish(2)
-        # Fork workers give real CPU parallelism under the GIL; the
-        # in-process CLI is single-threaded here, so forking is safe.
-        builder = ModuleBuilder(sources, cache_dir=args.module_cache,
-                                options=options, env=compiler.env,
-                                jobs=jobs)
         need_bodies = bool(args.run) or args.dump_codegen is not None
         try:
+            # Fork workers give real CPU parallelism under the GIL; the
+            # in-process CLI is single-threaded here, so forking is safe.
+            builder = ModuleBuilder(sources, cache_dir=args.module_cache,
+                                    options=options, env=env, jobs=jobs)
             roots = [sources.module_name_for(path) for path in args.files]
             result = builder.build(roots, need_bodies=need_bodies)
         except OSError as error:
@@ -512,6 +502,11 @@ def _local_main(args) -> int:
         if args.expand:
             print(result.expanded())
     else:
+        try:
+            compiler = MayaCompiler(env).configure(options)
+        except DiagnosticError as error:
+            _report(engine, error)
+            return finish(1)
         for path in args.files:
             try:
                 with open(path, "r", encoding="utf-8") as handle:

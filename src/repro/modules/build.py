@@ -166,7 +166,11 @@ class BuildResult:
 
 
 class ModuleBuilder:
-    """Builds multi-module programs with incremental recompilation."""
+    """Builds multi-module programs with incremental recompilation.
+
+    The builder configures its own compiler from ``options``
+    (:meth:`MayaCompiler.configure`) and keys its cache on the same
+    mapping; ``env``, if given, carries only budgets."""
 
     def __init__(self, sources: ModuleSources,
                  cache_dir: Optional[str] = None,
@@ -174,13 +178,13 @@ class ModuleBuilder:
                  env: Optional[CompileEnv] = None,
                  jobs: Optional[int] = None,
                  deep_restore: bool = True):
+        options = options or {}
         self.sources = sources
         self.cache = ModuleCache(cache_dir)
-        self.options = dict(options or {})
         self.env = env if env is not None else CompileEnv()
-        self.compiler = MayaCompiler(self.env)
-        self.provenance = bool(self.options.get("provenance"))
-        self._options_sig = options_signature(self.options)
+        self.compiler = MayaCompiler(self.env).configure(options)
+        self.provenance = bool(options.get("provenance"))
+        self._options_sig = options_signature(options)
         #: Forked workers for cache misses (1 = none).  Forking needs
         #: a single-threaded process at build start, so the
         #: multithreaded daemon always builds with 1.

@@ -13,9 +13,9 @@ skipping lexing and parsing outright — instead of recompiling the
 expanded source from text.
 
 **What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
-snapshot format numbers, the module's own source text, the
-output-affecting build options, and — recursively — the keys of its
-direct dependencies in import order.  A key therefore
+snapshot format numbers, the module's own source text, the compile
+configuration the build options select, and — recursively — the keys
+of its direct dependencies in import order.  A key therefore
 fingerprints the whole *transitive* input cone: editing any upstream
 module changes every downstream key, so exactly the downstream modules
 miss (and recompile) while everything else replays from disk.  This is
@@ -50,6 +50,7 @@ import os
 from typing import Dict, List, Optional, Sequence
 
 from repro import faults
+from repro.core.compiler import configuration
 from repro.modules.iface import validate_interface
 from repro.modules.snapshot import SNAPSHOT_FORMAT
 from repro.store import Store
@@ -59,13 +60,8 @@ CACHE_FORMAT = 2
 
 
 def options_signature(options: Dict[str, object]) -> str:
-    """Canonical form of the output-affecting build options."""
-    relevant = {
-        key: options.get(key)
-        for key in ("macros", "multijava", "use", "no_macros", "provenance")
-        if options.get(key)
-    }
-    return json.dumps(relevant, sort_keys=True)
+    """Canonical form of the compile configuration ``options`` select."""
+    return json.dumps(configuration(options), sort_keys=True)
 
 
 def module_key(name: str, source: str, options_sig: str,

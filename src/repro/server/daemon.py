@@ -49,9 +49,11 @@ import socket
 import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from typing import Dict, List, Optional
 
 from repro import faults, trace
+from repro.core.compiler import MayaCompiler
 from repro.core.env import CompileEnv
 from repro.diag import CompileFailed, DeadlineExceededError, DiagnosticError
 from repro.lalr import tables as lalr_tables
@@ -549,10 +551,8 @@ class MayaDaemon:
                     "of module names")
             # One canonical string stands in for 'the source' so the
             # artifact cache stays content-addressed for module jobs.
-            import json as _json
-
-            source = _json.dumps({"roots": roots, "sources": sources},
-                                 sort_keys=True)
+            source = json.dumps({"roots": roots, "sources": sources},
+                                sort_keys=True)
             filename = "<modules>"
         elif not isinstance(source, str):
             return error_response(STATUS_BAD_REQUEST,
@@ -700,47 +700,22 @@ class MayaDaemon:
                                        deadline=request.deadline)
         engine = env.diag
         started = time.perf_counter()
+        modules_result = None
         try:
-            from repro import MayaCompiler
-            from repro.macros import install_macro_library
-
-            compiler = MayaCompiler(env)
-            if not options.get("no_macros"):
-                install_macro_library(compiler)
-            if options.get("multijava"):
-                from repro.multijava import install_multijava
-
-                install_multijava(compiler)
-            for name in options.get("use") or ():
-                compiler.use(str(name))
             faults.check(faults.SITE_WORKER_EXECUTE)
-            modules_result = None
-            if payload.get("sources") is not None:
-                builder = self._module_builder(payload, options, env,
-                                               degraded)
-                # The builder's compiler shares env (and therefore the
-                # metaprogram namespace installed above).
-                if degraded:
-                    with lalr_tables.bypass_caches():
-                        modules_result = builder.build(
+            # A degraded rerun bypasses the shared table cache: a
+            # poisoned entry must not be able to kill the rerun too.
+            with lalr_tables.bypass_caches() if degraded else nullcontext():
+                if payload.get("sources") is not None:
+                    modules_result = self._module_builder(
+                        payload, options, env, degraded).build(
                             payload["roots"],
                             need_bodies=bool(options.get("run")))
+                    program = modules_result.program
                 else:
-                    modules_result = builder.build(
-                        payload["roots"],
-                        need_bodies=bool(options.get("run")))
-                program = modules_result.program
-            elif degraded:
-                # Single-shot mode: a poisoned shared cache must not be
-                # able to kill the rerun too.
-                with lalr_tables.bypass_caches():
-                    program = compiler.compile(
+                    program = MayaCompiler(env).configure(options).compile(
                         source=payload["source"],
                         filename=payload.get("filename") or "<daemon>")
-            else:
-                program = compiler.compile(
-                    source=payload["source"],
-                    filename=payload.get("filename") or "<daemon>")
         except DeadlineExceededError:
             # A cooperative deadline trip is a service condition, not a
             # source error: report STATUS_DEADLINE so clients can tell
@@ -795,15 +770,10 @@ class MayaDaemon:
         under the GIL.  Requests overlap across workers instead."""
         from repro.modules import MemorySources, ModuleBuilder
 
-        build_options = {
-            key: options.get(key)
-            for key in ("multijava", "use", "no_macros", "provenance")
-            if options.get(key)
-        }
         return ModuleBuilder(
             MemorySources(payload["sources"]),
             cache_dir=None if degraded else self.config.module_cache_dir,
-            options=build_options,
+            options=options,
             env=env)
 
     @staticmethod

@@ -14,9 +14,11 @@ request.  The rule here is the classic read-copy-update discipline:
 * entries are immutable by convention (publish-once): a key is never
   overwritten with different data, only added or evicted.
 
-The artifact cache is content-addressed (SHA-256 over source text and
-every option that affects output), so a stale hit is *impossible* —
-matching the cache key proves the cached response is the right answer.
+The artifact cache is content-addressed: a SHA-256 over the source,
+the filename and every request option that can change a response.  A
+hit is right only as far as that key covers every input; what it
+leaves out (the daemon's metaprograms and ``MAYA_BACKEND``) is fixed
+for the daemon's lifetime.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ from repro.obs.metrics import CACHE_EVENTS
 ARTIFACT_CACHE_SIZE = 256
 
 
+#: Request options that cannot change a response; ``artifact_key``
+#: covers every other one, including any option added later.
+NON_OUTPUT_OPTIONS = frozenset(("deadline_ms", "cache", "trace_id"))
+
+
 def artifact_key(source: str, filename: str, options: dict) -> str:
-    """Content address of one compile: source text plus every option
-    that can change the produced artifact or its diagnostics."""
-    relevant = {
-        key: options.get(key)
-        for key in ("use", "multijava", "no_macros", "fuel", "max_errors",
-                    "expand", "provenance")
-    }
+    """Content address of one compile: source text, filename, and every
+    option outside :data:`NON_OUTPUT_OPTIONS`."""
+    relevant = {key: value for key, value in options.items()
+                if key not in NON_OUTPUT_OPTIONS}
     digest = hashlib.sha256()
     digest.update(source.encode("utf-8"))
     digest.update(b"\x00")
@@ -136,10 +140,7 @@ def prewarm() -> float:
     tables of the bundled macros) so the first real request is as fast
     as the thousandth.  Returns the time spent."""
     from repro import MayaCompiler
-    from repro.macros import install_macro_library
 
     started = time.perf_counter()
-    compiler = MayaCompiler()
-    install_macro_library(compiler)
-    compiler.compile(_PREWARM_SOURCE, "<prewarm>")
+    MayaCompiler().configure({}).compile(_PREWARM_SOURCE, "<prewarm>")
     return time.perf_counter() - started

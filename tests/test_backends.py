@@ -1154,13 +1154,10 @@ MODULE_THROWING = {
 }
 
 
-def compile_modules(sources, roots=("app.Main",), macros=False):
-    from repro.macros import install_macro_library
+def compile_modules(sources, roots=("app.Main",)):
     from repro.modules import MemorySources, ModuleBuilder
 
     builder = ModuleBuilder(MemorySources(sources))
-    if macros:
-        install_macro_library(builder.compiler)
     return builder.build(list(roots), need_bodies=True).program
 
 
@@ -1170,7 +1167,7 @@ class TestMultiModuleDifferential:
     single files: identical stdout, counters, and thrown classes."""
 
     def test_stdout_and_counters_identical(self):
-        program = compile_modules(MODULE_PROGRAM, macros=True)
+        program = compile_modules(MODULE_PROGRAM)
         results = {}
         for backend in BACKENDS:
             interp = Interpreter(program, backend=backend)
@@ -1186,18 +1183,16 @@ class TestMultiModuleDifferential:
     def test_incremental_program_matches_clean_program(self, tmp_path):
         # The program materialized from a warm cache must behave
         # identically to a cleanly compiled one, on every backend.
-        from repro.macros import install_macro_library
         from repro.modules import MemorySources, ModuleBuilder
 
         def build(cache_dir):
             builder = ModuleBuilder(MemorySources(MODULE_PROGRAM),
                                     cache_dir=cache_dir)
-            install_macro_library(builder.compiler)
             return builder.build(["app.Main"], need_bodies=True).program
 
         build(str(tmp_path))  # populate
         warm = build(str(tmp_path))  # all-reused, rematerialized
-        clean = compile_modules(MODULE_PROGRAM, macros=True)
+        clean = compile_modules(MODULE_PROGRAM)
         for backend in BACKENDS:
             runs = []
             for program in (warm, clean):

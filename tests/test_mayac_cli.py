@@ -95,6 +95,19 @@ class TestCli:
                      "--run", "Demo"]) == 0
         assert "via --use" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("files", [1, 2], ids=["single", "modules"])
+    def test_unknown_use_is_a_diagnostic(self, tmp_path, capsys, files):
+        # Two files put mayac in module mode.
+        paths = []
+        for index in range(files):
+            path = tmp_path / f"m{index}.maya"
+            path.write_text(f"class M{index} {{ }}")
+            paths.append(str(path))
+        assert main(paths + ["--use", "no.Such"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown metaprogram 'no.Such'" in err
+        assert "mayac: 1 error" in err
+
     def test_multiple_files_accumulate(self, tmp_path, capsys):
         lib = tmp_path / "lib.maya"
         lib.write_text("class Lib { static int seven() { return 7; } }")

@@ -17,7 +17,6 @@ from repro.core.env import MayaError
 from repro.diag import DiagnosticError
 from repro.dispatch.mayan import MetaProgram
 from repro.interp import Interpreter
-from repro.macros import install_macro_library
 from repro.mayac import main as mayac_main
 from repro.modules import (CACHE_FORMAT, MemorySources, ModuleBuilder,
                            ModuleCache, ModuleEntry, ModuleGraph,
@@ -28,13 +27,10 @@ from tests.conftest import corrupt_entries
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def make_builder(sources, cache_dir=None, options=None, macros=False):
-    builder = ModuleBuilder(MemorySources(sources),
-                            cache_dir=str(cache_dir) if cache_dir else None,
-                            options=options)
-    if macros:
-        install_macro_library(builder.compiler)
-    return builder
+def make_builder(sources, cache_dir=None, options=None):
+    return ModuleBuilder(MemorySources(sources),
+                         cache_dir=str(cache_dir) if cache_dir else None,
+                         options=options)
 
 
 def counter(name):
@@ -292,7 +288,7 @@ class TestExportsAcrossEdges:
     def test_imported_mayan_reaches_the_importer(self, tmp_path):
         # app.Main never says ``use`` — the foreach syntax arrives over
         # the import edge via lib.Loops's export list.
-        result = make_builder(FOREACH_LIB, tmp_path, macros=True) \
+        result = make_builder(FOREACH_LIB, tmp_path) \
             .build(["app.Main"], need_bodies=True)
         interp = Interpreter(result.program)
         interp.run_static("Main")
@@ -302,7 +298,7 @@ class TestExportsAcrossEdges:
         sources = dict(FOREACH_LIB)
         sources["app.Main"] = "import lib.Loops;\nclass Main { }\n"
         sources["top.App"] = "import app.Main;\nclass App { }\n"
-        result = make_builder(sources, tmp_path, macros=True) \
+        result = make_builder(sources, tmp_path) \
             .build(["top.App"])
         assert result.builds["lib.Loops"].exports == ["maya.util.ForEach"]
         assert result.builds["app.Main"].exports == ["maya.util.ForEach"]
@@ -321,16 +317,16 @@ class TestExportsAcrossEdges:
             }
         """
         with pytest.raises(DiagnosticError):
-            make_builder(sources, tmp_path, macros=True) \
+            make_builder(sources, tmp_path) \
                 .build(["lib.Loops", "app.Main"])
 
     def test_reused_module_still_exports_its_delta(self, tmp_path):
         # lib.Loops replays from the cache; its export list must still
         # reach a recompiling importer.
-        make_builder(FOREACH_LIB, tmp_path, macros=True).build(["app.Main"])
+        make_builder(FOREACH_LIB, tmp_path).build(["app.Main"])
         edited = dict(FOREACH_LIB)
         edited["app.Main"] = edited["app.Main"].replace("alpha", "gamma")
-        result = make_builder(edited, tmp_path, macros=True) \
+        result = make_builder(edited, tmp_path) \
             .build(["app.Main"], need_bodies=True)
         assert result.recompiled == ["app.Main"]
         interp = Interpreter(result.program)
@@ -360,6 +356,20 @@ class TestModuleCache:
             options_signature({})
         assert options_signature({"multijava": True}) != \
             options_signature({})
+
+    def test_hit_needs_the_same_configuration(self, tmp_path):
+        # Modules built with the macro library must not be reused by a
+        # build without it: the incremental build fails as a clean one.
+        make_builder(FOREACH_LIB, tmp_path).build(["app.Main"])
+        no_macros = {"no_macros": True}
+        with pytest.raises(DiagnosticError) as clean:
+            make_builder(FOREACH_LIB, options=no_macros).build(["app.Main"])
+        with pytest.raises(DiagnosticError) as incremental:
+            make_builder(FOREACH_LIB, tmp_path, options=no_macros) \
+                .build(["app.Main"])
+        assert "unknown metaprogram 'maya.util.ForEach'" \
+            in str(clean.value)
+        assert str(incremental.value) == str(clean.value)
 
     def test_entry_roundtrip(self):
         entry = ModuleEntry("lib.Base", "k" * 64, "class Base { }",

@@ -177,6 +177,19 @@ class TestCompileService:
         assert run["run_ms"] >= 0
         assert "error" not in run
 
+    def test_cached_compile_does_not_answer_a_run(self, client):
+        source = """
+            class Demo {
+                static void main() { System.out.println("ran"); }
+            }
+        """
+        assert client.compile(source, "cached.maya")["status"] == "ok"
+        response = client.compile(source, "cached.maya", run="Demo")
+        assert response["status"] == "ok"
+        assert response["run"]["output"] == ["ran"]
+        missing = client.compile(source, "cached.maya", run="Nope")
+        assert "error" in missing["run"]
+
     def test_run_option_reports_java_throw(self, client):
         response = client.compile("""
             class Demo {
@@ -518,9 +531,19 @@ class TestArtifactCache:
         assert artifact_key("class A { }", "b.maya", {}) != base
         assert artifact_key("class A { }", "a.maya",
                             {"expand": True}) != base
+        # A run's output and the backend that runs it are part of the
+        # response.
+        assert artifact_key("class A { }", "a.maya",
+                            {"run": "Demo"}) != base
+        assert artifact_key("class A { }", "a.maya",
+                            {"backend": "walk"}) != base
         # Options that don't affect output don't fragment the cache.
         assert artifact_key("class A { }", "a.maya",
                             {"deadline_ms": 5}) == base
+        assert artifact_key("class A { }", "a.maya",
+                            {"cache": False}) == base
+        assert artifact_key("class A { }", "a.maya",
+                            {"trace_id": "0123456789abcdef"}) == base
 
 
 class TestRequestObservability:
