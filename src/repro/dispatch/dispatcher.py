@@ -364,8 +364,7 @@ class Dispatcher:
         one dict lookup.
         """
         registry = getattr(ctx, "registry", None)
-        order_key = (mask, getattr(registry, "uid", None),
-                     getattr(registry, "version", None))
+        order_key = (mask, registry, getattr(registry, "version", None))
         cached = plan.orders.get(order_key)
         if cached is None:
             _ORDER_MISS.inc()

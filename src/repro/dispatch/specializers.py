@@ -30,26 +30,28 @@ class Specializer:
     """Base class for secondary parameter attributes."""
 
 
+def _resolve(spec, registry):
+    """``spec``'s type in ``registry``, memoized on the registry."""
+    resolved = registry.memo.get(spec)
+    if resolved is None:
+        resolved = registry.resolve_type(spec.type_parts, spec.dims)
+        registry.memo[spec] = resolved
+    return resolved
+
+
 class TypeSpec(Specializer):
     """Constrains an expression argument's *static* type (subtype test).
 
     The type name is resolved lazily against the matching environment's
-    registry, and cached per registry.
+    registry, and memoized on that registry.
     """
 
     def __init__(self, type_parts: Tuple[str, ...], dims: int = 0):
         self.type_parts = tuple(type_parts)
         self.dims = dims
-        self._cache = {}
 
     def resolve(self, env):
-        registry = env.registry
-        key = registry.uid
-        resolved = self._cache.get(key)
-        if resolved is None:
-            resolved = registry.resolve_type(self.type_parts, self.dims)
-            self._cache[key] = resolved
-        return resolved
+        return _resolve(self, env.registry)
 
     def __repr__(self):
         return f"TypeSpec({'.'.join(self.type_parts)}{'[]' * self.dims})"
@@ -71,15 +73,9 @@ class ClassSpec(Specializer):
     def __init__(self, type_parts: Tuple[str, ...], dims: int = 0):
         self.type_parts = tuple(type_parts)
         self.dims = dims
-        self._cache = {}
 
     def resolve(self, env):
-        key = env.registry.uid
-        resolved = self._cache.get(key)
-        if resolved is None:
-            resolved = env.registry.resolve_type(self.type_parts, self.dims)
-            self._cache[key] = resolved
-        return resolved
+        return _resolve(self, env.registry)
 
     def __repr__(self):
         return f"ClassSpec({'.'.join(self.type_parts)})"

@@ -16,7 +16,6 @@ import hashlib
 import os
 import pickle
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -24,8 +23,7 @@ from repro import faults, trace
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
-from repro.obs.metrics import CACHE_EVENTS
-from repro.store import Store
+from repro.store import LRUCache, Store
 
 
 class ConflictError(Exception):
@@ -396,57 +394,6 @@ class _RestoredAutomaton:
         self.start_state = start_state
         self.states = range(state_count)
         self.transitions: List[Dict[int, int]] = []
-
-
-class LRUCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Lookups and stores count into ``maya_cache_events_total`` under
-    ``cache``, so hit rates and eviction pressure show up in ``mayac
-    --profile``.
-    Thread-safe: the daemon's worker pool hits one shared instance
-    concurrently, and ``move_to_end`` during a racing store would
-    otherwise corrupt the recency order.
-    """
-
-    def __init__(self, maxsize: int, cache: str):
-        self.maxsize = maxsize
-        self._hits, self._misses, self._evictions = (
-            CACHE_EVENTS.labels(cache, event)
-            for event in ("hit", "miss", "eviction"))
-        self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is None:
-                self._misses.inc()
-                return None
-            self._data.move_to_end(key)
-        self._hits.inc()
-        return value
-
-    def put(self, key, value) -> None:
-        evictions = 0
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                evictions += 1
-        if evictions:
-            self._evictions.inc(evictions)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
 
 
 #: In-memory table cache.  Mid-compile grammar extension makes a new

@@ -601,8 +601,6 @@ def cli(argv=None) -> int:
         # Point stdout at devnull so interpreter-exit flushing doesn't
         # raise a secondary BrokenPipeError after we return.
         try:
-            import os
-
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
         except Exception:

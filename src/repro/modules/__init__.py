@@ -11,8 +11,7 @@ class skeletons across the cache boundary, and
 from repro.modules.build import (BuildResult, ModuleBuild, ModuleBuilder,
                                  format_module_report)
 from repro.modules.cache import (CACHE_FORMAT, ModuleCache, ModuleEntry,
-                                 grammar_token, module_key,
-                                 options_signature)
+                                 module_key, options_signature)
 from repro.modules.graph import (FileSystemSources, MemorySources,
                                  ModuleGraph, ModuleImport, ModuleInfo,
                                  ModuleSources, scan_imports)
@@ -40,7 +39,6 @@ __all__ = [
     "SnapshotError",
     "export_interface",
     "format_module_report",
-    "grammar_token",
     "load_unit",
     "module_key",
     "options_signature",

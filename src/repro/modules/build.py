@@ -76,8 +76,8 @@ from repro.lexer import Location
 from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.modules import procpool
-from repro.modules.cache import (ModuleCache, ModuleEntry, grammar_token,
-                                 module_key, options_signature)
+from repro.modules.cache import (ModuleCache, ModuleEntry, module_key,
+                                 options_signature)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
 from repro.modules.iface import export_interface, restore_interface
 from repro.modules.schedule import DagScheduler, resolve_jobs
@@ -389,9 +389,7 @@ class ModuleBuilder:
         entry = ModuleEntry(
             info.name, info.key, expanded,
             export_interface([c.type for c in classes]),
-            exports, list(info.deps),
-            deep=snapshot_unit(unit),
-            grammar=grammar_token(module_env.grammar))
+            exports, deep=snapshot_unit(unit))
         _COMPILED_TOTAL.inc()
         self.cache.store(entry)
         return ModuleBuild(info.name, info.key, expanded, False,

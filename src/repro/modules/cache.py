@@ -5,12 +5,10 @@ its fully expanded source (the byte-exact artifact), its exported
 interface (class skeletons downstream modules shape against), its
 exported metaprogram names (the grammar delta importers replay), and —
 since format 2 — the **deep artifact**: a pickled stripped copy of the
-module's *checked* AST (see :mod:`repro.modules.snapshot`) plus the
-fingerprint token of the effective grammar the module was parsed under
-(base grammar + its replayed export delta).  A warm ``need_bodies`` hit
-restores the deep artifact and re-runs only shaping + checking —
-skipping lexing and parsing outright — instead of recompiling the
-expanded source from text.
+module's *checked* AST (see :mod:`repro.modules.snapshot`).  A warm
+``need_bodies`` hit restores the deep artifact and re-runs only
+shaping + checking — skipping lexing and parsing outright — instead of
+recompiling the expanded source from text.
 
 **What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
 snapshot format numbers, the module's own source text, the compile
@@ -55,8 +53,9 @@ from repro.modules.iface import validate_interface
 from repro.modules.snapshot import SNAPSHOT_FORMAT
 from repro.store import Store
 
-#: Format 2: deep artifact (pickled checked AST) + grammar token.
-CACHE_FORMAT = 2
+#: Format 2: deep artifact (pickled checked AST).  Format 3: no
+#: ``deps`` or ``grammar`` fields (nothing read them).
+CACHE_FORMAT = 3
 
 
 def options_signature(options: Dict[str, object]) -> str:
@@ -88,29 +87,14 @@ def module_key(name: str, source: str, options_sig: str,
     return digest.hexdigest()
 
 
-def grammar_token(grammar) -> str:
-    """A short stable token for a module's effective grammar.
-
-    Hashes the versioned-grammar fingerprint key (base productions
-    plus the module's replayed export delta) — the same identity the
-    LALR table cache keys on — so two modules parsed under identical
-    grammars record identical tokens, across threads and processes.
-    """
-    fingerprint = grammar.fingerprint()
-    return hashlib.sha256(
-        repr(fingerprint.key).encode("utf-8")).hexdigest()[:16]
-
-
 class ModuleEntry:
     """One cached module build."""
 
-    __slots__ = ("name", "key", "expanded", "iface", "exports", "deps",
-                 "deep", "grammar")
+    __slots__ = ("name", "key", "expanded", "iface", "exports", "deep")
 
     def __init__(self, name: str, key: str, expanded: str,
                  iface: List[dict], exports: List[str],
-                 deps: List[str], deep: Optional[bytes] = None,
-                 grammar: str = ""):
+                 deep: Optional[bytes] = None):
         self.name = name
         self.key = key
         #: The byte-exact artifact: the module's expanded plain-Java
@@ -122,15 +106,10 @@ class ModuleEntry:
         #: ``use`` names plus its deps' exports (the grammar delta an
         #: importer replays).
         self.exports = exports
-        self.deps = deps
         #: Deep artifact: pickled stripped checked AST (or None when
         #: the snapshot layer declined; warm hits then use the
         #: expanded-source path).
         self.deep = deep
-        #: Token of the effective grammar fingerprint this module was
-        #: parsed under — the identity of its replayed LALR delta; a
-        #: consistency record for diagnostics and the fault drills.
-        self.grammar = grammar
 
     def payload(self) -> dict:
         payload = {
@@ -140,8 +119,6 @@ class ModuleEntry:
             "expanded": self.expanded,
             "iface": self.iface,
             "exports": self.exports,
-            "deps": self.deps,
-            "grammar": self.grammar,
         }
         if self.deep is not None:
             payload["deep"] = base64.b64encode(self.deep).decode("ascii")
@@ -158,9 +135,7 @@ class ModuleEntry:
             expanded=payload["expanded"],
             iface=payload["iface"],
             exports=list(payload["exports"]),
-            deps=list(payload["deps"]),
             deep=deep,
-            grammar=str(payload.get("grammar") or ""),
         )
         if not isinstance(entry.expanded, str) \
                 or not isinstance(entry.iface, list):
@@ -183,9 +158,6 @@ class ModuleCache:
         safe = name.replace(os.sep, ".")
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
         return f"module-{safe}-{digest}.json"
-
-    def _path(self, name: str) -> str:
-        return self._store.path(self._name(name))
 
     def load(self, name: str, key: str) -> Optional[ModuleEntry]:
         """The entry for ``name`` if present and keyed ``key``."""

@@ -28,7 +28,6 @@ module**.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -177,8 +176,7 @@ class MemorySources(ModuleSources):
 class ModuleInfo:
     """One discovered module: source, imports, and resolved deps."""
 
-    __slots__ = ("name", "filename", "source", "imports", "deps",
-                 "content_digest", "key")
+    __slots__ = ("name", "filename", "source", "imports", "deps", "key")
 
     def __init__(self, name: str, filename: str, source: str,
                  imports: List[ModuleImport], deps: List[str]):
@@ -188,8 +186,6 @@ class ModuleInfo:
         self.imports = imports
         #: Direct dependencies, in import order (deduplicated).
         self.deps = deps
-        self.content_digest = hashlib.sha256(
-            source.encode("utf-8")).hexdigest()
         #: Transitive cache key; stamped by the builder (needs every
         #: dep's key, so it is computed in topological order).
         self.key: Optional[str] = None

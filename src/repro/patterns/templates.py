@@ -13,7 +13,7 @@ when the corresponding syntax would have been parsed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import trace
 from repro.diag import DiagnosticError, SourceSpan
@@ -34,6 +34,7 @@ from repro.patterns.pattern_parser import (
     PTNode,
     PTStmts,
 )
+from repro.store import LRUCache
 
 
 class TemplateError(DiagnosticError):
@@ -44,8 +45,6 @@ class TemplateError(DiagnosticError):
 
 _TEMPLATE_HIT = CACHE_EVENTS.labels("templates.compiled", "hit")
 _TEMPLATE_MISS = CACHE_EVENTS.labels("templates.compiled", "miss")
-_CASE_HIT = CACHE_EVENTS.labels("templates.syntax_case", "hit")
-_CASE_MISS = CACHE_EVENTS.labels("templates.syntax_case", "miss")
 
 
 class PseudoToken:
@@ -86,19 +85,20 @@ class Template:
         self.result = result
         self.source = source
         self.hole_names = dict(holes)
-        self._compiled: Dict[Tuple, "_CompiledTemplate"] = {}
 
     def compiled(self, env) -> "_CompiledTemplate":
-        # Keyed by grammar *and* registry: referential transparency
-        # resolves type names against the registry, and type identity
-        # is per registry.  The fingerprint is the grammar's version-
-        # cached digest, so this lookup is O(1) per instantiation.
-        key = (env.grammar.fingerprint(), env.registry.uid)
-        compiled = self._compiled.get(key)
+        # Memoized on the session's registry, keyed by grammar:
+        # referential transparency resolves type names against the
+        # registry, and type identity is per registry.  The fingerprint
+        # is the grammar's version-cached digest, so this lookup is
+        # O(1) per instantiation.
+        memo = env.registry.memo
+        key = (self, env.grammar.fingerprint())
+        compiled = memo.get(key)
         if compiled is None:
             _TEMPLATE_MISS.inc()
             compiled = _CompiledTemplate(self, env)
-            self._compiled[key] = compiled
+            memo[key] = compiled
         else:
             _TEMPLATE_HIT.inc()
         return compiled
@@ -297,7 +297,11 @@ def _coerce_hole_value(item, value):
 # syntax case
 # ---------------------------------------------------------------------------
 
-_case_cache: Dict[Tuple, Tuple] = {}
+#: Compiled ``syntax case`` patterns, keyed by grammar fingerprint,
+#: result symbol and pattern text.  A ``use`` scope makes a new
+#: fingerprint, so the bound caps a daemon at its working set.
+CASE_CACHE_SIZE = 256
+_CASE_CACHE = LRUCache(CASE_CACHE_SIZE, "templates.syntax_case")
 
 
 def syntax_case(ctx, result: str, node, cases):
@@ -321,13 +325,10 @@ def syntax_case(ctx, result: str, node, cases):
         if pattern is None:
             return body()
         key = (fingerprint, result, pattern)
-        compiled = _case_cache.get(key)
+        compiled = _CASE_CACHE.get(key)
         if compiled is None:
-            _CASE_MISS.inc()
             compiled = compile_parameter_list(tables, result, pattern)
-            _case_cache[key] = compiled
-        else:
-            _CASE_HIT.inc()
+            _CASE_CACHE.put(key, compiled)
         production, params, _ = compiled
         if node.syntax is None or node.syntax[0] is not production:
             continue

@@ -28,10 +28,12 @@ daemon):
 * **hang containment** — a worker still busy past its request's
   deadline is marked a zombie (it exits after its current request) and
   replaced, so capacity cannot wedge behind a hung compile;
-* **cache hygiene** — shared caches hand off immutable epoch-stamped
-  snapshots (:mod:`repro.server.state`); corrupt entries in the
-  on-disk table and module caches are quarantined and regenerated
-  (:mod:`repro.store`).
+* **cache hygiene** — the shared in-memory caches are content-keyed
+  and bounded (:class:`repro.store.LRUCache`); a served artifact-cache
+  hit is a copy, so annotating it never touches the stored entry; a
+  degraded re-run neither reads nor feeds any shared cache; corrupt
+  entries in the on-disk table and module caches are quarantined and
+  regenerated (:mod:`repro.store`).
 
 Compile requests may also carry a ``run`` option naming a class whose
 ``main()`` is interpreted in the worker after a successful compile
@@ -73,6 +75,7 @@ from repro.server.protocol import (
     STATUS_WORKER_CRASHED,
     error_response,
 )
+from repro.store import LRUCache
 
 REQUESTS = REGISTRY.counter(
     "maya_server_requests_total", "Requests by operation and outcome.",
@@ -204,7 +207,8 @@ class MayaDaemon:
 
     def __init__(self, config: Optional[DaemonConfig] = None):
         self.config = config or DaemonConfig()
-        self.artifacts = state.ArtifactCache()
+        self.artifacts = LRUCache(state.ARTIFACT_CACHE_SIZE,
+                                  "server.artifacts")
         self._queue: "queue_mod.Queue" = queue_mod.Queue(
             self.config.queue_size)
         self._workers: List[_Worker] = []
@@ -308,8 +312,6 @@ class MayaDaemon:
             if worker.thread is not None:
                 worker.thread.join(remaining)
         if self.config.socket_path:
-            import os
-
             try:
                 os.unlink(self.config.socket_path)
             except OSError:
@@ -419,7 +421,6 @@ class MayaDaemon:
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "workers": live,
             "queue_depth": self._queue.qsize(),
-            "artifact_epoch": self.artifacts.epoch,
             "faults": faults.active_plan().spec,
         }
 
@@ -497,13 +498,11 @@ class MayaDaemon:
         return stats
 
     def _cache_stats(self) -> Dict[str, dict]:
-        """Per-cache events and hit ratio (the ``--profile`` reader),
-        plus the artifact cache's epoch."""
+        """Per-cache events and hit ratio (the ``--profile`` reader)."""
         caches: Dict[str, dict] = obs_profile.hit_rates()
         for events in caches.values():
             if "hit_ratio" in events:
                 events["hit_ratio"] = round(events["hit_ratio"], 4)
-        caches["epochs"] = {"server.artifacts": self.artifacts.epoch}
         return caches
 
     def flush_metrics(self, path: Optional[str] = None) -> Optional[str]:
@@ -587,8 +586,10 @@ class MayaDaemon:
         key = None
         if options.get("cache", True):
             key = state.artifact_key(source, filename, options)
-            cached = self.artifacts.lookup(key)
-            if cached is not None:
+            entry = self.artifacts.get(key)
+            if entry is not None:
+                # Serve a copy: the response is annotated per request.
+                cached = dict(entry, cached=True)
                 elapsed_ms = (time.monotonic() - started) * 1000.0
                 context.note(artifact="hit")
                 cached["stats"] = {"cached": True, "wait_ms": 0.0,
@@ -638,12 +639,19 @@ class MayaDaemon:
             # Cooperative trip inside the grace window (the abandoned
             # path above counted its own).
             DEADLINES.inc()
-        if key is not None and response.get("status") in (
-                STATUS_OK, STATUS_COMPILE_ERROR):
+        if key is not None and not response.get("degraded") \
+                and response.get("status") in (STATUS_OK,
+                                               STATUS_COMPILE_ERROR):
             # Deadline responses never reach the artifact cache: the
             # key excludes deadline_ms, so caching one would serve
             # 'deadline exceeded' to later, amply-budgeted requests.
-            self.artifacts.store(key, response)
+            # Nor does a degraded re-run's, which bypassed the shared
+            # caches; a later request that never crashed must not be
+            # served a 'degraded' answer.  Per-request annotations are
+            # stripped: the ids of a hit are the hitting request's.
+            self.artifacts.put(key, {
+                name: value for name, value in response.items()
+                if name not in ("stats", "request_id", "trace_id")})
         stats = response.setdefault("stats", {})
         stats["total_ms"] = round(elapsed_ms, 3)
         if request.phases:

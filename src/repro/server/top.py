@@ -76,17 +76,11 @@ def render_stats(stats: dict) -> str:
     caches = stats.get("caches", {})
     cache_parts = []
     for name in sorted(caches):
-        if name == "epochs":
-            continue
         ratio = caches[name].get("hit_ratio")
         if ratio is not None:
             cache_parts.append(f"{name}={ratio:.0%}")
     if cache_parts:
         lines.append("caches   " + "  ".join(cache_parts))
-    epochs = caches.get("epochs", {})
-    if epochs:
-        lines.append("epochs   " + "  ".join(
-            f"{name}={int(value)}" for name, value in sorted(epochs.items())))
 
     log = stats.get("log", {})
     if log:

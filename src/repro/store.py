@@ -1,4 +1,6 @@
-"""One crash-safe on-disk store for the compiler's persistent caches.
+"""The compiler's two cache mechanisms: one crash-safe on-disk store
+for the persistent caches, and one bounded in-memory LRU cache for the
+process-wide ones.
 
 The LALR table cache (:mod:`repro.lalr.tables`) and the incremental
 module cache (:mod:`repro.modules.cache`) keep their entries here.  A
@@ -25,6 +27,13 @@ and keys, and this module owns the policy for the files:
 Hits, misses and corrupt entries land in the
 ``maya_cache_events_total{cache,event}`` family under the store's
 cache name; a corrupt entry also counts as a miss.
+
+In memory, every process-wide cache is *content-keyed* (a grammar
+fingerprint, a request digest) and is an :class:`LRUCache`, whose
+bound caps what a long-running daemon keeps.  A memo keyed by one
+compile session's objects never goes in a process-wide cache: it lives
+on the session (for instance :attr:`repro.types.TypeRegistry.memo`) and
+is freed with it.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import threading
+from collections import OrderedDict
 from typing import Callable, Optional, TypeVar
 
 from repro import faults
@@ -131,3 +142,54 @@ class Store:
             os.replace(path, path + ".quarantine")
         except OSError:
             pass
+
+
+class LRUCache:
+    """A bounded mapping with least-recently-used eviction.
+
+    Lookups and stores count into ``maya_cache_events_total`` under
+    ``cache``, so hit rates and eviction pressure show up in ``mayac
+    --profile``.
+    Thread-safe: the daemon's worker pool hits one shared instance
+    concurrently, and ``move_to_end`` during a racing store would
+    otherwise corrupt the recency order.
+    """
+
+    def __init__(self, maxsize: int, cache: str):
+        self.maxsize = maxsize
+        self._hits, self._misses, self._evictions = (
+            CACHE_EVENTS.labels(cache, event)
+            for event in ("hit", "miss", "eviction"))
+        self._data: "OrderedDict" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is None:
+                self._misses.inc()
+                return None
+            self._data.move_to_end(key)
+        self._hits.inc()
+        return value
+
+    def put(self, key, value) -> None:
+        evictions = 0
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                evictions += 1
+        if evictions:
+            self._evictions.inc(evictions)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key) -> bool:
+        return key in self._data

@@ -19,22 +19,21 @@ from repro.types.types import (
 )
 
 
-_registry_uids = iter(range(1, 1 << 62))
-
-
 class TypeRegistry:
     """Maps qualified class names to types and resolves source names.
 
-    ``uid`` is process-unique (unlike ``id()``, never reused), so
-    caches keyed by registry stay sound across garbage collection.
+    ``memo`` holds what callers derive from this registry's types
+    (compiled templates, resolved specializer types), keyed by the
+    caller's object.  Type identity is per registry, so such a memo
+    belongs to the registry and is freed with it; a copy starts empty.
     """
 
     def __init__(self):
         self.classes: Dict[str, ClassType] = {}
-        self.uid = next(_registry_uids)
+        self.memo: Dict[object, object] = {}
         # Bumped on every definition: caches of type-dependent decisions
-        # (dispatch specificity orders) key on (uid, version) so a class
-        # declared mid-compile can change subtype-based outcomes.
+        # (dispatch specificity orders) key on (registry, version) so a
+        # class declared mid-compile can change subtype-based outcomes.
         self.version = 0
 
     def copy(self) -> "TypeRegistry":

@@ -386,9 +386,7 @@ def _most_specific(candidates: List[Method], what: str) -> Method:
 
 
 class ArrayType(Type):
-    """An array type; interned per element type via array_of()."""
-
-    _cache: Dict[Type, "ArrayType"] = {}
+    """An array type; interned on its element type via array_of()."""
 
     def __init__(self, element: Type):
         self.element = element
@@ -419,12 +417,16 @@ class ArrayType(Type):
 
 
 def array_of(element: Type, dims: int = 1) -> Type:
+    """The ``dims``-dimensional array of ``element``: one object per
+    element type, kept on the element so that it lives as long as the
+    element does (a session's classes, or the shared primitives)."""
     out = element
     for _ in range(dims):
-        cached = ArrayType._cache.get(out)
+        cached = out.__dict__.get("_array_type")
         if cached is None:
-            cached = ArrayType(out)
-            ArrayType._cache[out] = cached
+            # setdefault is atomic, so workers racing on a shared
+            # element still agree on one array type.
+            cached = out.__dict__.setdefault("_array_type", ArrayType(out))
         out = cached
     return out
 

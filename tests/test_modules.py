@@ -373,7 +373,7 @@ class TestModuleCache:
 
     def test_entry_roundtrip(self):
         entry = ModuleEntry("lib.Base", "k" * 64, "class Base { }",
-                            [], ["maya.util.ForEach"], [])
+                            [], ["maya.util.ForEach"])
         back = ModuleEntry.from_payload(entry.payload())
         assert back.payload() == entry.payload()
         assert back.payload()["format"] == CACHE_FORMAT
@@ -382,7 +382,7 @@ class TestModuleCache:
         cache = ModuleCache(None)
         assert not cache
         assert cache.load("lib.Base", "k") is None
-        cache.store(ModuleEntry("lib.Base", "k", "", [], [], []))
+        cache.store(ModuleEntry("lib.Base", "k", "", [], []))
 
     def test_snapshot_format_bump_rekeys_instead_of_falling_back(
             self, tmp_path, monkeypatch):

@@ -18,13 +18,13 @@ from repro.dispatch import AmbiguousDispatchError, Mayan
 from repro.lalr import Parser
 from repro.lalr import tables as lalr_tables
 from repro.lalr.tables import (
-    LRUCache,
     disable_disk_cache,
     enable_disk_cache,
     table_cache_clear,
     tables_for,
 )
 from repro.lexer import stream_lex
+from repro.store import LRUCache
 from tests.conftest import cache_events, corrupt_entries
 
 

@@ -5,6 +5,7 @@ import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -17,7 +18,9 @@ from repro.server import DaemonConfig, MayaClient, MayaDaemon, parse_address
 from repro.server import protocol
 from repro.server.client import DaemonError
 from repro.server.daemon import REQUESTS, SHED, _Request
-from repro.server.state import ArtifactCache, artifact_key
+from repro.server import state
+from repro.server.state import artifact_key
+from repro.store import LRUCache
 
 FOREACH_TEMPLATE = """
     import java.util.*;
@@ -475,28 +478,43 @@ class TestClientRetry:
 
 
 class TestArtifactCache:
-    def test_snapshot_isolation(self):
-        cache = ArtifactCache()
-        snap = cache.snapshot()
-        cache.store("k", {"v": 1})
-        assert "k" not in snap          # pinned snapshot never mutates
-        assert cache.lookup("k") == {"v": 1, "cached": True}
-        assert cache.epoch == 1
+    """The daemon's artifact cache: a bounded :class:`LRUCache` of
+    responses keyed by :func:`artifact_key`."""
 
-    def test_publish_once(self):
-        cache = ArtifactCache()
-        cache.store("k", {"v": 1})
-        cache.store("k", {"v": 2})      # first writer wins
-        assert cache.lookup("k")["v"] == 1
-        assert cache.epoch == 1
+    def test_recency_eviction_is_counted(self, monkeypatch):
+        from repro.obs.metrics import CACHE_EVENTS
+
+        monkeypatch.setattr(state, "ARTIFACT_CACHE_SIZE", 2)
+        evictions = CACHE_EVENTS.labels("server.artifacts", "eviction")
+        server = MayaDaemon(DaemonConfig(workers=1,
+                                         prewarm=False)).start()
+        try:
+            client = MayaClient(server.address, retries=0)
+
+            def compile_class(name):
+                return client.compile(f"class {name} {{ }}", f"{name}.maya")
+
+            before = evictions.value
+            compile_class("A")
+            compile_class("B")
+            assert compile_class("A")["cached"] is True  # B is now oldest
+            compile_class("C")
+            assert evictions.value - before == 1
+            assert len(server.artifacts) == 2
+            assert compile_class("A")["cached"] is True
+            assert "cached" not in compile_class("B")    # evicted
+        finally:
+            server.stop()
 
     def test_bounded_fifo_eviction(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.store("a", {"v": 1})
-        cache.store("b", {"v": 2})
-        cache.store("c", {"v": 3})
-        assert cache.lookup("a") is None
-        assert cache.lookup("b")["v"] == 2 and cache.lookup("c")["v"] == 3
+        # With no lookups between stores, recency order is insertion
+        # order: the first entry stored is the first evicted.
+        cache = LRUCache(2, "server.artifacts")
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        cache.put("c", {"v": 3})
+        assert cache.get("a") is None
+        assert cache.get("b")["v"] == 2 and cache.get("c")["v"] == 3
         assert len(cache) == 2
 
     def test_fifo_evictions_are_counted(self):
@@ -504,25 +522,48 @@ class TestArtifactCache:
 
         evictions = CACHE_EVENTS.labels("server.artifacts", "eviction")
         before = evictions.value
-        cache = ArtifactCache(max_entries=2)
+        cache = LRUCache(2, "server.artifacts")
         for key in "abcde":
-            cache.store(key, {"v": key})
-        cache.store("e", {"v": "again"})    # publish-once: no eviction
+            cache.put(key, {"v": key})
+        cache.put("e", {"v": "again"})      # a resident key: no eviction
         assert evictions.value - before == 3
+        assert cache.get("e") == {"v": "again"}
 
     def test_concurrent_publishes_never_lose_entries(self):
-        cache = ArtifactCache(max_entries=1000)
+        cache = LRUCache(state.ARTIFACT_CACHE_SIZE * 4, "server.artifacts")
+
         def publish(base):
             for i in range(50):
-                cache.store((base, i), {"v": i})
+                cache.put((base, i), {"v": i})
+
         threads = [threading.Thread(target=publish, args=(b,))
                    for b in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert len(cache) == 400
-        assert cache.epoch == 400
+        assert all(cache.get((b, i)) == {"v": i}
+                   for b in range(8) for i in range(50))
+
+    def test_annotating_a_served_hit_leaves_the_entry_untouched(
+            self, daemon, client):
+        source = "class Hit { }"
+        first = client.compile(source, "hit.maya")
+        second = client.compile(source, "hit.maya")
+        assert "cached" not in first and second["cached"] is True
+        assert second["stats"]["cached"] is True
+        entry = daemon.artifacts.get(artifact_key(source, "hit.maya", {}))
+        assert not {"cached", "stats", "request_id", "trace_id"} & set(entry)
+        third = client.compile(source, "hit.maya")
+        # Each hit carries its own request's ids, not a cached one's.
+        assert len({r["request_id"] for r in (first, second, third)}) == 3
 
     def test_artifact_key_sensitivity(self):
         base = artifact_key("class A { }", "a.maya", {})
@@ -610,18 +651,16 @@ class TestRequestObservability:
         assert latency["window"] >= 2
         assert latency["p50"] > 0 and latency["p99"] >= latency["p50"]
         assert stats["requests"]["compile"]["ok"] >= 2
-        assert "epochs" in stats["caches"]
+        assert "lalr.tables" in stats["caches"]
         assert stats["log"]["emitted"] > 0
 
-    def test_stats_caches_match_the_profile_reader(self, daemon, client):
+    def test_stats_caches_match_the_profile_reader(self, client):
         from repro.obs import profile as obs_profile
 
         for _ in range(2):              # an artifact miss, then a hit
             client.compile("class R { }", "r.maya")
         caches = client.stats()["caches"]
         reader = obs_profile.hit_rates()
-        assert caches.pop("epochs") == {
-            "server.artifacts": daemon.artifacts.epoch}
         assert set(caches) == set(reader)
         for name, events in reader.items():
             if "hit_ratio" in events:

@@ -151,6 +151,23 @@ class TestCrashContainment:
         finally:
             server.stop()
 
+    def test_degraded_response_is_never_cached(self):
+        faults.configure("worker.execute:crash:times=1")
+        server = _daemon()
+        try:
+            client = MayaClient(server.address, retries=0)
+            assert client.compile(SOURCE, "d.maya")["degraded"] is True
+            # The degraded answer was not stored: the next identical
+            # request never crashed, so it compiles and is not degraded.
+            response = client.compile(SOURCE, "d.maya")
+            assert response["status"] == "ok"
+            assert "cached" not in response and "degraded" not in response
+            # That clean answer is the one the cache serves.
+            hit = client.compile(SOURCE, "d.maya")
+            assert hit["cached"] is True and "degraded" not in hit
+        finally:
+            server.stop()
+
     def test_crashes_never_cached(self):
         faults.configure("worker.execute:crash")
         server = _daemon()
