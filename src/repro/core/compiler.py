@@ -143,7 +143,16 @@ class MayaCompiler:
         ``unit_sink``, when given, receives the parsed unit.  Callers
         used to read ``program.units[-1]``, which identifies the wrong
         unit once the module builder compiles units concurrently into
-        the shared program; the sink is caller-local and race-free."""
+        the shared program; the sink is caller-local and race-free.
+
+        Fresh names restart at every unit: hygiene needs them unique
+        only within one, and identical units then expand to identical
+        bytes whatever this thread compiled before."""
+        # Imported here: loading repro.hygiene before repro.patterns is
+        # circular (hygiene.analysis -> patterns.templates -> back).
+        from repro.hygiene.fresh import reset_fresh_names
+
+        reset_fresh_names()
         if sys.getrecursionlimit() < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
         engine = unit_env.diag

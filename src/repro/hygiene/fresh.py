@@ -5,12 +5,11 @@ scanner accepts them only because templates and the compiler itself
 mint them), so they are "guaranteed to be unique within a compilation
 unit" by construction.
 
-The counter is thread-local: the incremental module builder resets it
-at the start of every recompiled module (so a module's expanded output
-is a pure function of its source, the artifact byte-identity the
-property tests assert), and daemon workers compile concurrently — a
-process-global counter would let one thread's reset tear another
-thread's unit mid-compile.
+The counter is thread-local: ``MayaCompiler.compile_unit`` resets it
+at the start of every unit (so a unit's expanded output is a pure
+function of its source, on any thread and after any earlier compile),
+and daemon workers compile concurrently — a process-global counter
+would let one thread's reset tear another thread's unit mid-compile.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def fresh_name(base: str) -> str:
 
 def reset_fresh_names() -> None:
     """Restart this thread's counter — the start-of-unit determinism
-    point (tests and the module builder)."""
+    point (``MayaCompiler.compile_unit`` and tests)."""
     _local.counter = itertools.count(1)
 
 

@@ -201,6 +201,10 @@ class Interpreter:
                 _pycodegen = pycodegen
         self.program = program
         self.registry = program.env.registry
+        # From here on the program's members are final
+        # (ClassType._check_open).
+        for klass in self.registry.classes.values():
+            klass.sealed = True
         self.builtins = build_table()
         self.counters = Counters()
         self.statics: Dict[Tuple[str, str], object] = {}

@@ -24,28 +24,24 @@ Profile-guided specialization happens at the call sites:
   ``invoke_exact``) so a patched call chain observes exactly one depth
   increment per Java frame.
 
-Plans live in memory only, on the Method (bounded by
-:class:`PlanRegistry`): generating and ``compile()``-ing a method's
-source costs about what a disk lookup would, whose key alone needs the
-unparsed body (EXPERIMENTS.md, E19).
+Plans live in memory only, on the Method, and die with its session:
+generating and ``compile()``-ing a method's source costs about what a
+disk lookup would, whose key alone needs the unparsed body
+(EXPERIMENTS.md, E19).
 
 Observable behaviour is bit-for-bit the walker's: the same operation
 counters bump at the same points, the same Java exceptions carry the
 same messages, and any shape this compiler cannot prove it reproduces
 raises :class:`CodegenError`, caching a ``FALLBACK`` sentinel so the
-method transparently runs on the walker.  Plans are invalidated by
-``MEMBER_EPOCH``; because patched sites bypass ``plan_for`` entirely,
-this module registers an epoch listener
-(``repro.types.types.on_member_epoch_bump``) that unpatches every live
-plan's sites the moment intercession changes any class's member table.
+method transparently runs on the walker.  A plan is never invalidated:
+``Interpreter`` seals the program's classes before anything runs, so
+the member tables a plan and its patched sites resolved against are
+final (``ClassType.sealed``).
 """
 
 from __future__ import annotations
 
 import re
-import threading
-import weakref
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 from repro.ast import nodes as n
@@ -73,7 +69,7 @@ from repro.interp.values import (
     java_str,
 )
 from repro.obs import lazy as obs_lazy
-from repro.obs.metrics import CACHE_EVENTS, REGISTRY
+from repro.obs.metrics import REGISTRY
 from repro.typecheck import resolve_name, resolve_type_name, static_type_of
 from repro.types import (
     ArrayType,
@@ -87,7 +83,6 @@ from repro.types import (
     SHORT,
     array_of,
 )
-from repro.types import types as _types
 
 #: Inline-cache events by site kind (call / field / type) — surfaced in
 #: ``--profile`` and exported by ``--metrics-out``.
@@ -107,11 +102,6 @@ _IC_TYPE_MISS = _IC_EVENTS.labels("type", "miss")
 #: Inline-cache size past which a site is megamorphic: new receiver
 #: classes stop being cached (existing entries keep hitting).
 MEGAMORPHIC = 8
-
-#: Bound on how many Methods may hold a cached plan attribute (long-lived
-#: daemon sessions otherwise accumulate plans for every method of every
-#: program they ever compiled).
-PLAN_CACHE_SIZE = 4096
 
 #: Method-body codegen outcomes (compiled / fallback).
 _CODEGEN = REGISTRY.counter(
@@ -135,12 +125,6 @@ FALLBACK = object()
 #: Missing-key sentinel distinct from any storable value.
 _MISSING = object()
 
-#: A weak reference to every live compiled plan, so the member-epoch
-#: listener can unpatch specialized sites the moment intercession
-#: changes a member table.  Each reference drops itself from the set
-#: when its plan dies.
-_LIVE_PLANS: "set[weakref.ref]" = set()
-
 
 class CodegenError(Exception):
     """A node shape the Python codegen does not reproduce exactly; the
@@ -156,95 +140,13 @@ class PyPlan:
     """A compiled method: the generated entry function plus its
     namespace (for site patching) and source (for ``--dump-codegen``)."""
 
-    __slots__ = ("entry", "ns", "source", "resets", "label", "__weakref__")
+    __slots__ = ("entry", "ns", "source", "label")
 
-    def __init__(self, entry, ns, source, resets, label):
+    def __init__(self, entry, ns, source, label):
         self.entry = entry
         self.ns = ns
         self.source = source
-        self.resets = resets
         self.label = label
-
-    def invalidate_sites(self) -> None:
-        """Unpatch every specialized site (member epoch bumped)."""
-        for reset in self.resets:
-            reset()
-
-
-def _track(plan: PyPlan) -> None:
-    _LIVE_PLANS.add(weakref.ref(plan, _LIVE_PLANS.discard))
-
-
-def _on_member_epoch_bump(_epoch: int) -> None:
-    # Snapshot weak references, not plans: epoch bumps fire on every
-    # member declaration during a build, and a strong snapshot would
-    # keep every dead-but-uncollected program reachable through a
-    # garbage collection that runs meanwhile.
-    for ref in list(_LIVE_PLANS):
-        plan = ref()
-        if plan is not None:
-            plan.invalidate_sites()
-
-
-_types.on_member_epoch_bump(_on_member_epoch_bump)
-
-
-class PlanRegistry:
-    """A bounded LRU registry of Methods carrying a cached plan.
-
-    The plan itself stays directly on the Method (one ``getattr`` on
-    the hit path — the registry is never consulted there); ``note()``
-    is called only on compile misses, so eviction order is
-    least-recently-*compiled*, and evicting a method just deletes its
-    plan attribute — the next call recompiles.  Each eviction bumps
-    ``evictions``, a ``maya_cache_events_total`` counter child.
-    """
-
-    def __init__(self, attr: str, maxsize: int, evictions) -> None:
-        self.attr = attr
-        self.maxsize = max(1, maxsize)
-        self.evictions = evictions
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[int, weakref.ref]" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def note(self, method) -> None:
-        """Record that ``method`` just (re)compiled a plan, evicting the
-        oldest plans past the bound."""
-        victims = []
-        with self._lock:
-            key = id(method)
-            existing = self._entries.pop(key, None)
-            if existing is None or existing() is not method:
-                existing = weakref.ref(method)
-            self._entries[key] = existing
-            while len(self._entries) > self.maxsize:
-                _key, ref = self._entries.popitem(last=False)
-                victims.append(ref)
-        for ref in victims:
-            victim = ref()
-            if victim is None:
-                continue  # the Method died; nothing left to evict
-            try:
-                delattr(victim, self.attr)
-            except AttributeError:
-                continue  # already invalidated some other way
-            self.evictions.inc()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: Bounded registry for ``Method._pycode_plan`` attributes (evictions
-#: land in the ``maya_cache_events_total{cache="interp.pycode.plans"}``
-#: family).
-_PLAN_REGISTRY = PlanRegistry(
-    "_pycode_plan", PLAN_CACHE_SIZE,
-    CACHE_EVENTS.labels("interp.pycode.plans", "eviction"))
 
 
 def plan_for(method, interp):
@@ -253,13 +155,9 @@ def plan_for(method, interp):
     The plan never captures ``interp``, so plans are shared across
     Interpreter instances.
     """
-    cached = getattr(method, "_pycode_plan", None)
-    epoch = _types.MEMBER_EPOCH
-    if cached is not None and cached[0] == epoch:
-        return cached[1]
-    plan = _build_plan(method)
-    method._pycode_plan = (epoch, plan)
-    _PLAN_REGISTRY.note(method)
+    plan = getattr(method, "_pycode_plan", None)
+    if plan is None:
+        plan = method._pycode_plan = _build_plan(method)
     return plan
 
 
@@ -282,7 +180,6 @@ def _build_plan(method):
         _CG_FALLBACK.value += 1
         return FALLBACK
     _CG_COMPILED.value += 1
-    _track(plan)
     return plan
 
 
@@ -365,19 +262,10 @@ def _make_call_site(ns, index, method):
             ns[k_name] = klass
         return interp.invoke_exact(resolved, receiver, list(args))
 
-    def reset():
-        cache.clear()
-        state[0] = 0
-        state[1] = False
-        ns[k_name] = None
-        ns[f_name] = None
-        ns[m_name] = method
-
     ns[k_name] = None
     ns[f_name] = None
     ns[m_name] = method
     ns[f"_s{index}_d"] = dispatch
-    return reset
 
 
 def _make_static_site(ns, index, method):
@@ -392,13 +280,9 @@ def _make_static_site(ns, index, method):
             ns[f_name] = _entry_for(method, interp)
         return interp.invoke_exact(method, receiver, list(args))
 
-    def reset():
-        ns[f_name] = None
-
     ns[f_name] = None
     ns[f"_s{index}_m"] = method
     ns[f"_s{index}_g"] = call_generic
-    return reset
 
 
 def _make_ifield_site(ns, index, name):
@@ -424,7 +308,6 @@ def _make_ifield_site(ns, index, name):
         return interp._read_field(receiver, found)
 
     ns[f"_s{index}"] = read
-    return cache.clear
 
 
 def _make_sfield_site(ns, index, name):
@@ -447,7 +330,6 @@ def _make_sfield_site(ns, index, name):
         interp._write_field(receiver, found, value)
 
     ns[f"_s{index}"] = store
-    return cache.clear
 
 
 def _make_instanceof_site(ns, index, target):
@@ -468,7 +350,6 @@ def _make_instanceof_site(ns, index, target):
         return verdict
 
     ns[f"_s{index}"] = test
-    return cache.clear
 
 
 def _make_cast_site(ns, index, target):
@@ -492,7 +373,6 @@ def _make_cast_site(ns, index, target):
         return value
 
     ns[f"_s{index}"] = cast
-    return cache.clear
 
 
 _SITE_BUILDERS = {
@@ -529,12 +409,11 @@ def _link(method, source, consts, sites) -> PyPlan:
     ns = _runtime_ns()
     for name, value in consts:
         ns[name] = value
-    resets = []
     for index, kind, payload in sites:
-        resets.append(_SITE_BUILDERS[kind](ns, index, payload))
+        _SITE_BUILDERS[kind](ns, index, payload)
     code = compile(source, f"<pycode {label}>", "exec")
     exec(code, ns)
-    return PyPlan(ns["_m"], ns, source, resets, label)
+    return PyPlan(ns["_m"], ns, source, label)
 
 
 def method_label(method) -> str:

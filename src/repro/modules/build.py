@@ -19,8 +19,8 @@ layer hammers:
   the build options, and its direct deps' keys (which recursively cover
   theirs), so an edit invalidates exactly the edited module and its
   transitive importers — never siblings, never upstream.
-* **Per-module expansion is deterministic.**  Each recompile starts
-  from ``reset_fresh_names()`` (a thread-local counter) and a fresh
+* **Per-module expansion is deterministic.**  Each recompile is one
+  ``compile_unit`` (which restarts the fresh-name count) in a fresh
   grammar copy built by replaying the same export list in the same
   order, so the same module source always expands to the same bytes —
   on any thread, in any process.
@@ -70,7 +70,6 @@ from repro.ast import to_source
 from repro.core.compiler import CompiledClass, MayaCompiler
 from repro.core.env import CompileEnv, MayaError
 from repro.diag import DiagnosticError
-from repro.hygiene.fresh import reset_fresh_names
 from repro.lalr import ConflictError
 from repro.lexer import Location
 from repro.obs import log as obs_log
@@ -351,10 +350,8 @@ class ModuleBuilder:
         _DEEP_FALLBACK_TOTAL.inc()
         # The cached artifact is plain Java (every Mayan already
         # expanded), so compiling it skips the expensive phase but
-        # yields real method bodies.  Fresh names restart so the
-        # re-materialized unit matches the cached bytes.
+        # yields real method bodies.
         sink: List = []
-        reset_fresh_names()
         self.compiler.compile_unit(entry.expanded, filename, module_env,
                                    unit_sink=sink)
         return self._classes_of(sink[-1] if sink else None, module_env)
@@ -367,7 +364,6 @@ class ModuleBuilder:
                      module=info.name, deps=len(info.deps))
         module_env = self._module_env(info)
         self._replay_exports(info, builds, module_env)
-        reset_fresh_names()
         sink: List = []
         self.compiler.compile_unit(info.source, info.filename,
                                    module_env, unit_sink=sink)

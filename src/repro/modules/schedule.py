@@ -15,7 +15,7 @@ of what the tasks are allowed to observe:
   have shown it;
 * per-module outputs (expanded bytes, exports, cache entries) are pure
   functions of (source, options, dep exports) — fresh-name counters
-  reset per module, grammar copies are per-module;
+  restart per unit, grammar copies are per-module;
 * everything order-sensitive that *aggregates* those outputs (the
   ``--module-report``, the concatenated ``--expand`` artifact, the
   program's unit/class tables) is assembled by the builder's serial

@@ -28,7 +28,6 @@ from repro.types.types import (
     VOID,
     array_of,
     binary_numeric_promotion,
-    bump_member_epoch,
     can_assign,
     can_cast,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "VOID",
     "array_of",
     "binary_numeric_promotion",
-    "bump_member_epoch",
     "can_assign",
     "can_cast",
     "install_builtins",

@@ -25,7 +25,7 @@ class TypeRegistry:
     ``memo`` holds what callers derive from this registry's types
     (compiled templates, resolved specializer types), keyed by the
     caller's object.  Type identity is per registry, so such a memo
-    belongs to the registry and is freed with it; a copy starts empty.
+    belongs to the registry and is freed with it.
     """
 
     def __init__(self):
@@ -35,12 +35,6 @@ class TypeRegistry:
         # (dispatch specificity orders) key on (registry, version) so a
         # class declared mid-compile can change subtype-based outcomes.
         self.version = 0
-
-    def copy(self) -> "TypeRegistry":
-        dup = TypeRegistry()
-        dup.classes = dict(self.classes)
-        dup.version = self.version
-        return dup
 
     # -- registration -------------------------------------------------------
 

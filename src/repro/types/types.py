@@ -14,35 +14,6 @@ class TypeError_(DiagnosticError):
     phase = "check"
 
 
-#: Monotone member-table epoch: bumped whenever any class gains or
-#: loses a member (intercession's declare_method / remove_method /
-#: declare_field).  Execution-side caches keyed on resolved members —
-#: the pycode backend's compiled method plans and inline caches —
-#: record the epoch they were built under and rebuild on mismatch,
-#: the same invalidation discipline the dispatcher's plan cache uses
-#: for its import epoch.
-MEMBER_EPOCH = 0
-
-#: Callbacks fired after every member-epoch bump.  Epoch *checking*
-#: alone is not enough for the pycode backend: its specialized call
-#: sites jump directly between generated functions without going back
-#: through plan lookup, so intercession must eagerly unpatch them.
-_EPOCH_LISTENERS: List[Callable[[int], None]] = []
-
-
-def on_member_epoch_bump(listener: Callable[[int], None]) -> None:
-    """Register a callback invoked (with the new epoch) on every bump."""
-    _EPOCH_LISTENERS.append(listener)
-
-
-def bump_member_epoch() -> int:
-    global MEMBER_EPOCH
-    MEMBER_EPOCH += 1
-    for listener in _EPOCH_LISTENERS:
-        listener(MEMBER_EPOCH)
-    return MEMBER_EPOCH
-
-
 class Type:
     """Base class of all types."""
 
@@ -233,6 +204,7 @@ class ClassType(Type):
         self.constructors: List[Method] = []
         self.decl = None  # source ClassDecl when compiled from source
         self.hooks: List[Callable] = []
+        self.sealed = False  # set by Interpreter; see _check_open
 
     # -- identity / naming -------------------------------------------------
 
@@ -284,10 +256,20 @@ class ClassType(Type):
 
     # -- member declaration (intercession API) -------------------------------
 
+    def _check_open(self, action: str, name: str) -> None:
+        """Members change only at compile time (the class shaper and
+        intercession Mayans).  ``Interpreter`` seals every class of the
+        program it runs, so the plans and inline caches built while it
+        runs never go stale; a sealed class's mutators raise."""
+        if self.sealed:
+            raise TypeError_(
+                f"cannot {action} {name} on {self.name}: its program "
+                f"has run, so its members are final")
+
     def declare_field(self, name: str, type_: Type, modifiers: Sequence[str] = ()) -> Field:
+        self._check_open("declare field", name)
         field = Field(name, type_, modifiers, self)
         self.fields[name] = field
-        bump_member_epoch()
         return field
 
     def declare_method(
@@ -299,9 +281,9 @@ class ClassType(Type):
         impl: Optional[Callable] = None,
         decl=None,
     ) -> Method:
+        self._check_open("declare method", name)
         method = Method(name, param_types, return_type, modifiers, self, impl, decl)
         bucket = self.methods.setdefault(name, [])
-        bump_member_epoch()
         for index, existing in enumerate(bucket):
             if existing.same_signature(method):
                 bucket[index] = method
@@ -310,10 +292,10 @@ class ClassType(Type):
         return method
 
     def remove_method(self, method: Method) -> None:
+        self._check_open("remove method", method.name)
         bucket = self.methods.get(method.name, [])
         if method in bucket:
             bucket.remove(method)
-            bump_member_epoch()
 
     def declare_constructor(
         self,

@@ -16,11 +16,12 @@ import warnings
 
 import pytest
 
-from repro.core import MayaError
+from repro.core import CompileEnv, MayaError
 from repro.interp import Interpreter, JavaThrow, StepLimitExceeded
 from repro.interp import pycodegen
 from repro.mayac import main as mayac_main
 from repro.obs.metrics import REGISTRY
+from repro.types import INT, TypeError_
 
 from tests.conftest import compile_source
 from tests.test_examples import EXAMPLES_DIR, HELLO, SCRIPTS, run_example
@@ -601,10 +602,10 @@ class TestInlineCaches:
         method = program.class_named("Demo").type.methods["main"][0]
         first = Interpreter(program, backend="pycode")
         assert first.run_static("Demo") == 10
-        _epoch, plan = method._pycode_plan
+        plan = method._pycode_plan
         second = Interpreter(program, backend="pycode")
         assert second.run_static("Demo") == 10
-        assert method._pycode_plan[1] is plan  # one plan, shared
+        assert method._pycode_plan is plan  # one plan, shared
 
     def test_profile_renders_ic_section(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
@@ -844,24 +845,8 @@ class TestWalkFallback:
         method = program.class_named("Demo").type.methods["main"][0]
         plan = pycodegen.plan_for(method, interp)
         assert plan is not pycodegen.FALLBACK
-        cached_epoch, cached = method._pycode_plan
-        assert cached is plan
+        assert method._pycode_plan is plan
         assert pycodegen.plan_for(method, interp) is plan
-
-    def test_intercession_invalidates_plans(self):
-        program = compile_source("""
-            class Demo {
-                static int main() { return 7; }
-            }
-        """)
-        interp = Interpreter(program, backend="pycode")
-        method = program.class_named("Demo").type.methods["main"][0]
-        first = pycodegen.plan_for(method, interp)
-        from repro.types import bump_member_epoch
-
-        bump_member_epoch()
-        second = pycodegen.plan_for(method, interp)
-        assert second is not first  # recompiled under the new epoch
 
     SRC = """
         class Demo {
@@ -902,7 +887,7 @@ class TestWalkFallback:
                              exc.value.value.class_type.name,
                              _codegen_counts().get("fallback", 0) - before)
         method = program.class_named("Demo").type.methods["risky"][0]
-        assert method._pycode_plan[1] is pycodegen.FALLBACK
+        assert method._pycode_plan is pycodegen.FALLBACK
         assert runs["walk"][:3] == runs["pycode"][:3]
         assert runs["walk"][0] == ["risky 1", "total 42", "risky 5"]
         assert runs["walk"][2] == "java.lang.IndexOutOfBoundsException"
@@ -1022,54 +1007,6 @@ class TestPycodeBackend:
         second = Interpreter(program, backend="pycode")
         assert second.run_static("Demo") == 10
         assert _codegen_counts().get("compiled", 0) == baseline
-
-    def test_intercession_recompiles_and_unpatches_sites(self):
-        program = compile_source(POLY_SOURCE)
-        interp = Interpreter(program, backend="pycode")
-        assert interp.run_static("Demo") == 9
-        klass = program.class_named("Demo").type
-        method = next(m for m in klass.methods["poke"])
-        plan = pycodegen.plan_for(method, interp)
-        assert plan is not pycodegen.FALLBACK
-        # The b.tag() site saw Base first, so its guard cell is patched.
-        patched = [k for k in plan.ns
-                   if k.startswith("_s") and k.endswith("_k")
-                   and plan.ns[k] is not None]
-        assert patched
-        from repro.types import bump_member_epoch
-
-        bump_member_epoch()
-        # Live-plan listener unpatched every specialized site...
-        assert all(plan.ns[k] is None for k in patched)
-        # ...and the memoized plan is recompiled under the new epoch.
-        assert pycodegen.plan_for(method, interp) is not plan
-
-    def test_epoch_listener_does_not_pin_dead_plans(self):
-        # Epochs bump on every member a build declares.  A collection
-        # that runs inside the listener must still free a dead plan
-        # (and whatever program it references).
-        import gc
-        import weakref
-
-        from repro.types import bump_member_epoch
-
-        def tracked_plan(resets):
-            plan = pycodegen.PyPlan(None, {}, "", resets, "test")
-            pycodegen._track(plan)
-            return plan
-
-        live = tracked_plan([gc.collect])
-        dead = tracked_plan([])
-        dead.ns["cycle"] = dead  # collectable only by the cycle GC
-        dead_ref = weakref.ref(dead)
-        gc.disable()
-        try:
-            del dead
-            bump_member_epoch()
-            assert dead_ref() is None
-        finally:
-            gc.enable()
-        assert live.resets == [gc.collect]
 
     def test_dump_source_is_compilable_python(self):
         program = compile_source(POLY_SOURCE)
@@ -1215,50 +1152,45 @@ class TestMultiModuleDifferential:
         assert thrown["walk"] == "java.lang.IndexOutOfBoundsException"
 
 
-class TestPlanCacheBound:
-    def test_registry_evicts_past_bound(self):
-        class FakeMethod:
-            pass
+# ---------------------------------------------------------------------------
+# Sealed programs: members are final once a program runs
+# ---------------------------------------------------------------------------
 
-        class Stats:
-            def __init__(self):
-                self.evictions = 0
 
-            def inc(self):
-                self.evictions += 1
+class TestSealedPrograms:
+    SRC = """
+        class Demo {
+            static int helper(int n) { return n + 1; }
+            static int main() { return Demo.helper(41); }
+        }
+    """
 
-        stats = Stats()
-        registry = pycodegen.PlanRegistry("_test_plan", 2, stats)
-        methods = [FakeMethod() for _ in range(3)]
-        for m in methods:
-            m._test_plan = (0, object())
-            registry.note(m)
-        assert stats.evictions == 1
-        assert not hasattr(methods[0], "_test_plan")  # LRU victim
-        assert hasattr(methods[1], "_test_plan")
-        assert hasattr(methods[2], "_test_plan")
-        assert len(registry) == 2
+    def test_a_fresh_session_compiles_no_new_plan(self):
+        program = compile_source(self.SRC)
+        assert Interpreter(program, backend="pycode").run_static("Demo") == 42
+        compiled = _codegen_counts().get("compiled", 0)
+        CompileEnv.fresh_session()  # declares every builtin's members
+        assert Interpreter(program, backend="pycode").run_static("Demo") == 42
+        assert _codegen_counts().get("compiled", 0) == compiled
 
-    def test_note_refreshes_recency(self):
-        class FakeMethod:
-            pass
-
-        class Stats:
-            def __init__(self):
-                self.evictions = 0
-
-            def inc(self):
-                self.evictions += 1
-
-        stats = Stats()
-        registry = pycodegen.PlanRegistry("_test_plan", 2, stats)
-        a, b, c = FakeMethod(), FakeMethod(), FakeMethod()
-        for m in (a, b):
-            m._test_plan = (0, object())
-            registry.note(m)
-        registry.note(a)  # refresh: b becomes the LRU victim
-        c._test_plan = (0, object())
-        registry.note(c)
-        assert not hasattr(b, "_test_plan")
-        assert hasattr(a, "_test_plan")
-        assert hasattr(c, "_test_plan")
+    def test_mutators_raise_on_a_sealed_class(self):
+        program = compile_source(self.SRC)
+        Interpreter(program).run_static("Demo")
+        klass = program.class_named("Demo").type
+        [helper] = klass.methods["helper"]
+        builtin = program.env.registry.require("java.lang.String")
+        for sealed in (klass, builtin):
+            with pytest.raises(TypeError_, match="members are final"):
+                sealed.declare_method("extra", (), INT)
+            with pytest.raises(TypeError_, match="members are final"):
+                sealed.declare_field("extra", INT)
+        with pytest.raises(TypeError_, match="members are final"):
+            klass.remove_method(helper)
+        assert klass.methods["helper"] == [helper]
+        assert "extra" not in klass.fields
+        # The same class in a session that has not run stays open.
+        other = compile_source(self.SRC).class_named("Demo").type
+        added = other.declare_method("extra", (), INT)
+        other.declare_field("extra", INT)
+        other.remove_method(added)
+        assert not other.sealed and klass.sealed

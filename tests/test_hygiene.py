@@ -91,6 +91,30 @@ class TestRenaming:
         """, macros=True)
         assert lines == ["ax", "ay"]
 
+    def test_identical_compiles_give_identical_bytes(self):
+        """Fresh names restart at every compilation unit, so compiling
+        the same source twice on one thread expands to the same text."""
+        from repro import MayaCompiler
+
+        source = """
+            import java.util.*;
+            class Demo {
+                static void main() {
+                    use maya.util.ForEach;
+                    Vector v = new Vector();
+                    v.elements().foreach(Object o) { }
+                }
+            }
+        """
+
+        def expand():
+            compiler = MayaCompiler(CompileEnv.fresh_session())
+            return compiler.configure({}).compile(source).source()
+
+        first = expand()
+        assert "enumVar$1" in first
+        assert expand() == first
+
     def test_make_id_unique(self):
         names = {make_id("t").name for _ in range(100)}
         assert len(names) == 100

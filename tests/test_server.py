@@ -118,6 +118,22 @@ class TestCompileService:
         assert response["classes"] == ["DemoA"]
         assert response["stats"]["total_ms"] > 0
 
+    def test_identical_compiles_expand_identically(self):
+        # One worker thread compiles both requests; fresh names restart
+        # per unit, so the second expansion matches the first.
+        server = MayaDaemon(DaemonConfig(workers=1, prewarm=False)).start()
+        try:
+            client = MayaClient(server.address, retries=0)
+            first, second = (
+                client.compile(FOREACH_TEMPLATE % "Same", "same.maya",
+                               expand=True, cache=False)
+                for _ in range(2))
+            assert first["status"] == second["status"] == "ok"
+            assert "enumVar$1" in first["expanded"]
+            assert second["expanded"] == first["expanded"]
+        finally:
+            server.stop()
+
     def test_compile_error_diagnostics_are_structured(self, client):
         response = client.compile(
             'class Bad { int f() { return "no"; } }', "bad.maya")
