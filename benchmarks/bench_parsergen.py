@@ -100,15 +100,10 @@ def test_e11_disk_cache_cold_start(benchmark, tmp_path):
     """Restoring pickled tables beats regenerating them from scratch."""
     import time
 
-    from repro.lalr.tables import (
-        disable_disk_cache,
-        enable_disk_cache,
-        table_cache_clear,
-    )
+    from repro.lalr.tables import disk_cache_at, table_cache_clear
 
     grammar = base_grammar()
-    enable_disk_cache(str(tmp_path))
-    try:
+    with disk_cache_at(str(tmp_path)):
         start = time.perf_counter()
         table_cache_clear()
         tables_for(grammar)  # generates, then persists
@@ -131,9 +126,7 @@ def test_e11_disk_cache_cold_start(benchmark, tmp_path):
         record_metric("table_generate_ms", round(generate_time * 1e3, 1), "ms")
         record_metric("table_restore_ms", round(restore_time * 1e3, 1), "ms")
         benchmark(cold_start)
-    finally:
-        disable_disk_cache()
-        table_cache_clear()
+    table_cache_clear()
 
 
 def test_e11_conflict_detection_cost(benchmark):

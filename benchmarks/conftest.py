@@ -13,15 +13,28 @@ scrollback.
 
 import atexit
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+#: The benchmarks' persistent LALR table store: a scratch directory
+#: for the run, so a "cold" measurement never restores tables an
+#: earlier run left under ``~/.cache``, and nothing is written there.
+TABLE_STORE = tempfile.mkdtemp(prefix="maya-bench-cache-")
+os.environ["MAYA_CACHE_DIR"] = TABLE_STORE
+atexit.register(shutil.rmtree, TABLE_STORE, ignore_errors=True)
+
 from repro import MayaCompiler
 from repro.interp import Interpreter
+from repro.lalr.tables import enable_disk_cache
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
+
+enable_disk_cache(TABLE_STORE)  # in case repro was imported first
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -8,7 +8,7 @@ so parses (and pattern parses) can begin at any node-type nonterminal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.grammar import Grammar, GrammarError, Nonterminal, Production
 
@@ -18,9 +18,17 @@ EOF_NAME = "$eof"
 
 
 class EncodedGrammar:
-    """A grammar lowered to integers, with FIRST/nullable precomputed."""
+    """A grammar lowered to integers, with FIRST/nullable precomputed.
 
-    def __init__(self, grammar: Grammar):
+    ``first``/``nullable`` are the sets a table snapshot stored for
+    this grammar (see :meth:`repro.lalr.tables.ParseTables.snapshot`);
+    given, they replace the fixpoint.  The encoding is deterministic,
+    so sets stored under the same grammar fingerprint (and generator)
+    number their symbols the same way."""
+
+    def __init__(self, grammar: Grammar,
+                 first: Optional[Sequence[AbstractSet[int]]] = None,
+                 nullable: Optional[AbstractSet[int]] = None):
         self.grammar = grammar
         self.symbol_names: List[str] = [EOF_NAME]
         self.symbol_ids: Dict[str, int] = {EOF_NAME: EOF}
@@ -80,7 +88,11 @@ class EncodedGrammar:
         for index, (lhs, _) in enumerate(self.productions):
             self.by_lhs.setdefault(lhs, []).append(index)
 
-        self._compute_first()
+        if first is None or nullable is None:
+            self._compute_first()
+        else:
+            self.first = first
+            self.nullable = nullable
 
     # -- FIRST/nullable ---------------------------------------------------
 

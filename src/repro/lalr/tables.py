@@ -12,6 +12,7 @@ resolutions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -21,6 +22,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import faults, trace
 from repro.grammar import Assoc, Grammar, GrammarFingerprint, Production
+from repro.lalr import automaton as automaton_module
+from repro.lalr import encoded as encoded_module
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
 from repro.store import LRUCache, Store
@@ -49,14 +52,15 @@ class ParseTables:
     plain picklable data: the symbol/production encoding is rebuilt
     deterministically from the grammar (cheap), while the expensive
     automaton + lookahead computation is replaced by the stored ACTION/
-    GOTO tables.  Restoring is only sound for a grammar whose
-    fingerprint matches the one the snapshot was taken under.
+    GOTO tables, and the FIRST/nullable fixpoint by the stored sets.
+    Restoring is only sound for a grammar whose fingerprint matches the
+    one the snapshot was taken under, and for the same generator code.
     """
 
     def __init__(self, grammar: Grammar, _snapshot: Optional[dict] = None):
         self.grammar = grammar
-        self.encoded = EncodedGrammar(grammar)
         if _snapshot is None:
+            self.encoded = EncodedGrammar(grammar)
             # Every generation passes here, the cached and the
             # cache-bypassing path alike, so this is where it is timed.
             with trace.phase("lalr.generate"):
@@ -65,6 +69,9 @@ class ParseTables:
                 self.goto: List[Dict[int, int]] = []
                 self._build()
         else:
+            self.encoded = EncodedGrammar(
+                grammar, first=_snapshot["first"],
+                nullable=_snapshot["nullable"])
             self.automaton = _RestoredAutomaton(
                 _snapshot["start_state"], _snapshot["state_count"]
             )
@@ -79,6 +86,8 @@ class ParseTables:
             "state_count": len(self.automaton.states),
             "action": self.action,
             "goto": self.goto,
+            "first": self.encoded.first,
+            "nullable": self.encoded.nullable,
         }
 
     @classmethod
@@ -187,6 +196,10 @@ class ParseTables:
             for start, state in self.automaton.start_state.items()
         }
         conflicts: List[str] = []
+        # Equal entries share one tuple.  A grammar's thousands of
+        # actions are a few hundred distinct ones, so the tables, a
+        # store entry and the memo that pickles it stay small.
+        shared: Dict[Tuple[str, int], Tuple[str, int]] = {}
         for state, reductions in enumerate(self._lookaheads()):
             actions: Dict[int, Tuple[str, int]] = {}
             gotos: Dict[int, int] = {}
@@ -208,6 +221,8 @@ class ParseTables:
                     las ^= low
                     self._add_reduce(state, actions, low.bit_length() - 1,
                                      prod_index, conflicts)
+            for symbol, entry in actions.items():
+                actions[symbol] = shared.setdefault(entry, entry)
             self.action.append(actions)
             self.goto.append(gotos)
 
@@ -403,16 +418,45 @@ class _RestoredAutomaton:
 TABLE_CACHE_SIZE = 32
 _TABLE_CACHE = LRUCache(TABLE_CACHE_SIZE, "lalr.tables")
 
-#: Opt-in on-disk cache (``mayac --table-cache`` or the
-#: MAYA_TABLE_CACHE environment variable).  Cold-starting mayac skips
-#: full LALR generation for any grammar already seen on this machine —
-#: in particular the base Java grammar.
-_DISK = Store(os.environ.get("MAYA_TABLE_CACHE") or None,
-              "lalr.tables.disk", faults.SITE_CACHE_LOAD)
+def default_cache_dir() -> str:
+    """Where the persistent table store lives unless ``--table-cache``
+    or ``--no-cache`` says otherwise: ``MAYA_CACHE_DIR``, else
+    ``$XDG_CACHE_HOME/maya``, else ``~/.cache/maya``.  A relative
+    ``XDG_CACHE_HOME`` is ignored, as the XDG spec asks."""
+    explicit = os.environ.get("MAYA_CACHE_DIR")
+    if explicit:
+        return explicit
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    if not (xdg and os.path.isabs(xdg)):
+        xdg = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(xdg, "maya")
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_token() -> str:
+    """A digest of the table generator's own source, read once, on
+    first use.  Part of every entry's name: a store outlives the code
+    that filled it, and a changed symbol numbering or table builder
+    must never restore tables the old code built."""
+    digest = hashlib.sha256()
+    for path in (__file__, automaton_module.__file__,
+                 encoded_module.__file__):
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
+#: The persistent table store, on by default (see
+#: :func:`default_cache_dir`).  Cold-starting mayac skips full LALR
+#: generation for any grammar already seen on this machine -- the base
+#: Java grammar and each ``use``-extended one.
+_DISK = Store(default_cache_dir(), "lalr.tables.disk",
+              faults.SITE_CACHE_LOAD)
 
 #: Part of every entry's name, so a format bump writes fresh entries
-#: instead of missing on the old ones forever.
-_SNAPSHOT_FORMAT = 1
+#: instead of missing on the old ones forever.  Format 2 stores the
+#: FIRST/nullable sets with the tables.
+_SNAPSHOT_FORMAT = 2
 
 #: When set (via :func:`bypass_caches`), ``tables_for`` neither reads
 #: nor writes any shared cache — the daemon's degraded single-shot
@@ -449,10 +493,6 @@ def disk_cache_at(path: Optional[str]):
         enable_disk_cache(previous)
 
 
-def disable_disk_cache() -> None:
-    enable_disk_cache(None)
-
-
 def table_cache_clear() -> None:
     """Drop all in-memory cached tables (tests and benchmarks)."""
     _TABLE_CACHE.clear()
@@ -460,7 +500,8 @@ def table_cache_clear() -> None:
 
 def _disk_name(fingerprint: GrammarFingerprint) -> str:
     digest = hashlib.sha256(
-        f"{_SNAPSHOT_FORMAT}\x00{fingerprint.key!r}".encode()).hexdigest()
+        f"{_SNAPSHOT_FORMAT}\x00{_generator_token()}\x00{fingerprint.key!r}"
+        .encode()).hexdigest()
     return f"tables-{digest[:32]}.pickle"
 
 
@@ -506,7 +547,9 @@ def tables_for(grammar: Grammar) -> ParseTables:
     fingerprint = grammar.fingerprint()
     tables = _TABLE_CACHE.get(fingerprint)
     if tables is None:
-        tables = _disk_load(grammar, fingerprint)
+        if _DISK:
+            with trace.phase("lalr.restore"):
+                tables = _disk_load(grammar, fingerprint)
         if tables is None:
             tables = ParseTables(grammar)
             _disk_store(tables, fingerprint)

@@ -59,9 +59,12 @@ Options:
                       is time outside every compiler span), expansion
                       and dispatch counts, and cache hit rates to
                       stderr after compiling
-    --table-cache DIR persist generated LALR tables under DIR so later
-                      runs skip table generation (also honours the
-                      MAYA_TABLE_CACHE environment variable)
+    --table-cache DIR keep the persistent LALR table store under DIR
+                      instead of the default location: MAYA_CACHE_DIR,
+                      else $XDG_CACHE_HOME/maya, else ~/.cache/maya.
+                      Generated tables are stored there, so later runs
+                      restore them instead of generating them again
+    --no-cache        neither read nor write the persistent table store
     --trace           print the expansion trace (nested phase /
                       dispatch / Mayan spans with before/after
                       rewrites) to stderr after compiling
@@ -100,6 +103,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -113,6 +117,7 @@ from repro.diag import (
 )
 from repro.interp import Interpreter
 from repro.interp.interp import BACKENDS, DEFAULT_BACKEND
+from repro.lalr.tables import disk_cache_at
 from repro.obs import export as obs_export
 from repro.obs import flamegraph as obs_flame
 from repro.obs import lazy as obs_lazy
@@ -187,8 +192,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", action="store_true",
                         help="print phase timings, dispatch counts, and "
                              "cache hit rates after compiling")
-    parser.add_argument("--table-cache", metavar="DIR",
-                        help="persist generated LALR tables under DIR")
+    store = parser.add_mutually_exclusive_group()
+    store.add_argument("--table-cache", metavar="DIR",
+                       help="keep the persistent LALR table store under "
+                            "DIR (default: MAYA_CACHE_DIR, else "
+                            "$XDG_CACHE_HOME/maya, else ~/.cache/maya)")
+    store.add_argument("--no-cache", action="store_true",
+                       help="neither read nor write the persistent "
+                            "table store")
     parser.add_argument("--trace", action="store_true",
                         help="print the expansion trace to stderr")
     parser.add_argument("--trace-out", metavar="FILE",
@@ -399,15 +410,22 @@ def main(argv=None) -> int:
     # Local compiles run under a request scope too: exemplars,
     # diagnostics, and --log-out lines carry one request_id/trace_id
     # per mayac invocation, same contract as a daemon request.
-    with obs_log.request_scope():
+    with obs_log.request_scope(), _table_store(args):
         return _local_main(args)
 
 
-def _local_main(args) -> int:
+def _table_store(args):
+    """The table store this run uses: --table-cache and --no-cache
+    hold until ``main`` returns, so an in-process caller gets its own
+    store back."""
+    if args.no_cache:
+        return disk_cache_at(None)
     if args.table_cache:
-        from repro.lalr.tables import enable_disk_cache
+        return disk_cache_at(args.table_cache)
+    return contextlib.nullcontext()
 
-        enable_disk_cache(args.table_cache)
+
+def _local_main(args) -> int:
     # --metrics-out wants phase timings and laziness figures covered,
     # so it implies the tracer and the laziness profiler.
     want_lazy = args.lazy_report or args.metrics_out
@@ -608,5 +626,22 @@ def cli(argv=None) -> int:
         return 0
 
 
+def _exit_now(code: int) -> None:
+    """End a console run without interpreter teardown: every output
+    file is already written and closed, so freeing the heap object by
+    object and running finalizers only costs time.  Close the
+    --log-out sink and flush the standard streams first, since
+    ``os._exit`` flushes nothing."""
+    obs_log.LOG.set_sink(None)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass  # a reader that went away (see cli) or a closed stream
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(cli())
+    # Only here, never in cli() or main(): callers in the same process
+    # (tests, benchmark launchers) need them to return.
+    _exit_now(cli())

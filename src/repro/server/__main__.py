@@ -11,7 +11,10 @@ Options:
     --deadline S       default per-request deadline seconds (default 30)
     --max-deadline S   hard cap on client-requested deadlines
     --no-prewarm       skip warming the base/macro grammar tables
-    --table-cache DIR  persist LALR tables under DIR (MAYA_TABLE_CACHE)
+    --table-cache DIR  keep the persistent LALR table store under DIR
+                       (default: MAYA_CACHE_DIR, else
+                       $XDG_CACHE_HOME/maya, else ~/.cache/maya)
+    --no-cache         neither read nor write the persistent table store
     --port-file FILE   write the bound address to FILE once serving
                        (for scripts using --port 0)
     --metrics-out FILE JSON metrics snapshot target: written on
@@ -53,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-deadline", type=float, default=120.0,
                         metavar="S")
     parser.add_argument("--no-prewarm", action="store_true")
-    parser.add_argument("--table-cache", metavar="DIR")
+    store = parser.add_mutually_exclusive_group()
+    store.add_argument("--table-cache", metavar="DIR")
+    store.add_argument("--no-cache", action="store_true")
     parser.add_argument("--port-file", metavar="FILE")
     parser.add_argument("--metrics-out", metavar="FILE")
     parser.add_argument("--log-out", metavar="FILE")
@@ -66,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.table_cache:
+    if args.table_cache or args.no_cache:
         from repro.lalr.tables import enable_disk_cache
 
-        enable_disk_cache(args.table_cache)
+        enable_disk_cache(None if args.no_cache else args.table_cache)
     config = DaemonConfig(
         host=args.host, port=args.port, socket_path=args.socket,
         workers=args.workers, queue_size=args.queue_size,

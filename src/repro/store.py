@@ -16,13 +16,14 @@ and keys, and this module owns the policy for the files:
   ``os.replace``: a reader sees the old entry or the new one, never a
   partial file, and concurrent writers of one name never share a
   scratch file;
-* **the load ladder** — an absent entry, an injected I/O fault at the
-  owner's fault site, or a *stale* entry (well-formed, but the owner's
-  decoder says it is not for this key or format) is a plain miss.  A
-  bad checksum or a decoder that raises means the entry is *corrupt*:
-  it is moved aside to ``*.quarantine`` (so the next load does not
-  trip over it and the bytes stay for postmortems), counted, and the
-  caller regenerates.  A bad cache file never takes a build down.
+* **the load ladder** — an absent or unreadable entry, an injected
+  I/O fault at the owner's fault site, or a *stale* entry (well-formed,
+  but the owner's decoder says it is not for this key or format) is a
+  plain miss.  A bad checksum or a decoder that raises means the
+  entry is *corrupt*: it is moved aside to ``*.quarantine`` (so the
+  next load does not trip over it and the bytes stay for
+  postmortems), counted, and the caller regenerates.  A bad cache
+  file never takes a build down.
 
 Hits, misses and corrupt entries land in the
 ``maya_cache_events_total{cache,event}`` family under the store's
@@ -94,13 +95,19 @@ class Store:
             faults.check(self.site)
             with open(path, "rb") as handle:
                 data = handle.read()
+        except (OSError, faults.InjectedFault):
+            # Absent, or out of reach (a directory under a regular
+            # file, no permission): nothing on disk is known to be bad.
+            self._misses.inc()
+            return None
+        try:
             if faults.corrupting(self.site):
                 data = data[: len(data) // 2]  # injected torn entry
             header, _, payload = data.partition(b"\n")
             if header != _header(payload):
                 raise ValueError(f"{path}: checksum mismatch")
             value = decode(payload)
-        except (FileNotFoundError, faults.InjectedFault):
+        except faults.InjectedFault:
             self._misses.inc()
             return None
         except Exception:

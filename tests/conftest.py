@@ -1,6 +1,18 @@
 """Shared test helpers."""
 
+import os
+import shutil
+import tempfile
+
 import pytest
+
+#: The persistent LALR table store of the whole session: one scratch
+#: directory, for this process (``_DISK.directory``) and for every
+#: subprocess a test starts (``MAYA_CACHE_DIR``), so no test writes
+#: under the real ``~/.cache``.  A test that must see tables generated
+#: points the store at its own empty directory.
+TABLE_STORE = tempfile.mkdtemp(prefix="maya-test-cache-")
+os.environ["MAYA_CACHE_DIR"] = TABLE_STORE
 
 
 def pytest_addoption(parser):
@@ -9,11 +21,18 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/ snapshots from current expansions",
     )
 
+
+def pytest_unconfigure(config):
+    shutil.rmtree(TABLE_STORE, ignore_errors=True)
+
 from repro import MayaCompiler
+from repro.lalr.tables import enable_disk_cache
 from repro.interp import Interpreter
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
 from repro.obs.metrics import CACHE_EVENTS
+
+enable_disk_cache(TABLE_STORE)  # in case repro was imported first
 
 
 def cache_events(cache: str, event: str) -> int:

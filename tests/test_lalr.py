@@ -2,6 +2,7 @@
 unresolved conflicts are rejected, not defaulted away)."""
 
 import hashlib
+import pickle
 import random
 import sys
 
@@ -11,7 +12,8 @@ from repro import MayaCompiler
 from repro.core import CompileEnv
 from repro.grammar import Assoc, Grammar, nonterminal
 from repro.javalang import base_grammar
-from repro.lalr import ConflictError, ParseError, Parser, ParserContext, build_tables
+from repro.lalr import (ConflictError, ParseError, Parser, ParserContext,
+                        ParseTables, build_tables)
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
 from repro.lexer import Token, scan
@@ -208,11 +210,8 @@ def _multijava_grammar():
     return env.grammar
 
 
-class TestPinnedTables:
-    """The tables of the shipped grammars, pinned by digest: any change
-    to a state, an action, or a goto entry shows up here."""
-
-    @pytest.mark.parametrize("make_grammar, productions, states, digest", [
+PINNED = pytest.mark.parametrize(
+    "make_grammar, productions, states, digest", [
         (base_grammar, 218, 390,
          "1667f56b422c9085dc417d1d19875b3d21c3e09b68ed4c826402d4605ee142f7"),
         (_foreach_grammar, 220, 394,
@@ -220,12 +219,34 @@ class TestPinnedTables:
         (_multijava_grammar, 222, 403,
          "2eb9809684a38639d2eb8eb5c8c818da4f0607759b982c6bd549014ab328db58"),
     ], ids=["base", "foreach", "multijava"])
+
+
+class TestPinnedTables:
+    """The tables of the shipped grammars, pinned by digest: any change
+    to a state, an action, or a goto entry shows up here."""
+
+    @PINNED
     def test_digest(self, make_grammar, productions, states, digest):
         grammar = make_grammar()
         tables = build_tables(grammar)
         assert len(grammar.productions) == productions
         assert len(tables.automaton.states) == states
         assert table_digest(tables) == digest
+
+    @PINNED
+    def test_restored_tables_keep_the_digest(self, make_grammar, productions,
+                                             states, digest):
+        """A table-store round trip (snapshot, pickle, restore) gives
+        the same tables, and the FIRST/nullable sets the restore takes
+        from the snapshot instead of recomputing them."""
+        grammar = make_grammar()
+        generated = build_tables(grammar)
+        snapshot = pickle.loads(pickle.dumps(generated.snapshot()))
+        restored = ParseTables.from_snapshot(grammar, snapshot)
+        assert len(restored.automaton.states) == states
+        assert table_digest(restored) == digest
+        assert restored.encoded.first == generated.encoded.first
+        assert restored.encoded.nullable == generated.encoded.nullable
 
 
 class TestLongProductions:

@@ -17,12 +17,7 @@ from repro.core import CompileContext, CompileEnv
 from repro.dispatch import AmbiguousDispatchError, Mayan
 from repro.lalr import Parser
 from repro.lalr import tables as lalr_tables
-from repro.lalr.tables import (
-    disable_disk_cache,
-    enable_disk_cache,
-    table_cache_clear,
-    tables_for,
-)
+from repro.lalr.tables import disk_cache_at, table_cache_clear, tables_for
 from repro.lexer import stream_lex
 from repro.store import LRUCache
 from tests.conftest import cache_events, corrupt_entries
@@ -218,8 +213,13 @@ class TestLRUCache:
 
 
 class TestDiskCache:
+    @pytest.fixture(autouse=True)
+    def own_store(self, tmp_path):
+        """Each test starts from its own empty store."""
+        with disk_cache_at(str(tmp_path)):
+            yield
+
     def test_roundtrip_restores_working_tables(self, tmp_path):
-        enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             env = CompileEnv()
@@ -237,11 +237,9 @@ class TestDiskCache:
             value = parse_with(restored_env, "Expression", "1 + 2 * 3")
             assert isinstance(value, n.BinaryExpr)
         finally:
-            disable_disk_cache()
             table_cache_clear()
 
     def test_corrupt_cache_entry_regenerates(self, tmp_path):
-        enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
@@ -252,14 +250,12 @@ class TestDiskCache:
             tables = tables_for(CompileEnv().grammar)  # must not raise
             assert tables.action
         finally:
-            disable_disk_cache()
             table_cache_clear()
 
     def test_corrupt_entry_is_quarantined_and_counted(self, tmp_path):
         """Crash-safe hygiene: garbage bytes are moved to a
         ``.quarantine`` file (for postmortems, and so the next load
         doesn't re-parse them), counted, and regenerated in place."""
-        enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
@@ -282,13 +278,11 @@ class TestDiskCache:
             assert tables_for(CompileEnv().grammar).action
             assert corrupt_entries("lalr.tables.disk") == before + 1
         finally:
-            disable_disk_cache()
             table_cache_clear()
 
     def test_stale_format_is_a_miss_not_corruption(self, tmp_path):
         """A well-formed entry from an older snapshot format is just a
         miss: no quarantine, no corruption count."""
-        enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
@@ -303,13 +297,11 @@ class TestDiskCache:
             assert corrupt_entries("lalr.tables.disk") == before
             assert not list(tmp_path.glob("*.quarantine"))
         finally:
-            disable_disk_cache()
             table_cache_clear()
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
         """An entry whose recorded key differs from the requesting
         grammar's fingerprint is ignored, not trusted."""
-        enable_disk_cache(str(tmp_path))
         try:
             table_cache_clear()
             CompileEnv().tables()
@@ -322,7 +314,6 @@ class TestDiskCache:
             tables = tables_for(CompileEnv().grammar)  # regenerated
             assert tables.action
         finally:
-            disable_disk_cache()
             table_cache_clear()
 
 

@@ -23,6 +23,7 @@ from repro import faults
 from repro.core import CompileEnv, MayaCompiler
 from repro.lalr import tables
 from repro.modules import MemorySources, ModuleBuilder
+from repro.store import Store
 from tests.conftest import cache_events, corrupt_entries
 
 #: Plain Java, so the base grammar's tables are the only ones loaded.
@@ -227,3 +228,21 @@ def test_concurrent_stores_of_one_key_leave_one_good_entry(tmp_path):
     assert loaded.action == generated.action
     assert not quarantined(tmp_path)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_unreachable_directory_is_a_plain_miss(tmp_path):
+    """A store whose directory lies under a regular file can neither
+    load nor write: a load is a plain miss, never a corrupt entry, and
+    a write leaves nothing behind."""
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory")
+    store = Store(str(blocker / "store"), "test.unreachable",
+                  faults.SITE_CACHE_LOAD)
+    misses = cache_events("test.unreachable", "miss")
+    corrupt = corrupt_entries("test.unreachable")
+    store.store("entry", b"payload")
+    assert store.load("entry", lambda payload: payload) is None
+    assert cache_events("test.unreachable", "miss") == misses + 1
+    assert corrupt_entries("test.unreachable") == corrupt
+    assert blocker.read_bytes() == b"not a directory"
+    assert list(tmp_path.iterdir()) == [blocker]
