@@ -1,14 +1,18 @@
 """The compile service's reason to exist, measured: a warm mayad
-answering repeated compiles versus a cold one-shot mayac.
+answering repeated compiles versus compiling from nothing.
 
-The cold baseline regenerates everything a fresh ``mayac`` process
-would — a new compiler, the macro library, and the LALR tables (the
-in-memory cache is bypassed) — per compile.  The warm path sends the
-same corpus through a prewarmed daemon over real sockets, with the
-content-addressed artifact cache *disabled*, so the speedup measures
-shared grammar/table state, not response replay.  The acceptance bar
-(ISSUE: warm ≥ 5x cold) is asserted here and the throughput number is
-gated by ``compare.py``'s ``*_requests_per_s`` rule.
+The baseline is an in-process compile with every table cache bypassed:
+per compile, a new compiler and macro library, and LALR tables
+generated from scratch.  That is what a ``mayac`` process with no table
+store pays (``--no-cache``, or a first run on an empty store), and not
+what a default cold ``mayac`` pays: that one restores its tables from
+the default-on store.  The metric keeps its historical name,
+``server_cold_mayac_ms``.  The warm path sends the same corpus through
+a prewarmed daemon over real sockets, with the content-addressed
+artifact cache *disabled*, so the speedup measures shared grammar/table
+state, not response replay.  The acceptance bar (warm ≥ 5x the
+baseline) is asserted here and the throughput number is gated by
+``compare.py``'s ``*_requests_per_s`` rule.
 """
 
 import statistics
@@ -40,8 +44,9 @@ def corpus_source(index: int) -> str:
 
 
 def cold_compile_ms(index: int) -> float:
-    """One fully cold compile: fresh compiler, macro library, and LALR
-    tables built from scratch (as a new mayac process would)."""
+    """One compile from nothing, in process: fresh compiler, macro
+    library, and LALR tables generated with every table cache
+    bypassed (what a ``mayac`` without a table store pays)."""
     from repro import MayaCompiler
     from repro.macros import install_macro_library
 
@@ -82,8 +87,8 @@ def test_warm_daemon_vs_cold_mayac():
     requests_per_s = 1000.0 / mean
     speedup = cold / mean
 
-    report("Warm mayad vs cold mayac", [
-        ["cold mayac compile (mean of "
+    report("Warm mayad vs a compile with table caches bypassed", [
+        ["in-process compile, table caches bypassed (mean of "
          f"{COLD_COMPILES})", f"{cold:.1f} ms"],
         ["warm daemon request (mean of "
          f"{WARM_REQUESTS})", f"{mean:.2f} ms"],
@@ -98,9 +103,11 @@ def test_warm_daemon_vs_cold_mayac():
                   round(requests_per_s, 1), "requests/s")
     record_metric("server_warm_speedup", round(speedup, 1), "x")
 
-    # The acceptance bar: a warm daemon must beat cold mayac 5x over.
+    # The acceptance bar: a warm daemon must beat the cache-bypassed
+    # compile 5x over.
     assert speedup >= 5.0, (
-        f"warm daemon only {speedup:.1f}x faster than cold mayac")
+        f"warm daemon only {speedup:.1f}x faster than a compile with "
+        f"table caches bypassed")
 
 
 def test_artifact_cache_replay_is_near_instant():

@@ -46,7 +46,8 @@ Options:
     --jobs N          compile up to N modules at once on forked worker
                       processes where the import DAG allows (module
                       mode; ``auto`` = one per CPU; also honours
-                      MAYA_JOBS; serial where os.fork is unavailable).
+                      MAYA_JOBS; serial where os.fork is unavailable,
+                      and when fewer than two modules need compiling).
                       Output is byte-identical to --jobs 1.  In-process
                       builds only: under --daemon it is ignored, as
                       daemon module builds are serial

@@ -6,6 +6,8 @@ See DESIGN.md "Modules & incremental builds" for the architecture:
 transitive content fingerprints, :mod:`repro.modules.iface` carries
 class skeletons across the cache boundary, and
 :mod:`repro.modules.build` orchestrates the incremental build loop.
+With ``--jobs N``, :mod:`repro.modules.procpool` compiles the cache
+misses on forked workers, driven by one thread over the import DAG.
 """
 
 from repro.modules.build import (BuildResult, ModuleBuild, ModuleBuilder,
@@ -17,14 +19,13 @@ from repro.modules.graph import (FileSystemSources, MemorySources,
                                  ModuleSources, scan_imports)
 from repro.modules.iface import (export_interface, restore_interface,
                                  validate_interface)
-from repro.modules.schedule import DagScheduler, resolve_jobs
+from repro.modules.procpool import resolve_jobs
 from repro.modules.snapshot import (SNAPSHOT_FORMAT, SnapshotError,
                                     load_unit, snapshot_unit)
 
 __all__ = [
     "BuildResult",
     "CACHE_FORMAT",
-    "DagScheduler",
     "FileSystemSources",
     "MemorySources",
     "ModuleBuild",

@@ -4,12 +4,12 @@
 module, either **recompiles** (cache miss: the module or something
 upstream changed) or **reuses** (cache hit: restore the cached class
 skeletons into the shared registry and take the cached expanded
-artifact verbatim).  With ``jobs > 1`` and ``os.fork`` available, the
-cache misses first compile on a pool of forked worker processes
-(:mod:`repro.modules.procpool`), scheduled over the import DAG
-(:mod:`repro.modules.schedule`) so modules whose dependencies have
-all completed compile concurrently; elsewhere ``jobs`` has no effect.
-Either way, the program is assembled by the same serial walk.
+artifact verbatim).  With ``jobs > 1``, ``os.fork`` available and two
+or more cache misses, the misses first compile on forked worker
+processes (:mod:`repro.modules.procpool`), one per miss at most, which
+one thread drives over the import DAG so modules whose dependencies
+have all completed compile concurrently; otherwise ``jobs`` has no
+effect.  Either way, the program is assembled by the same serial walk.
 
 Three invariants make incremental and parallel output
 indistinguishable from a clean serial build — the property the test
@@ -23,7 +23,7 @@ layer hammers:
   ``compile_unit`` (which restarts the fresh-name count) in a fresh
   grammar copy built by replaying the same export list in the same
   order, so the same module source always expands to the same bytes —
-  on any thread, in any process.
+  in any process.
 * **Integration is serial.**  Artifact order is a pure function of the
   graph, and everything that accumulates module outputs — the
   ``--expand`` concatenation, the report, the program's unit/class
@@ -61,7 +61,7 @@ compiled (and cached) before the halt, like any ``make -j``.
 
 from __future__ import annotations
 
-import threading
+import functools
 from typing import Dict, List, Optional, Sequence
 
 from repro import trace
@@ -79,7 +79,6 @@ from repro.modules.cache import (ModuleCache, ModuleEntry, module_key,
                                  options_signature)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
 from repro.modules.iface import export_interface, restore_interface
-from repro.modules.schedule import DagScheduler, resolve_jobs
 from repro.modules.snapshot import SnapshotError, load_unit, snapshot_unit
 
 _COMPILED_TOTAL = REGISTRY.counter(
@@ -187,7 +186,7 @@ class ModuleBuilder:
         #: Forked workers for cache misses (1 = none).  Forking needs
         #: a single-threaded process at build start, so the
         #: multithreaded daemon always builds with 1.
-        self.jobs = resolve_jobs(jobs) if jobs is not None else 1
+        self.jobs = procpool.resolve_jobs(jobs) if jobs is not None else 1
         #: False forces warm materializations down the expanded-text
         #: path even when a deep artifact exists — the control arm of
         #: the warm-restore benchmark, and an escape hatch.
@@ -237,74 +236,53 @@ class ModuleBuilder:
         miss in a serial build, or a module a worker failed on or
         never reached) recompiles here, so a failure raises the same
         error a ``--jobs 1`` build would.
+
+        Workers are forked only for two or more misses, at most one
+        per miss: a lone compile overlaps nothing, so the walk builds
+        it with no fork at all.
         """
-        entries: Dict[str, Optional[ModuleEntry]] = {
-            name: self.cache.load(name, graph.modules[name].key)
-            for name in order}
-        fork_built: set = set()
-        if jobs > 1 and procpool.fork_available():
+        entries: Dict[str, ModuleEntry] = {}
+        for name in order:
+            entry = self.cache.load(name, graph.modules[name].key)
+            if entry is not None:
+                entries[name] = entry
+        misses = [name for name in order if name not in entries]
+        if jobs > 1 and len(misses) > 1 and procpool.fork_available():
             with trace.phase("module-schedule"):
-                fork_built = self._schedule_forked(graph, order, entries,
-                                                   jobs)
+                procpool.run_dag(
+                    misses, {name: graph.modules[name].deps
+                             for name in misses}, entries,
+                    functools.partial(self._compile_forked, graph, {}),
+                    jobs)
         builds: Dict[str, ModuleBuild] = {}
         for name in order:
             info = graph.modules[name]
-            entry = entries[name]
+            entry = entries.get(name)
             if entry is not None:
                 builds[name] = self._reuse(info, entry, builds, need_bodies,
-                                           recompiled=name in fork_built)
+                                           recompiled=name in misses)
             else:
                 builds[name] = self._recompile(info, builds)
         return builds
 
-    def _schedule_forked(self, graph: ModuleGraph, order: Sequence[str],
-                         entries: Dict[str, Optional[ModuleEntry]],
-                         jobs: int) -> set:
-        """Compile cache misses in forked workers; fill ``entries``.
+    def _compile_forked(self, graph: ModuleGraph,
+                        held: Dict[str, ModuleBuild], name: str,
+                        dep_entries: Dict[str, ModuleEntry]) -> ModuleEntry:
+        """One job of :func:`procpool.run_dag`, run in a forked worker.
 
-        Returns the names compiled in workers (the integration pass
-        accounts them as recompiles, not cache hits)."""
-        child_builds: Dict[str, ModuleBuild] = {}
-
-        def run_job(job: dict) -> dict:
-            # Executes in the forked child: restore shipped dep
-            # surfaces this child hasn't seen, then compile exactly as
-            # the serial walk would.
-            name = job["name"]
-            for dep_name, dep_exports, dep_iface in job["deps"]:
-                if dep_name not in child_builds:
-                    restore_interface(dep_iface, self.env.registry)
-                    child_builds[dep_name] = ModuleBuild(
-                        dep_name, "", "", True, list(dep_exports), [])
-            build = self._recompile(graph.modules[name], child_builds)
-            child_builds[name] = build
-            return build.entry.payload()
-
-        pool = procpool.ForkPool(jobs, run_job)
-        lock = threading.Lock()
-        fork_built: set = set()
-
-        def run_one(name: str):
-            if entries[name] is not None:
-                return entries[name]
-            deps = [(dep, entries[dep].exports, entries[dep].iface)
-                    for dep in graph.modules[name].deps]
-            payload = pool.call({"name": name, "deps": deps})
-            entry = ModuleEntry.from_payload(payload)
-            self.cache.store(entry)
-            with lock:
-                entries[name] = entry
-                fork_built.add(name)
-            return entry
-
-        try:
-            scheduler = DagScheduler(
-                order, {name: graph.modules[name].deps for name in order},
-                run_one)
-            scheduler.run_threaded(jobs)
-        finally:
-            pool.close()
-        return fork_built
+        ``held`` records the modules whose surfaces this worker's
+        registry holds: ones it compiled, and deps it restored from
+        their entries.  It is empty at fork, and each worker fills its
+        own copy.  Restore the deps it lacks, then compile exactly as
+        the serial walk would."""
+        for dep, entry in dep_entries.items():
+            if dep not in held:
+                restore_interface(entry.iface, self.env.registry)
+                held[dep] = ModuleBuild(dep, "", "", True,
+                                        list(entry.exports), [])
+        build = self._recompile(graph.modules[name], held)
+        held[name] = build
+        return build.entry
 
     # -- cache hit ---------------------------------------------------------
 

@@ -1,15 +1,18 @@
 """The parallel module-build machinery, unit by unit.
 
-Covers the DAG scheduler's ordering and failure barrier, the
-``--jobs`` resolution rules, exact metric totals (one forked build, and
-many serial builders racing on threads the way daemon workers do),
-failure parity between serial and forked builds (same exception, same
-message), the serial fallback where ``os.fork`` is unavailable, the
-deep (checked-AST) warm path, and the fork worker pool.
+Covers the one-thread DAG loop's ordering and failure barrier (with
+trivial forked jobs), the ``--jobs`` resolution rules, exact metric
+totals (one forked build, and many serial builders racing on threads
+the way daemon workers do), failure parity between serial and forked
+builds (same exception, same message), forking only for two or more
+cache misses, a worker dying mid-job, the serial fallback where
+``os.fork`` is unavailable, the deep (checked-AST) warm path, and the
+forked worker itself.
 """
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -18,8 +21,8 @@ from repro.diag import DiagnosticError
 from repro.interp import Interpreter
 from repro.modules import (MemorySources, ModuleBuilder, load_unit,
                            procpool, snapshot_unit, SnapshotError)
-from repro.modules.procpool import ChildJobError, ForkPool, fork_available
-from repro.modules.schedule import DagScheduler, resolve_jobs
+from repro.modules.procpool import (ChildJobError, Worker, fork_available,
+                                    resolve_jobs, run_dag)
 from repro.obs.metrics import REGISTRY
 
 
@@ -68,62 +71,98 @@ class TestResolveJobs:
         assert resolve_jobs(-4) == 1
 
 
+def _append(path, line):
+    """Append one line with a single ``O_APPEND`` write, so lines from
+    concurrent worker processes never interleave."""
+    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, (line + "\n").encode("utf-8"))
+    finally:
+        os.close(fd)
+
+
+def _lines(path):
+    return path.read_text().splitlines()
+
+
+def _count_forks(monkeypatch):
+    """Wrap ``os.fork`` so the returned list grows once per fork."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 class TestDagScheduler:
-    def test_deps_always_complete_first(self):
+    """:func:`run_dag` with trivial jobs; the workers log to files."""
+
+    def test_deps_always_complete_first(self, tmp_path):
         order = ["a", "b", "c", "d", "e"]
         deps = {"a": [], "b": ["a"], "c": ["a"], "d": ["b", "c"],
                 "e": ["d"]}
-        started, lock = [], threading.Lock()
+        log = tmp_path / "log"
 
-        def run(name):
-            with lock:
-                started.append(name)
+        def run(name, dep_values):
+            _append(log, f"start {name}")
+            assert dep_values == {dep: dep.upper() for dep in deps[name]}
+            _append(log, f"end {name}")
             return name.upper()
 
-        scheduler = DagScheduler(order, deps, run)
-        scheduler.run_threaded(3)
-        position = {name: i for i, name in enumerate(started)}
+        done = {}
+        assert run_dag(order, deps, done, run, 3) == {}
+        assert done == {n: n.upper() for n in order}
+        events = _lines(log)
         for name, wants in deps.items():
             for dep in wants:
-                assert position[dep] < position[name]
-        assert scheduler.results() == {n: n.upper() for n in order}
-        assert scheduler.failed() == []
+                assert events.index(f"end {dep}") \
+                    < events.index(f"start {name}")
 
-    def test_single_job_runs_in_topo_order(self):
+    def test_single_job_runs_in_topo_order(self, tmp_path):
         order = ["m0", "m1", "m2", "m3"]
         deps = {"m0": [], "m1": [], "m2": ["m0"], "m3": []}
-        ran = []
-        DagScheduler(order, deps, ran.append).run_threaded(1)
-        assert ran == order
+        log = tmp_path / "log"
+        run_dag(order, deps, {}, lambda name, _: _append(log, name), 1)
+        assert _lines(log) == order
 
-    def test_tasks_genuinely_overlap(self):
-        # Two independent tasks that each wait for the other to start:
+    def test_tasks_genuinely_overlap(self, tmp_path):
+        # Two independent jobs that each wait for the other to start:
         # only a schedule that actually runs them concurrently passes.
-        barrier = threading.Barrier(2, timeout=10)
+        def run(name, _):
+            (tmp_path / name).touch()
+            other = tmp_path / ("y" if name == "x" else "x")
+            deadline = time.monotonic() + 10
+            while not other.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError(f"{name} ran alone")
+                time.sleep(0.005)
+            return name
 
-        def run(name):
-            barrier.wait()
-
-        DagScheduler(["x", "y"], {"x": [], "y": []}, run).run_threaded(2)
+        done = {}
+        assert run_dag(["x", "y"], {"x": [], "y": []}, done, run, 2) == {}
+        assert done == {"x": "x", "y": "y"}
 
     def test_failure_halts_and_strands_dependents(self):
         order = ["a", "b", "c", "z"]
         deps = {"a": [], "b": ["a"], "c": ["b"], "z": []}
-        boom = RuntimeError("b exploded")
 
-        def run(name):
+        def run(name, _):
             if name == "b":
-                raise boom
+                raise RuntimeError("b exploded")
             return name
 
-        scheduler = DagScheduler(order, deps, run)
-        scheduler.run_threaded(2)
-        failed = scheduler.failed()
-        assert [task.name for task in failed] == ["b"]
-        assert failed[0].error is boom
-        states = {name: task.state for name, task in scheduler.tasks.items()}
-        assert states["a"] == scheduler.tasks["a"].DONE
-        assert states["c"] == scheduler.tasks["c"].SKIPPED
+        done = {}
+        failed = run_dag(order, deps, done, run, 2)
+        assert list(failed) == ["b"]
+        assert isinstance(failed["b"], ChildJobError)
+        assert "b exploded" in str(failed["b"])
+        assert done["a"] == "a"
+        assert "b" not in done and "c" not in done
 
 
 class TestParallelBuilder:
@@ -217,6 +256,75 @@ class TestParallelBuilder:
         assert started == []
         assert fallback.expanded() == serial.expanded()
         assert fallback.report() == serial.report()
+        if not fork_available():
+            return
+        # With os.fork, jobs=4 forks its workers and still starts no
+        # thread: one thread drives them.
+        monkeypatch.setattr(procpool, "fork_available", fork_available)
+        forks = _count_forks(monkeypatch)
+        forked = ModuleBuilder(MemorySources(sources), env=CompileEnv(),
+                               jobs=4).build(["app.Main"])
+        assert len(forks) == 4
+        assert started == []
+        assert forked.expanded() == serial.expanded()
+        assert forked.report() == serial.report()
+
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+    def test_forks_only_for_two_or_more_misses(self, tmp_path,
+                                               monkeypatch):
+        sources = project(width=6)
+
+        def both(sources):
+            # The same build at jobs=1 and jobs=4, each on its own
+            # cache; returns the jobs=4 result and its fork count.
+            serial = ModuleBuilder(MemorySources(sources),
+                                   cache_dir=str(tmp_path / "one"),
+                                   jobs=1).build(["app.Main"])
+            forks = _count_forks(monkeypatch)
+            parallel = ModuleBuilder(MemorySources(sources),
+                                     cache_dir=str(tmp_path / "four"),
+                                     jobs=4).build(["app.Main"])
+            monkeypatch.undo()
+            assert parallel.expanded() == serial.expanded()
+            assert parallel.report() == serial.report()
+            return parallel, len(forks)
+
+        clean, forks = both(sources)
+        assert len(clean.recompiled) == 7 and forks == 4
+        warm, forks = both(sources)
+        assert warm.recompiled == [] and forks == 0
+        # Editing the root misses it alone: nothing to overlap.
+        edited = dict(sources)
+        edited["app.Main"] += "\n// edited\n"
+        one, forks = both(edited)
+        assert one.recompiled == ["app.Main"] and forks == 0
+        # A leaf edit misses the leaf and the root: one worker each.
+        edited["lib.M0"] += "\n// edited\n"
+        two, forks = both(edited)
+        assert two.recompiled == ["lib.M0", "app.Main"] and forks == 2
+
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+    def test_worker_dying_mid_job_is_recompiled_serially(self,
+                                                         monkeypatch):
+        sources = project(width=5)
+        serial = ModuleBuilder(MemorySources(sources), env=CompileEnv(),
+                               jobs=1).build(["app.Main"])
+        parent = os.getpid()
+        recompile = ModuleBuilder._recompile
+
+        def dying_recompile(builder, info, builds):
+            if os.getpid() != parent and info.name == "lib.M2":
+                os._exit(1)
+            return recompile(builder, info, builds)
+
+        monkeypatch.setattr(ModuleBuilder, "_recompile", dying_recompile)
+        parallel = ModuleBuilder(MemorySources(sources), env=CompileEnv(),
+                                 jobs=4).build(["app.Main"])
+        assert parallel.expanded() == serial.expanded()
+        assert parallel.report() == serial.report()
+        assert "lib.M2" in parallel.recompiled
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
     def test_program_tables_are_canonical_after_parallel_build(self):
         sources = project(width=5)
@@ -340,10 +448,17 @@ class TestDeepRestore:
 
 @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 class TestForkPool:
+    """One forked :class:`Worker`, driven directly."""
+
     def test_jobs_round_trip(self):
-        with ForkPool(2, lambda job: job * 2) as pool:
-            assert pool.call(21) == 42
-            assert pool.call("ab") == "abab"
+        worker = Worker(lambda job: job * 2)
+        try:
+            worker.send(21)
+            assert worker.recv() == 42
+            worker.send("ab")
+            assert worker.recv() == "abab"
+        finally:
+            worker.close()
 
     def test_child_errors_ship_without_killing_the_pool(self):
         def run_job(job):
@@ -351,14 +466,21 @@ class TestForkPool:
                 raise ValueError("job went sideways")
             return "ok"
 
-        with ForkPool(1, run_job) as pool:
+        worker = Worker(run_job)
+        try:
+            worker.send("bad")
             with pytest.raises(ChildJobError) as caught:
-                pool.call("bad")
+                worker.recv()
             assert "job went sideways" in str(caught.value)
             # The worker survives a shipped error and serves on.
-            assert pool.call("fine") == "ok"
+            worker.send("fine")
+            assert worker.recv() == "ok"
+        finally:
+            worker.close()
 
     def test_close_is_idempotent(self):
-        pool = ForkPool(2, lambda job: job)
-        pool.close()
-        pool.close()
+        worker = Worker(lambda job: job)
+        worker.close()
+        worker.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)  # reaped by the first
