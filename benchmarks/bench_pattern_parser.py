@@ -67,7 +67,7 @@ def _fig6_tables():
 def test_e6_fig6_cases(benchmark):
     """The paper's figure-6 inputs, parsed repeatedly."""
     tables = _fig6_tables()
-    parser = PatternParser(tables, driver_nonterminals=())
+    parser = PatternParser(tables)
     A = nonterminal("B6A")
 
     def items(*specs):

@@ -8,7 +8,8 @@ Results are additionally written as machine-readable JSON: every
 ``report``/``record_metric`` call lands in ``BENCH_<area>.json`` at the
 repository root (area = the calling ``bench_<area>.py`` file), so the
 performance trajectory is tracked across PRs instead of living only in
-scrollback.
+scrollback.  A run merges its reports and metrics into the file, so a
+partial run (``-k``, one file) rewrites only the rows it measured.
 """
 
 import atexit
@@ -97,6 +98,12 @@ def _flush_results() -> None:
     for area, payload in _RESULTS.items():
         path = _REPO_ROOT / f"BENCH_{area}.json"
         try:
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            merged = json.loads(path.read_text())
+        except (OSError, ValueError):
+            merged = {}
+        for section, rows in payload.items():
+            merged.setdefault(section, {}).update(rows)
+        try:
+            path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
         except OSError:
             pass

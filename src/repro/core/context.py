@@ -1,10 +1,10 @@
-"""The compile context: ParserContext implementation.
+"""The compile context: the parse driver's program sink.
 
-One context = one (environment, scope) pair.  It routes reductions to
-the dispatcher, recursively parses subtree tokens (eagerly or lazily),
-and is what Mayan bodies receive (wrapped in MayanCtx) — so it also
-carries the convenience API metaprograms use: template instantiation,
-scope access, fresh names.
+One context = one (environment, scope) pair.  It runs internal
+actions, routes every other reduction to the dispatcher, recursively
+parses subtree tokens (eagerly or lazily), and is what Mayan bodies
+receive (wrapped in MayanCtx) — so it also carries the convenience API
+metaprograms use: template instantiation, scope access, fresh names.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ class CompileContext(ParserContext):
     # -- ParserContext ------------------------------------------------------
 
     def reduce(self, production: Production, values, location: Location):
+        if production.internal:
+            return production.action(self, values)
         value = self.env.dispatcher.dispatch(production, values, location, self)
         if isinstance(value, n.Node):
             if value.syntax is None:

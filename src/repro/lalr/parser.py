@@ -1,22 +1,41 @@
-"""The LALR(1) parse driver.
+"""The LALR(1) parse driver: the one shift/reduce loop, for programs
+and for patterns.
 
-The driver consumes token-tree tokens (tree tokens are single
-terminals).  On every reduction it hands the production and its
-semantic values to the ParserContext, which for node-type productions
-runs the Mayan dispatcher — "on each reduction, the dispatcher executes
-the appropriate Mayan to build an AST node" (paper figure 4).
+The driver reads input symbols: anything with a ``kind`` (a grammar
+symbol's name), a ``text`` and a ``location``.  A program's input is
+token-tree tokens (tree tokens are single terminals).  On every
+reduction the driver hands the production and its semantic values to
+a reduction sink, the ParserContext, which also builds the error for
+input that no action takes.  There are two sinks:
+
+* the program sink, ``repro.core.CompileContext``, runs internal
+  actions and, for node-type productions, the Mayan dispatcher -- "on
+  each reduction, the dispatcher executes the appropriate Mayan to
+  build an AST node" (paper figure 4);
+* the pattern sink (``repro.patterns.pattern_parser``) builds partial
+  parse trees for Mayan parameter lists and templates.
+
+A pattern's input may carry *nonterminal* symbols, its holes: the
+paper's pattern parser is "a standard LALR(1) driver extended to
+accept nonterminal input symbols" (section 4.2).  A nonterminal id is
+never an ACTION key, so such an input misses the action lookup that
+every token takes, and only then does the driver apply section 4.2's
+two rules for a nonterminal X: follow the goto on X if there is one;
+else, when every action on FIRST(X) is the same reduction, take it and
+look again.  If neither applies, X cannot appear there.
 
 Most reductions of an expression are unit reductions: the identity
 ``passthrough`` rules that climb one operand from ``PostfixExpr`` up to
 ``Expression``.  After a reduction, the driver looks up the chain of
 unit reductions the automaton would take next on the same lookahead
-(``ParseTables.unit_chain``, memoized) and asks the context whether
+(``ParseTables.unit_chain``, memoized) and asks the sink whether
 any of them is observable.  When no Mayan is visible on any production
 of the chain and the value needs no stamping, it jumps straight to the
 chain's final state (unit-production elimination, Anderson, Eve and
 Horning 1973); otherwise it reduces step by step.  A mid-method ``use``
 can import a Mayan onto a unit production at any time, so the answer
-is asked on every chain, not baked into the tables.
+is asked on every chain, not baked into the tables.  The pattern sink
+never skips: its trees keep every unit reduction.
 
 ``allow_prefix`` parsing accepts the longest valid prefix and reports
 how many tokens were consumed.  The block/member drivers use it to
@@ -59,9 +78,21 @@ class ParseError(DiagnosticError):
 
 
 class ParserContext:
-    """Host services the parser needs on reductions and subtrees."""
+    """A reduction sink: what the driver makes of each reduction and of
+    input no action takes, plus the host services programs need on
+    subtrees."""
+
+    #: Where a reduction is located.  False (programs): at the first
+    #: symbol of its handle, or at the lookahead when the handle is
+    #: empty.  True (patterns): at the lookahead, and at
+    #: ``Location.UNKNOWN`` when it reduces at end of input.
+    at_lookahead = False
 
     def reduce(self, production: Production, values: List[object], location: Location):
+        """The semantic value of reducing ``values`` by ``production``.
+        The base runs internal actions; other productions need a host."""
+        if production.internal:
+            return production.action(self, values)
         raise NotImplementedError
 
     def skips_units(self, productions: Tuple[Production, ...], value) -> bool:
@@ -69,6 +100,16 @@ class ParserContext:
         would return it unchanged with nothing else to observe, so the
         driver may skip those reductions.  The default never skips."""
         return False
+
+    def syntax_error(self, token, start: str, location: Location,
+                     expected: Sequence[str] = (),
+                     complete: bool = False) -> Exception:
+        """The error for ``token`` (None: end of input), which no action
+        takes while parsing ``start``; ``complete`` when a whole
+        ``start`` ends just before it."""
+        where = "after complete" if complete else "while parsing"
+        return ParseError(f"unexpected {describe_token(token)} {where} {start}",
+                          location, expected)
 
     def parse_subtree(self, tree: Token, content_symbol) -> object:
         raise NotImplementedError
@@ -83,6 +124,7 @@ class Parser:
     def __init__(self, tables: ParseTables, context: ParserContext):
         self.tables = tables
         self.context = context
+        self.at_lookahead = context.at_lookahead
 
     def parse(
         self,
@@ -102,7 +144,7 @@ class Parser:
         symbol_ids = tables.encoded.symbol_ids
         is_terminal = tables.encoded.is_terminal
         reduce = self._reduce
-        eof = tables.eof_id(start)
+        eof = self._eof = tables.eof_id(start)
         state_stack: List[int] = [tables.start_state(start)]
         value_stack: List[object] = []
         location_stack: List[Location] = []
@@ -136,6 +178,24 @@ class Parser:
             if entry is None:
                 actions = action_table[state_stack[-1]]
                 entry = actions.get(specific) or actions.get(terminal)
+                if (entry is None and terminal is not None
+                        and not is_terminal[terminal]):
+                    # A nonterminal input X (paper 4.2): follow the
+                    # goto on X ...
+                    target = tables.goto[state_stack[-1]].get(terminal)
+                    if target is not None:
+                        state_stack.append(target)
+                        value_stack.append(token)
+                        location_stack.append(location)
+                        position += 1
+                        continue
+                    # ... else take the reduction that every action on
+                    # FIRST(X) agrees on, and look again.
+                    agreed = {actions.get(first)
+                              for first in tables.encoded.first[terminal]}
+                    agreed.discard(None)
+                    if len(agreed) == 1 and next(iter(agreed))[0] == REDUCE:
+                        entry = agreed.pop()
 
             if entry is None and (allow_prefix or terminal is None):
                 # Try to finish the parse as if at end of input.
@@ -144,19 +204,14 @@ class Parser:
                 )
                 if finished is not None:
                     if not allow_prefix and position < length:
-                        raise ParseError(
-                            f"unexpected {describe_token(token)} after "
-                            f"complete {start}",
-                            location,
-                        )
+                        raise self.context.syntax_error(
+                            token, start, location, complete=True)
                     return finished, position
 
             if entry is None:
-                raise ParseError(
-                    f"unexpected {describe_token(token)} while parsing {start}",
-                    location,
-                    tables.expected_terminals(state_stack[-1]),
-                )
+                raise self.context.syntax_error(
+                    token, start, location,
+                    tables.expected_terminals(state_stack[-1]))
 
             kind, value = entry
             if kind == SHIFT:
@@ -184,7 +239,7 @@ class Parser:
         specific: Optional[int],
     ) -> Optional[Tuple[str, int]]:
         """Reduce by ``prod_index``, then skip the unit chain that follows
-        when the context says no one can observe it.
+        when the sink says no one can observe it.
 
         Returns the next action when the chain was taken (the memo
         knows it), else None for the caller to look up.
@@ -202,10 +257,10 @@ class Parser:
         else:
             handle = []
             location = lookahead_location
-        if production.internal:
-            result = production.action(self.context, handle)
-        else:
-            result = self.context.reduce(production, handle, location)
+        if self.at_lookahead:
+            location = Location.UNKNOWN if terminal == self._eof \
+                else lookahead_location
+        result = self.context.reduce(production, handle, location)
 
         under = states[-1]
         target = tables.goto[under].get(lhs_id)

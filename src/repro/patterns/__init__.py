@@ -1,7 +1,8 @@
 """Pattern parsing: Mayan parameter lists, templates, and syntax case.
 
-The pattern parser (paper section 4.2) is an LALR(1) driver whose input
-may contain *nonterminal* symbols.  It produces partial parse trees,
+The pattern parser (paper section 4.2) is the program parser's LALR(1)
+driver fed input that may contain *nonterminal* symbols, with a
+reduction sink of its own.  It produces partial parse trees,
 used in two ways: to infer the structure of Mayan parameter lists
 (binding formals to argument substructure), and to statically check and
 compile quasiquote templates.

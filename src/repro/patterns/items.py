@@ -32,16 +32,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.diag import DiagnosticError
+from repro.diag import Diagnostic, DiagnosticError, SourceSpan
 from repro.dispatch.specializers import ClassSpec, Specializer, TokenSpec, TypeSpec
 from repro.grammar import LazySym, ListSym, Nonterminal, Symbol
 from repro.lexer import Location, Token, stream_lex
 
 
 class PatternError(DiagnosticError):
-    """An error in a pattern or template's surface syntax."""
+    """An error in a pattern or template's surface syntax, located at
+    the offending item when there is one."""
 
     phase = "expand"
+
+    def __init__(self, message: str, location: Optional[Location] = None):
+        super().__init__(message if location is None
+                         else f"{location}: {message}")
+        if location is not None:
+            self.location = location
+            self.diagnostic = Diagnostic(
+                message, phase=self.phase,
+                span=SourceSpan.from_location(location), cause=self)
 
 
 class TokItem:
@@ -164,7 +174,7 @@ def _pattern_items(tokens: Sequence[Token]) -> List[object]:
         position += 1
         if token.text == "\\":
             if position >= len(tokens):
-                raise PatternError(f"{token.location}: dangling escape")
+                raise PatternError("dangling escape", token.location)
             items.append(TokItem(tokens[position]))
             position += 1
             continue
@@ -237,7 +247,7 @@ def _dotted_type(tokens, index, location) -> Tuple[Tuple[str, ...], int, int]:
         "Identifier", "int", "boolean", "byte", "short", "long", "char",
         "float", "double",
     ):
-        raise PatternError(f"{location}: expected type name after ':'")
+        raise PatternError("expected type name after ':'", location)
     parts.append(tokens[index].text)
     index += 1
     while (
@@ -265,13 +275,13 @@ def _parameterized_symbol(keyword: str, paren: Token) -> Nonterminal:
             args[-1].append(child)
     if keyword == "lazy":
         if len(args) != 2 or len(args[0]) != 1 or len(args[1]) != 1:
-            raise PatternError(f"{paren.location}: lazy(TreeKind, Symbol)")
+            raise PatternError("lazy(TreeKind, Symbol)", paren.location)
         tree_kind = args[0][0].text
         content = _require_symbol(args[1][0])
         param = LazySym((tree_kind,), content)
     else:
         if not args[0] or len(args[0]) != 1:
-            raise PatternError(f"{paren.location}: list(Symbol[, 'sep'])")
+            raise PatternError("list(Symbol[, 'sep'])", paren.location)
         element = _require_symbol(args[0][0])
         separator = ""
         if len(args) > 1:
@@ -281,16 +291,15 @@ def _parameterized_symbol(keyword: str, paren: Token) -> Nonterminal:
     helper = Symbol.lookup(param.helper_name())
     if helper is None:
         raise PatternError(
-            f"{paren.location}: {param.helper_name()} is not part of the "
-            f"grammar (declare the production first)"
-        )
+            f"{param.helper_name()} is not part of the grammar (declare "
+            f"the production first)", paren.location)
     return helper
 
 
 def _require_symbol(token: Token) -> Symbol:
     symbol = Symbol.lookup(token.text)
     if symbol is None:
-        raise PatternError(f"{token.location}: unknown symbol {token.text!r}")
+        raise PatternError(f"unknown symbol {token.text!r}", token.location)
     return symbol
 
 
@@ -321,9 +330,8 @@ def _template_items(tokens: Sequence[Token], holes: Dict[str, Symbol]) -> List[o
                 and len(tokens[position].children) == 1
                 and tokens[position].children[0].kind == "Identifier"
             ):
-                raise PatternError(
-                    f"{token.location}: $ must be followed by a name or (name)"
-                )
+                raise PatternError("$ must be followed by a name or (name)",
+                                   token.location)
             name = tokens[position].children[0].text
             items.append(_hole_for(name, holes, token.location))
             position += 1
@@ -342,7 +350,6 @@ def _hole_for(name: str, holes: Dict[str, Symbol], location) -> HoleItem:
     declared = holes.get(name)
     if declared is None:
         raise PatternError(
-            f"{location}: unquote ${name} has no declared grammar symbol"
-        )
+            f"unquote ${name} has no declared grammar symbol", location)
     return HoleItem(_hole_parse_symbol(declared), name, None, location,
                     declared=declared)

@@ -168,16 +168,16 @@ def _decl_parameterized(keyword: str, paren: Token):
             args[-1].append(child)
     if keyword == "lazy":
         if len(args) != 2:
-            raise PatternError(f"{paren.location}: lazy(TreeKind, Symbol)")
+            raise PatternError("lazy(TreeKind, Symbol)", paren.location)
         content = Symbol.lookup(args[1][0].text)
         if content is None:
-            raise PatternError(
-                f"{paren.location}: unknown symbol {args[1][0].text!r}"
-            )
+            raise PatternError(f"unknown symbol {args[1][0].text!r}",
+                               paren.location)
         return LazySym((args[0][0].text,), content)
     element = Symbol.lookup(args[0][0].text)
     if element is None:
-        raise PatternError(f"{paren.location}: unknown symbol {args[0][0].text!r}")
+        raise PatternError(f"unknown symbol {args[0][0].text!r}",
+                           paren.location)
     separator = args[1][0].text if len(args) > 1 else ""
     return ListSym(element, separator, min1=(keyword == "list1"))
 
@@ -302,10 +302,8 @@ def _content_param(group_child, helper_production) -> Param:
     """The parameter for a tree-helper slot: its parsed content."""
     if isinstance(group_child, PTGroup):
         if group_child.content is None:
-            raise PatternError(
-                f"{group_child.group.location}: group has no grammatical "
-                f"content here"
-            )
+            raise PatternError("group has no grammatical content here",
+                               group_child.group.location)
         return _param_of(group_child.content)
     return _param_of(group_child)
 

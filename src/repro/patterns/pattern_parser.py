@@ -1,46 +1,69 @@
-"""The pattern parser (paper section 4.2).
+"""The pattern parser (paper section 4.2): a reduction sink on the
+LALR(1) parse driver.
 
-A standard LALR(1) driver extended to accept *nonterminal* input
-symbols.  When the input is a nonterminal X in state s0 (using the
-paper's phrasing):
+The paper's pattern parser is "a standard LALR(1) driver extended to
+accept nonterminal input symbols".  Here that driver is
+``repro.lalr.parser.Parser``, the one that parses programs; it applies
+section 4.2's rules when the input is a nonterminal X (follow the goto
+on X; else reduce when every action on FIRST(X) is the same
+reduction).  This module supplies the pattern's side of the loop:
 
-1. if s0 contains a goto for X, X is shifted and the goto followed;
-2. otherwise, if the actions on FIRST(X) all reduce the same rule, the
-   stack is reduced, leading to a state in which one of these
-   conditions holds.
-
-If neither holds the input is invalid.  The output is a *partial parse
-tree* that may contain nonterminal leaves (holes), concrete tokens, and
-unparsed groups; groups are recursively pattern-parsed afterwards,
-according to the consuming production's declared subtree contents.
+* the input: each pattern item becomes a partial-parse-tree leaf (a
+  concrete token, a hole, or an unparsed group) that the driver reads
+  as it reads a token;
+* the sink: each reduction builds a ``PTNode`` at its lookahead item's
+  location (``Location.UNKNOWN`` at end of input).  No unit reduction
+  is skipped (``params.py`` walks the passthrough chains) and no
+  internal action runs;
+* the errors: ``PatternParseError`` diagnostics located at the item no
+  action takes, or at the pattern's last item when it ends too soon;
+* statement lists, parsed a statement at a time so ``BlockStmts`` and
+  ``MemberList`` holes can be spliced, and groups, whose contents are
+  pattern-parsed afterwards according to the consuming production's
+  declared subtree contents.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.grammar import Nonterminal, Production, Symbol
+from repro.grammar import Production
 from repro.lexer import Location, Token
-from repro.lalr.tables import ACCEPT, REDUCE, SHIFT, ParseTables
+from repro.lalr.parser import Parser, ParserContext
+from repro.lalr.tables import ParseTables
 from repro.patterns.items import GroupItem, HoleItem, PatternError, TokItem
 
 
 class PatternParseError(PatternError):
     """A pattern or template body is not syntactically valid."""
 
+    def __init__(self, message: str, location: Location,
+                 expected: Sequence[str] = ()):
+        self.expected = list(expected)
+        if expected:
+            message += f" (expected {', '.join(expected)})"
+        super().__init__(message, location)
+
 
 # ---------------------------------------------------------------------------
 # Partial parse trees
+#
+# A leaf is also the parse driver's input symbol for its item: it has
+# the ``kind`` (a grammar symbol's name), ``text`` and ``location`` the
+# driver reads off a token.
 # ---------------------------------------------------------------------------
 
 
 class PTLeaf:
     """A concrete token in a pattern parse tree."""
 
-    __slots__ = ("token", "meta")
+    __slots__ = ("token", "kind", "text", "location", "meta")
 
     def __init__(self, token: Token):
         self.token = token
+        self.kind = token.kind
+        self.text = token.text
+        self.location = token.location
         self.meta = {}
 
     def __repr__(self):
@@ -50,10 +73,14 @@ class PTLeaf:
 class PTHole:
     """A nonterminal (or terminal) hole."""
 
-    __slots__ = ("item", "meta")
+    __slots__ = ("item", "kind", "location", "meta")
+
+    text = None
 
     def __init__(self, item: HoleItem):
         self.item = item
+        self.kind = item.symbol.name
+        self.location = item.location
         self.meta = {}
 
     def __repr__(self):
@@ -68,10 +95,15 @@ class PTGroup:
     positions, or None for groups with no declared content (opaque).
     """
 
-    __slots__ = ("group", "content", "content_symbol", "lazy", "meta")
+    __slots__ = ("group", "kind", "location", "content", "content_symbol",
+                 "lazy", "meta")
+
+    text = None
 
     def __init__(self, group: GroupItem):
         self.group = group
+        self.kind = group.kind
+        self.location = group.location
         self.content = None
         self.content_symbol = None
         self.lazy = False
@@ -115,15 +147,57 @@ class PTStmts:
 # The parser
 # ---------------------------------------------------------------------------
 
+#: Statement-list symbols and their elements: a list pattern is parsed
+#: one element at a time, so holes of the list symbol can be spliced.
+STATEMENT_LISTS = {"BlockStmts": "Statement", "MemberList": "MemberDecl"}
+
+
+def _leaf(item):
+    if isinstance(item, TokItem):
+        return PTLeaf(item.token)
+    if isinstance(item, GroupItem):
+        return PTGroup(item)
+    if isinstance(item, HoleItem):
+        return PTHole(item)
+    raise TypeError(f"bad pattern item {item!r}")
+
+
+class _PatternSink(ParserContext):
+    """Reductions build PTNodes; input no action takes is a located
+    PatternParseError."""
+
+    at_lookahead = True
+
+    def reduce(self, production: Production, values, location: Location):
+        return PTNode(production, values, location)
+
+    def syntax_error(self, leaf, start, location, expected=(), complete=False):
+        if leaf is None:
+            return PatternParseError(
+                f"pattern ends before a complete {start}", location)
+        if isinstance(leaf, PTHole) and not leaf.item.symbol.is_terminal:
+            return PatternParseError(
+                f"a {leaf.item.declared.name} cannot appear here while "
+                f"parsing {start}", location, expected)
+        if isinstance(leaf, PTLeaf):
+            described = f"token {leaf.text!r}"
+        elif isinstance(leaf, PTGroup):
+            described = f"{leaf.kind} group"
+        else:
+            described = f"${leaf.item.name}"
+        return PatternParseError(
+            f"unexpected {described} while parsing {start}", location,
+            expected)
+
+
+_SINK = _PatternSink()
+
 
 class PatternParser:
     """Parses pattern-item sequences against a grammar's tables."""
 
-    def __init__(self, tables: ParseTables, driver_nonterminals=("BlockStmts", "MemberList")):
+    def __init__(self, tables: ParseTables):
         self.tables = tables
-        self.driver_nonterminals = frozenset(driver_nonterminals)
-
-    # -- public API ---------------------------------------------------------
 
     def parse(self, start: str, items: List[object],
               allow_prefix: bool = False, offset: int = 0) -> Tuple[object, int]:
@@ -132,202 +206,35 @@ class PatternParser:
         Returns (PT tree, next offset).  Group contents are resolved
         recursively before returning.
         """
-        if start in self.driver_nonterminals:
-            tree = self._parse_stmts(items[offset:], start)
-            return tree, len(items)
-        tree, consumed = self._parse_core(start, items, allow_prefix, offset)
+        return self._parse(start, [_leaf(item) for item in items],
+                           allow_prefix, offset)
+
+    def _parse(self, start: str, leaves: List[object], allow_prefix: bool,
+               offset: int) -> Tuple[object, int]:
+        if start in STATEMENT_LISTS:
+            return self._parse_stmts(leaves[offset:], start), len(leaves)
+        parser = Parser(self.tables, _SINK)
+        tree, consumed = parser.parse(start, leaves, allow_prefix, offset)
         self._resolve_groups(tree)
         return tree, consumed
 
     # -- statement-list driver ------------------------------------------------
 
-    def _parse_stmts(self, items: List[object], start: str) -> PTStmts:
-        element_symbol = "Statement" if start == "BlockStmts" else "MemberDecl"
+    def _parse_stmts(self, leaves: List[object], start: str) -> PTStmts:
+        element_symbol = STATEMENT_LISTS[start]
         elements: List[object] = []
         position = 0
-        while position < len(items):
-            item = items[position]
-            if isinstance(item, HoleItem) and item.declared.name == start:
+        while position < len(leaves):
+            leaf = leaves[position]
+            if isinstance(leaf, PTHole) and leaf.item.declared.name == start:
                 # A statement-list splice (e.g. $body : BlockStmts).
-                elements.append(PTHole(item))
+                elements.append(leaf)
                 position += 1
                 continue
-            tree, position = self._parse_core(
-                element_symbol, items, True, position
-            )
-            self._resolve_groups(tree)
+            tree, position = self._parse(element_symbol, leaves, True,
+                                         position)
             elements.append(tree)
         return PTStmts(elements)
-
-    # -- the core algorithm -----------------------------------------------------
-
-    def _parse_core(self, start: str, items: List[object],
-                    allow_prefix: bool, offset: int) -> Tuple[object, int]:
-        tables = self.tables
-        encoded = tables.encoded
-        eof = tables.eof_id(start)
-        states = [tables.start_state(start)]
-        values: List[object] = []
-
-        position = offset
-        length = len(items)
-
-        def location_of(item) -> Location:
-            return getattr(item, "location", Location.UNKNOWN)
-
-        while True:
-            item = items[position] if position < length else None
-
-            if item is None:
-                finished = self._finish(eof, states, values)
-                if finished is not None:
-                    return finished, position
-                raise PatternParseError(
-                    f"pattern ends before a complete {start}"
-                )
-
-            if isinstance(item, HoleItem) and not item.symbol.is_terminal:
-                if not self._shift_nonterminal(item, states, values):
-                    if allow_prefix:
-                        finished = self._finish(eof, states, values)
-                        if finished is not None:
-                            return finished, position
-                    raise PatternParseError(
-                        f"{location_of(item)}: a {item.declared.name} cannot "
-                        f"appear here while parsing {start} (expected "
-                        f"{', '.join(tables.expected_terminals(states[-1]))})"
-                    )
-                position += 1
-                continue
-
-            # Terminal-ish input: concrete token, group, or terminal hole.
-            candidates, describe = self._terminal_of(item)
-            entry = self._terminal_action(states[-1], candidates)
-            if entry is None:
-                finished = self._finish(eof, states, values) if allow_prefix else None
-                if finished is not None:
-                    return finished, position
-                raise PatternParseError(
-                    f"{location_of(item)}: unexpected {describe} while "
-                    f"parsing {start} (expected "
-                    f"{', '.join(tables.expected_terminals(states[-1]))})"
-                )
-            kind, value = entry
-            if kind == SHIFT:
-                states.append(value)
-                values.append(self._leaf_for(item))
-                position += 1
-            elif kind == REDUCE:
-                self._reduce(value, states, values, location_of(item))
-            else:  # pragma: no cover - accept only reachable via eof
-                raise PatternParseError("unexpected accept")
-
-    def _terminal_of(self, item) -> Tuple[List[int], str]:
-        """Candidate terminal ids for an input item, most specific first.
-
-        Identifier tokens that spell a grammar terminal (a "token
-        literal" production argument, e.g. ``typedef``) try that
-        terminal first and fall back to the generic Identifier.
-        """
-        tables = self.tables
-        candidates: List[int] = []
-        if isinstance(item, TokItem):
-            token = item.token
-            if token.kind == "Identifier":
-                specific = tables.symbol_id(token.text)
-                if specific is not None and tables.encoded.is_terminal[specific]:
-                    candidates.append(specific)
-            generic = tables.symbol_id(token.kind)
-            if generic is not None:
-                candidates.append(generic)
-            return candidates, f"token {token.text!r}"
-        if isinstance(item, GroupItem):
-            terminal = tables.symbol_id(item.kind)
-            if terminal is not None:
-                candidates.append(terminal)
-            return candidates, f"{item.kind} group"
-        if isinstance(item, HoleItem):  # terminal hole
-            terminal = tables.symbol_id(item.symbol.name)
-            if terminal is not None:
-                candidates.append(terminal)
-            return candidates, f"${item.name}"
-        raise TypeError(f"bad pattern item {item!r}")
-
-    def _terminal_action(self, state: int, candidates: List[int]):
-        for terminal in candidates:
-            entry = self.tables.action[state].get(terminal)
-            if entry is not None:
-                return entry
-        return None
-
-    def _leaf_for(self, item):
-        if isinstance(item, TokItem):
-            return PTLeaf(item.token)
-        if isinstance(item, GroupItem):
-            return PTGroup(item)
-        return PTHole(item)
-
-    def _shift_nonterminal(self, item: HoleItem, states, values) -> bool:
-        """Cases 1 and 2 of the paper's algorithm."""
-        tables = self.tables
-        encoded = tables.encoded
-        sym_id = tables.symbol_id(item.symbol.name)
-        if sym_id is None:
-            return False
-        firsts = encoded.first[sym_id]
-        guard = 0
-        while True:
-            state = states[-1]
-            target = tables.goto[state].get(sym_id)
-            if target is not None:
-                states.append(target)
-                values.append(PTHole(item))
-                return True
-            # All actions on FIRST(X) must reduce the same rule.
-            entries = {
-                self.tables.action[state].get(t)
-                for t in firsts
-            }
-            entries.discard(None)
-            if len(entries) != 1:
-                return False
-            kind, value = next(iter(entries))
-            if kind != REDUCE:
-                return False
-            self._reduce(value, states, values, item.location)
-            guard += 1
-            if guard > 10_000:  # pragma: no cover - corrupt tables only
-                raise PatternParseError("pattern parser did not converge")
-
-    def _reduce(self, prod_index: int, states, values, location: Location) -> None:
-        tables = self.tables
-        lhs_id, rhs = tables.encoded.productions[prod_index]
-        production = tables.encoded.production_objects[prod_index]
-        count = len(rhs)
-        children = values[-count:] if count else []
-        if count:
-            del states[-count:]
-            del values[-count:]
-        node = PTNode(production, list(children), location)
-        target = tables.goto[states[-1]].get(lhs_id)
-        if target is None:  # pragma: no cover
-            raise PatternParseError(f"no goto for {production.lhs.name}")
-        states.append(target)
-        values.append(node)
-
-    def _finish(self, eof: int, states, values):
-        saved_states = list(states)
-        saved_values = list(values)
-        while True:
-            entry = self.tables.action[saved_states[-1]].get(eof)
-            if entry is None:
-                return None
-            kind, value = entry
-            if kind == ACCEPT:
-                return saved_values[-1]
-            if kind != REDUCE:
-                return None
-            self._reduce(value, saved_states, saved_values, Location.UNKNOWN)
 
     # -- group resolution ----------------------------------------------------
 
@@ -342,9 +249,8 @@ class PatternParser:
                     content_symbol, lazy = spec
                     child.content_symbol = content_symbol
                     child.lazy = lazy
-                    child.content, _ = self.parse(
-                        content_symbol.name, child.group.items
-                    )
+                    child.content, _ = self.parse(content_symbol.name,
+                                                  child.group.items)
                 else:
                     self._resolve_groups(child)
         elif isinstance(tree, PTStmts):

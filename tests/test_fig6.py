@@ -44,6 +44,28 @@ def fig6_grammar():
     return g
 
 
+def disagreeing_grammar():
+    """A grammar where, after ``f``, the actions on FIRST(X) = {a, b}
+    are two different reductions: F -> f on a, G -> f on b.
+
+        S -> F A | G B    F -> f    G -> f    A -> a    B -> b
+        X -> A | B
+    """
+    g = Grammar("fig6-disagree")
+    S, F, G, A, B, X = (nonterminal(f"Disagree{name}")
+                        for name in ("S", "F", "G", "A", "B", "X"))
+    ident = lambda ctx, v: tuple(v)
+    for sym, rhs, tag in [
+        (S, [F, A], "dis_SFA"), (S, [G, B], "dis_SGB"),
+        (F, ["f"], "dis_Ff"), (G, ["f"], "dis_Gf"),
+        (A, ["a"], "dis_Aa"), (B, ["b"], "dis_Bb"),
+        (X, [A], "dis_XA"), (X, [B], "dis_XB"),
+    ]:
+        g.add_production(sym, rhs, tag=tag, action=ident, internal=True)
+    g.declare_start(S, X)
+    return g
+
+
 def items(*specs):
     """Build pattern items: lowercase strings are tokens, symbols are
     nonterminal holes."""
@@ -58,7 +80,7 @@ def items(*specs):
 
 @pytest.fixture
 def parser():
-    return PatternParser(build_tables(fig6_grammar()), driver_nonterminals=())
+    return PatternParser(build_tables(fig6_grammar()))
 
 
 class TestFigure6:
@@ -95,6 +117,19 @@ class TestFigure6:
         F = nonterminal("Fig6F")
         with pytest.raises(PatternParseError):
             parser.parse("Fig6S", items("f", F))
+
+    def test_disagreeing_first_actions_reduce_nothing(self):
+        """The second rule reduces only when every action on FIRST(X)
+        is the same reduction.  After 'f', a reduces F -> f and b
+        reduces G -> f, so an X there is invalid, and the error is
+        found where both reductions are still open."""
+        parser = PatternParser(build_tables(disagreeing_grammar()))
+        X = nonterminal("DisagreeX")
+        with pytest.raises(PatternParseError) as caught:
+            parser.parse("DisagreeS", items("f", X))
+        assert caught.value.expected == ["a", "b"]
+        tree, _ = parser.parse("DisagreeS", items("f", "b"))
+        assert tree.production.tag == "dis_SGB"
 
     def test_plain_terminal_parse(self, parser):
         tree, _ = parser.parse("Fig6S", items("d", "e", "a"))

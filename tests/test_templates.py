@@ -8,7 +8,8 @@ from repro.core import CompileContext, CompileEnv
 from repro.hygiene import reset_fresh_names
 from repro.lalr import Parser
 from repro.lexer import stream_lex
-from repro.patterns import PatternParseError, Template, TemplateError
+from repro.patterns import (PatternError, PatternParseError, Template,
+                            TemplateError)
 
 
 @pytest.fixture
@@ -35,6 +36,35 @@ class TestCompilation:
                             cond="Expression")
         with pytest.raises(PatternParseError):
             template.compiled(ctx.env)
+
+    def test_syntax_errors_are_located_diagnostics(self, ctx):
+        """A pattern error's diagnostic spans the offending item, like a
+        lexical error from the same template does; a pattern that ends
+        too soon names its last item."""
+        cases = [
+            ("while while ($cond);", "<template>:1:7",
+             "unexpected token 'while' while parsing Statement"),
+            ("if ($cond) $body else", "<template>:1:18",
+             "pattern ends before a complete Statement"),
+            ("{ f($cond $cond); }", "<template>:1:11",
+             "a Expression cannot appear here while parsing ArgList"),
+        ]
+        for source, where, message in cases:
+            template = Template("Statement", source, cond="Expression",
+                                body="Statement")
+            with pytest.raises(PatternParseError) as caught:
+                template.compiled(ctx.env)
+            error = caught.value
+            diagnostic = error.diagnostic
+            assert str(error.location) == str(diagnostic.span) == where
+            assert diagnostic.message.startswith(message), source
+            assert str(error) == f"{where}: {diagnostic.message}"
+
+    def test_unquote_errors_are_located_diagnostics(self, ctx):
+        template = Template("Statement", "f($ + 1);")
+        with pytest.raises(PatternError) as caught:
+            template.compiled(ctx.env)
+        assert str(caught.value.diagnostic.span) == "<template>:1:3"
 
     def test_undeclared_hole_rejected(self, ctx):
         template = Template("Statement", "f($mystery);")
