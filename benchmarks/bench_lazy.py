@@ -1,18 +1,19 @@
-"""E4/E12: lazy parsing — the figure-4 pipeline's payoff.
+"""E4: lazy parsing — the figure-4 pipeline's payoff.
 
 The stream lexer finds member boundaries without parsing bodies, so
-shaping a class is much cheaper than compiling it.  We measure shaping
-(parse + member signatures, bodies left as thunks) against full
-compilation (bodies forced and checked) for a generated many-method
-class, and the cost of grammar regeneration after a mid-file ``use``.
+shaping a class (parse + member signatures, bodies left as thunks) is
+cheaper than compiling it (bodies forced and checked).  Measured on a
+generated 40-method class.
 """
 
-from conftest import make_compiler, record_metric, report
+from conftest import make_compiler, paired, report
 
 from repro.ast import nodes as n
 from repro.core import CompileContext, CompileEnv
 from repro.lalr import Parser
 from repro.lexer import stream_lex
+
+METHODS = 40
 
 
 def big_class(methods: int) -> str:
@@ -32,127 +33,25 @@ def big_class(methods: int) -> str:
     return f"class Big {{ {body} }}"
 
 
-def shape_only(source: str):
-    """Parse the class; bodies stay lazy (the shaper's view)."""
+def shape_only(source: str) -> int:
+    """Parse the class; bodies stay lazy (the shaper's view).  Returns
+    the number of method bodies left as thunks."""
     ctx = CompileContext(CompileEnv())
     parser = Parser(ctx.env.tables(), ctx)
     decl, _ = parser.parse("TypeDeclaration", stream_lex(source))
-    lazy = sum(1 for m in decl.members
+    return sum(1 for m in decl.members
                if isinstance(m, n.MethodDecl)
                and isinstance(m.body, n.LazyNode))
-    return decl, lazy
 
 
-def test_e4_shaping_cheaper_than_compiling(benchmark):
-    import time
-
-    source = big_class(40)
-
-    start = time.perf_counter()
-    decl, lazy_count = shape_only(source)
-    shape_time = time.perf_counter() - start
-    assert lazy_count == 40  # every body is a thunk
-
-    start = time.perf_counter()
-    make_compiler().compile(source)
-    full_time = time.perf_counter() - start
-
-    report("E4: lazy shaping vs full compilation (40 methods)", [
-        ["shape only (bodies lazy)", f"{shape_time * 1e3:.1f} ms"],
-        ["full compile (bodies forced)", f"{full_time * 1e3:.1f} ms"],
-        ["ratio", f"{full_time / shape_time:.1f}x"],
+def test_e4_shaping_cheaper_than_compiling():
+    source = big_class(METHODS)
+    measured = paired(lambda _: make_compiler().compile(source),
+                      lambda _: shape_only(source))
+    assert all(lazy == METHODS for _, lazy in measured.results)
+    report(f"E4: lazy shaping vs full compilation ({METHODS} methods)", [
+        ["full compile (bodies forced)", f"{measured.slow_ms:.1f} ms"],
+        ["shape only (bodies lazy)", f"{measured.fast_ms:.1f} ms"],
+        ["ratio", f"{measured.ratio:.1f}x", "bar: > 1x"],
     ])
-    record_metric("shape_40_methods_ms", round(shape_time * 1e3, 3), "ms")
-    record_metric("full_compile_40_methods_ms", round(full_time * 1e3, 3),
-                  "ms")
-    assert shape_time < full_time
-
-    benchmark(lambda: shape_only(source))
-
-
-def test_e12_mid_method_grammar_extension(benchmark):
-    """A use directive mid-method re-derives tables for the remaining
-    statements; the fingerprint cache amortizes repeats."""
-    source = """
-        import java.util.*;
-        class Demo {
-            static void main() {
-                Vector v = new Vector();
-                v.addElement("a");
-                use maya.util.ForEach;
-                v.elements().foreach(String s) {
-                    System.out.println(s);
-                }
-            }
-        }
-    """
-
-    def compile_with_extension():
-        return make_compiler(macros=True).compile(source)
-
-    program = benchmark(compile_with_extension)
-    assert "hasMoreElements" in program.source()
-    report("E12: mid-method use directive", [
-        ["statements before use", "parsed with the base grammar"],
-        ["statements after use", "parsed with foreach production added"],
-    ])
-
-
-def test_e4_unparsed_bodies_cost_nothing(benchmark):
-    """A body full of junk tokens shapes fine — it is never parsed
-    unless compiled, the defining property of lazy parsing."""
-    source = """
-        class Partial {
-            int good() { return 1; }
-            int never() { this body is @@ not ~~ java at all }
-        }
-    """
-    decl, lazy_count = shape_only(source)
-    assert lazy_count == 2
-    benchmark(lambda: shape_only(source))
-
-
-MULTIJAVA_WORKLOAD = """
-    use multijava.MultiJava;
-    class C { }
-    class D extends C {
-        int m(C c) { return 0; }
-        int m(C@D c) { return 1; }
-    }
-"""
-
-
-def test_e4_laziness_profile(benchmark):
-    """Measure what lazy parsing never does: compile the MultiJava
-    multimethod workload under the laziness profiler and record the
-    never-forced fractions.  ``rescope_lazy`` rebinds multimethod
-    bodies into a child environment (for the method-local SuperSend
-    Mayan), so the original thunks are permanently abandoned — a
-    structural source of never-parsed work that the profiler should
-    see."""
-    from repro.obs import lazy as obs_lazy
-
-    def profiled():
-        profiler = obs_lazy.activate()
-        try:
-            make_compiler(multijava=True).compile(MULTIJAVA_WORKLOAD)
-        finally:
-            obs_lazy.deactivate()
-        return profiler
-
-    profiler = profiled()
-    assert profiler.forced_total <= profiler.created_total
-    assert profiler.never_forced > 0  # the abandoned rescope originals
-    thunk_pct = profiler.never_forced_fraction * 100
-    token_pct = profiler.never_parsed_token_fraction * 100
-    report("E4b: laziness profile (MultiJava multimethod workload)", [
-        ["thunks created", profiler.created_total],
-        ["thunks forced", profiler.forced_total],
-        ["thunks never forced", f"{profiler.never_forced} "
-                                f"({thunk_pct:.0f}%)"],
-        ["tokens captured lazily", profiler.tokens_created_total],
-        ["tokens never parsed", f"{token_pct:.1f}%"],
-    ])
-    record_metric("mj_never_forced_pct", round(thunk_pct, 1), "%")
-    record_metric("mj_never_parsed_tokens_pct", round(token_pct, 1), "%")
-    benchmark(profiled)
+    assert measured.ratio > 1.0

@@ -1,41 +1,36 @@
 """Module-build performance: incremental, parallel, and deep-restore.
 
+Each speedup is a same-host ratio measured as interleaved pairs, and
+every path asserts byte-identical combined artifacts: no speedup
+bought with wrong output.
+
 * **E16 — incremental rebuild**: edit one leaf of a ≥20-module project
   and rebuild from a warm cache; exactly one module recompiles.  Bar:
   ≥5x over clean.
 * **E17a — parallel clean build**: a 100-module fan-out built with
   ``jobs=1`` vs ``jobs=cpu_count`` (fork workers; the serial walk where
-  ``os.fork`` is unavailable).  The ≥2x bar is asserted only on
-  multi-core hosts with fork — on one CPU there is nothing to win and
-  the honest ratio is ~1x — but the measured value is always recorded,
-  and byte-equality always asserted.
-  Deep-chain and diamond shapes are reported alongside for scheduling
-  shape coverage (a 30-deep chain has zero exploitable parallelism; a
-  diamond has exactly two lanes).
+  ``os.fork`` is unavailable).  The ≥2x bar holds on multi-core hosts
+  with fork; on one CPU there is nothing to win and the bar is
+  scheduling overhead staying small (≥0.5x).  Deep-chain and diamond
+  shapes are reported alongside for scheduling shape coverage (a
+  30-deep chain has zero exploitable parallelism; a diamond has
+  exactly two lanes).
 * **E17b — warm deep restore**: a warm ``need_bodies`` build with the
   deep (pickled checked-AST) artifact vs the same build forced down
   the expanded-source recompile path.  Bar: ≥2x.
-
-Every ratio lands in ``BENCH_modules.json`` under ``*_speedup`` names,
-so ``compare.py``'s higher-is-better rule gates regressions; every
-path asserts byte-identical combined artifacts first — no speedup
-bought with wrong output.
 """
 
 import os
 import shutil
-import statistics
 import tempfile
-import time
 
-from conftest import record_metric, report
+from conftest import paired, report
 
 from repro.modules import MemorySources, ModuleBuilder
 from repro.modules.procpool import fork_available
 
 LAYERS = 7
 WIDTH = 3
-ROUNDS = 3
 MIN_SPEEDUP = 5.0
 WIDE_MODULES = 100
 CHAIN_DEPTH = 30
@@ -87,61 +82,55 @@ def synthetic_project():
     return sources
 
 
-def build_ms(sources, cache_dir):
-    started = time.perf_counter()
-    result = ModuleBuilder(MemorySources(sources),
-                           cache_dir=cache_dir).build(["app.Main"])
-    return (time.perf_counter() - started) * 1000.0, result
+def _build(sources, jobs: int = 1, cache_dir=None,
+           need_bodies: bool = False, deep_restore: bool = True):
+    builder = ModuleBuilder(MemorySources(sources), cache_dir=cache_dir,
+                            jobs=jobs, deep_restore=deep_restore)
+    return builder.build(["app.Main"], need_bodies=need_bodies)
+
+
+def _edited(sources, index: int):
+    edited = dict(sources)
+    edited["app.Main"] = sources["app.Main"].replace(
+        "System.out.println", f"/* edit {index} */ System.out.println")
+    return edited
 
 
 def test_incremental_rebuild_speedup():
     sources = synthetic_project()
-    clean_ms, incremental_ms = [], []
     scratch = tempfile.mkdtemp(prefix="bench-modules-")
     try:
-        for round_no in range(ROUNDS):
-            cache = f"{scratch}/round{round_no}"
-            cold_ms, cold = build_ms(sources, cache)
-            assert len(cold.order) >= 20
-            assert cold.recompiled == cold.order
-
-            edited = dict(sources)
-            edited["app.Main"] = sources["app.Main"].replace(
-                "System.out.println", f"/* edit {round_no} */ "
-                                      "System.out.println")
-            warm_ms, warm = build_ms(edited, cache)
-            assert warm.recompiled == ["app.Main"]
-            assert len(warm.reused) == len(cold.order) - 1
-
-            # No speedup bought with wrong bytes: the incremental
-            # artifact must match a from-scratch build of the edit.
-            clean_of_edit = ModuleBuilder(
-                MemorySources(edited)).build(["app.Main"])
-            assert warm.expanded() == clean_of_edit.expanded()
-
-            clean_ms.append(cold_ms)
-            incremental_ms.append(warm_ms)
+        # Each pair: a clean build into a fresh cache, then the
+        # incremental build of a leaf edit against it.
+        measured = paired(
+            lambda index: _build(sources, cache_dir=f"{scratch}/{index}"),
+            lambda index: _build(_edited(sources, index),
+                                 cache_dir=f"{scratch}/{index}"))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    clean = statistics.median(clean_ms)
-    incremental = statistics.median(incremental_ms)
-    speedup = clean / incremental
+    for index, (cold, warm) in enumerate(measured.results):
+        assert len(cold.order) >= 20
+        assert cold.recompiled == cold.order
+        assert warm.recompiled == ["app.Main"]
+        assert len(warm.reused) == len(cold.order) - 1
+        # The incremental artifact must match a from-scratch build of
+        # the edit.
+        assert warm.expanded() == _build(_edited(sources, index)).expanded()
+
     modules = LAYERS * WIDTH + 1
     report(
         f"E16: leaf edit in a {modules}-module project "
-        f"(median of {ROUNDS})",
-        [["clean rebuild", f"{clean:.1f} ms", f"{modules} compiled"],
-         ["incremental rebuild", f"{incremental:.1f} ms",
+        f"(median of {len(measured.results)} pairs)",
+        [["clean rebuild", f"{measured.slow_ms:.1f} ms",
+          f"{modules} compiled"],
+         ["incremental rebuild", f"{measured.fast_ms:.1f} ms",
           f"1 compiled, {modules - 1} reused"],
-         ["speedup", f"{speedup:.1f}x", f"bar: >= {MIN_SPEEDUP:.0f}x"]],
+         ["speedup", f"{measured.ratio:.1f}x",
+          f"bar: >= {MIN_SPEEDUP:.0f}x"]],
         header=["path", "median", "modules"])
-    record_metric("modules_clean_build_ms", round(clean, 3), "ms")
-    record_metric("modules_incremental_build_ms", round(incremental, 3),
-                  "ms")
-    record_metric("modules_incremental_speedup", round(speedup, 3), "x")
-    assert speedup >= MIN_SPEEDUP, \
-        f"incremental rebuild only {speedup:.1f}x faster than clean"
+    assert measured.ratio >= MIN_SPEEDUP, \
+        f"incremental rebuild only {measured.ratio:.1f}x faster than clean"
 
 
 def _body(name: str, terms, helpers: int = 6) -> str:
@@ -208,15 +197,6 @@ def diamond_project():
     return sources
 
 
-def _timed_build(sources, jobs: int, cache_dir=None,
-                 need_bodies: bool = False, deep_restore: bool = True):
-    builder = ModuleBuilder(MemorySources(sources), cache_dir=cache_dir,
-                            jobs=jobs, deep_restore=deep_restore)
-    started = time.perf_counter()
-    result = builder.build(["app.Main"], need_bodies=need_bodies)
-    return (time.perf_counter() - started) * 1000.0, result
-
-
 def test_parallel_clean_speedup():
     """E17a: fan a clean build over the import DAG."""
     cpus = os.cpu_count() or 1
@@ -224,40 +204,25 @@ def test_parallel_clean_speedup():
     fork = fork_available()
 
     shapes = []
-    wide = wide_project()
-    serial_ms, parallel_ms = [], []
-    for _ in range(ROUNDS):
-        one_ms, one = _timed_build(wide, 1)
-        many_ms, many = _timed_build(wide, jobs)
-        assert many.expanded() == one.expanded()
-        assert many.report() == one.report()
-        serial_ms.append(one_ms)
-        parallel_ms.append(many_ms)
-    serial = statistics.median(serial_ms)
-    parallel = statistics.median(parallel_ms)
-    speedup = serial / parallel
-    shapes.append([f"wide ({WIDE_MODULES}+1 modules)",
-                   f"{serial:.0f} ms", f"{parallel:.0f} ms",
-                   f"{speedup:.2f}x"])
-
-    for label, sources in (("deep (30-chain)", chain_project()),
-                           ("diamond (2 lanes x 10)", diamond_project())):
-        one_ms, one = _timed_build(sources, 1)
-        many_ms, many = _timed_build(sources, jobs)
-        assert many.expanded() == one.expanded()
-        shapes.append([label, f"{one_ms:.0f} ms", f"{many_ms:.0f} ms",
-                       f"{one_ms / many_ms:.2f}x"])
+    for label, sources, pairs in (
+            (f"wide ({WIDE_MODULES}+1 modules)", wide_project(), 3),
+            ("deep (30-chain)", chain_project(), 1),
+            ("diamond (2 lanes x 10)", diamond_project(), 1)):
+        measured = paired(lambda _: _build(sources, 1),
+                          lambda _: _build(sources, jobs), pairs=pairs)
+        for one, many in measured.results:
+            assert many.expanded() == one.expanded()
+            assert many.report() == one.report()
+        shapes.append((label, measured))
+    speedup = shapes[0][1].ratio
 
     report(
         f"E17a: parallel clean builds, jobs=1 vs jobs={jobs} "
         f"({'fork workers' if fork else 'serial: no fork'}, {cpus} CPUs, "
-        f"median of {ROUNDS} for wide)",
-        shapes,
+        f"median of 3 pairs for wide)",
+        [[label, f"{measured.slow_ms:.0f} ms", f"{measured.fast_ms:.0f} ms",
+          f"{measured.ratio:.2f}x"] for label, measured in shapes],
         header=["shape", "jobs=1", f"jobs={jobs}", "speedup"])
-    record_metric("modules_parallel_clean_speedup", round(speedup, 3), "x")
-    record_metric("modules_parallel_wide_jobs1_ms", round(serial, 3), "ms")
-    record_metric("modules_parallel_wide_jobsN_ms", round(parallel, 3),
-                  "ms")
     if cpus >= 2 and fork:
         assert speedup >= MIN_PARALLEL_SPEEDUP, \
             f"wide clean build only {speedup:.2f}x with {cpus} CPUs"
@@ -273,44 +238,33 @@ def test_warm_restore_speedup():
     on a warm ``need_bodies`` build."""
     sources = synthetic_project()
     scratch = tempfile.mkdtemp(prefix="bench-deep-")
-    shallow_ms, deep_ms = [], []
     try:
-        _timed_build(sources, 1, cache_dir=scratch)  # warm it
-        baseline = None
-        for _ in range(ROUNDS):
-            cold_ms, cold = _timed_build(sources, 1, cache_dir=scratch,
-                                         need_bodies=True,
-                                         deep_restore=False)
-            warm_ms, warm = _timed_build(sources, 1, cache_dir=scratch,
-                                         need_bodies=True,
-                                         deep_restore=True)
-            assert cold.reused == cold.order
-            assert warm.reused == warm.order
-            assert warm.expanded() == cold.expanded()
-            if baseline is None:
-                baseline = cold.expanded()
-            assert warm.expanded() == baseline
-            shallow_ms.append(cold_ms)
-            deep_ms.append(warm_ms)
+        _build(sources, cache_dir=scratch)  # warm it
+        measured = paired(
+            lambda _: _build(sources, cache_dir=scratch, need_bodies=True,
+                             deep_restore=False),
+            lambda _: _build(sources, cache_dir=scratch, need_bodies=True,
+                             deep_restore=True))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    shallow = statistics.median(shallow_ms)
-    deep = statistics.median(deep_ms)
-    speedup = shallow / deep
+    baseline = measured.results[0][0].expanded()
+    for shallow, deep in measured.results:
+        assert shallow.reused == shallow.order
+        assert deep.reused == deep.order
+        assert shallow.expanded() == deep.expanded() == baseline
+
     modules = LAYERS * WIDTH + 1
     report(
         f"E17b: warm materialization of a {modules}-module project "
-        f"(median of {ROUNDS})",
-        [["expanded-source recompile", f"{shallow:.1f} ms",
+        f"(median of {len(measured.results)} pairs)",
+        [["expanded-source recompile", f"{measured.slow_ms:.1f} ms",
           "lex+parse+check per module"],
-         ["deep AST restore", f"{deep:.1f} ms",
+         ["deep AST restore", f"{measured.fast_ms:.1f} ms",
           "unpickle+shape+check only"],
-         ["speedup", f"{speedup:.1f}x",
+         ["speedup", f"{measured.ratio:.1f}x",
           f"bar: >= {MIN_RESTORE_SPEEDUP:.0f}x"]],
         header=["path", "median", "work"])
-    record_metric("modules_warm_shallow_ms", round(shallow, 3), "ms")
-    record_metric("modules_warm_deep_ms", round(deep, 3), "ms")
-    record_metric("modules_warm_restore_speedup", round(speedup, 3), "x")
-    assert speedup >= MIN_RESTORE_SPEEDUP, \
-        f"deep restore only {speedup:.1f}x over expanded-source recompile"
+    assert measured.ratio >= MIN_RESTORE_SPEEDUP, \
+        f"deep restore only {measured.ratio:.1f}x over expanded-source " \
+        f"recompile"

@@ -1,24 +1,24 @@
 """Shared benchmark helpers.
 
-Every benchmark regenerates a paper artifact (see DESIGN.md's
-experiment index) and prints the rows it reproduces, so EXPERIMENTS.md
-can quote them; pytest-benchmark adds the timing table.
-
-Results are additionally written as machine-readable JSON: every
-``report``/``record_metric`` call lands in ``BENCH_<area>.json`` at the
-repository root (area = the calling ``bench_<area>.py`` file), so the
-performance trajectory is tracked across PRs instead of living only in
-scrollback.  A run merges its reports and metrics into the file, so a
-partial run (``-k``, one file) rewrites only the rows it measured.
+The ``bench_*.py`` files check the paper's and the design's same-host
+timing claims: each times two legs of the same job on the host that
+runs it, as interleaved pairs (``paired``), and asserts a bar on the
+ratio.  Absolute times are ``benchmarks/e2e``'s (``BENCHMARK.json``),
+and host-independent counts and ratios are tier-1 tests under
+``tests/``.  ``report`` prints the rows each benchmark reproduces, so
+EXPERIMENTS.md can quote them.
 """
 
 import atexit
-import json
+import gc
 import os
 import shutil
+import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import Callable, List, NamedTuple, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
@@ -30,17 +30,14 @@ os.environ["MAYA_CACHE_DIR"] = TABLE_STORE
 atexit.register(shutil.rmtree, TABLE_STORE, ignore_errors=True)
 
 from repro import MayaCompiler
-from repro.interp import Interpreter
 from repro.lalr.tables import enable_disk_cache
 from repro.macros import install_macro_library
 from repro.multijava import install_multijava
 
 enable_disk_cache(TABLE_STORE)  # in case repro was imported first
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# area -> {"reports": {title: rows}, "metrics": {name: {...}}}
-_RESULTS = {}
+#: Pairs per measured ratio.
+PAIRS = 3
 
 
 def make_compiler(macros: bool = False, multijava: bool = False) -> MayaCompiler:
@@ -52,58 +49,46 @@ def make_compiler(macros: bool = False, multijava: bool = False) -> MayaCompiler
     return compiler
 
 
-def compile_and_run(source: str, cls: str = "Demo", macros: bool = False,
-                    multijava: bool = False) -> Interpreter:
-    program = make_compiler(macros, multijava).compile(source)
-    interp = Interpreter(program)
-    interp.run_static(cls)
-    return interp
+class Paired(NamedTuple):
+    """One same-host timing ratio, measured as interleaved pairs."""
+
+    ratio: float  # median of the per-pair slow/fast ratios
+    slow_ms: float  # median slow leg
+    fast_ms: float  # median fast leg, per run
+    results: List[Tuple[object, object]]  # (slow, fast) leg results
 
 
-def _caller_area(depth: int = 2) -> str:
-    """The bench area of the calling module: bench_<area>.py -> <area>."""
-    filename = Path(sys._getframe(depth).f_code.co_filename).stem
-    if filename.startswith("bench_"):
-        return filename[len("bench_"):]
-    return filename
+def paired(slow: Callable[[int], object], fast: Callable[[int], object],
+           pairs: int = PAIRS, batch: int = 1) -> Paired:
+    """Time ``slow(i)`` and then ``fast(i)`` back to back for each pair
+    ``i``, so both legs of a pair see the same host state.  Each leg
+    starts from a collected heap, so neither pays to collect the other's
+    cyclic garbage.  ``fast`` runs ``batch`` times a pair and is charged
+    per run; its last result is kept.  Check the returned leg results
+    after timing, so checks cost no measured time."""
+    ratios, slow_ms, fast_ms, results = [], [], [], []
+    for index in range(pairs):
+        gc.collect()
+        started = time.perf_counter()
+        slow_result = slow(index)
+        slow_s = time.perf_counter() - started
+        gc.collect()
+        started = time.perf_counter()
+        for _ in range(batch):
+            fast_result = fast(index)
+        fast_s = (time.perf_counter() - started) / batch
+        ratios.append(slow_s / fast_s)
+        slow_ms.append(slow_s * 1e3)
+        fast_ms.append(fast_s * 1e3)
+        results.append((slow_result, fast_result))
+    return Paired(statistics.median(ratios), statistics.median(slow_ms),
+                  statistics.median(fast_ms), results)
 
 
-def _area_results(area: str) -> dict:
-    return _RESULTS.setdefault(area, {"reports": {}, "metrics": {}})
-
-
-def report(title: str, rows, header=None, area: str = None) -> None:
+def report(title: str, rows, header=None) -> None:
     print()
     print(f"== {title} ==")
     if header:
         print("  " + " | ".join(str(h) for h in header))
     for row in rows:
         print("  " + " | ".join(str(cell) for cell in row))
-    entry = {"rows": [[str(cell) for cell in row] for row in rows]}
-    if header:
-        entry["header"] = [str(h) for h in header]
-    _area_results(area or _caller_area())["reports"][title] = entry
-
-
-def record_metric(name: str, value, unit: str = "", area: str = None) -> None:
-    """Record one machine-readable number for BENCH_<area>.json."""
-    _area_results(area or _caller_area())["metrics"][name] = {
-        "value": value,
-        "unit": unit,
-    }
-
-
-@atexit.register
-def _flush_results() -> None:
-    for area, payload in _RESULTS.items():
-        path = _REPO_ROOT / f"BENCH_{area}.json"
-        try:
-            merged = json.loads(path.read_text())
-        except (OSError, ValueError):
-            merged = {}
-        for section, rows in payload.items():
-            merged.setdefault(section, {}).update(rows)
-        try:
-            path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            pass

@@ -81,9 +81,15 @@ class Mayan(MetaProgram):
             )
         from repro.lalr.tables import tables_for
         from repro.patterns.params import compile_parameter_list
+        from repro.patterns.pattern_parser import PatternParseError
 
         tables = tables_for(env.grammar)
-        self._compiled = compile_parameter_list(tables, self.result, self.pattern)
+        try:
+            self._compiled = compile_parameter_list(tables, self.result,
+                                                    self.pattern)
+        except PatternParseError as error:
+            raise error.owned_by(f"Mayan {type(self).__name__}",
+                                 "<pattern>") from None
 
     @property
     def production(self) -> Optional[Production]:

@@ -244,6 +244,7 @@ def build_table() -> BuiltinTable:
                   "java.lang.ClassCastException",
                   "java.lang.ArithmeticException",
                   "java.lang.IndexOutOfBoundsException",
+                  "java.lang.ArrayIndexOutOfBoundsException",
                   "java.lang.IllegalArgumentException",
                   "java.lang.Error",
                   "java.lang.AssertionError",

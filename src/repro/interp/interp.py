@@ -684,7 +684,8 @@ class Interpreter:
         if array is None:
             raise self.throw("java.lang.NullPointerException", None)
         if index < 0 or index >= len(array.values):
-            raise self.throw("java.lang.IndexOutOfBoundsException", str(index))
+            raise self.throw("java.lang.ArrayIndexOutOfBoundsException",
+                             str(index))
         return array.values[index]
 
     def _eval_invocation(self, expr: n.MethodInvocation, frame):
@@ -866,7 +867,8 @@ class Interpreter:
             if array is None:
                 raise self.throw("java.lang.NullPointerException", None)
             if index < 0 or index >= len(array.values):
-                raise self.throw("java.lang.IndexOutOfBoundsException", str(index))
+                raise self.throw("java.lang.ArrayIndexOutOfBoundsException",
+                                 str(index))
             array.values[index] = value
             return
         if isinstance(lhs, n.Reference):

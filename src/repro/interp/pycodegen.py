@@ -1043,7 +1043,7 @@ class _MethodGen:
         self.null_guard(a, None)
         self.put(f"{t} = {a}.values")
         self.put(f"if {i} < 0 or {i} >= len({t}): raise interp.throw("
-                 f"'java.lang.IndexOutOfBoundsException', str({i}))")
+                 f"'java.lang.ArrayIndexOutOfBoundsException', str({i}))")
         t2 = self.temp()
         self.put(f"{t2} = {t}[{i}]")
         return t2
@@ -1569,7 +1569,7 @@ class _MethodGen:
             self.put(f"{t} = {a}.values")
             self.put(f"if {i} < 0 or {i} >= len({t}): "
                      f"raise interp.throw("
-                     f"'java.lang.IndexOutOfBoundsException', str({i}))")
+                     f"'java.lang.ArrayIndexOutOfBoundsException', str({i}))")
             self.put(f"{t}[{i}] = {value}")
         return emit
 

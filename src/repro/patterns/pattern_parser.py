@@ -44,6 +44,14 @@ class PatternParseError(PatternError):
             message += f" (expected {', '.join(expected)})"
         super().__init__(message, location)
 
+    def owned_by(self, owner: str, filename: str) -> "PatternParseError":
+        """This error, or, when it has no location (an empty pattern has
+        no item to point at), one that names the pattern's owner."""
+        if self.location != Location.UNKNOWN:
+            return self
+        return PatternParseError(f"{self.diagnostic.message} in {owner}",
+                                 Location(filename, 1, 1))
+
 
 # ---------------------------------------------------------------------------
 # Partial parse trees

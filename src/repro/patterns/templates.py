@@ -27,6 +27,7 @@ from repro.lexer import Location, Token
 from repro.lalr.tables import tables_for
 from repro.patterns.items import PatternError, lex_template
 from repro.patterns.pattern_parser import (
+    PatternParseError,
     PatternParser,
     PTGroup,
     PTHole,
@@ -126,7 +127,10 @@ class _CompiledTemplate:
             holes[name] = symbol
         items = lex_template(template.source, holes)
         parser = PatternParser(tables_for(env.grammar))
-        self.tree, _ = parser.parse(template.result, items)
+        try:
+            self.tree, _ = parser.parse(template.result, items)
+        except PatternParseError as error:
+            raise error.owned_by(repr(template), "<template>") from None
         self.info = analyze_template(self.tree, env.registry)
 
     def instantiate(self, ctx, values: Dict[str, object]):

@@ -35,6 +35,8 @@ _CLASSES: List[Tuple[str, str, Tuple[str, ...], bool]] = [
     ("java.lang.ClassCastException", "java.lang.RuntimeException", (), False),
     ("java.lang.ArithmeticException", "java.lang.RuntimeException", (), False),
     ("java.lang.IndexOutOfBoundsException", "java.lang.RuntimeException", (), False),
+    ("java.lang.ArrayIndexOutOfBoundsException",
+     "java.lang.IndexOutOfBoundsException", (), False),
     ("java.lang.IllegalArgumentException", "java.lang.RuntimeException", (), False),
     ("java.lang.Error", "java.lang.Throwable", (), False),
     ("java.lang.AssertionError", "java.lang.Error", (), False),
@@ -146,6 +148,10 @@ _MEMBERS: Dict[str, List[Tuple]] = {
     "java.lang.ClassCastException": [("ctor", "", ("java.lang.String",), None, ())],
     "java.lang.ArithmeticException": [("ctor", "", ("java.lang.String",), None, ())],
     "java.lang.IndexOutOfBoundsException": [
+        ("ctor", "", (), None, ()),
+        ("ctor", "", ("java.lang.String",), None, ()),
+    ],
+    "java.lang.ArrayIndexOutOfBoundsException": [
         ("ctor", "", (), None, ()),
         ("ctor", "", ("java.lang.String",), None, ()),
     ],

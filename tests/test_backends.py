@@ -397,6 +397,11 @@ THROWING = [
     """),
     ("java.lang.IndexOutOfBoundsException", """
         class Demo {
+            static int main() { return "ab".charAt(5); }
+        }
+    """),
+    ("java.lang.ArrayIndexOutOfBoundsException", """
+        class Demo {
             static int main() { int[] a = new int[2]; return a[5]; }
         }
     """),
@@ -890,7 +895,7 @@ class TestWalkFallback:
         assert method._pycode_plan is pycodegen.FALLBACK
         assert runs["walk"][:3] == runs["pycode"][:3]
         assert runs["walk"][0] == ["risky 1", "total 42", "risky 5"]
-        assert runs["walk"][2] == "java.lang.IndexOutOfBoundsException"
+        assert runs["walk"][2] == "java.lang.ArrayIndexOutOfBoundsException"
         assert runs["pycode"][3] == 1  # risky declined once, then cached
         assert runs["walk"][3] == 0
 
@@ -1149,7 +1154,7 @@ class TestMultiModuleDifferential:
             thrown[backend] = exc.value.value.class_type.name
         for backend in BACKENDS[1:]:
             assert thrown["walk"] == thrown[backend]
-        assert thrown["walk"] == "java.lang.IndexOutOfBoundsException"
+        assert thrown["walk"] == "java.lang.ArrayIndexOutOfBoundsException"
 
 
 # ---------------------------------------------------------------------------

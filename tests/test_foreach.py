@@ -186,7 +186,8 @@ class TestVForEach:
         generic = counters_for("java.util.Vector")
         optimized = counters_for("maya.util.Vector")
         assert optimized.allocations < generic.allocations
-        assert optimized.method_calls < generic.method_calls
+        # hasMoreElements and nextElement are gone for every element.
+        assert generic.method_calls - optimized.method_calls >= 2 * 50
 
     def test_java_vector_still_generic(self):
         """A plain java.util.Vector receiver is NOT specialized."""

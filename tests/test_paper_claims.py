@@ -1,0 +1,302 @@
+"""The paper's and the design's quantitative claims that do not depend
+on host speed: counts, sizes and ratios of counts, each with the bar
+the benchmark that used to carry it asserted.  Same-host timing ratios
+stay in ``benchmarks/``; absolute times are ``benchmarks/e2e``'s.
+"""
+
+import io
+import time
+import tokenize
+from pathlib import Path
+
+from repro.core import CompileContext, CompileEnv
+from repro.dispatch import Mayan
+from repro.grammar.grammar import GrammarFingerprint
+from repro.interp import Interpreter, pycodegen
+from repro.lalr import Parser
+from repro.lexer import stream_lex
+from repro.macros.foreach import ForEach
+from repro.obs import lazy as obs_lazy
+from repro.obs.metrics import Deltas
+from tests.conftest import compile_source, make_compiler
+
+ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+# -- E10: the section-5.3 lines-of-code comparison --------------------------
+
+
+def ncnb_lines(path: Path) -> int:
+    """Noncomment, nonblank lines of a Python file (docstrings and
+    comments excluded, matching the paper's NCNB metric)."""
+    kept = set()
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    for token in tokens:
+        if token.type in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                          tokenize.INDENT, tokenize.DEDENT,
+                          tokenize.ENDMARKER):
+            continue
+        if token.type == tokenize.STRING and \
+                token.string.startswith(('"""', "'''", 'r"""', "r'''")):
+            continue  # docstrings
+        kept.update(range(token.start[0], token.end[0] + 1))
+    return len(kept)
+
+
+def test_e10_multijava_is_a_small_fraction_of_the_compiler():
+    """Paper: Clifton's direct MultiJava "added or materially altered
+    20,000 of the 50,000 lines in kjc"; the Maya-based one is "less
+    than 2,500 noncomment, nonblank lines".  Reproduced as a ratio:
+    the extension (src/repro/multijava minus the hand-built baseline)
+    against the host compiler it would otherwise have had to modify
+    (the rest of src/repro) stays under the paper's 2500/20000."""
+    extension = sum(ncnb_lines(path)
+                    for path in sorted((ROOT / "multijava").glob("*.py"))
+                    if path.name != "baseline.py")
+    compiler = sum(ncnb_lines(path) for path in sorted(ROOT.rglob("*.py"))
+                   if "multijava" not in path.parts)
+    assert extension < 1000
+    assert extension / compiler < 2500 / 20000
+
+
+# -- E13: what lazy parsing never does --------------------------------------
+
+
+def test_e13_multijava_leaves_half_its_bodies_unparsed():
+    """``rescope_lazy`` rebinds multimethod bodies into a child
+    environment (for the method-local SuperSend Mayan), so the original
+    thunks are abandoned unforced.  Bar: the recorded 50% never forced
+    and never parsed, less the 25% the former regression gate allowed."""
+    profiler = obs_lazy.activate()
+    try:
+        make_compiler(multijava=True).compile("""
+            use multijava.MultiJava;
+            class C { }
+            class D extends C {
+                int m(C c) { return 0; }
+                int m(C@D c) { return 1; }
+            }
+        """)
+    finally:
+        obs_lazy.deactivate()
+    assert profiler.forced_total <= profiler.created_total
+    assert profiler.never_forced > 0
+    assert profiler.never_forced_fraction >= 0.5 * 0.75
+    assert profiler.never_parsed_token_fraction >= 0.5 * 0.75
+
+
+# -- E14: inline caches ------------------------------------------------------
+
+
+def test_e14_call_sites_almost_never_look_up():
+    """On E14's virtual-call workload, a pycode call site is a
+    monomorphic inline cache (its patched class guard) backed by a
+    per-site dict cache, so only a site's first receivers (misses) and
+    megamorphic overflow pay a full lookup: more than 99% hit."""
+    program = compile_source("""
+        class Adder {
+            int bump(int x) { return x + 1; }
+        }
+        class Doubler extends Adder {
+            int bump(int x) { return x + 2; }
+        }
+        class Demo {
+            static int main() {
+                Adder a = new Adder();
+                Adder b = new Doubler();
+                int total = 0;
+                for (int i = 0; i < 12000; i++) {
+                    total += a.bump(i) + b.bump(total % 7);
+                }
+                return total;
+            }
+        }
+    """)
+
+    def lookups():
+        return sum(pycodegen._IC_EVENTS.labels("call", event).value
+                   for event in ("miss", "megamorphic"))
+
+    before = lookups()
+    interp = Interpreter(program, backend="pycode")
+    interp.run_static("Demo")
+    calls = interp.counters.method_calls
+    assert calls > 0
+    assert 1.0 - (lookups() - before) / calls > 0.99
+
+
+# -- E7: Mayan dispatch ------------------------------------------------------
+
+
+def _literal_mayan():
+    class Tagged(Mayan):
+        result = "Literal"
+        pattern = "IntLit value"
+
+        def expand(self, ctx, value):
+            return ctx.next_rewrite()
+
+    return Tagged()
+
+
+def test_e7_chained_mayans_add_no_dispatched_reductions():
+    """Each ``1 + 2 * 3 - 4 / 5`` parse dispatches 9 reductions (5
+    literals and 4 binary operators); the driver takes the other 35,
+    identity unit reductions, as chains without dispatching.  Eight
+    Mayans chained on the literal production change neither count, so
+    E7's time ratio measures the chain alone."""
+    families = ("maya_dispatch_reductions_total",
+                "maya_parser_unit_reductions_skipped_total")
+    bare = CompileEnv()
+    loaded = CompileEnv()
+    for _ in range(8):
+        _literal_mayan().run(loaded)
+    tokens = stream_lex("1 + 2 * 3 - 4 / 5")
+    for env in (bare, loaded):
+        parser = Parser(env.tables(), CompileContext(env))
+        parser.parse("Expression", tokens)  # warm
+        counts = Deltas(*families)
+        for _ in range(10):
+            parser.parse("Expression", tokens)
+        counts.freeze()
+        assert [counts.total(name) for name in families] == [90, 350]
+
+
+def test_e7_a_small_class_dispatches_its_reductions():
+    reductions = Deltas("maya_dispatch_reductions_total")
+    make_compiler(macros=True).compile("""
+        class Counted {
+            static int f(int x) { return x * 2 + 1; }
+        }
+    """)
+    reductions.freeze()
+    assert reductions.total("maya_dispatch_reductions_total") > 0
+
+
+# -- E11: O(1) grammar fingerprints -----------------------------------------
+
+
+def test_e11_fingerprinting_an_unchanged_grammar_is_o1(monkeypatch):
+    """The digest is version-cached, so fingerprinting an unchanged
+    grammar recomputes nothing and costs the same whatever the
+    grammar's size: 10k fingerprints of the foreach-extended grammar
+    take less than 3x those of the base grammar (best of 5 each)."""
+    small = CompileEnv().grammar
+    big_env = CompileEnv()
+    ForEach().run(big_env)
+    big = big_env.grammar
+    assert len(big.productions) > len(small.productions)
+    small.fingerprint()
+    big.fingerprint()
+
+    digests = []
+    real_of = GrammarFingerprint.of
+    monkeypatch.setattr(GrammarFingerprint, "of", staticmethod(
+        lambda parts: digests.append(parts) or real_of(parts)))
+
+    def best_of_5(grammar):
+        best = float("inf")
+        for _ in range(5):
+            started = time.perf_counter()
+            for _ in range(10000):
+                grammar.fingerprint()
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    ratio = best_of_5(big) / best_of_5(small)
+    assert digests == []
+    assert ratio < 3.0
+
+
+# -- A3: statement-at-a-time parsing -----------------------------------------
+
+
+def test_a3_block_parsed_a_statement_at_a_time():
+    """The early-accept block driver parses a 60-statement body one
+    statement at a time (what makes a mid-block ``use`` possible) and
+    keeps every statement."""
+    stmts = "\n".join(f"int v{i} = {i} * 2 + 1;" for i in range(60))
+    program = compile_source(
+        f"class Big {{ static void run() {{ {stmts} }} }}")
+    body = program.class_named("Big").decl.members[0].body
+    assert len(body.stmts) == 60
+
+
+# -- E9: the generated dispatcher against a hand-built one -------------------
+
+E9_CALLER = """
+    class Demo {
+        static int go() {
+            Host h = new Host();
+            int total = 0;
+            for (int i = 0; i < 100; i++) {
+                total += h.m(new C()) + h.m(new D()) + h.m(new E());
+            }
+            return total;
+        }
+    }
+"""
+
+
+def _hand_built_program():
+    """The same impls with the dispatcher built without Maya (section
+    5.3's comparison axis: patching the compiler directly).  The
+    dispatcher is attached between the two compiles, since the unit
+    that calls it must see it."""
+    from repro.multijava import DirectMultimethodCompiler
+    from repro.typecheck import Scope, check_block
+    from repro.types import INT
+
+    compiler = make_compiler()
+    program = compiler.compile("""
+        class C { }
+        class D extends C { }
+        class E extends D { }
+        class Host {
+            int m$1(C c) { return 0; }
+            int m$2(D c) { return 1; }
+            int m$3(E c) { return 2; }
+        }
+    """)
+    registry = program.env.registry
+    host = registry.require("Host")
+    direct = DirectMultimethodCompiler(host, "m", [registry.require("C")],
+                                       INT)
+    direct.add_case([None], "m$1")
+    direct.add_case([registry.require("D")], "m$2")
+    direct.add_case([registry.require("E")], "m$3")
+    dispatcher = direct.build_dispatcher()
+    method = host.declare_method("m", [registry.require("C")], INT,
+                                 ("public",), decl=dispatcher)
+    dispatcher.method = method
+    scope = Scope(env=program.env).class_scope(host) \
+        .method_scope(host, False, INT)
+    for formal, param_type in zip(dispatcher.formals, method.param_types):
+        formal.scope = scope
+        scope.define(formal.name.name, param_type, "param", formal)
+    check_block(dispatcher.body, scope)
+    return compiler.compile(E9_CALLER)
+
+
+def test_e9_generated_dispatcher_matches_a_hand_built_one():
+    """The Maya-generated dispatcher and the hand-built baseline agree,
+    and cost the same method calls at run time: both are instanceof
+    chains."""
+    generated = compile_source("""
+        use multijava.MultiJava;
+        class C { }
+        class D extends C { }
+        class E extends D { }
+        class Host {
+            int m(C c) { return 0; }
+            int m(C@D c) { return 1; }
+            int m(C@E c) { return 2; }
+        }
+    """ + E9_CALLER, multijava=True)
+    runs = []
+    for program in (generated, _hand_built_program()):
+        interp = Interpreter(program)
+        runs.append((interp.run_static("Demo", "go"),
+                     interp.counters.method_calls))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 300

@@ -131,6 +131,8 @@ class TestParameterCompilation:
             "Expression:maya.util.Vector v \\. elements ( ) \\. foreach "
             "(Formal var) lazy(BraceTree, BlockStmts) body",
         )
+        # EForEach and VForEach implement the one foreach production.
+        assert production.tag == "foreach_stmt"
         method_name = params[0]
         receiver = method_name.spec.subparams[0]
         # The receiver is a MethodInvocation structure (CallExpr in the

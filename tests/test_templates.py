@@ -5,6 +5,7 @@ import pytest
 from repro.ast import nodes as n
 from repro.ast import to_source
 from repro.core import CompileContext, CompileEnv
+from repro.dispatch import Mayan
 from repro.hygiene import reset_fresh_names
 from repro.lalr import Parser
 from repro.lexer import stream_lex
@@ -59,6 +60,30 @@ class TestCompilation:
             assert str(error.location) == str(diagnostic.span) == where
             assert diagnostic.message.startswith(message), source
             assert str(error) == f"{where}: {diagnostic.message}"
+
+    def test_empty_template_error_names_the_template(self, ctx):
+        """An empty body has no item to point at, so the error names
+        the template (result symbol and source preview), or the Mayan
+        whose parameter list is empty, instead of reporting an unknown
+        location."""
+        for source in ("", "   "):
+            with pytest.raises(PatternParseError) as caught:
+                Template("Statement", source).compiled(ctx.env)
+            error = caught.value
+            assert str(error.diagnostic.span) == "<template>:1:1"
+            assert error.diagnostic.message == (
+                "pattern ends before a complete Statement in "
+                "Template(Statement, '')")
+
+        class Empty(Mayan):
+            result = "Statement"
+            pattern = ""
+
+        with pytest.raises(PatternParseError) as caught:
+            Empty().run(ctx.env.child())
+        assert str(caught.value) == (
+            "<pattern>:1:1: pattern ends before a complete Statement in "
+            "Mayan Empty")
 
     def test_unquote_errors_are_located_diagnostics(self, ctx):
         template = Template("Statement", "f($ + 1);")

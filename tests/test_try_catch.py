@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interp import JavaThrow
+from repro.interp import Interpreter, JavaThrow
 from repro.lalr import ConflictError
 from repro.typecheck import CheckError
 from tests.conftest import compile_source, run_main
@@ -160,6 +160,39 @@ class TestSemantics:
                 }
             }
         """) == ["outer caught inner"]
+
+    @pytest.mark.parametrize("backend", ["walk", "pycode"])
+    def test_array_index_out_of_bounds(self, backend):
+        """JLS 15.10.4: a bad array index throws
+        ArrayIndexOutOfBoundsException, an IndexOutOfBoundsException,
+        on reads and on writes; String and Vector keep the parent."""
+        program = compile_source("""
+            class Demo {
+                static void main() {
+                    int[] xs = new int[2];
+                    try {
+                        int y = xs[2];
+                    } catch (ArrayIndexOutOfBoundsException e) {
+                        System.out.println("read " + e.getMessage());
+                    }
+                    try {
+                        xs[-1] = 4;
+                    } catch (IndexOutOfBoundsException e) {
+                        System.out.println("write " + e.getMessage());
+                    }
+                    try {
+                        char c = "ab".charAt(3);
+                    } catch (ArrayIndexOutOfBoundsException e) {
+                        System.out.println("wrong");
+                    } catch (IndexOutOfBoundsException e) {
+                        System.out.println("string");
+                    }
+                }
+            }
+        """)
+        interp = Interpreter(program, backend=backend)
+        interp.run_static("Demo")
+        assert interp.output == ["read 2", "write -1", "string"]
 
 
 class TestStaticChecks:
