@@ -261,7 +261,7 @@ def test_warm_restore_speedup():
         [["expanded-source recompile", f"{measured.slow_ms:.1f} ms",
           "lex+parse+check per module"],
          ["deep AST restore", f"{measured.fast_ms:.1f} ms",
-          "unpickle+shape+check only"],
+          "unpickle+shape; bodies wait for a call"],
          ["speedup", f"{measured.ratio:.1f}x",
           f"bar: >= {MIN_RESTORE_SPEEDUP:.0f}x"]],
         header=["path", "median", "work"])

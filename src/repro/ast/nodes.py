@@ -68,6 +68,7 @@ __all__ = [
     "PostfixExpr",
     "Primary",
     "Reference",
+    "RestoredBody",
     "ReturnStmt",
     "Statement",
     "StrictTypeName",
@@ -609,3 +610,32 @@ class LazyNode(Node):
                 raise RuntimeError("LazyNode has no parse environment")
             self._forced = self._parse(scope)
         return self._forced
+
+    def view(self):
+        """The tree to print, without forcing: the forced value, or
+        None while only the captured tokens exist."""
+        return self._forced
+
+
+class RestoredBody(LazyNode):
+    """A method body restored from a deep module artifact, still in
+    its blob: the pickled, stripped block of a body that was checked
+    when its module compiled (:mod:`repro.modules.snapshot`).
+
+    ``view()`` decodes the blob once, unchecked, which is all the
+    unparser needs.  ``force()`` runs the check the compiler installs
+    as ``_parse`` (which ignores the scope argument: it captured the
+    method scope), once; a body nothing calls is never checked."""
+
+    def __init__(self, blob: bytes, decode, location: Location = Location.UNKNOWN):
+        super().__init__(None, "RestoredBody", location=location)
+        self.blob = blob
+        self._decode = decode
+        self._view = None
+
+    def view(self):
+        if self._forced is not None:
+            return self._forced
+        if self._view is None:
+            self._view = self._decode(self.blob)
+        return self._view

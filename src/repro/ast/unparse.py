@@ -269,8 +269,9 @@ class _Unparser:
         return "\n".join(lines)
 
     def _render_LazyNode(self, node) -> str:
-        if node.is_forced():
-            return self.render(node.force())
+        tree = node.view()
+        if tree is not None:
+            return self.render(tree)
         return self._pad() + node.tree_token.source_text()
 
     # -- declarations ------------------------------------------------------
@@ -307,18 +308,23 @@ class _Unparser:
             head += " throws " + ", ".join(str(t) for t in node.throws)
         if node.body is None:
             return head + ";"
-        body = node.body.force() if isinstance(node.body, n.LazyNode) and node.body.is_forced() else node.body
-        if isinstance(body, n.LazyNode):
-            return head + " " + body.tree_token.source_text()
-        return head + " " + self._stmt_block(body.stmts)
+        return head + " " + self._body(node.body)
 
     def _render_ConstructorDecl(self, node) -> str:
         formals = ", ".join(self.render(f) for f in node.formals)
         head = self._pad() + self._mods(node.modifiers) + f"{node.name.name}({formals})"
-        body = node.body.force() if isinstance(node.body, n.LazyNode) and node.body.is_forced() else node.body
+        return head + " " + self._body(node.body)
+
+    def _body(self, body) -> str:
+        """A method or constructor body.  A lazy one prints what it
+        would force to without being forced: a restored body prints its
+        decoded tree unchecked, and an unparsed one its tokens."""
         if isinstance(body, n.LazyNode):
-            return head + " " + body.tree_token.source_text()
-        return head + " " + self._stmt_block(body.stmts)
+            tree = body.view()
+            if tree is None:
+                return body.tree_token.source_text()
+            body = tree
+        return self._stmt_block(body.stmts)
 
     def _render_ClassDecl(self, node) -> str:
         head = self._pad() + self._mods(node.modifiers) + f"class {node.name.name}"

@@ -17,8 +17,9 @@ reproduces the paper's figure-1 workflow: compiled extensions are
 
 from __future__ import annotations
 
+import functools
 import sys
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro import trace
 from repro.obs import lazy as obs_lazy
@@ -192,7 +193,8 @@ class MayaCompiler:
         self._raise_pending(engine, mark)
         return self.program
 
-    def _raise_pending(self, engine, mark: int) -> None:
+    @staticmethod
+    def _raise_pending(engine, mark: int) -> None:
         """Report the compile's collected errors, if any.
 
         A single recorded error re-raises its original exception (the
@@ -208,17 +210,24 @@ class MayaCompiler:
 
     def compile_checked_unit(self, unit: n.CompilationUnit, filename: str,
                              unit_env: CompileEnv,
-                             source: Optional[str] = None) -> List:
+                             source: Optional[str] = None,
+                             on_body_error: Optional[Callable] = None
+                             ) -> List:
         """Admit an already-parsed unit: shape and check, no parsing.
 
         The module builder's deep warm path restores a previously
         checked AST from the cache and re-runs only phases 2 and 3 —
         lexing, parsing, and Mayan expansion are skipped outright
         (expansion already happened; the restored tree is the expanded
-        tree).  ``source`` registers the unit's expanded text for
-        diagnostic rendering.  The unit joins ``program.units`` only
-        on success, so a caller can fall back to compiling the
-        expanded source without leaving a half-admitted unit behind.
+        tree).  Phase 3 is itself lazy here: fields and constructors
+        are checked now, but each :class:`~repro.ast.nodes.RestoredBody`
+        is only given the method scope it will be checked in when the
+        program first calls it (see :func:`_check_restored`), and
+        ``on_body_error(error)`` then hears about a body that fails.
+        ``source`` registers the unit's expanded text for diagnostic
+        rendering.  The unit joins ``program.units`` only on success,
+        so a caller can fall back to compiling the expanded source
+        without leaving a half-admitted unit behind.
 
         Returns the unit's :class:`CompiledClass` list.
         """
@@ -246,7 +255,7 @@ class MayaCompiler:
                 hook(self.program, unit, unit_env)
             self._raise_pending(engine, mark)
             with trace.phase("bodies+check"):
-                self._compile_bodies(compiled, unit_env)
+                self._compile_bodies(compiled, unit_env, on_body_error)
         self._raise_pending(engine, mark)
         self.program.units.append(unit)
         return compiled
@@ -358,7 +367,8 @@ class MayaCompiler:
 
     # -- phase 3: the class compiler -------------------------------------------
 
-    def _compile_bodies(self, compiled: List[CompiledClass], env: CompileEnv) -> None:
+    def _compile_bodies(self, compiled: List[CompiledClass], env: CompileEnv,
+                        on_body_error: Optional[Callable] = None) -> None:
         from repro.typecheck import check_statement
 
         for item in compiled:
@@ -380,6 +390,14 @@ class MayaCompiler:
                                            member.type_name, member.declarators),
                             scope,
                         )
+                    elif isinstance(getattr(member, "body", None),
+                                    n.RestoredBody):
+                        # Checked when its module compiled; checked
+                        # again only if the program calls it.
+                        member.body._parse = functools.partial(
+                            _check_restored, member.body, member,
+                            class_scope, class_type, on_body_error)
+                        obs_lazy.thunk_created(member.body)
                     elif isinstance(member, n.MethodDecl) and member.body is not None:
                         method = member.method
                         scope = class_scope.method_scope(
@@ -409,7 +427,8 @@ class MayaCompiler:
                         )
                         error.diagnostic.with_note(f"while compiling {where}")
 
-    def _bind_formals(self, formals, param_types, scope: Scope) -> None:
+    @staticmethod
+    def _bind_formals(formals, param_types, scope: Scope) -> None:
         for formal, param_type in zip(formals, param_types):
             formal.scope = scope
             scope.define(formal.name.name, param_type, "param", formal)
@@ -421,3 +440,34 @@ class MayaCompiler:
         if isinstance(body, n.BlockStmts):
             check_block(body, scope)
         return body
+
+
+def _check_restored(body: n.RestoredBody, member: n.MethodDecl,
+                    class_scope: Scope, class_type: ClassType,
+                    on_error: Optional[Callable], _scope=None):
+    """Force a restored method body: decode it and check it in the
+    method scope the eager path builds.  A blob that does not decode
+    or a body that does not check raises a diagnostic located at the
+    method, after ``on_error`` (if any) has seen it."""
+    where = f"{class_type.simple_name}.{member.name.name}"
+    try:
+        tree = body.view()
+        method = member.method
+        scope = class_scope.method_scope(class_type, method.is_static,
+                                         method.return_type)
+        MayaCompiler._bind_formals(member.formals, method.param_types,
+                                   scope)
+        engine = scope.env.diag
+        mark = engine.mark()
+        check_block(tree, scope)
+        MayaCompiler._raise_pending(engine, mark)
+    except DiagnosticError as error:
+        failure = error
+        if getattr(error, "location", None) is None:
+            failure = MayaError(f"cannot restore the body of {where}: "
+                                f"{error}", location=member.location)
+        failure.diagnostic.with_note(f"while compiling {where}")
+        if on_error is not None:
+            on_error(failure)
+        raise failure from None
+    return tree

@@ -409,11 +409,12 @@ class Interpreter:
         decl = method.decl
         if decl is None or decl.body is None:
             raise MayaError(f"method {method} has no implementation")
+        body = body_of(decl)
         frame = {"this": receiver, "__class__": method.declaring_class}
         for formal, value in zip(decl.formals, args):
             frame[formal.name.name] = value
         try:
-            self.exec_block(decl.body, frame)
+            self.exec_block(body, frame)
         except _Return as ret:
             return ret.value
         return None
@@ -892,6 +893,19 @@ class Interpreter:
         if self.eval(expr.cond, frame):
             return self.eval(expr.then_expr, frame)
         return self.eval(expr.else_expr, frame)
+
+
+def body_of(decl):
+    """The body a tier executes for a method declaration.  A restored
+    body is forced here, on the method's first call: decoded, checked
+    and put in its declaration's place, so later calls find the block.
+    The unparser reads :meth:`~repro.ast.nodes.LazyNode.view` instead,
+    which never checks."""
+    body = decl.body
+    if isinstance(body, n.RestoredBody):
+        obs_lazy.thunk_forcing(body)
+        body = decl.body = body.force()
+    return body
 
 
 def _starts_with_ctor_call(body) -> bool:

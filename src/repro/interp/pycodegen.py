@@ -60,6 +60,7 @@ from repro.interp.interp import (
     _java_equal,
     _num,
     _primitive_cast,
+    body_of,
 )
 from repro.interp.values import (
     JavaArray,
@@ -508,7 +509,7 @@ class _MethodGen:
             raise CodegenError("attached Python impl")
         if decl is None or decl.body is None:
             raise CodegenError("no body")
-        body = decl.body
+        body = body_of(decl)
         if isinstance(body, n.LazyNode):
             if not body.is_forced():
                 raise CodegenError("unforced lazy body")

@@ -41,14 +41,18 @@ fingerprints each module's effective grammar for the LALR table cache
 that breaks the grammar (two imports exporting conflicting Mayans) is
 reported *at the import site*, like every module-graph failure mode.
 
-**Warm hits are deep.**  A format-2 cache entry carries a pickled
+**Warm hits are deep and lazy.**  A cache entry carries a pickled
 stripped copy of the module's checked AST next to the expanded text
-(:mod:`repro.modules.snapshot`); materializing a hit for ``--run``
-restores that tree and re-runs only shaping + checking, skipping
-lexing and parsing outright.  Every deep-path surprise — no blob,
-stale format, unpickle failure, a check error against restored deps —
-falls back to compiling the expanded text, which PR 8 proved
-byte-equivalent.
+(:mod:`repro.modules.snapshot`), with each method body in a blob of
+its own; materializing a hit for ``--run`` restores the skeleton,
+shapes it and checks fields and constructors, skipping lexing and
+parsing outright.  A method body is decoded and checked only when the
+program first calls it.  Every surprise while restoring the skeleton
+— no blob, stale format, unpickle failure, a check error against
+restored deps — falls back to compiling the expanded text, whose
+output is byte-equivalent.  A body that fails at its first call ends the
+run with a located diagnostic naming the module and the method, and
+its entry is quarantined, so the next build recompiles the module.
 
 **Failure semantics under parallelism.**  The first module a worker
 fails on halts dispatch.  That module (and anything the workers never
@@ -307,20 +311,23 @@ class ModuleBuilder:
 
     def _materialize(self, info: ModuleInfo, entry: ModuleEntry,
                      module_env: CompileEnv) -> List[CompiledClass]:
-        """Forced-body materialization of a warm hit.
+        """Runnable materialization of a warm hit.
 
         Deep path first: restore the pickled checked AST and re-run
-        shape + check only.  Any surprise — a declined snapshot, a
-        stale blob, a check error against the restored surroundings —
-        falls back to compiling the cached expanded source, the
-        byte-equivalent PR 8 path.
+        shape + check only, with method bodies left for their first
+        call.  Any surprise — a declined snapshot, a stale blob, a
+        check error against the restored surroundings — falls back to
+        compiling the cached expanded source, the byte-equivalent text
+        path.
         """
         filename = f"{info.filename}#expanded"
         if entry.deep is not None and self.deep_restore:
             try:
                 compiled = self.compiler.compile_checked_unit(
                     load_unit(entry.deep), filename, module_env,
-                    source=entry.expanded)
+                    source=entry.expanded,
+                    on_body_error=functools.partial(
+                        self._restored_body_failed, info.name))
                 _DEEP_RESTORED_TOTAL.inc()
                 return compiled
             except (SnapshotError, DiagnosticError):
@@ -333,6 +340,17 @@ class ModuleBuilder:
         self.compiler.compile_unit(entry.expanded, filename, module_env,
                                    unit_sink=sink)
         return self._classes_of(sink[-1] if sink else None, module_env)
+
+    def _restored_body_failed(self, name: str, error: DiagnosticError
+                              ) -> None:
+        """A restored method body failed when first called: its blob
+        does not decode, or it no longer checks.  The running program
+        gets the located diagnostic; the entry is quarantined, so the
+        next build of the same sources recompiles the module."""
+        self.cache.discard(name)
+        error.diagnostic.with_note(
+            f"restored from module {name}'s cache entry, which is now "
+            f"discarded: the next build recompiles {name}")
 
     # -- cache miss --------------------------------------------------------
 

@@ -7,8 +7,9 @@ exported metaprogram names (the grammar delta importers replay), and —
 since format 2 — the **deep artifact**: a pickled stripped copy of the
 module's *checked* AST (see :mod:`repro.modules.snapshot`).  A warm
 ``need_bodies`` hit restores the deep artifact and re-runs only
-shaping + checking — skipping lexing and parsing outright — instead of
-recompiling the expanded source from text.
+shaping, checking each method body when it is first called — skipping
+lexing and parsing outright — instead of recompiling the expanded
+source from text.
 
 **What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
 snapshot format numbers, the module's own source text, the compile
@@ -36,7 +37,11 @@ event="corrupt"}``).  In this cache's terms:
 * *corrupt* entry (any changed byte, truncated JSON, wrong shape, or
   class skeletons that fail :func:`validate_interface`, which is where
   an injected ``cache.module.iface`` corruption lands) — quarantined
-  and regenerated.  A bad cache file must never take a build down.
+  and regenerated.  A bad cache file must never take a build down;
+* a method body blob found bad at its first call, after the entry
+  passed every check above — quarantined the same way
+  (:meth:`ModuleCache.discard`), once the run has stopped with a
+  located diagnostic.
 """
 
 from __future__ import annotations
@@ -173,6 +178,10 @@ class ModuleCache:
             return entry
 
         return self._store.load(self._name(name), decode)
+
+    def discard(self, name: str) -> None:
+        """Quarantine ``name``'s entry, so its next build recompiles."""
+        self._store.discard(self._name(name))
 
     def store(self, entry: ModuleEntry) -> None:
         if not self._store:

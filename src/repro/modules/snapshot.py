@@ -8,9 +8,21 @@ checked compilation unit — every node rebuilt through its own
 constructor from ``_fields`` + location, with all checker/parser
 annotations (scopes, resolutions, static types, member links) dropped —
 and pickles it.  A warm hit then restores via :func:`load_unit` and
-re-runs only the cheap shaping + checking walk over an already-parsed
-tree, skipping lexing, declaration parsing, and lazy body parsing
-entirely (the bulk of a module's compile time; see EXPERIMENTS E17).
+re-runs only the cheap shaping walk over an already-parsed tree,
+skipping lexing, declaration parsing, and lazy body parsing entirely
+(see EXPERIMENTS E17).
+
+**Bodies stay in their blobs until called** (format 3).  Each method
+body is pickled on its own, and the unit pickle carries those blobs
+where the bodies were: the skeleton (classes, fields, constructors,
+signatures) is all a load decodes.  :func:`load_unit` turns each blob
+into a :class:`~repro.ast.nodes.RestoredBody` thunk; the compiler
+checks fields and constructors at once but gives each thunk only the
+method scope it will be checked in, and the program's first call
+decodes and checks it (:func:`load_body`).  This is the paper's §4
+laziness applied to artifacts: a warm build pays nothing for a method
+nothing calls.  Printing a restored unit decodes bodies without
+checking them; a stripped body prints exactly as the checked one did.
 
 Two node families can't round-trip through a plain field copy and are
 rewritten to their *unparse-equivalent* plain forms — exactly what the
@@ -30,8 +42,11 @@ object, a constructor that refuses the copied fields — makes
 blob it can't vouch for; the cache entry then simply lacks a deep
 artifact and warm hits fall back to the expanded-source compile.  On
 the load side the cache entry's checksum (:mod:`repro.store`) vouches
-for the blob's bytes; a blob that still fails to unpickle into a unit
-raises :class:`SnapshotError`, and the caller falls back the same way.
+for the blob's bytes; a skeleton that still fails to unpickle into a
+unit raises :class:`SnapshotError`, and the caller falls back the same
+way.  A body blob that fails later, at its first call, is past any
+fallback: the program stops with a located diagnostic, and the module
+builder quarantines the entry so the next build recompiles the module.
 """
 
 from __future__ import annotations
@@ -41,6 +56,7 @@ import pickle
 from typing import Optional
 
 from repro.ast import nodes as n
+from repro.diag import DiagnosticError
 from repro.lexer import Location
 
 #: Bump when the snapshot's structural conventions change; baked into
@@ -48,7 +64,8 @@ from repro.lexer import Location
 #: and folded into every module cache key so a bump re-keys the cache
 #: rather than leaving old entries to fall back on every warm hit.
 #: Format 2: raw ``pickle.dumps`` output, three-field ``Location``.
-SNAPSHOT_FORMAT = 2
+#: Format 3: each method body is its own blob inside the unit pickle.
+SNAPSHOT_FORMAT = 3
 
 _PRIMITIVE = (str, int, float, bool, type(None))
 
@@ -60,8 +77,10 @@ _ALLOWED_MODULES = ("repro.ast.nodes", "repro.lexer",
                     "repro.lexer.source", "repro.lexer.tokens")
 
 
-class SnapshotError(Exception):
+class SnapshotError(DiagnosticError):
     """A deep artifact that could not be restored (corrupt/stale)."""
+
+    phase = "restore"
 
 
 class _Unsnappable(Exception):
@@ -99,13 +118,29 @@ def _strip(value):
     raise _Unsnappable(f"unsupported leaf {type(value).__name__}")
 
 
+def _methods(unit: "n.CompilationUnit"):
+    """The unit's method declarations: members of its type
+    declarations (there are no nested classes)."""
+    for decl in unit.types:
+        for member in getattr(decl, "members", ()):
+            if isinstance(member, n.MethodDecl):
+                yield member
+
+
 def snapshot_unit(unit: "n.CompilationUnit") -> Optional[bytes]:
-    """Pickle a stripped copy of a checked unit, or None to decline."""
+    """Pickle a stripped copy of a checked unit, or None to decline.
+
+    Each method body is pickled on its own, and the unit pickle holds
+    those blobs in place of the bodies, so a load decodes a body only
+    when something asks for it."""
     try:
         clone = _strip(unit)
     except _Unsnappable:
         return None
     try:
+        for member in _methods(clone):
+            if member.body is not None:
+                member.body = pickle.dumps(member.body, protocol=4)
         # The raw dump is already a deterministic function of the
         # tree (its shape and which objects it shares), so identical
         # builds give identical blobs: the jobs=1 vs jobs=N property
@@ -127,18 +162,48 @@ class _NodeUnpickler(pickle.Unpickler):
         raise SnapshotError(f"snapshot references {module}.{name}")
 
 
-def load_unit(blob: bytes) -> "n.CompilationUnit":
-    """Unpickle a deep artifact; raise :class:`SnapshotError` if it is
-    corrupt, stale, or not shaped like a compilation unit."""
+def _unpickle(blob: bytes, what: str):
     try:
-        fmt, unit = _NodeUnpickler(io.BytesIO(blob)).load()
+        return _NodeUnpickler(io.BytesIO(blob)).load()
     except SnapshotError:
         raise
     except Exception as error:
-        raise SnapshotError(f"undecodable snapshot: {error}")
+        raise SnapshotError(f"undecodable {what}: {error}")
+
+
+def load_unit(blob: bytes) -> "n.CompilationUnit":
+    """Unpickle a deep artifact; raise :class:`SnapshotError` if it is
+    corrupt, stale, or not shaped like a compilation unit.
+
+    Method bodies stay in their blobs: each becomes a
+    :class:`~repro.ast.nodes.RestoredBody` that :func:`load_body`
+    decodes on first use."""
+    try:
+        fmt, unit = _unpickle(blob, "snapshot")
+    except (TypeError, ValueError):
+        raise SnapshotError("snapshot is not a (format, unit) pair")
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(f"snapshot format {fmt!r}, "
                             f"want {SNAPSHOT_FORMAT}")
     if not isinstance(unit, n.CompilationUnit):
         raise SnapshotError("snapshot payload is not a compilation unit")
+    try:
+        for member in _methods(unit):
+            if member.body is None:
+                continue
+            if not isinstance(member.body, bytes):
+                raise SnapshotError("method body is not a blob")
+            member.body = n.RestoredBody(member.body, load_body,
+                                         location=member.location)
+    except (AttributeError, TypeError):
+        raise SnapshotError("snapshot unit is not shaped like a unit")
     return unit
+
+
+def load_body(blob: bytes) -> "n.BlockStmts":
+    """Unpickle one method body blob; raise :class:`SnapshotError` if
+    it is corrupt or not a statement block."""
+    body = _unpickle(blob, "method body")
+    if not isinstance(body, n.BlockStmts):
+        raise SnapshotError("method body blob is not a statement block")
+    return body

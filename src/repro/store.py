@@ -143,6 +143,14 @@ class Store:
             except OSError:
                 pass
 
+    def discard(self, name: str) -> None:
+        """Quarantine entry ``name`` and count it corrupt: for an entry
+        whose owner found it bad after a load that passed the checks."""
+        if self.directory is None:
+            return
+        self._quarantine(self.path(name))
+        self._corrupt.inc()
+
     @staticmethod
     def _quarantine(path: str) -> None:
         try:
