@@ -15,9 +15,10 @@ bought with wrong output.
   shapes are reported alongside for scheduling shape coverage (a
   30-deep chain has zero exploitable parallelism; a diamond has
   exactly two lanes).
-* **E17b — warm deep restore**: a warm ``need_bodies`` build with the
-  deep (pickled checked-AST) artifact vs the same build forced down
-  the expanded-source recompile path.  Bar: ≥2x.
+* **E17b — warm deep restore**: build a runnable program and run
+  ``Main`` on a fresh interpreter, once from a clean build into a fresh
+  cache and once from a warm cache, whose hits restore the pickled
+  checked ASTs.  Bar: ≥2x.
 """
 
 import os
@@ -26,6 +27,7 @@ import tempfile
 
 from conftest import paired, report
 
+from repro.interp import Interpreter
 from repro.modules import MemorySources, ModuleBuilder
 from repro.modules.procpool import fork_available
 
@@ -83,9 +85,9 @@ def synthetic_project():
 
 
 def _build(sources, jobs: int = 1, cache_dir=None,
-           need_bodies: bool = False, deep_restore: bool = True):
+           need_bodies: bool = False):
     builder = ModuleBuilder(MemorySources(sources), cache_dir=cache_dir,
-                            jobs=jobs, deep_restore=deep_restore)
+                            jobs=jobs)
     return builder.build(["app.Main"], need_bodies=need_bodies)
 
 
@@ -233,38 +235,43 @@ def test_parallel_clean_speedup():
             f"parallel scheduling overhead too high ({speedup:.2f}x)"
 
 
+def _run_main(sources, cache_dir):
+    """Build a runnable program and run ``Main`` on a fresh
+    interpreter: the build and the program's stdout."""
+    build = _build(sources, cache_dir=cache_dir, need_bodies=True)
+    interp = Interpreter(build.program)
+    interp.run_static("Main")
+    return build, interp.output
+
+
 def test_warm_restore_speedup():
-    """E17b: deep (checked-AST) restore vs expanded-source recompile
-    on a warm ``need_bodies`` build."""
+    """E17b: clean build + run vs warm deep-restore build + run."""
     sources = synthetic_project()
     scratch = tempfile.mkdtemp(prefix="bench-deep-")
     try:
-        _build(sources, cache_dir=scratch)  # warm it
+        _build(sources, cache_dir=f"{scratch}/warm")  # warm it
         measured = paired(
-            lambda _: _build(sources, cache_dir=scratch, need_bodies=True,
-                             deep_restore=False),
-            lambda _: _build(sources, cache_dir=scratch, need_bodies=True,
-                             deep_restore=True))
+            lambda index: _run_main(sources, f"{scratch}/clean{index}"),
+            lambda _: _run_main(sources, f"{scratch}/warm"))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    baseline = measured.results[0][0].expanded()
-    for shallow, deep in measured.results:
-        assert shallow.reused == shallow.order
+    for (clean, clean_out), (deep, deep_out) in measured.results:
+        assert clean.recompiled == clean.order
         assert deep.reused == deep.order
-        assert shallow.expanded() == deep.expanded() == baseline
+        assert deep.expanded() == clean.expanded()
+        assert deep_out == clean_out and len(clean_out) == 1
 
     modules = LAYERS * WIDTH + 1
     report(
-        f"E17b: warm materialization of a {modules}-module project "
+        f"E17b: runnable build + run of a {modules}-module project "
         f"(median of {len(measured.results)} pairs)",
-        [["expanded-source recompile", f"{measured.slow_ms:.1f} ms",
-          "lex+parse+check per module"],
-         ["deep AST restore", f"{measured.fast_ms:.1f} ms",
-          "unpickle+shape; bodies wait for a call"],
+        [["clean build", f"{measured.slow_ms:.1f} ms",
+          "lex+parse+expand+check every module"],
+         ["warm deep restore", f"{measured.fast_ms:.1f} ms",
+          "unpickle+shape; called bodies checked at first call"],
          ["speedup", f"{measured.ratio:.1f}x",
           f"bar: >= {MIN_RESTORE_SPEEDUP:.0f}x"]],
         header=["path", "median", "work"])
     assert measured.ratio >= MIN_RESTORE_SPEEDUP, \
-        f"deep restore only {measured.ratio:.1f}x over expanded-source " \
-        f"recompile"
+        f"warm deep restore only {measured.ratio:.1f}x over a clean build"

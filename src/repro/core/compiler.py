@@ -141,10 +141,8 @@ class MayaCompiler:
         syntax extensions, own import list) while every unit still
         accumulates into the shared program/registry.
 
-        ``unit_sink``, when given, receives the parsed unit.  Callers
-        used to read ``program.units[-1]``, which identifies the wrong
-        unit once the module builder compiles units concurrently into
-        the shared program; the sink is caller-local and race-free.
+        ``unit_sink``, when given, receives the parsed unit; unlike
+        ``program.units[-1]`` it is caller-local, so race-free.
 
         Fresh names restart at every unit: hygiene needs them unique
         only within one, and identical units then expand to identical
@@ -170,20 +168,7 @@ class MayaCompiler:
                 self.program.units.append(unit)
                 if unit_sink is not None:
                     unit_sink.append(unit)
-
-                type_decls = [
-                    decl for decl in unit.types
-                    if isinstance(decl, (n.ClassDecl, n.InterfaceDecl))
-                ]
-                with trace.phase("shape"):
-                    compiled = self._shape(type_decls, unit_env)
-                for hook in unit_env.unit_hooks:
-                    hook(self.program, unit, unit_env)
-                # Parse/shape errors poison downstream phases wholesale,
-                # so report what was collected before compiling bodies.
-                self._raise_pending(engine, mark)
-                with trace.phase("bodies+check"):
-                    self._compile_bodies(compiled, unit_env)
+                self._admit(unit, unit_env, mark)
         except CompileFailed:
             raise
         except DiagnosticError as error:
@@ -192,6 +177,26 @@ class MayaCompiler:
             engine.absorb(error)
         self._raise_pending(engine, mark)
         return self.program
+
+    def _admit(self, unit: n.CompilationUnit, unit_env: CompileEnv,
+               mark: int, on_body_error: Optional[Callable] = None
+               ) -> List[CompiledClass]:
+        """Phases 2 and 3 for a parsed unit: shape its type
+        declarations, run the unit hooks, then compile the bodies."""
+        type_decls = [
+            decl for decl in unit.types
+            if isinstance(decl, (n.ClassDecl, n.InterfaceDecl))
+        ]
+        with trace.phase("shape"):
+            compiled = self._shape(type_decls, unit_env)
+        for hook in unit_env.unit_hooks:
+            hook(self.program, unit, unit_env)
+        # Parse/shape errors poison downstream phases wholesale, so
+        # report what was collected before compiling bodies.
+        self._raise_pending(unit_env.diag, mark)
+        with trace.phase("bodies+check"):
+            self._compile_bodies(compiled, unit_env, on_body_error)
+        return compiled
 
     @staticmethod
     def _raise_pending(engine, mark: int) -> None:
@@ -209,25 +214,24 @@ class MayaCompiler:
         raise CompileFailed(engine.diagnostics[mark:], engine)
 
     def compile_checked_unit(self, unit: n.CompilationUnit, filename: str,
-                             unit_env: CompileEnv,
-                             source: Optional[str] = None,
+                             unit_env: CompileEnv, source: str,
                              on_body_error: Optional[Callable] = None
-                             ) -> List:
+                             ) -> List[CompiledClass]:
         """Admit an already-parsed unit: shape and check, no parsing.
 
-        The module builder's deep warm path restores a previously
-        checked AST from the cache and re-runs only phases 2 and 3 —
-        lexing, parsing, and Mayan expansion are skipped outright
-        (expansion already happened; the restored tree is the expanded
-        tree).  Phase 3 is itself lazy here: fields and constructors
-        are checked now, but each :class:`~repro.ast.nodes.RestoredBody`
+        The module builder's warm path restores a previously checked
+        AST from the cache and re-runs only phases 2 and 3 — lexing,
+        parsing, and Mayan expansion are skipped outright (expansion
+        already happened; the restored tree is the expanded tree).
+        Phase 3 is itself lazy here: fields and constructors are
+        checked now, but each :class:`~repro.ast.nodes.RestoredBody`
         is only given the method scope it will be checked in when the
         program first calls it (see :func:`_check_restored`), and
         ``on_body_error(error)`` then hears about a body that fails.
-        ``source`` registers the unit's expanded text for diagnostic
-        rendering.  The unit joins ``program.units`` only on success,
-        so a caller can fall back to compiling the expanded source
-        without leaving a half-admitted unit behind.
+        ``source`` is the unit's text, for diagnostic rendering.  A
+        unit that fails leaves nothing behind: it joins
+        ``program.units`` only on success, and its diagnostics leave
+        the engine with the raised error.
 
         Returns the unit's :class:`CompiledClass` list.
         """
@@ -235,28 +239,22 @@ class MayaCompiler:
             sys.setrecursionlimit(_RECURSION_LIMIT)
         engine = unit_env.diag
         mark = engine.mark()
-        if source is not None:
-            engine.add_source(filename, source)
-        with trace.span("compile", filename, filename=filename,
-                        restored=True):
-            # Mirror what parsing would have recorded on the env (see
-            # the package/import handling in the unit driver).
-            if unit.package is not None:
-                unit_env.package = ".".join(unit.package.parts)
-            for decl in unit.imports:
-                unit_env.imports.append((tuple(decl.parts), decl.on_demand))
-            type_decls = [
-                decl for decl in unit.types
-                if isinstance(decl, (n.ClassDecl, n.InterfaceDecl))
-            ]
-            with trace.phase("shape"):
-                compiled = self._shape(type_decls, unit_env)
-            for hook in unit_env.unit_hooks:
-                hook(self.program, unit, unit_env)
+        engine.add_source(filename, source)
+        try:
+            with trace.span("compile", filename, filename=filename,
+                            restored=True):
+                # Mirror what parsing would have recorded on the env
+                # (see the package/import handling in the unit driver).
+                if unit.package is not None:
+                    unit_env.package = ".".join(unit.package.parts)
+                for decl in unit.imports:
+                    unit_env.imports.append((tuple(decl.parts),
+                                             decl.on_demand))
+                compiled = self._admit(unit, unit_env, mark, on_body_error)
             self._raise_pending(engine, mark)
-            with trace.phase("bodies+check"):
-                self._compile_bodies(compiled, unit_env, on_body_error)
-        self._raise_pending(engine, mark)
+        except DiagnosticError:
+            del engine.diagnostics[mark:]
+            raise
         self.program.units.append(unit)
         return compiled
 

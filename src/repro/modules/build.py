@@ -36,10 +36,10 @@ Grammar deltas cross module edges by *export replay*: a module exports
 the metaprogram names it ``use``s at top level (plus its deps' exports,
 transitively), and a recompiling importer replays those names onto its
 own grammar copy before parsing — the versioned-grammar machinery then
-fingerprints each module's effective grammar for the LALR table cache
-(that fingerprint token is persisted in the cache entry).  A replay
-that breaks the grammar (two imports exporting conflicting Mayans) is
-reported *at the import site*, like every module-graph failure mode.
+fingerprints each module's effective grammar for the LALR table cache.
+A replay that breaks the grammar (two imports exporting conflicting
+Mayans) is reported *at the import site*, like every module-graph
+failure mode.
 
 **Warm hits are deep and lazy.**  A cache entry carries a pickled
 stripped copy of the module's checked AST next to the expanded text
@@ -47,12 +47,12 @@ stripped copy of the module's checked AST next to the expanded text
 its own; materializing a hit for ``--run`` restores the skeleton,
 shapes it and checks fields and constructors, skipping lexing and
 parsing outright.  A method body is decoded and checked only when the
-program first calls it.  Every surprise while restoring the skeleton
-— no blob, stale format, unpickle failure, a check error against
-restored deps — falls back to compiling the expanded text, whose
-output is byte-equivalent.  A body that fails at its first call ends the
-run with a located diagnostic naming the module and the method, and
-its entry is quarantined, so the next build recompiles the module.
+program first calls it.  A skeleton that does not restore — no blob,
+an unpickle failure, a check error against restored deps — gets its
+entry quarantined, and the module recompiles from its source in the
+same build.  A body that fails at its first call ends the run with a
+located diagnostic naming the module and the method, and its entry is
+quarantined too, so the next build recompiles the module.
 
 **Failure semantics under parallelism.**  The first module a worker
 fails on halts dispatch.  That module (and anything the workers never
@@ -73,7 +73,7 @@ from repro.ast import nodes as n
 from repro.ast import to_source
 from repro.core.compiler import CompiledClass, MayaCompiler
 from repro.core.env import CompileEnv, MayaError
-from repro.diag import DiagnosticError
+from repro.diag import DeadlineExceededError, DiagnosticError
 from repro.lalr import ConflictError
 from repro.lexer import Location
 from repro.obs import log as obs_log
@@ -83,7 +83,7 @@ from repro.modules.cache import (ModuleCache, ModuleEntry, module_key,
                                  options_signature)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
 from repro.modules.iface import export_interface, restore_interface
-from repro.modules.snapshot import SnapshotError, load_unit, snapshot_unit
+from repro.modules.snapshot import load_unit, snapshot_unit
 
 _COMPILED_TOTAL = REGISTRY.counter(
     "maya_modules_compiled_total",
@@ -95,10 +95,6 @@ _DEEP_RESTORED_TOTAL = REGISTRY.counter(
     "maya_modules_deep_restored_total",
     "Warm module materializations served from the deep (checked-AST) "
     "artifact — no lexing, no parsing.")
-_DEEP_FALLBACK_TOTAL = REGISTRY.counter(
-    "maya_modules_deep_fallback_total",
-    "Warm materializations that fell back to compiling the expanded "
-    "source (no deep artifact, or one that failed to restore).")
 
 
 def format_module_report(order: Sequence[str],
@@ -178,8 +174,7 @@ class ModuleBuilder:
                  cache_dir: Optional[str] = None,
                  options: Optional[dict] = None,
                  env: Optional[CompileEnv] = None,
-                 jobs: Optional[int] = None,
-                 deep_restore: bool = True):
+                 jobs: Optional[int] = None):
         options = options or {}
         self.sources = sources
         self.cache = ModuleCache(cache_dir)
@@ -191,10 +186,6 @@ class ModuleBuilder:
         #: a single-threaded process at build start, so the
         #: multithreaded daemon always builds with 1.
         self.jobs = procpool.resolve_jobs(jobs) if jobs is not None else 1
-        #: False forces warm materializations down the expanded-text
-        #: path even when a deep artifact exists — the control arm of
-        #: the warm-restore benchmark, and an escape hatch.
-        self.deep_restore = deep_restore
 
     # -- the build loop ----------------------------------------------------
 
@@ -203,8 +194,8 @@ class ModuleBuilder:
         """Build ``roots`` and everything they import.
 
         ``need_bodies`` materializes cache-hit modules (deep-restoring
-        their checked ASTs when the entry carries one) so the program
-        is runnable; compile-only/``--expand`` builds skip that and
+        their checked ASTs) so the program is runnable;
+        compile-only/``--expand`` builds skip that and
         load just the class skeletons — the cheap path the incremental
         speedup comes from.
         """
@@ -296,7 +287,9 @@ class ModuleBuilder:
                recompiled: bool = False) -> ModuleBuild:
         classes: List[CompiledClass] = []
         if need_bodies:
-            classes = self._materialize(info, entry, self._module_env(info))
+            classes = self._materialize(info, entry)
+            if classes is None:
+                return self._recompile(info, builds)
         else:
             restore_interface(entry.iface, self.env.registry)
         if recompiled:
@@ -309,37 +302,27 @@ class ModuleBuilder:
                            not recompiled, list(entry.exports), classes,
                            entry=entry)
 
-    def _materialize(self, info: ModuleInfo, entry: ModuleEntry,
-                     module_env: CompileEnv) -> List[CompiledClass]:
-        """Runnable materialization of a warm hit.
-
-        Deep path first: restore the pickled checked AST and re-run
-        shape + check only, with method bodies left for their first
-        call.  Any surprise — a declined snapshot, a stale blob, a
-        check error against the restored surroundings — falls back to
-        compiling the cached expanded source, the byte-equivalent text
-        path.
-        """
-        filename = f"{info.filename}#expanded"
-        if entry.deep is not None and self.deep_restore:
+    def _materialize(self, info: ModuleInfo, entry: ModuleEntry
+                     ) -> Optional[List[CompiledClass]]:
+        """Restore a warm hit's checked AST and re-run shape + check
+        only, bodies left for their first call.  A skeleton that does
+        not restore (no blob, an unpickle or check failure) gets the
+        entry quarantined and None back: the caller recompiles."""
+        if entry.deep is not None:
             try:
                 compiled = self.compiler.compile_checked_unit(
-                    load_unit(entry.deep), filename, module_env,
-                    source=entry.expanded,
+                    load_unit(entry.deep), f"{info.filename}#expanded",
+                    self._module_env(info), source=entry.expanded,
                     on_body_error=functools.partial(
                         self._restored_body_failed, info.name))
                 _DEEP_RESTORED_TOTAL.inc()
                 return compiled
-            except (SnapshotError, DiagnosticError):
-                pass  # fall through to the text path
-        _DEEP_FALLBACK_TOTAL.inc()
-        # The cached artifact is plain Java (every Mayan already
-        # expanded), so compiling it skips the expensive phase but
-        # yields real method bodies.
-        sink: List = []
-        self.compiler.compile_unit(entry.expanded, filename, module_env,
-                                   unit_sink=sink)
-        return self._classes_of(sink[-1] if sink else None, module_env)
+            except DeadlineExceededError:
+                raise  # the request's budget, not the entry's fault
+            except DiagnosticError:
+                pass  # quarantined below
+        self.cache.discard(info.name)
+        return None
 
     def _restored_body_failed(self, name: str, error: DiagnosticError
                               ) -> None:
@@ -381,7 +364,7 @@ class ModuleBuilder:
         entry = ModuleEntry(
             info.name, info.key, expanded,
             export_interface([c.type for c in classes]),
-            exports, deep=snapshot_unit(unit))
+            exports, deep=snapshot_unit(unit, self.provenance))
         _COMPILED_TOTAL.inc()
         self.cache.store(entry)
         return ModuleBuild(info.name, info.key, expanded, False,
@@ -391,8 +374,6 @@ class ModuleBuilder:
                     ) -> List[CompiledClass]:
         """This unit's compiled classes, by declaration — never by
         diffing the shared program table."""
-        if unit is None:
-            return []
         package = module_env.package
         classes: List[CompiledClass] = []
         for decl in unit.types:

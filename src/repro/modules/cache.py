@@ -8,8 +8,8 @@ since format 2 — the **deep artifact**: a pickled stripped copy of the
 module's *checked* AST (see :mod:`repro.modules.snapshot`).  A warm
 ``need_bodies`` hit restores the deep artifact and re-runs only
 shaping, checking each method body when it is first called — skipping
-lexing and parsing outright — instead of recompiling the expanded
-source from text.
+lexing and parsing outright.  Compile-only hits and forked workers'
+dependencies read just the interface.
 
 **What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
 snapshot format numbers, the module's own source text, the compile
@@ -32,16 +32,16 @@ event="corrupt"}``).  In this cache's terms:
 * *stale* entry (old format, key mismatch after an edit) — a plain
   miss too: well-formed, just not ours; it is overwritten on store.
   A snapshot format bump is a key mismatch, so an entry whose deep
-  blob the running code cannot load is rebuilt once, not restored
-  through the expanded-source fallback on every warm hit;
+  blob the running code cannot load is rebuilt once, quietly;
 * *corrupt* entry (any changed byte, truncated JSON, wrong shape, or
   class skeletons that fail :func:`validate_interface`, which is where
   an injected ``cache.module.iface`` corruption lands) — quarantined
   and regenerated.  A bad cache file must never take a build down;
-* a method body blob found bad at its first call, after the entry
-  passed every check above — quarantined the same way
-  (:meth:`ModuleCache.discard`), once the run has stopped with a
-  located diagnostic.
+* a deep artifact that fails to restore — no blob, a skeleton that
+  does not unpickle or check, a body blob bad at its first call —
+  quarantined the same way (:meth:`ModuleCache.discard`), after the
+  module recompiles in the same build or the run stops with a located
+  diagnostic.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ class ModuleEntry:
         #: importer replays).
         self.exports = exports
         #: Deep artifact: pickled stripped checked AST (or None when
-        #: the snapshot layer declined; warm hits then use the
-        #: expanded-source path).
+        #: the snapshot layer declined; a runnable hit then discards
+        #: the entry and recompiles).
         self.deep = deep
 
     def payload(self) -> dict:

@@ -1,16 +1,13 @@
 """Deep module artifacts: pickled snapshots of *checked* ASTs.
 
-PR 8's module cache persisted the expanded (plain-Java) source per
-module, so a warm ``need_bodies`` hit still re-lexed, re-parsed, and
-re-checked every line.  The snapshot layer removes that tail: after a
-module compiles, :func:`snapshot_unit` takes a **stripped copy** of its
-checked compilation unit — every node rebuilt through its own
-constructor from ``_fields`` + location, with all checker/parser
-annotations (scopes, resolutions, static types, member links) dropped —
-and pickles it.  A warm hit then restores via :func:`load_unit` and
-re-runs only the cheap shaping walk over an already-parsed tree,
-skipping lexing, declaration parsing, and lazy body parsing entirely
-(see EXPERIMENTS E17).
+After a module compiles, :func:`snapshot_unit` takes a **stripped
+copy** of its checked compilation unit — every node rebuilt through
+its own constructor from ``_fields`` + location, with all
+checker/parser annotations (scopes, resolutions, static types, member
+links) dropped — and pickles it.  A warm runnable hit restores it via
+:func:`load_unit` and re-runs only the cheap shaping walk over an
+already-parsed tree, skipping lexing, declaration parsing, and lazy
+body parsing entirely (see EXPERIMENTS E17).
 
 **Bodies stay in their blobs until called** (format 3).  Each method
 body is pickled on its own, and the unit pickle carries those blobs
@@ -26,27 +23,28 @@ checking them; a stripped body prints exactly as the checked one did.
 
 Two node families can't round-trip through a plain field copy and are
 rewritten to their *unparse-equivalent* plain forms — exactly what the
-expanded-source text would re-parse to, so deep restore and the PR 8
-text path are semantically interchangeable by construction:
+module's expanded source text re-parses to:
 
 * ``Reference`` (a direct binding reference from hygiene machinery)
   becomes a ``NameExpr`` of the binding's name — the unparser prints
-  ``binding.name``, so the text path produces the same node.
+  ``binding.name``.
 * ``StrictTypeName`` (a template's resolved type) becomes a plain
-  ``TypeName`` of its qualified ``syntax_parts()`` — again what the
-  printed artifact re-parses to.
+  ``TypeName`` of its qualified ``syntax_parts()``.
+
+With ``provenance`` on (format 4), each generated statement keeps
+its origin's ``brief()`` text, so a warm program prints the
+annotations a clean one does; other snapshots carry no origins.
 
 Anything else surprising — an unforced ``LazyNode``, an unknown leaf
 object, a constructor that refuses the copied fields — makes
 :func:`snapshot_unit` **decline** (return None) rather than persist a
-blob it can't vouch for; the cache entry then simply lacks a deep
-artifact and warm hits fall back to the expanded-source compile.  On
-the load side the cache entry's checksum (:mod:`repro.store`) vouches
-for the blob's bytes; a skeleton that still fails to unpickle into a
-unit raises :class:`SnapshotError`, and the caller falls back the same
-way.  A body blob that fails later, at its first call, is past any
-fallback: the program stops with a located diagnostic, and the module
-builder quarantines the entry so the next build recompiles the module.
+blob it can't vouch for.  On the load side the cache entry's checksum
+(:mod:`repro.store`) vouches for the blob's bytes; a skeleton that
+still fails to unpickle into a unit raises :class:`SnapshotError`.
+Either way the module builder quarantines the entry and recompiles the
+module from its source.  A body blob that fails later, at its first
+call, stops the program with a located diagnostic, and its entry is
+quarantined the same way.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ import io
 import pickle
 from typing import Optional
 
+from repro import trace
 from repro.ast import nodes as n
 from repro.diag import DiagnosticError
 from repro.lexer import Location
@@ -62,16 +61,17 @@ from repro.lexer import Location
 #: Bump when the snapshot's structural conventions change; baked into
 #: the pickle header so stale blobs fail closed as a format mismatch,
 #: and folded into every module cache key so a bump re-keys the cache
-#: rather than leaving old entries to fall back on every warm hit.
+#: rather than leaving each old entry to fail its next warm hit.
 #: Format 2: raw ``pickle.dumps`` output, three-field ``Location``.
 #: Format 3: each method body is its own blob inside the unit pickle.
-SNAPSHOT_FORMAT = 3
+#: Format 4: generated statements may carry a ``trace.Origin``.
+SNAPSHOT_FORMAT = 4
 
 _PRIMITIVE = (str, int, float, bool, type(None))
 
 #: Classes allowed to unpickle.  A module-cache blob is local build
 #: state, but keeping the set closed (AST nodes + locations + builtin
-#: containers) costs nothing and keeps a tampered entry from
+#: containers, and ``trace.Origin``) costs nothing and keeps a tampered entry from
 #: instantiating arbitrary classes.
 _ALLOWED_MODULES = ("repro.ast.nodes", "repro.lexer",
                     "repro.lexer.source", "repro.lexer.tokens")
@@ -87,14 +87,15 @@ class _Unsnappable(Exception):
     """Internal: this tree contains state a stripped copy can't carry."""
 
 
-def _strip(value):
-    """A stripped copy of ``value``: nodes rebuilt from ``_fields``."""
+def _strip(value, provenance: bool):
+    """A stripped copy of ``value``: nodes rebuilt from ``_fields``,
+    generated statements noting their origin if ``provenance``."""
     if isinstance(value, _PRIMITIVE):
         return value
     if isinstance(value, list):
-        return [_strip(item) for item in value]
+        return [_strip(item, provenance) for item in value]
     if isinstance(value, tuple):
-        return tuple(_strip(item) for item in value)
+        return tuple(_strip(item, provenance) for item in value)
     if isinstance(value, n.LazyNode):
         # Checked trees splice forced lazies in place; one that survived
         # means this unit isn't fully materialized — decline.
@@ -108,11 +109,17 @@ def _strip(value):
                           location=value.location)
     if isinstance(value, n.Node):
         cls = type(value)
-        fields = [_strip(getattr(value, name)) for name in cls._fields]
+        fields = [_strip(getattr(value, name), provenance)
+                  for name in cls._fields]
         try:
-            return cls(*fields, location=value.location)
+            clone = cls(*fields, location=value.location)
         except TypeError as error:
             raise _Unsnappable(f"{cls.__name__}: {error}")
+        if provenance and value.origin is not None \
+                and isinstance(value, n.Statement):
+            # An origin named by its brief text prints just that text.
+            clone.origin = trace.Origin(value.origin.brief(), None, None)
+        return clone
     if isinstance(value, Location):
         return value
     raise _Unsnappable(f"unsupported leaf {type(value).__name__}")
@@ -127,14 +134,16 @@ def _methods(unit: "n.CompilationUnit"):
                 yield member
 
 
-def snapshot_unit(unit: "n.CompilationUnit") -> Optional[bytes]:
+def snapshot_unit(unit: "n.CompilationUnit",
+                  provenance: bool = False) -> Optional[bytes]:
     """Pickle a stripped copy of a checked unit, or None to decline.
 
     Each method body is pickled on its own, and the unit pickle holds
     those blobs in place of the bodies, so a load decodes a body only
-    when something asks for it."""
+    when something asks for it.  ``provenance`` keeps generated
+    statements' origins as text."""
     try:
-        clone = _strip(unit)
+        clone = _strip(unit, provenance)
     except _Unsnappable:
         return None
     try:
@@ -149,15 +158,15 @@ def snapshot_unit(unit: "n.CompilationUnit") -> Optional[bytes]:
         # about twelve times the cost of the dump.
         return pickle.dumps((SNAPSHOT_FORMAT, clone), protocol=4)
     except Exception:
-        # A field slipped through carrying unpicklable state; the
-        # expanded-source artifact still covers this module.
+        # A field slipped through carrying unpicklable state.
         return None
 
 
 class _NodeUnpickler(pickle.Unpickler):
     def find_class(self, module, name):
         if module.split(".")[0] == "builtins" \
-                or module in _ALLOWED_MODULES:
+                or module in _ALLOWED_MODULES \
+                or (module, name) == ("repro.trace", "Origin"):
             return super().find_class(module, name)
         raise SnapshotError(f"snapshot references {module}.{name}")
 

@@ -12,24 +12,30 @@ Covers what the laziness buys and what it must not cost:
 * **Hostile entries** — a body blob that does not decode, or a body
   that no longer checks, ends in a located diagnostic naming the
   module and the method, and the module recompiles on the next build.
+  A skeleton that is missing, does not decode or does not check is
+  quarantined and its module recompiles in the same build, leaving no
+  diagnostic; a deadline that expires mid-restore keeps the entry.
   An entry of the previous snapshot format is a plain miss.
 * **Unparse** — printing a restored program forces nothing and prints
-  what a clean build prints.
+  what a clean build prints, provenance annotations included.
 """
 
 import base64
 import gc
 import json
 import pickle
+import time
 
 import pytest
 
 from repro import MayaCompiler
 from repro.ast import nodes as n
+from repro.diag import DeadlineExceededError
 from repro.interp import Interpreter
 from repro.mayac import main as mayac_main
 from repro.modules import MemorySources, ModuleBuilder, snapshot_unit
-from repro.modules.cache import ModuleCache
+from repro.modules.build import format_module_report
+from repro.modules.cache import ModuleCache, ModuleEntry
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import REGISTRY
 from tests.conftest import corrupt_entries
@@ -236,6 +242,40 @@ def _rewrite_body(cache_dir, module, method, blob):
                        .encode("utf-8"))
 
 
+def _restore_deep(cache_dir, module, rewrite):
+    """Re-store ``module``'s entry through :meth:`ModuleCache.store`,
+    checksum and all, with its deep artifact ``rewrite(deep)``."""
+    cache = ModuleCache(str(cache_dir))
+    payload = json.loads((cache_dir / cache._name(module))
+                         .read_bytes().partition(b"\n")[2])
+    entry = ModuleEntry.from_payload(payload)
+    entry.deep = rewrite(entry.deep)
+    cache.store(entry)
+
+
+def _unchecking_skeleton(deep: bytes) -> bytes:
+    """The skeleton ``deep`` plus a field whose initializer names
+    nothing: it decodes, then fails its check."""
+    fmt, unit = pickle.loads(deep)
+    field = pickle.loads(snapshot_unit(MayaCompiler().compile(
+        "class Q { static int f = 1; }").units[-1]))[1].types[0].members[0]
+    field.declarators[0].init = n.NameExpr(("nope",))
+    unit.types[0].members.append(field)
+    return pickle.dumps((fmt, unit), protocol=4)
+
+
+#: Ways a skeleton can fail to restore: ``deep`` -> the stored blob.
+BAD_SKELETONS = {
+    "declined": lambda deep: None,
+    "undecodable": lambda deep: b"\x80\x04not a snapshot",
+    "unchecked": _unchecking_skeleton,
+}
+
+
+def _counter(name):
+    return REGISTRY.get(name).value
+
+
 def _unbound_name_body() -> bytes:
     """A body blob that decodes but, inside ``Calc.value()``, names a
     parameter the method does not have."""
@@ -282,6 +322,63 @@ class TestHostileEntries:
         assert "1 recompiled, 1 reused" in captured.err
         assert "recompiled lib.Calc" in captured.err
 
+    @pytest.mark.parametrize("skeleton", sorted(BAD_SKELETONS))
+    def test_bad_skeleton_is_quarantined_and_recompiled_silently(
+            self, tmp_path, capsys, skeleton):
+        root = _write_modules(tmp_path)
+        cache = tmp_path / "cache"
+        argv = ["--module-path", str(tmp_path / "src"), "--module-cache",
+                str(cache), "--module-report", "--run", "Main", root]
+        assert mayac_main(argv) == 0
+        assert capsys.readouterr().out == "42\n"
+
+        _restore_deep(cache, "lib.Calc", BAD_SKELETONS[skeleton])
+        before = corrupt_entries("modules.disk")
+        compiled = _counter("maya_modules_compiled_total")
+        order = ["lib.Calc", "app.Main"]
+        assert mayac_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "42\n"
+        # Nothing on stderr but the report: no diagnostic leaks out of
+        # the failed restore.
+        assert captured.err \
+            == format_module_report(order, ["lib.Calc"]) + "\n"
+        assert corrupt_entries("modules.disk") == before + 1
+        assert _counter("maya_modules_compiled_total") == compiled + 1
+
+        restored = _counter("maya_modules_deep_restored_total")
+        assert mayac_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "42\n"
+        assert captured.err == format_module_report(order, []) + "\n"
+        assert _counter("maya_modules_compiled_total") == compiled + 1
+        assert _counter("maya_modules_deep_restored_total") \
+            == restored + 2
+
+    def test_bad_skeleton_leaves_no_trace_in_the_build(self, tmp_path):
+        sources = {"lib.Calc": CALC, "app.Main": MAIN}
+        _build(sources, tmp_path)
+        _restore_deep(tmp_path, "lib.Calc", _unchecking_skeleton)
+        builder = ModuleBuilder(MemorySources(sources),
+                                cache_dir=str(tmp_path))
+        warm = builder.build(["app.Main"], need_bodies=True)
+        assert warm.recompiled == ["lib.Calc"]
+        assert builder.env.diag.diagnostics == []
+        assert len(warm.program.units) == 2
+
+    def test_deadline_during_restore_keeps_the_entry(self, tmp_path):
+        # A request's expired budget says nothing about the entry.
+        sources = {"lib.Calc": CALC, "app.Main": MAIN}
+        _build(sources, tmp_path)
+        builder = ModuleBuilder(MemorySources(sources),
+                                cache_dir=str(tmp_path))
+        builder.env.diag.deadline = time.monotonic() - 1
+        before = corrupt_entries("modules.disk")
+        with pytest.raises(DeadlineExceededError):
+            builder.build(["app.Main"], need_bodies=True)
+        assert corrupt_entries("modules.disk") == before
+        assert _build(sources, tmp_path).recompiled == []
+
     def test_previous_format_entry_is_a_plain_miss(self, tmp_path,
                                                    monkeypatch):
         # Write the cache as format 2 did: bodies inline in the unit
@@ -321,3 +418,42 @@ def test_source_of_a_restored_program_forces_nothing(tmp_path):
     assert every == len(_restored(warm.program))
     assert warm.program.source() == clean.program.source()
     assert len(_unforced(warm.program)) == every
+
+
+FOREACH_SOURCES = {
+    "lib.Loops": """use maya.util.ForEach;
+class Loops {
+    static void dump(String[] items) {
+        items.foreach(String s) { System.out.println(s); }
+    }
+}
+""",
+    "app.Main": """import lib.Loops;
+class Main {
+    static void main() {
+        String[] data = new String[2];
+        data[0] = "alpha"; data[1] = "beta";
+        Loops.dump(data);
+    }
+}
+""",
+}
+
+
+def test_restored_program_keeps_provenance_annotations(tmp_path):
+    def build():
+        return ModuleBuilder(MemorySources(FOREACH_SOURCES),
+                             cache_dir=str(tmp_path),
+                             options={"provenance": True}
+                             ).build(["app.Main"], need_bodies=True)
+
+    clean = build()
+    warm = build()
+    assert warm.reused == warm.order
+    annotated = warm.program.source(provenance=True)
+    assert annotated == clean.program.source(provenance=True)
+    assert "/* from AForEachName @ lib/Loops.maya:4:" in annotated
+    # Only a provenance build's snapshot carries origins.
+    unit = clean.program.units[0]
+    assert b"Origin" in snapshot_unit(unit, provenance=True)
+    assert b"Origin" not in snapshot_unit(unit)

@@ -388,8 +388,8 @@ class TestModuleCache:
             self, tmp_path, monkeypatch):
         # A cache written by code with another snapshot format holds
         # deep blobs this code refuses to load.  Its keys must not
-        # match, or every warm hit would fall back to the text path
-        # for good: a hit is never rewritten.
+        # match, or each such entry would restore as corrupt: a plain
+        # miss, not a quarantine.
         from repro.modules import cache as module_cache
         from repro.modules import snapshot
         with monkeypatch.context() as old_format:
@@ -401,11 +401,11 @@ class TestModuleCache:
                                                       need_bodies=True)
         assert rebuilt.recompiled == rebuilt.order
         restored = counter("maya_modules_deep_restored_total")
-        fallback = counter("maya_modules_deep_fallback_total")
+        compiled = counter("maya_modules_compiled_total")
         warm = make_builder(CHAIN, tmp_path).build(["app.Main"],
                                                    need_bodies=True)
         assert warm.recompiled == []
-        assert counter("maya_modules_deep_fallback_total") == fallback
+        assert counter("maya_modules_compiled_total") == compiled
         assert counter("maya_modules_deep_restored_total") == restored + 3
 
     def test_stale_entry_is_a_plain_miss_not_corruption(self, tmp_path):

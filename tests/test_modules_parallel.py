@@ -177,15 +177,15 @@ class TestParallelBuilder:
 
         reused0 = _counter("maya_modules_reused_total")
         deep0 = _counter("maya_modules_deep_restored_total")
-        fallback0 = _counter("maya_modules_deep_fallback_total")
+        compiled0 = _counter("maya_modules_compiled_total")
         warm = ModuleBuilder(MemorySources(sources),
                              cache_dir=str(tmp_path),
                              jobs=4).build(["app.Main"], need_bodies=True)
         assert warm.reused == warm.order
         assert _counter("maya_modules_reused_total") - reused0 == 7
-        # Every warm materialization took the deep path.
+        # Every warm materialization restored; none recompiled.
         assert _counter("maya_modules_deep_restored_total") - deep0 == 7
-        assert _counter("maya_modules_deep_fallback_total") == fallback0
+        assert _counter("maya_modules_compiled_total") == compiled0
 
     def test_exact_counter_totals_many_racing_builders(self, tmp_path):
         # Hammer the shared counters from many concurrent serial builds
@@ -377,29 +377,38 @@ class TestDeepRestore:
         with pytest.raises(SnapshotError):
             load_unit(b"\x80\x04not a snapshot")
 
-    def test_deep_and_shallow_materialization_agree(self, tmp_path):
+    def test_deep_and_clean_materialization_agree(self, tmp_path):
+        # A warm hit's one runnable path is the deep restore; it must
+        # be indistinguishable from compiling every module from source.
         sources = project(width=3)
-        ModuleBuilder(MemorySources(sources),
-                      cache_dir=str(tmp_path)).build(["app.Main"])
+        sources["app.Main"] = sources["app.Main"].replace(
+            "class Main {", "class Main { static void main() "
+            "{ System.out.println(run()); }")
 
+        def build():
+            return ModuleBuilder(MemorySources(sources),
+                                 cache_dir=str(tmp_path)
+                                 ).build(["app.Main"], need_bodies=True)
+
+        def run(program):
+            interp = Interpreter(program)
+            interp.run_static("Main")
+            return interp.output, interp.counters.snapshot()
+
+        clean = build()
+        assert clean.recompiled == clean.order
         deep0 = _counter("maya_modules_deep_restored_total")
-        deep = ModuleBuilder(MemorySources(sources),
-                             cache_dir=str(tmp_path)
-                             ).build(["app.Main"], need_bodies=True)
+        compiled0 = _counter("maya_modules_compiled_total")
+        deep = build()
+        assert deep.reused == deep.order
         assert _counter("maya_modules_deep_restored_total") - deep0 == 4
+        assert _counter("maya_modules_compiled_total") == compiled0
 
-        fallback0 = _counter("maya_modules_deep_fallback_total")
-        shallow = ModuleBuilder(MemorySources(sources),
-                                cache_dir=str(tmp_path),
-                                deep_restore=False
-                                ).build(["app.Main"], need_bodies=True)
-        assert _counter("maya_modules_deep_fallback_total") \
-            - fallback0 == 4
-
-        assert deep.expanded() == shallow.expanded()
-        assert deep.program.source() == shallow.program.source()
-        assert Interpreter(deep.program).run_static("Main", "run") \
-            == Interpreter(shallow.program).run_static("Main", "run")
+        assert deep.expanded() == clean.expanded()
+        assert deep.program.source() == clean.program.source()
+        output, counters = run(deep.program)
+        assert output == ["6"]
+        assert (output, counters) == run(clean.program)
 
     def test_macro_heavy_module_deep_restores_and_runs(self, tmp_path):
         # Mayan-expanded trees must survive the snapshot: expansion
