@@ -66,6 +66,7 @@ compiled (and cached) before the halt, like any ``make -j``.
 from __future__ import annotations
 
 import functools
+import gc
 from typing import Dict, List, Optional, Sequence
 
 from repro import trace
@@ -95,6 +96,16 @@ _DEEP_RESTORED_TOTAL = REGISTRY.counter(
     "maya_modules_deep_restored_total",
     "Warm module materializations served from the deep (checked-AST) "
     "artifact — no lexing, no parsing.")
+
+
+#: The process's count of full collections when its last module build
+#: ended (None before the first).  Process-wide, as the collector and
+#: the garbage it frees are.
+_full_collections_at_last_build: Optional[int] = None
+
+
+def _full_collections() -> int:
+    return gc.get_stats()[-1]["collections"]
 
 
 def format_module_report(order: Sequence[str],
@@ -199,18 +210,38 @@ class ModuleBuilder:
         load just the class skeletons — the cheap path the incremental
         speedup comes from.
         """
-        graph = ModuleGraph.discover(roots, self.sources,
-                                     registry=self.env.registry,
-                                     diag=self.env.diag)
-        order = graph.order()
-        for name in order:
-            info = graph.modules[name]
-            dep_keys = [(dep, graph.modules[dep].key) for dep in info.deps]
-            info.key = module_key(name, info.source, self._options_sig,
-                                  dep_keys)
-        jobs = min(self.jobs, len(order))
-        builds = self._build_modules(graph, order, need_bodies, jobs)
-        result = BuildResult(self.env, graph, builds, self.compiler.program)
+        # A dropped build's program is a cyclic graph, which only the
+        # cyclic collector frees (ROADMAP item 7).  Lexing every module
+        # in discovery used to allocate enough to trigger the
+        # collections that freed it; with import records, discovery
+        # lexes only edited modules, so pay for that garbage here,
+        # before several builds' worth piles up.  A full collection
+        # costs what the whole live heap costs, garbage or not, so it
+        # is skipped when one already ran since the last build ended:
+        # then nothing a finished build dropped is left.  Without a
+        # cache, discovery lexes every module as before.
+        global _full_collections_at_last_build
+        if self.cache \
+                and _full_collections_at_last_build == _full_collections():
+            gc.collect()
+        try:
+            graph = ModuleGraph.discover(roots, self.sources,
+                                         registry=self.env.registry,
+                                         diag=self.env.diag,
+                                         cache=self.cache)
+            order = graph.order()
+            for name in order:
+                info = graph.modules[name]
+                dep_keys = [(dep, graph.modules[dep].key)
+                            for dep in info.deps]
+                info.key = module_key(name, info.source,
+                                      self._options_sig, dep_keys)
+            jobs = min(self.jobs, len(order))
+            builds = self._build_modules(graph, order, need_bodies, jobs)
+            result = BuildResult(self.env, graph, builds,
+                                 self.compiler.program)
+        finally:
+            _full_collections_at_last_build = _full_collections()
         obs_log.emit("modules.build.done",
                      modules=len(result.order),
                      recompiled=len(result.recompiled),

@@ -42,11 +42,25 @@ event="corrupt"}``).  In this cache's terms:
   quarantined the same way (:meth:`ModuleCache.discard`), after the
   module recompiles in the same build or the run stops with a located
   diagnostic.
+
+**Import records.**  A second store under ``<cache_dir>/imports/``
+keeps each module's top-level import list, so discovery lexes only the
+modules whose source changed (:meth:`ModuleGraph.discover
+<repro.modules.graph.ModuleGraph.discover>`).  A record holds the
+SHA-256 of the source it was scanned from and each import's name
+parts, on-demand flag, line and column; the display filename is
+supplied again on load.  Its name carries a digest of the scanner's
+own source, so a changed lexer never serves stale imports.  The ladder
+is the same one under its own cache label (``modules.imports``) and
+fault site (``cache.module.imports``): a record of other source text
+is a plain miss and is overwritten after the rescan; a corrupt one is
+quarantined, counted and rescanned.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -54,6 +68,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.core.compiler import configuration
+from repro.lexer import Location
+from repro.lexer import scanner as scanner_module
+from repro.lexer import stream as stream_module
+from repro.lexer import tokens as tokens_module
+from repro.modules import graph as graph_module
+from repro.modules.graph import ModuleImport
 from repro.modules.iface import validate_interface
 from repro.modules.snapshot import SNAPSHOT_FORMAT
 from repro.store import Store
@@ -61,6 +81,27 @@ from repro.store import Store
 #: Format 2: deep artifact (pickled checked AST).  Format 3: no
 #: ``deps`` or ``grammar`` fields (nothing read them).
 CACHE_FORMAT = 3
+
+#: The import records' payload format.
+IMPORTS_FORMAT = 1
+
+
+@functools.lru_cache(maxsize=None)
+def _scanner_token() -> str:
+    """A digest of the import scanner's own source, read once, on
+    first use.  Part of every import record's name: a record outlives
+    the code that scanned it, and a changed lexer must never serve the
+    imports the old one found."""
+    digest = hashlib.sha256()
+    for module in (graph_module, scanner_module, stream_module,
+                   tokens_module):
+        with open(module.__file__, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
+def _source_digest(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def options_signature(options: Dict[str, object]) -> str:
@@ -149,20 +190,29 @@ class ModuleEntry:
 
 
 class ModuleCache:
-    """The on-disk store: one entry file per module name."""
+    """The on-disk store: one entry file per module name, and one
+    import record per module name in the ``imports`` subdirectory."""
 
     def __init__(self, directory: Optional[str]):
         self._store = Store(directory, "modules.disk",
                             faults.SITE_MODULE_CACHE_LOAD)
+        records = None if directory is None \
+            else os.path.join(directory, "imports")
+        self._imports = Store(records, "modules.imports",
+                              faults.SITE_MODULE_IMPORTS)
 
     def __bool__(self) -> bool:
         return bool(self._store)
 
     @staticmethod
-    def _name(name: str) -> str:
+    def _stem(name: str) -> str:
         safe = name.replace(os.sep, ".")
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
-        return f"module-{safe}-{digest}.json"
+        return f"{safe}-{digest}"
+
+    @classmethod
+    def _name(cls, name: str) -> str:
+        return f"module-{cls._stem(name)}.json"
 
     def load(self, name: str, key: str) -> Optional[ModuleEntry]:
         """The entry for ``name`` if present and keyed ``key``."""
@@ -191,3 +241,50 @@ class ModuleCache:
         # jobs=N property test diffs the cache directories directly.
         self._store.store(self._name(entry.name), json.dumps(
             entry.payload(), sort_keys=True).encode("utf-8"))
+
+    # -- import records ------------------------------------------------
+    #
+    # Not routed through :meth:`load` / :meth:`store`: a record is
+    # discovery's work, and profilers that wrap those two charge their
+    # time to the module entries.
+
+    @classmethod
+    def _imports_name(cls, name: str) -> str:
+        return f"imports-{cls._stem(name)}-{_scanner_token()}.json"
+
+    def load_imports(self, name: str, source: str, filename: str
+                     ) -> Optional[List[ModuleImport]]:
+        """``name``'s recorded imports if the record was scanned from
+        ``source``, located in ``filename``; None on a miss."""
+        def decode(data: bytes) -> Optional[List[ModuleImport]]:
+            payload = json.loads(data.decode("utf-8"))
+            if payload["format"] != IMPORTS_FORMAT \
+                    or payload["source"] != _source_digest(source):
+                return None  # scanned from other text: stale
+            imports = []
+            for parts, on_demand, line, column in payload["imports"]:
+                if not (isinstance(parts, list) and parts
+                        and all(isinstance(p, str) for p in parts)
+                        and isinstance(on_demand, bool)
+                        and isinstance(line, int)
+                        and isinstance(column, int)):
+                    raise ValueError("malformed import record")
+                imports.append(ModuleImport(
+                    tuple(parts), on_demand,
+                    Location(filename, line, column)))
+            return imports
+
+        return self._imports.load(self._imports_name(name), decode)
+
+    def store_imports(self, name: str, source: str,
+                      imports: Sequence[ModuleImport]) -> None:
+        """Record ``imports`` as what ``source`` scans to."""
+        if not self._imports:
+            return
+        self._imports.store(self._imports_name(name), json.dumps({
+            "format": IMPORTS_FORMAT,
+            "source": _source_digest(source),
+            "imports": [[list(imp.parts), imp.on_demand,
+                         imp.location.line, imp.location.column]
+                        for imp in imports],
+        }, sort_keys=True).encode("utf-8"))

@@ -13,11 +13,15 @@ stream lexer collapses every ``{...}`` body into a single BraceTree
 token, so scanning the *top level* for ``import <dotted name> ;``
 sequences is exact — an ``import`` inside a class body cannot be
 confused for a declaration.  Deciding *what* to recompile therefore
-never parses anything, but it does lex every module of the project on
-every build, so discovery costs what the scanner costs: 44 ms for the
-22-module benchmark project, 1.7 ms of lexing per module of ~2,500
-characters and ~660 tokens (2-CPU x86-64 host, Python 3.11; EXPERIMENTS
-E18).
+never parses anything.  With a module cache, it does not lex an
+unchanged module either: each module's scanned imports are recorded
+next to its cache entry, keyed by the SHA-256 of its source text
+(:class:`repro.modules.cache.ModuleCache`), so a warm build lexes only
+the modules whose source changed.  Lexing a module of ~2,500
+characters costs about 1.7 ms, and lexing all 22 modules of the
+benchmark project cost 44 ms of discovery per build before the records
+(2-CPU x86-64 host, Python 3.11; EXPERIMENTS E18, E30).  Without a
+cache, discovery lexes every module.
 
 Failure modes are located diagnostics, all pointing at the ``import``
 site (the paper's diagnostics discipline): a module that imports itself
@@ -204,7 +208,7 @@ class ModuleGraph:
 
     @classmethod
     def discover(cls, roots: Sequence[str], sources: ModuleSources,
-                 registry=None, diag=None) -> "ModuleGraph":
+                 registry=None, diag=None, cache=None) -> "ModuleGraph":
         """BFS the import graph from the root modules.
 
         ``registry`` (a TypeRegistry) distinguishes a *missing module*
@@ -214,6 +218,8 @@ class ModuleGraph:
         and no registered class is a located error.  ``diag`` (a
         DiagnosticEngine) gets every loaded source registered under its
         display filename, so the located errors render with carets.
+        ``cache`` (a ModuleCache) serves the imports of each module
+        whose source it has scanned before, and records the rest.
         """
         graph = cls(sources)
         pending = list(roots)
@@ -222,7 +228,7 @@ class ModuleGraph:
             name = pending.pop(0)
             if name in graph.modules:
                 continue
-            info = graph._scan_module(name, registry, diag)
+            info = graph._scan_module(name, registry, diag, cache)
             graph.modules[name] = info
             for dep in info.deps:
                 if dep not in graph.modules:
@@ -230,11 +236,17 @@ class ModuleGraph:
         graph._check_cycles()
         return graph
 
-    def _scan_module(self, name: str, registry, diag=None) -> ModuleInfo:
+    def _scan_module(self, name: str, registry, diag=None,
+                     cache=None) -> ModuleInfo:
         source, filename = self.sources.load(name)
         if diag is not None:
             diag.add_source(filename, source)
-        imports = scan_imports(source, filename)
+        imports = cache.load_imports(name, source, filename) \
+            if cache else None
+        if imports is None:
+            imports = scan_imports(source, filename)
+            if cache:
+                cache.store_imports(name, source, imports)
         deps: List[str] = []
         for imp in imports:
             if imp.on_demand:
