@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import weakref
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro import trace
@@ -68,6 +69,16 @@ class CompiledProgram:
         self.env = env
         self.units: List[n.CompilationUnit] = []
         self.classes: Dict[str, CompiledClass] = {}
+        #: Declarations that no unit holds, kept alive by the program
+        #: (see :meth:`adopt`).
+        self.adopted: List[n.Node] = []
+
+    def adopt(self, decl: n.Node) -> None:
+        """Own ``decl``, a declaration added to a class that no unit of
+        this program declares (an open-class method on a class from an
+        earlier compilation, a hand-built dispatcher).  Types refer to
+        their declarations weakly, so without an owner it would die."""
+        self.adopted.append(decl)
 
     def source(self, provenance: bool = False) -> str:
         """Unparse everything (fully expanded syntax); ``provenance``
@@ -391,9 +402,11 @@ class MayaCompiler:
                     elif isinstance(getattr(member, "body", None),
                                     n.RestoredBody):
                         # Checked when its module compiled; checked
-                        # again only if the program calls it.
+                        # again only if the program calls it.  The
+                        # member owns the body, which owns this thunk,
+                        # so the thunk refers back to it weakly.
                         member.body._parse = functools.partial(
-                            _check_restored, member.body, member,
+                            _check_restored, weakref.ref(member),
                             class_scope, class_type, on_body_error)
                         obs_lazy.thunk_created(member.body)
                     elif isinstance(member, n.MethodDecl) and member.body is not None:
@@ -429,7 +442,7 @@ class MayaCompiler:
     def _bind_formals(formals, param_types, scope: Scope) -> None:
         for formal, param_type in zip(formals, param_types):
             formal.scope = scope
-            scope.define(formal.name.name, param_type, "param", formal)
+            scope.define(formal.name.name, param_type, "param")
 
     def _force_body(self, body, scope: Scope):
         if isinstance(body, n.LazyNode):
@@ -440,16 +453,18 @@ class MayaCompiler:
         return body
 
 
-def _check_restored(body: n.RestoredBody, member: n.MethodDecl,
+def _check_restored(member_ref: Callable[[], n.MethodDecl],
                     class_scope: Scope, class_type: ClassType,
                     on_error: Optional[Callable], _scope=None):
-    """Force a restored method body: decode it and check it in the
-    method scope the eager path builds.  A blob that does not decode
-    or a body that does not check raises a diagnostic located at the
-    method, after ``on_error`` (if any) has seen it."""
+    """Force a restored method body (the body of the member that
+    ``member_ref`` refers to, which is forcing it): decode it and check
+    it in the method scope the eager path builds.  A blob that does not
+    decode or a body that does not check raises a diagnostic located
+    at the method, after ``on_error`` (if any) has seen it."""
+    member = member_ref()
     where = f"{class_type.simple_name}.{member.name.name}"
     try:
-        tree = body.view()
+        tree = member.body.view()
         method = member.method
         scope = class_scope.method_scope(class_type, method.is_static,
                                          method.return_type)

@@ -50,7 +50,15 @@ class CompileContext(ParserContext):
         value = self.env.dispatcher.dispatch(production, values, location, self)
         if isinstance(value, n.Node):
             if value.syntax is None:
-                value.syntax = (production, tuple(values))
+                # A value that passes one of its children through (a
+                # unit production, a Mayan returning an operand)
+                # records no syntax: the record would contain the node
+                # itself.
+                for child in values:
+                    if child is value:
+                        break
+                else:
+                    value.syntax = (production, tuple(values))
             if value.scope is None:
                 value.scope = self.scope
             if value.location is Location.UNKNOWN:
@@ -139,7 +147,7 @@ class CompileContext(ParserContext):
         declared = resolve_type_name(decl.type_name, self.scope)
         for ident, dims, _ in decl.bindings():
             var_type = array_of(declared, dims) if dims else declared
-            self.scope.define(ident.name, var_type, "local", decl)
+            self.scope.define(ident.name, var_type, "local")
 
     def instantiate(self, template, **values):
         """Instantiate a Template in this context."""

@@ -158,6 +158,25 @@ class _AmbiguityRecord:
         self.mayan_b = mayan_b
 
 
+class DispatchTree:
+    """What every scope of one dispatcher tree shares.  Its own object,
+    not the root dispatcher, so that no dispatcher refers to itself."""
+
+    __slots__ = ("_epoch", "expansion_stack", "origin_stack")
+
+    def __init__(self):
+        # Import epoch for the whole dispatcher tree: bumped by any
+        # import_mayan so every scope's cached plans go stale.
+        self._epoch = 0
+        # Active Mayan activations, shared so nested ``use`` scopes
+        # share one fuel budget.
+        self.expansion_stack: List[Tuple[object, Location]] = []
+        # Provenance context, parallel to the expansion stack: the
+        # Origin of the innermost active Mayan activation.  Nodes
+        # reduced while this is non-empty are stamped with its top.
+        self.origin_stack: List[trace.Origin] = []
+
+
 class Dispatcher:
     """An import-ordered registry of Mayans, lexically scoped.
 
@@ -169,22 +188,12 @@ class Dispatcher:
                  parent: Optional["Dispatcher"] = None):
         self.base_actions = base_actions
         self.parent = parent
-        self.root = parent.root if parent is not None else self
+        #: The state the whole dispatcher tree shares.
+        self.root = parent.root if parent is not None else DispatchTree()
         self._chains: Dict[Production, List] = {}
         self._plans: Dict[Production, _DispatchPlan] = {}
         # (epoch, {unit chain: skippable?}) for skip_units.
         self._unit_verdicts: Tuple[int, Dict] = (-1, {})
-        if parent is None:
-            # Import epoch for the whole dispatcher tree: bumped by any
-            # import_mayan so every scope's cached plans go stale.
-            self._epoch = 0
-        # Active Mayan activations, rooted once per dispatcher tree so
-        # nested ``use`` scopes share one fuel budget.
-        self.expansion_stack: List[Tuple[object, Location]] = []
-        # Provenance context, parallel to the expansion stack: the
-        # Origin of the innermost active Mayan activation.  Nodes
-        # reduced while this is non-empty are stamped with its top.
-        self.origin_stack: List[trace.Origin] = []
 
     def child(self) -> "Dispatcher":
         return Dispatcher(self.base_actions, parent=self)
@@ -343,14 +352,19 @@ class Dispatcher:
                 f"{location}: no semantic action applies to [{production}]"
             )
 
-        if tracer is not None:
-            with tracer.span("dispatch", str(production),
-                             production=str(production),
-                             location=str(location),
-                             candidates=len(candidates),
-                             applicable=len(chain)):
-                return run(0)
-        return run(0)
+        try:
+            if tracer is not None:
+                with tracer.span("dispatch", str(production),
+                                 production=str(production),
+                                 location=str(location),
+                                 candidates=len(candidates),
+                                 applicable=len(chain)):
+                    return run(0)
+            return run(0)
+        finally:
+            # ``run`` reaches itself through its closure cell; emptying
+            # the cell lets reference counting free the activation.
+            del run
 
     def _ordered_positions(self, plan: _DispatchPlan, mask: int,
                            bindings_at, ctx, production: Production,

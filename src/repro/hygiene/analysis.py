@@ -111,12 +111,11 @@ def _qname_chain(node: PTNode) -> Tuple[List[str], List[object], bool]:
     parts: List[str] = []
     leaves: List[object] = []
     pure = True
-
-    def walk(current) -> None:
-        nonlocal pure
+    pending = [node]  # depth first, children in order
+    while pending:
+        current = pending.pop()
         if isinstance(current, PTNode) and current.production.lhs.name == "QName":
-            for child in current.children:
-                walk(child)
+            pending.extend(reversed(current.children))
         elif isinstance(current, PTLeaf):
             if current.token.kind == "Identifier":
                 parts.append(current.token.text)
@@ -125,8 +124,6 @@ def _qname_chain(node: PTNode) -> Tuple[List[str], List[object], bool]:
             parts.append(f"${current.item.name}")
             leaves.append(current)
             pure = False
-
-    walk(node)
     return parts, leaves, pure
 
 

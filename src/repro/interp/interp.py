@@ -333,13 +333,13 @@ class Interpreter:
         if builtin is not None:
             builtin(self, obj, args)
             return
-        if ctor.decl is None:
+        decl = ctor.decl
+        if decl is None:
             # Implicit no-arg constructor: chain to the superclass.
             if klass.superclass is not None:
                 parent = klass.superclass
                 self._run_ctor(obj, parent, parent.find_constructor(()), [])
             return
-        decl = ctor.decl
         frame = {"this": obj, "__class__": klass}
         for formal, value in zip(decl.formals, args):
             frame[formal.name.name] = value
@@ -384,14 +384,15 @@ class Interpreter:
             # A Python implementation attached directly to the Method
             # (intercession-added members).
             return method.impl(self, receiver, args)
-        if self.backend == "pycode" and method.decl is not None \
-                and method.decl.body is not None:
+        decl = method.decl
+        if self.backend == "pycode" and decl is not None \
+                and decl.body is not None:
             plan = _pycodegen.plan_for(method, self)
             if plan is not _pycodegen.FALLBACK:
                 return _pycodegen.run_plan(self, plan, receiver, args)
             # Codegen declined this method: it runs on the walker below.
         impl = None
-        if method.decl is None:
+        if decl is None:
             # Built-in implementation: search the receiver's runtime
             # class chain first (so StringBuffer.toString beats
             # Object.toString), then the declaring class chain.
@@ -406,7 +407,6 @@ class Interpreter:
                     break
         if impl is not None:
             return impl(self, receiver, args)
-        decl = method.decl
         if decl is None or decl.body is None:
             raise MayaError(f"method {method} has no implementation")
         body = body_of(decl)

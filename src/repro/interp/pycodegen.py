@@ -42,6 +42,7 @@ final (``ClassType.sealed``).
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Dict, List, Tuple
 
 from repro.ast import nodes as n
@@ -138,14 +139,14 @@ class CodegenError(Exception):
 
 
 class PyPlan:
-    """A compiled method: the generated entry function plus its
-    namespace (for site patching) and source (for ``--dump-codegen``)."""
+    """A compiled method: the generated entry function (whose globals
+    are the plan namespace its sites patch) and its source (for
+    ``--dump-codegen``)."""
 
-    __slots__ = ("entry", "ns", "source", "label")
+    __slots__ = ("entry", "source", "label")
 
-    def __init__(self, entry, ns, source, label):
+    def __init__(self, entry, source, label):
         self.entry = entry
-        self.ns = ns
         self.source = source
         self.label = label
 
@@ -222,7 +223,20 @@ def _raise_unbound(exc, mapping):
 # ---------------------------------------------------------------------------
 
 
-def _make_call_site(ns, index, method):
+class _Home:
+    """How a site's slow path reaches the plan namespace it patches:
+    through the plan's entry function, weakly.  The namespace holds the
+    site, so holding the namespace would close a cycle that only the
+    cyclic collector frees.  The entry is alive whenever a site runs,
+    since only the entry calls it."""
+
+    __slots__ = ("entry",)
+
+    def ns(self) -> dict:
+        return self.entry().__globals__
+
+
+def _make_call_site(ns, home, index, method):
     """A self-patching virtual call site.
 
     The generated guard is ``if _k is _sN_k: <direct call>``;  this
@@ -237,6 +251,7 @@ def _make_call_site(ns, index, method):
     state = [0, False]  # deopt misses, permanently-polymorphic
 
     def dispatch(interp, receiver, klass, args):
+        ns = home.ns()
         resolved = cache.get(klass)
         if resolved is None:
             if len(cache) >= MEGAMORPHIC:
@@ -269,7 +284,7 @@ def _make_call_site(ns, index, method):
     ns[f"_s{index}_d"] = dispatch
 
 
-def _make_static_site(ns, index, method):
+def _make_static_site(ns, home, index, method):
     """A static/super/instance-qualified-static call site: the target
     is a codegen-time constant, so the only laziness is building the
     callee's entry on first call (which also dodges infinite recursion
@@ -277,6 +292,7 @@ def _make_static_site(ns, index, method):
     f_name = f"_s{index}_f"
 
     def call_generic(interp, receiver, args):
+        ns = home.ns()
         if ns[f_name] is None:
             ns[f_name] = _entry_for(method, interp)
         return interp.invoke_exact(method, receiver, list(args))
@@ -286,7 +302,7 @@ def _make_static_site(ns, index, method):
     ns[f"_s{index}_g"] = call_generic
 
 
-def _make_ifield_site(ns, index, name):
+def _make_ifield_site(ns, home, index, name):
     """Unchecked runtime field *read* — an inline cache keyed by
     receiver class (including the array-length probe)."""
     cache: Dict[object, object] = {}
@@ -311,7 +327,7 @@ def _make_ifield_site(ns, index, name):
     ns[f"_s{index}"] = read
 
 
-def _make_sfield_site(ns, index, name):
+def _make_sfield_site(ns, home, index, name):
     """Unchecked runtime field *store* inline cache."""
     cache: Dict[object, object] = {}
 
@@ -333,7 +349,7 @@ def _make_sfield_site(ns, index, name):
     ns[f"_s{index}"] = store
 
 
-def _make_instanceof_site(ns, index, target):
+def _make_instanceof_site(ns, home, index, target):
     """``instanceof`` with a per-runtime-type verdict cache."""
     cache: Dict[object, object] = {}
 
@@ -353,7 +369,7 @@ def _make_instanceof_site(ns, index, target):
     ns[f"_s{index}"] = test
 
 
-def _make_cast_site(ns, index, target):
+def _make_cast_site(ns, home, index, target):
     """A reference cast with a per-runtime-type verdict cache."""
     cache: Dict[object, object] = {}
 
@@ -408,13 +424,18 @@ def _runtime_ns() -> dict:
 def _link(method, source, consts, sites) -> PyPlan:
     label = method_label(method)
     ns = _runtime_ns()
+    home = _Home()
     for name, value in consts:
         ns[name] = value
     for index, kind, payload in sites:
-        _SITE_BUILDERS[kind](ns, index, payload)
+        _SITE_BUILDERS[kind](ns, home, index, payload)
     code = compile(source, f"<pycode {label}>", "exec")
     exec(code, ns)
-    return PyPlan(ns["_m"], ns, source, label)
+    # Out of its own globals, and known to its sites only weakly, the
+    # entry is freed by reference counting with its method.
+    entry = ns.pop("_m")
+    home.entry = weakref.ref(entry)
+    return PyPlan(entry, source, label)
 
 
 def method_label(method) -> str:

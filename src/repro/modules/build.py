@@ -66,7 +66,6 @@ compiled (and cached) before the halt, like any ``make -j``.
 from __future__ import annotations
 
 import functools
-import gc
 from typing import Dict, List, Optional, Sequence
 
 from repro import trace
@@ -98,16 +97,6 @@ _DEEP_RESTORED_TOTAL = REGISTRY.counter(
     "artifact — no lexing, no parsing.")
 
 
-#: The process's count of full collections when its last module build
-#: ended (None before the first).  Process-wide, as the collector and
-#: the garbage it frees are.
-_full_collections_at_last_build: Optional[int] = None
-
-
-def _full_collections() -> int:
-    return gc.get_stats()[-1]["collections"]
-
-
 def format_module_report(order: Sequence[str],
                          recompiled: Sequence[str]) -> str:
     """The ``--module-report`` text — one formatting function shared
@@ -122,6 +111,19 @@ def format_module_report(order: Sequence[str],
         word = "recompiled" if name in recompiled_set else "reused"
         lines.append(f"  {word:10} {name}")
     return "\n".join(lines)
+
+
+def _restored_body_failed(cache: ModuleCache, name: str,
+                          error: DiagnosticError) -> None:
+    """A restored method body failed when first called: its blob does
+    not decode, or it no longer checks.  The running program gets the
+    located diagnostic; the entry is quarantined, so the next build of
+    the same sources recompiles the module.  It holds the cache, not
+    the builder, which would lead back to the program."""
+    cache.discard(name)
+    error.diagnostic.with_note(
+        f"restored from module {name}'s cache entry, which is now "
+        f"discarded: the next build recompiles {name}")
 
 
 class ModuleBuild:
@@ -210,38 +212,25 @@ class ModuleBuilder:
         load just the class skeletons — the cheap path the incremental
         speedup comes from.
         """
-        # A dropped build's program is a cyclic graph, which only the
-        # cyclic collector frees (ROADMAP item 7).  Lexing every module
-        # in discovery used to allocate enough to trigger the
-        # collections that freed it; with import records, discovery
-        # lexes only edited modules, so pay for that garbage here,
-        # before several builds' worth piles up.  A full collection
-        # costs what the whole live heap costs, garbage or not, so it
-        # is skipped when one already ran since the last build ended:
-        # then nothing a finished build dropped is left.  Without a
-        # cache, discovery lexes every module as before.
-        global _full_collections_at_last_build
-        if self.cache \
-                and _full_collections_at_last_build == _full_collections():
-            gc.collect()
-        try:
-            graph = ModuleGraph.discover(roots, self.sources,
-                                         registry=self.env.registry,
-                                         diag=self.env.diag,
-                                         cache=self.cache)
-            order = graph.order()
-            for name in order:
-                info = graph.modules[name]
-                dep_keys = [(dep, graph.modules[dep].key)
-                            for dep in info.deps]
-                info.key = module_key(name, info.source,
-                                      self._options_sig, dep_keys)
-            jobs = min(self.jobs, len(order))
-            builds = self._build_modules(graph, order, need_bodies, jobs)
-            result = BuildResult(self.env, graph, builds,
-                                 self.compiler.program)
-        finally:
-            _full_collections_at_last_build = _full_collections()
+        # Nothing here collects garbage: the program this build makes
+        # owns its parts one way (units, syntax, scopes, environments,
+        # registry, types; every edge back is weak), so the previous
+        # build's program is freed by reference counting as soon as
+        # the caller drops it.
+        graph = ModuleGraph.discover(roots, self.sources,
+                                     registry=self.env.registry,
+                                     diag=self.env.diag,
+                                     cache=self.cache)
+        order = graph.order()
+        for name in order:
+            info = graph.modules[name]
+            dep_keys = [(dep, graph.modules[dep].key)
+                        for dep in info.deps]
+            info.key = module_key(name, info.source,
+                                  self._options_sig, dep_keys)
+        jobs = min(self.jobs, len(order))
+        builds = self._build_modules(graph, order, need_bodies, jobs)
+        result = BuildResult(self.env, graph, builds, self.compiler.program)
         obs_log.emit("modules.build.done",
                      modules=len(result.order),
                      recompiled=len(result.recompiled),
@@ -345,7 +334,7 @@ class ModuleBuilder:
                     load_unit(entry.deep), f"{info.filename}#expanded",
                     self._module_env(info), source=entry.expanded,
                     on_body_error=functools.partial(
-                        self._restored_body_failed, info.name))
+                        _restored_body_failed, self.cache, info.name))
                 _DEEP_RESTORED_TOTAL.inc()
                 return compiled
             except DeadlineExceededError:
@@ -354,17 +343,6 @@ class ModuleBuilder:
                 pass  # quarantined below
         self.cache.discard(info.name)
         return None
-
-    def _restored_body_failed(self, name: str, error: DiagnosticError
-                              ) -> None:
-        """A restored method body failed when first called: its blob
-        does not decode, or it no longer checks.  The running program
-        gets the located diagnostic; the entry is quarantined, so the
-        next build of the same sources recompiles the module."""
-        self.cache.discard(name)
-        error.diagnostic.with_note(
-            f"restored from module {name}'s cache entry, which is now "
-            f"discarded: the next build recompiles {name}")
 
     # -- cache miss --------------------------------------------------------
 

@@ -54,7 +54,9 @@ own source, so a changed lexer never serves stale imports.  The ladder
 is the same one under its own cache label (``modules.imports``) and
 fault site (``cache.module.imports``): a record of other source text
 is a plain miss and is overwritten after the rescan; a corrupt one is
-quarantined, counted and rescanned.
+quarantined, counted and rescanned.  Storing a record deletes the
+records of the same module that another scanner wrote (counted as
+``event="pruned"``), so a lexer change leaves no dead files behind.
 """
 
 from __future__ import annotations
@@ -249,8 +251,12 @@ class ModuleCache:
     # time to the module entries.
 
     @classmethod
+    def _imports_prefix(cls, name: str) -> str:
+        return f"imports-{cls._stem(name)}-"
+
+    @classmethod
     def _imports_name(cls, name: str) -> str:
-        return f"imports-{cls._stem(name)}-{_scanner_token()}.json"
+        return f"{cls._imports_prefix(name)}{_scanner_token()}.json"
 
     def load_imports(self, name: str, source: str, filename: str
                      ) -> Optional[List[ModuleImport]]:
@@ -278,13 +284,16 @@ class ModuleCache:
 
     def store_imports(self, name: str, source: str,
                       imports: Sequence[ModuleImport]) -> None:
-        """Record ``imports`` as what ``source`` scans to."""
+        """Record ``imports`` as what ``source`` scans to, and delete
+        ``name``'s records that another scanner wrote."""
         if not self._imports:
             return
-        self._imports.store(self._imports_name(name), json.dumps({
+        record = self._imports_name(name)
+        self._imports.store(record, json.dumps({
             "format": IMPORTS_FORMAT,
             "source": _source_digest(source),
             "imports": [[list(imp.parts), imp.on_demand,
                          imp.location.line, imp.location.column]
                         for imp in imports],
         }, sort_keys=True).encode("utf-8"))
+        self._imports.prune(self._imports_prefix(name), keep=record)

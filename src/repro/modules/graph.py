@@ -276,31 +276,33 @@ class ModuleGraph:
         """Reject cyclic imports with a diagnostic at the closing edge."""
         state: Dict[str, int] = {}  # 0 = visiting, 1 = done
         stack: List[str] = []
-
-        def visit(name: str) -> None:
-            mark = state.get(name)
-            if mark == 1:
-                return
-            if mark == 0:
-                cycle = stack[stack.index(name):] + [name]
-                importer = self.modules[stack[-1]]
-                location = Location.UNKNOWN
-                for imp in importer.imports:
-                    if ".".join(imp.parts) == name:
-                        location = imp.location
-                        break
-                raise MayaError(
-                    "import cycle: " + " -> ".join(cycle),
-                    location=location)
-            state[name] = 0
-            stack.append(name)
-            for dep in self.modules[name].deps:
-                visit(dep)
-            stack.pop()
-            state[name] = 1
-
         for root in self.roots:
-            visit(root)
+            self._visit_acyclic(root, state, stack)
+
+    def _visit_acyclic(self, name: str, state: Dict[str, int],
+                       stack: List[str]) -> None:
+        # A method, not a closure: a recursive closure refers to itself
+        # through its cell, a cycle only the cyclic collector frees.
+        mark = state.get(name)
+        if mark == 1:
+            return
+        if mark == 0:
+            cycle = stack[stack.index(name):] + [name]
+            importer = self.modules[stack[-1]]
+            location = Location.UNKNOWN
+            for imp in importer.imports:
+                if ".".join(imp.parts) == name:
+                    location = imp.location
+                    break
+            raise MayaError(
+                "import cycle: " + " -> ".join(cycle),
+                location=location)
+        state[name] = 0
+        stack.append(name)
+        for dep in self.modules[name].deps:
+            self._visit_acyclic(dep, state, stack)
+        stack.pop()
+        state[name] = 1
 
     def order(self) -> List[str]:
         """Deterministic topological order (dependencies first).
@@ -314,19 +316,19 @@ class ModuleGraph:
             return self._order
         order: List[str] = []
         seen: set = set()
-
-        def visit(name: str) -> None:
-            if name in seen:
-                return
-            seen.add(name)
-            for dep in self.modules[name].deps:
-                visit(dep)
-            order.append(name)
-
         for root in self.roots:
-            visit(root)
+            self._visit_postorder(root, seen, order)
         self._order = order
         return order
+
+    def _visit_postorder(self, name: str, seen: set,
+                         order: List[str]) -> None:
+        if name in seen:
+            return
+        seen.add(name)
+        for dep in self.modules[name].deps:
+            self._visit_postorder(dep, seen, order)
+        order.append(name)
 
     def dependents_of(self, name: str) -> List[str]:
         """Every module downstream of ``name`` (transitive importers)."""

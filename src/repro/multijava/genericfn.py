@@ -17,6 +17,7 @@ from repro.diag import DiagnosticError
 from repro.ast import nodes as n
 from repro.patterns import Template
 from repro.types import ClassType, Type
+from repro.types.types import weak_attribute
 
 
 class MultiJavaError(DiagnosticError):
@@ -30,8 +31,13 @@ class MultiMethod:
 
     ``specializers[i]`` is the runtime class the i-th argument is
     narrowed to, or None when the argument is unspecialized (the static
-    parameter type applies).
+    parameter type applies).  ``decl`` is weak: the declaration belongs
+    to its class body (or its program), and the metaprogram that holds
+    this generic function lives on the environment the declaration's
+    scopes lead to.
     """
+
+    decl = weak_attribute("decl")
 
     def __init__(self, decl: n.MethodDecl, owner: ClassType,
                  param_types: Sequence[Type],

@@ -251,10 +251,11 @@ class MultiJava(MetaProgram):
 
         for (_, name, _), entries in groups.items():
             receiver = entries[0][1]
-            self._assemble_external(ctx, receiver, name, entries, env)
+            self._assemble_external(ctx, receiver, name, entries, env,
+                                    program)
 
     def _assemble_external(self, ctx, klass: ClassType, name: str,
-                           entries, env) -> None:
+                           entries, env, program) -> None:
         scope = Scope(env=env)
         first = entries[0][0]
         param_types = [self._resolve(f.type_name, scope) for f in first.formals]
@@ -302,9 +303,14 @@ class MultiJava(MetaProgram):
         dispatcher.method = method
         compiled_members.append(dispatcher)
 
-        # Make the moved methods visible in the receiver's source form.
+        # Make the moved methods visible in the receiver's source form;
+        # a receiver with none (a built-in, or a class compiled
+        # earlier) leaves them to the program.
         if klass.decl is not None:
             klass.decl.members.extend(compiled_members)
+        else:
+            for member in compiled_members:
+                program.adopt(member)
 
         # Compile the bodies now (the receiver may not be a class of
         # this unit — open classes extend anything in the registry).
@@ -317,8 +323,7 @@ class MultiJava(MetaProgram):
             for formal, param_type in zip(member.formals,
                                           member.method.param_types):
                 formal.scope = method_scope
-                method_scope.define(formal.name.name, param_type, "param",
-                                    formal)
+                method_scope.define(formal.name.name, param_type, "param")
             body = member.body
             if isinstance(body, n.LazyNode):
                 obs_lazy.thunk_forcing(body)

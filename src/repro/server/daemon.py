@@ -1006,10 +1006,9 @@ def _span_breakdown(tracer: "trace.Tracer",
     depth-tagged, attribute-free, capped so a pathological expansion
     cannot bloat the rolling log."""
     breakdown: List[dict] = []
-
-    def walk(span, depth: int) -> None:
-        if len(breakdown) >= max_spans:
-            return
+    pending = [(root, 0) for root in reversed(tracer.roots)]
+    while pending and len(breakdown) < max_spans:
+        span, depth = pending.pop()
         breakdown.append({
             "kind": span.kind,
             "name": span.name,
@@ -1017,11 +1016,8 @@ def _span_breakdown(tracer: "trace.Tracer",
             "dur_ms": round(span.duration * 1000.0, 3),
             "self_ms": round(span.self_time * 1000.0, 3),
         })
-        for child in span.children:
-            walk(child, depth + 1)
-
-    for root in tracer.roots:
-        walk(root, 0)
+        pending.extend((child, depth + 1)
+                       for child in reversed(span.children))
     return breakdown
 
 

@@ -27,7 +27,9 @@ and keys, and this module owns the policy for the files:
 
 Hits, misses and corrupt entries land in the
 ``maya_cache_events_total{cache,event}`` family under the store's
-cache name; a corrupt entry also counts as a miss.
+cache name; a corrupt entry also counts as a miss.  An owner whose
+entry names carry a token of the code that wrote them prunes the other
+tokens' entries of a name when it stores one (``pruned``).
 
 In memory, every process-wide cache is *content-keyed* (a grammar
 fingerprint, a request digest) and is an :class:`LRUCache`, whose
@@ -70,9 +72,9 @@ class Store:
     def __init__(self, directory: Optional[str], cache: str, site: str):
         self.directory = directory
         self.site = site
-        self._hits, self._misses, self._corrupt = (
+        self._hits, self._misses, self._corrupt, self._pruned = (
             CACHE_EVENTS.labels(cache, event)
-            for event in ("hit", "miss", "corrupt"))
+            for event in ("hit", "miss", "corrupt", "pruned"))
 
     def __bool__(self) -> bool:
         return self.directory is not None
@@ -142,6 +144,30 @@ class Store:
                 os.unlink(scratch)
             except OSError:
                 pass
+
+    def prune(self, prefix: str, keep: str) -> None:
+        """Delete the entries named ``prefix`` + one more dot-free,
+        dash-free part + ``.json``, except ``keep``, counting each as
+        pruned: the same entry written under another token, which the
+        running code never reads again."""
+        if self.directory is None:
+            return
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return
+        for name in names:
+            if name == keep or not name.startswith(prefix) \
+                    or not name.endswith(".json"):
+                continue
+            token = name[len(prefix):-len(".json")]
+            if not token or "." in token or "-" in token:
+                continue  # a scratch file, or another entry's name
+            try:
+                os.unlink(self.path(name))
+            except OSError:
+                continue
+            self._pruned.inc()
 
     def discard(self, name: str) -> None:
         """Quarantine entry ``name`` and count it corrupt: for an entry

@@ -287,12 +287,12 @@ class Tracer:
     # -- queries ---------------------------------------------------------
 
     def iter_spans(self) -> Iterator[Span]:
-        def walk(span: Span) -> Iterator[Span]:
+        """Every span, in pre-order."""
+        pending = list(reversed(self.roots))
+        while pending:
+            span = pending.pop()
             yield span
-            for child in span.children:
-                yield from walk(child)
-        for root in self.roots:
-            yield from walk(root)
+            pending.extend(reversed(span.children))
 
     def spans_of_kind(self, kind: str) -> List[Span]:
         return [s for s in self.iter_spans() if s.kind == kind]

@@ -636,8 +636,7 @@ def check_statement(stmt, scope: Scope) -> None:
                 )
             clause.formal.scope = catch_scope
             clause.caught_type = caught
-            catch_scope.define(clause.formal.name.name, caught, "param",
-                               clause.formal)
+            catch_scope.define(clause.formal.name.name, caught, "param")
             check_block(clause.body, catch_scope)
         if stmt.finally_body is not None:
             check_block(stmt.finally_body, scope.child())
@@ -676,7 +675,7 @@ def _check_local_var(stmt: n.LocalVarDecl, scope: Scope) -> None:
                         )
             except CheckError as error:
                 _recover(scope, error)
-        scope.define(name_ident.name, var_type, "local", stmt)
+        scope.define(name_ident.name, var_type, "local")
 
 
 def _check_expr(expr, scope: Scope) -> None:

@@ -8,15 +8,16 @@ from repro.types import ClassType, Type
 
 
 class Binding:
-    """A named value binding (local variable or parameter)."""
+    """A named value binding (local variable or parameter).  It does
+    not point at its declaring node: scopes are owned by the syntax
+    that carries them, never the other way round."""
 
-    __slots__ = ("name", "type", "kind", "node")
+    __slots__ = ("name", "type", "kind")
 
-    def __init__(self, name: str, type_: Type, kind: str = "local", node=None):
+    def __init__(self, name: str, type_: Type, kind: str = "local"):
         self.name = name
         self.type = type_
         self.kind = kind
-        self.node = node
 
     def __repr__(self):
         return f"<{self.kind} {self.name}: {self.type}>"
@@ -60,8 +61,8 @@ class Scope:
         scope.this_type = owner
         return scope
 
-    def define(self, name: str, type_: Type, kind: str = "local", node=None) -> Binding:
-        binding = Binding(name, type_, kind, node)
+    def define(self, name: str, type_: Type, kind: str = "local") -> Binding:
+        binding = Binding(name, type_, kind)
         self.bindings[name] = binding
         return binding
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.diag import DiagnosticError
@@ -122,8 +124,33 @@ class ErrorType(Type):
 ERROR = ErrorType()
 
 
+def _no_referent() -> None:
+    return None
+
+
+def weak_attribute(name: str) -> property:
+    """An attribute ``name`` that refers to its value weakly: an edge
+    that runs against the program's ownership (a member to its class, a
+    type to its declaration), so that reference counting alone frees a
+    dropped program.  Reads give the value, or None once it is gone.
+
+    The instance keeps the reference under ``_name``; a read calls it
+    without a Python frame (``methodcaller``), since the interpreter
+    reads ``Method.decl`` on every call it dispatches."""
+    slot = "_" + name
+
+    def assign(obj, value) -> None:
+        setattr(obj, slot, _no_referent if value is None
+                else weakref.ref(value))
+
+    return property(operator.methodcaller(slot), assign)
+
+
 class Field:
     """A field signature."""
+
+    #: The class owns its fields.
+    declaring_class = weak_attribute("declaring_class")
 
     def __init__(self, name: str, type_: Type, modifiers: Sequence[str] = (),
                  declaring_class: "ClassType" = None):
@@ -144,8 +171,13 @@ class Method:
     """A method or constructor signature.
 
     ``impl`` is a Python callable for built-in runtime classes; source
-    methods carry their MethodDecl in ``decl`` instead.
+    methods carry their MethodDecl in ``decl`` instead.  Both back
+    edges are weak: the class owns its methods, and a declaration is
+    owned by its unit (or, for one that no unit holds, its program).
     """
+
+    declaring_class = weak_attribute("declaring_class")
+    decl = weak_attribute("decl")
 
     def __init__(
         self,
@@ -191,6 +223,9 @@ class Method:
 class ClassType(Type):
     """A class or interface type."""
 
+    #: The source ClassDecl when compiled from source; its unit owns it.
+    decl = weak_attribute("decl")
+
     def __init__(self, name: str, superclass: "ClassType" = None,
                  interfaces: Sequence["ClassType"] = (), is_interface: bool = False,
                  modifiers: Sequence[str] = ()):
@@ -202,7 +237,7 @@ class ClassType(Type):
         self.fields: Dict[str, Field] = {}
         self.methods: Dict[str, List[Method]] = {}
         self.constructors: List[Method] = []
-        self.decl = None  # source ClassDecl when compiled from source
+        self.decl = None
         self.hooks: List[Callable] = []
         self.sealed = False  # set by Interpreter; see _check_open
 
@@ -238,20 +273,20 @@ class ClassType(Type):
         return other in self.ancestors()
 
     def ancestors(self) -> List["ClassType"]:
-        """All supertypes, self included, most derived first."""
+        """All supertypes, self included, most derived first: each
+        class before its superclass chain, and that before its
+        interfaces, depth first."""
         out: List[ClassType] = []
         seen = set()
-
-        def visit(klass: Optional[ClassType]):
+        stack: List[Optional[ClassType]] = [self]
+        while stack:
+            klass = stack.pop()
             if klass is None or klass.name in seen:
-                return
+                continue
             seen.add(klass.name)
             out.append(klass)
-            visit(klass.superclass)
-            for interface in klass.interfaces:
-                visit(interface)
-
-        visit(self)
+            stack.extend(reversed(klass.interfaces))
+            stack.append(klass.superclass)
         return out
 
     # -- member declaration (intercession API) -------------------------------

@@ -12,9 +12,10 @@ Covers what the records save and what they must not change:
 * **Diagnostics** — a missing module, an import cycle and a
   conflicting export replay whose import comes from a record render
   exactly what a build without a cache renders.
-* **The collection** — a cached build collects the garbage earlier
-  builds dropped, unless a full collection already ran since the last
-  build ended.
+* **Pruning** — storing a record deletes the module's records that
+  another scanner wrote, and counts each deletion.
+* **No collection** — a cached build asks the cyclic collector for
+  nothing: a dropped build is freed by reference counting.
 """
 
 import gc
@@ -183,10 +184,15 @@ def test_another_scanner_never_serves_its_records(tmp_path, count_scans,
                         lambda: "0123456789abcdef")
     del count_scans[:]
     before = corrupt_entries("modules.imports")
+    pruned = cache_events("modules.imports", "pruned")
     _builder(CHAIN, tmp_path).build(["app.Main"])
     assert len(count_scans) == 3
     assert corrupt_entries("modules.imports") == before
-    assert len(_records(tmp_path)) == 6
+    # The other scanner's records are deleted as the new ones land.
+    assert len(_records(tmp_path)) == 3
+    assert all("0123456789abcdef" in path.name
+               for path in _records(tmp_path))
+    assert cache_events("modules.imports", "pruned") == pruned + 3
 
 
 # ---------------------------------------------------------------------------
@@ -250,39 +256,30 @@ def test_conflicting_replay_from_a_record(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The collection
+# No collection
 # ---------------------------------------------------------------------------
 
 
-class _CountingCollector:
-    """``gc`` as the builder sees it, counting explicit collections."""
+def test_build_runs_no_collection(tmp_path):
+    """A dropped build is freed by reference counting, so a cached
+    build collects nothing itself.  With the automatic collector off,
+    any collection that starts is one the build asked for."""
+    builders = [_builder(CHAIN, tmp_path) for _ in range(3)]
+    started = []
 
-    get_stats = staticmethod(gc.get_stats)
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
 
-    def __init__(self):
-        self.collections = 0
-
-    def collect(self):
-        self.collections += 1
-        return gc.collect()
-
-
-def test_a_build_collects_only_when_nothing_else_did(tmp_path,
-                                                     monkeypatch):
-    collector = _CountingCollector()
-    monkeypatch.setattr(module_build, "gc", collector)
-    # Builders are made up front: making one allocates enough that the
-    # collector could run on its own between two builds.
-    first, second, third = (_builder(CHAIN, tmp_path) for _ in range(3))
-    uncached = _builder(CHAIN), _builder(CHAIN)
-    gc.collect()
-    first.build(["app.Main"])
-    assert collector.collections == 0
-    second.build(["app.Main"])
-    assert collector.collections == 1
-    gc.collect()
-    third.build(["app.Main"])
-    assert collector.collections == 1
-    for builder in uncached:
-        builder.build(["app.Main"])
-    assert collector.collections == 1
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.callbacks.append(on_gc)
+    try:
+        for builder in builders:
+            builder.build(["app.Main"], need_bodies=True)
+    finally:
+        gc.callbacks.remove(on_gc)
+        if was_enabled:
+            gc.enable()
+    assert started == []
+    assert not hasattr(module_build, "gc")

@@ -5,8 +5,12 @@ Covers what the laziness buys and what it must not cost:
 
 * **Cyclic garbage** — what ``gc.collect()`` finds (under
   ``gc.DEBUG_SAVEALL``) once a build is dropped, for a single-file
-  compile and for a warm 22-module build.  The ceilings are the counts
-  measured when lazy restore landed, plus 10%.
+  compile and for a warm 22-module build, with the automatic collector
+  off while it runs.  A program owns its parts one way, so what is
+  left is the session's builtin registry, whose types refer to each
+  other.  The ceilings are the measured counts plus 10%.  With the
+  collector off, 20 warm builds, each followed by a run, leave no more
+  than that per build (``LEAK_BUILDS`` runs more).
 * **Telemetry** — restored bodies are lazy thunks in ``obs.lazy``'s
   families: created at restore, forced on first call, on both tiers.
 * **Hostile entries** — a body blob that does not decode, or a body
@@ -23,7 +27,9 @@ Covers what the laziness buys and what it must not cost:
 import base64
 import gc
 import json
+import os
 import pickle
+import random
 import time
 
 import pytest
@@ -103,18 +109,27 @@ def _unforced(program):
 # Cyclic garbage (ROADMAP item 7's measure)
 # ---------------------------------------------------------------------------
 
-#: Measured counts plus 10% (665 and 11,110 objects).  Before lazy
-#: restore the module build left 45,628; the single file is unchanged.
-SINGLE_FILE_CEILING = 731
-WARM_MODULE_BUILD_CEILING = 12_221
+#: Measured counts plus 10% (135 objects each: the builtin registry).
+#: With cyclic ownership they were 665 and 12,287 (11,110 with the
+#: collector on); before lazy restore the module build left 45,628.
+SINGLE_FILE_CEILING = 148
+WARM_MODULE_BUILD_CEILING = 148
+
+#: Warm builds the collector-off leak guard runs.
+LEAK_BUILDS = int(os.environ.get("LEAK_BUILDS", "20"))
 
 
 def cyclic_garbage(make) -> int:
     """Objects only the cyclic collector frees, once ``make()``'s
-    result is dropped."""
+    result is dropped.  The automatic collector is off while ``make``
+    runs, so garbage it drops midway counts too."""
     gc.collect()
-    made = make()
-    del made
+    gc.disable()
+    try:
+        made = make()
+        del made
+    finally:
+        gc.enable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         found = gc.collect()
@@ -123,6 +138,17 @@ def cyclic_garbage(make) -> int:
         gc.garbage.clear()
         gc.collect()
     return found
+
+
+def _edited(rng, constant):
+    """The layered project with ``Main`` or one library module edited,
+    as seeded by ``rng``."""
+    sources = layered_project(constant)
+    name = rng.choice(["app.Main", _lib(rng.randrange(LAYERS),
+                                        rng.randrange(WIDTH))])
+    sources[name] = sources[name].replace("return ",
+                                          f"return {constant} + ", 1)
+    return sources
 
 
 class TestCyclicGarbage:
@@ -138,6 +164,29 @@ class TestCyclicGarbage:
         found = cyclic_garbage(
             lambda: _build(layered_project(2), tmp_path))
         assert 0 < found <= WARM_MODULE_BUILD_CEILING
+
+    def test_warm_builds_leak_nothing_with_the_collector_off(self, tmp_path):
+        """No build collects, so with the automatic collector off the
+        heap grows by what reference counting cannot free: at most the
+        ceiling per build and run."""
+        rng = random.Random(31)
+
+        def build_and_run(constant):
+            result = _build(_edited(rng, constant), tmp_path)
+            Interpreter(result.program).run_static("Main")
+
+        for constant in range(3):  # fill the bounded caches
+            build_and_run(constant)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            for constant in range(3, 3 + LEAK_BUILDS):
+                build_and_run(constant)
+            growth = (len(gc.get_objects()) - before) / LEAK_BUILDS
+        finally:
+            gc.enable()
+        assert growth <= WARM_MODULE_BUILD_CEILING
 
 
 # ---------------------------------------------------------------------------

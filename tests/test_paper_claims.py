@@ -269,11 +269,12 @@ def _hand_built_program():
     method = host.declare_method("m", [registry.require("C")], INT,
                                  ("public",), decl=dispatcher)
     dispatcher.method = method
+    program.adopt(dispatcher)
     scope = Scope(env=program.env).class_scope(host) \
         .method_scope(host, False, INT)
     for formal, param_type in zip(dispatcher.formals, method.param_types):
         formal.scope = scope
-        scope.define(formal.name.name, param_type, "param", formal)
+        scope.define(formal.name.name, param_type, "param")
     check_block(dispatcher.body, scope)
     return compiler.compile(E9_CALLER)
 

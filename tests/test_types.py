@@ -1,5 +1,7 @@
 """Unit tests for the type system and registry."""
 
+import gc
+
 import pytest
 
 from repro.types import (
@@ -77,6 +79,43 @@ class TestClassTypes:
         assert names[0] == "maya.util.Vector"
         assert names[1] == "java.util.Vector"
         assert "java.lang.Object" in names
+
+    def test_ancestors_of_an_interface_diamond(self):
+        """The loop gives the recursive definition's order: each class
+        before its superclass chain, that before its interfaces, each
+        type once.  And it leaves nothing for the cyclic collector."""
+        obj = ClassType("Object")
+        top = ClassType("Top", is_interface=True)
+        left = ClassType("Left", interfaces=[top], is_interface=True)
+        right = ClassType("Right", interfaces=[top], is_interface=True)
+        base = ClassType("Base", obj, [right])
+        leaf = ClassType("Leaf", base, [left, right])
+
+        def recursive(klass, out, seen):
+            if klass is None or klass.name in seen:
+                return out
+            seen.add(klass.name)
+            out.append(klass)
+            recursive(klass.superclass, out, seen)
+            for interface in klass.interfaces:
+                recursive(interface, out, seen)
+            return out
+
+        expected = recursive(leaf, [], set())
+        assert [k.name for k in expected] == \
+            ["Leaf", "Base", "Object", "Right", "Top", "Left"]
+        assert leaf.ancestors() == expected
+        gc.collect()
+        gc.disable()
+        try:
+            leaf.ancestors()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            found = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == 0
 
     def test_downcast_allowed_upcast_allowed(self, registry):
         obj = registry.require("java.lang.Object")
