@@ -182,10 +182,5 @@ class CompileContext(ParserContext):
 
     def resolve_type(self, name: str):
         """Resolve a dotted type name string against this environment."""
-        parts = tuple(name.split("."))
-        dims = 0
-        while parts[-1].endswith("[]"):
-            parts = parts[:-1] + (parts[-1][:-2],)
-            dims += 1
-        return self.env.registry.resolve_type(parts, dims, self.env.imports,
-                                              self.env.package)
+        return self.env.registry.parse_type(name, self.env.imports,
+                                            self.env.package)

@@ -115,14 +115,8 @@ class DiagnosticEngine:
     def errors_since(self, mark: int = 0) -> List[Diagnostic]:
         return [d for d in self.diagnostics[mark:] if d.severity == "error"]
 
-    @property
-    def has_errors(self) -> bool:
-        return any(d.severity == "error" for d in self.diagnostics)
-
     # -- rendering -------------------------------------------------------
 
     def render(self, diagnostic: Diagnostic) -> str:
         return diagnostic.render(self.source_text)
 
-    def render_all(self, mark: int = 0) -> str:
-        return "\n".join(self.render(d) for d in self.diagnostics[mark:])

@@ -99,10 +99,6 @@ class Mayan(MetaProgram):
     def params(self) -> List[Param]:
         return self._compiled[1]
 
-    @property
-    def binding_names(self) -> List[str]:
-        return self._compiled[2]
-
     # -- invocation ---------------------------------------------------------
 
     def invoke(self, ctx, bindings: Dict[str, object], values, location, next_fn):

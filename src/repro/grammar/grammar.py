@@ -287,9 +287,6 @@ class Grammar:
         self.by_lhs.setdefault(production.lhs, []).append(production)
         self.version += 1
 
-    def has_production(self, production: Production) -> bool:
-        return production in self._production_set
-
     def _resolve(self, item: RhsItem) -> Symbol:
         if isinstance(item, str):
             symbol = Symbol.lookup(item)

@@ -18,7 +18,7 @@ Grammar conventions
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.ast import nodes as n
 from repro.dispatch.dispatcher import identity
@@ -65,10 +65,6 @@ def base_grammar() -> Grammar:
 
 def _ident(token: Token) -> n.Ident:
     return n.Ident(token.text, location=token.location)
-
-
-def _name_parts(name_expr: n.NameExpr) -> Tuple[str, ...]:
-    return name_expr.parts
 
 
 def _parse_args(ctx, token: Token):

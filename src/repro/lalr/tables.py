@@ -12,7 +12,6 @@ resolutions.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import pickle
@@ -26,7 +25,7 @@ from repro.lalr import automaton as automaton_module
 from repro.lalr import encoded as encoded_module
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
-from repro.store import LRUCache, Store
+from repro.store import LRUCache, Store, code_token
 
 
 class ConflictError(Exception):
@@ -120,9 +119,6 @@ class ParseTables:
             for t in self.action[state]
             if not self.encoded.name(t).startswith("$eof")
         )
-
-    def has_goto(self, state: int, sym_id: int) -> bool:
-        return sym_id in self.goto[state]
 
     # -- unit chains -------------------------------------------------------
 
@@ -432,18 +428,10 @@ def default_cache_dir() -> str:
     return os.path.join(xdg, "maya")
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_token() -> str:
-    """A digest of the table generator's own source, read once, on
-    first use.  Part of every entry's name: a store outlives the code
-    that filled it, and a changed symbol numbering or table builder
-    must never restore tables the old code built."""
-    digest = hashlib.sha256()
-    for path in (__file__, automaton_module.__file__,
-                 encoded_module.__file__):
-        with open(path, "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()[:16]
+#: Part of every entry's name, so a changed symbol numbering or table
+#: builder never restores tables the old code built.
+_generator_token = code_token(__name__, automaton_module.__name__,
+                              encoded_module.__name__)
 
 
 #: The persistent table store, on by default (see

@@ -61,11 +61,6 @@ class SourceFile:
         self.filename = filename
         self.text = text
 
-    @classmethod
-    def from_path(cls, path: str) -> "SourceFile":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls(path, handle.read())
-
     def location(self, offset: int) -> Location:
         prefix = self.text[:offset]
         line = prefix.count("\n") + 1

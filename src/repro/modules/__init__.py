@@ -3,8 +3,8 @@
 See DESIGN.md "Modules & incremental builds" for the architecture:
 :mod:`repro.modules.graph` discovers the import DAG,
 :mod:`repro.modules.cache` persists per-module build products keyed by
-transitive content fingerprints, :mod:`repro.modules.iface` carries
-class skeletons across the cache boundary, and
+transitive content fingerprints (a module's classes cross the cache
+boundary as :mod:`repro.types.skeleton` records), and
 :mod:`repro.modules.build` orchestrates the incremental build loop.
 With ``--jobs N``, :mod:`repro.modules.procpool` compiles the cache
 misses on forked workers, driven by one thread over the import DAG.
@@ -17,8 +17,6 @@ from repro.modules.cache import (CACHE_FORMAT, ModuleCache, ModuleEntry,
 from repro.modules.graph import (FileSystemSources, MemorySources,
                                  ModuleGraph, ModuleImport, ModuleInfo,
                                  ModuleSources, scan_imports)
-from repro.modules.iface import (export_interface, restore_interface,
-                                 validate_interface)
 from repro.modules.procpool import resolve_jobs
 from repro.modules.snapshot import (SNAPSHOT_FORMAT, SnapshotError,
                                     load_unit, snapshot_unit)
@@ -38,14 +36,11 @@ __all__ = [
     "ModuleSources",
     "SNAPSHOT_FORMAT",
     "SnapshotError",
-    "export_interface",
     "format_module_report",
     "load_unit",
     "module_key",
     "options_signature",
     "resolve_jobs",
-    "restore_interface",
     "scan_imports",
     "snapshot_unit",
-    "validate_interface",
 ]

@@ -82,8 +82,8 @@ from repro.modules import procpool
 from repro.modules.cache import (ModuleCache, ModuleEntry, module_key,
                                  options_signature)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
-from repro.modules.iface import export_interface, restore_interface
 from repro.modules.snapshot import load_unit, snapshot_unit
+from repro.types import skeleton
 
 _COMPILED_TOTAL = REGISTRY.counter(
     "maya_modules_compiled_total",
@@ -292,7 +292,7 @@ class ModuleBuilder:
         the serial walk would."""
         for dep, entry in dep_entries.items():
             if dep not in held:
-                restore_interface(entry.iface, self.env.registry)
+                skeleton.install(self.env.registry, entry.iface)
                 held[dep] = ModuleBuild(dep, "", "", True,
                                         list(entry.exports), [])
         build = self._recompile(graph.modules[name], held)
@@ -311,7 +311,7 @@ class ModuleBuilder:
             if classes is None:
                 return self._recompile(info, builds)
         else:
-            restore_interface(entry.iface, self.env.registry)
+            skeleton.install(self.env.registry, entry.iface)
         if recompiled:
             _COMPILED_TOTAL.inc()
         else:
@@ -372,7 +372,7 @@ class ModuleBuilder:
 
         entry = ModuleEntry(
             info.name, info.key, expanded,
-            export_interface([c.type for c in classes]),
+            skeleton.export([c.type for c in classes]),
             exports, deep=snapshot_unit(unit, self.provenance))
         _COMPILED_TOTAL.inc()
         self.cache.store(entry)

@@ -1,15 +1,18 @@
 """The per-module incremental build cache.
 
 One JSON file per module name holds that module's last good build:
-its fully expanded source (the byte-exact artifact), its exported
-interface (class skeletons downstream modules shape against), its
-exported metaprogram names (the grammar delta importers replay), and —
-since format 2 — the **deep artifact**: a pickled stripped copy of the
-module's *checked* AST (see :mod:`repro.modules.snapshot`).  A warm
-``need_bodies`` hit restores the deep artifact and re-runs only
-shaping, checking each method body when it is first called — skipping
-lexing and parsing outright.  Compile-only hits and forked workers'
-dependencies read just the interface.
+
+* ``expanded`` — its fully expanded source, the byte-exact artifact;
+* ``iface`` — its classes' skeletons (:mod:`repro.types.skeleton`):
+  names, supertypes and member signatures, in the record format the
+  builtin library is declared in.  A compile-only hit, and a forked
+  worker's dependency, installs just these into the shared registry;
+* ``exports`` — its exported metaprogram names, the grammar delta
+  importers replay;
+* ``deep`` — the pickled stripped copy of its *checked* AST
+  (:mod:`repro.modules.snapshot`).  A ``need_bodies`` hit restores it
+  and re-runs only shaping, checking each method body when it is first
+  called, so lexing and parsing are skipped outright.
 
 **What keys an entry.**  ``module_key`` is a SHA-256 over the cache and
 snapshot format numbers, the module's own source text, the compile
@@ -17,9 +20,9 @@ configuration the build options select, and — recursively — the keys
 of its direct dependencies in import order.  A key therefore
 fingerprints the whole *transitive* input cone: editing any upstream
 module changes every downstream key, so exactly the downstream modules
-miss (and recompile) while everything else replays from disk.  This is
-the same content-addressing discipline as the LALR table cache's
-``GrammarFingerprint`` keys.
+miss (and recompile) while everything else replays from disk.  The key
+covers no compiler code: a changed expander or shaper serves the old
+entries until ``CACHE_FORMAT`` is bumped.
 
 **Hygiene ladder.**  Entries live in a :class:`repro.store.Store`,
 which owns the policy for crash-safe files: a SHA-256 checksum over
@@ -29,14 +32,15 @@ event="corrupt"}``).  In this cache's terms:
 
 * absent entry, or an injected I/O fault at ``cache.module.load`` or
   ``cache.module.iface`` — a plain miss; recompile, store;
-* *stale* entry (old format, key mismatch after an edit) — a plain
+* *stale* entry (another format, key mismatch after an edit) — a plain
   miss too: well-formed, just not ours; it is overwritten on store.
   A snapshot format bump is a key mismatch, so an entry whose deep
   blob the running code cannot load is rebuilt once, quietly;
 * *corrupt* entry (any changed byte, truncated JSON, wrong shape, or
-  class skeletons that fail :func:`validate_interface`, which is where
-  an injected ``cache.module.iface`` corruption lands) — quarantined
-  and regenerated.  A bad cache file must never take a build down;
+  skeletons that fail :func:`repro.types.skeleton.validate`, which is
+  where an injected ``cache.module.iface`` corruption lands) —
+  quarantined and regenerated.  A bad cache file must never take a
+  build down;
 * a deep artifact that fails to restore — no blob, a skeleton that
   does not unpickle or check, a body blob bad at its first call —
   quarantined the same way (:meth:`ModuleCache.discard`), after the
@@ -50,19 +54,19 @@ modules whose source changed (:meth:`ModuleGraph.discover
 SHA-256 of the source it was scanned from and each import's name
 parts, on-demand flag, line and column; the display filename is
 supplied again on load.  Its name carries a digest of the scanner's
-own source, so a changed lexer never serves stale imports.  The ladder
-is the same one under its own cache label (``modules.imports``) and
-fault site (``cache.module.imports``): a record of other source text
-is a plain miss and is overwritten after the rescan; a corrupt one is
-quarantined, counted and rescanned.  Storing a record deletes the
-records of the same module that another scanner wrote (counted as
-``event="pruned"``), so a lexer change leaves no dead files behind.
+own source (:func:`repro.store.code_token`), so a changed lexer never
+serves stale imports.  The ladder is the same one under its own cache
+label (``modules.imports``) and fault site (``cache.module.imports``):
+a record of other source text is a plain miss and is overwritten after
+the rescan; a corrupt one is quarantined, counted and rescanned.
+Storing a record deletes the records of the same module that another
+scanner wrote (counted as ``event="pruned"``), so a lexer change
+leaves no dead files behind.
 """
 
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import json
 import os
@@ -71,35 +75,25 @@ from typing import Dict, List, Optional, Sequence
 from repro import faults
 from repro.core.compiler import configuration
 from repro.lexer import Location
-from repro.lexer import scanner as scanner_module
-from repro.lexer import stream as stream_module
-from repro.lexer import tokens as tokens_module
-from repro.modules import graph as graph_module
 from repro.modules.graph import ModuleImport
-from repro.modules.iface import validate_interface
 from repro.modules.snapshot import SNAPSHOT_FORMAT
-from repro.store import Store
+from repro.store import Store, code_token
+from repro.types import skeleton
 
 #: Format 2: deep artifact (pickled checked AST).  Format 3: no
-#: ``deps`` or ``grammar`` fields (nothing read them).
-CACHE_FORMAT = 3
+#: ``deps`` or ``grammar`` fields (nothing read them).  Format 4:
+#: ``iface`` holds :mod:`repro.types.skeleton` records, the builtin
+#: library's format, instead of nested dicts.
+CACHE_FORMAT = 4
 
 #: The import records' payload format.
 IMPORTS_FORMAT = 1
 
 
-@functools.lru_cache(maxsize=None)
-def _scanner_token() -> str:
-    """A digest of the import scanner's own source, read once, on
-    first use.  Part of every import record's name: a record outlives
-    the code that scanned it, and a changed lexer must never serve the
-    imports the old one found."""
-    digest = hashlib.sha256()
-    for module in (graph_module, scanner_module, stream_module,
-                   tokens_module):
-        with open(module.__file__, "rb") as handle:
-            digest.update(handle.read())
-    return digest.hexdigest()[:16]
+#: Part of every import record's name, so a changed lexer never
+#: serves the imports the old one found.
+_scanner_token = code_token("repro.modules.graph", "repro.lexer.scanner",
+                            "repro.lexer.stream", "repro.lexer.tokens")
 
 
 def _source_digest(source: str) -> str:
@@ -141,14 +135,14 @@ class ModuleEntry:
     __slots__ = ("name", "key", "expanded", "iface", "exports", "deep")
 
     def __init__(self, name: str, key: str, expanded: str,
-                 iface: List[dict], exports: List[str],
+                 iface: List[list], exports: List[str],
                  deep: Optional[bytes] = None):
         self.name = name
         self.key = key
         #: The byte-exact artifact: the module's expanded plain-Java
         #: source, exactly what a clean build would have produced.
         self.expanded = expanded
-        #: Class skeletons (see :mod:`repro.modules.iface`).
+        #: Class skeletons (see :mod:`repro.types.skeleton`).
         self.iface = iface
         #: Exported metaprogram names: the module's own top-level
         #: ``use`` names plus its deps' exports (the grammar delta an
@@ -185,8 +179,7 @@ class ModuleEntry:
             exports=list(payload["exports"]),
             deep=deep,
         )
-        if not isinstance(entry.expanded, str) \
-                or not isinstance(entry.iface, list):
+        if not isinstance(entry.expanded, str):
             raise ValueError("malformed module cache entry")
         return entry
 
@@ -226,7 +219,7 @@ class ModuleCache:
             faults.check(faults.SITE_MODULE_IFACE)
             if faults.corrupting(faults.SITE_MODULE_IFACE):
                 entry.iface = [{"truncated": True}]  # injected
-            validate_interface(entry.iface)
+            skeleton.validate(entry.iface)
             return entry
 
         return self._store.load(self._name(name), decode)

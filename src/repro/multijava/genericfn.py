@@ -62,12 +62,6 @@ class MultiMethod:
         return all(a.is_subtype_of(b) for a, b in zip(mine, theirs)) and \
             mine != theirs
 
-    def applicable_to(self, arg_types: Sequence[Type]) -> bool:
-        return all(
-            arg.is_subtype_of(eff)
-            for arg, eff in zip(arg_types, self.effective_types())
-        )
-
     def __repr__(self):
         types = ", ".join(str(t) for t in self.effective_types())
         return f"<multimethod {self.owner.simple_name}.{self.impl_name}({types})>"

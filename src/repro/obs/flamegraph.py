@@ -36,17 +36,15 @@ def _span_bounds(span, fallback_end: float) -> Tuple[float, float]:
 def folded_stacks(tracer) -> str:
     """The trace as folded stack lines (self time, microseconds)."""
     totals: Dict[Tuple[str, ...], int] = {}
-
-    def walk(span, path: Tuple[str, ...]) -> None:
+    # Visit order does not matter: the lines are sorted by path.
+    pending = [(root, ()) for root in tracer.roots]
+    while pending:
+        span, path = pending.pop()
         path = path + (_frame_name(span),)
-        for child in span.children:
-            walk(child, path)
+        pending.extend((child, path) for child in span.children)
         self_us = int(round(span.self_time * 1e6))
         if self_us > 0:
             totals[path] = totals.get(path, 0) + self_us
-
-    for root in tracer.roots:
-        walk(root, ())
     return "".join(f"{';'.join(path)} {value}\n"
                    for path, value in sorted(totals.items()))
 
@@ -69,24 +67,27 @@ def to_speedscope(tracer, name: str = "mayac") -> Dict[str, object]:
     events: List[Dict[str, object]] = []
     end_value = 0.0
 
-    def emit(span, lo: float, hi: float) -> None:
-        nonlocal end_value
+    # (span, lo, hi) opens a span clamped to [lo, hi]; (None, frame,
+    # at) closes one.
+    pending = [(root, *_span_bounds(root, root.start))
+               for root in reversed(roots)]
+    while pending:
+        span, lo, hi = pending.pop()
+        if span is None:
+            events.append({"type": "C", "frame": lo, "at": hi})
+            end_value = max(end_value, hi)
+            continue
         start, end = _span_bounds(span, hi)
         # Clamp into the parent's window so the event stream stays
         # well-nested even for spans cut short by an exception unwind.
         start = min(max(start, lo), hi)
         end = min(max(end, start), hi)
-        at_open = (start - epoch) * 1e3
-        at_close = (end - epoch) * 1e3
-        events.append({"type": "O", "frame": frame_of(span), "at": at_open})
-        for child in span.children:
-            emit(child, start, end)
-        events.append({"type": "C", "frame": frame_of(span), "at": at_close})
-        end_value = max(end_value, at_close)
-
-    for root in roots:
-        start, end = _span_bounds(root, root.start)
-        emit(root, start, end)
+        frame = frame_of(span)
+        events.append({"type": "O", "frame": frame,
+                       "at": (start - epoch) * 1e3})
+        pending.append((None, frame, (end - epoch) * 1e3))
+        pending.extend((child, start, end)
+                       for child in reversed(span.children))
 
     return {
         "$schema": "https://www.speedscope.app/file-format-schema.json",

@@ -28,8 +28,9 @@ and keys, and this module owns the policy for the files:
 Hits, misses and corrupt entries land in the
 ``maya_cache_events_total{cache,event}`` family under the store's
 cache name; a corrupt entry also counts as a miss.  An owner whose
-entry names carry a token of the code that wrote them prunes the other
-tokens' entries of a name when it stores one (``pruned``).
+entry names carry a token of the code that wrote them
+(:func:`code_token`) prunes the other tokens' entries of a name when
+it stores one (``pruned``).
 
 In memory, every process-wide cache is *content-keyed* (a grammar
 fingerprint, a request digest) and is an :class:`LRUCache`, whose
@@ -41,8 +42,10 @@ is freed with it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import sys
 import tempfile
 import threading
 from collections import OrderedDict
@@ -58,6 +61,21 @@ T = TypeVar("T")
 
 def _header(payload: bytes) -> bytes:
     return _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii")
+
+
+def code_token(*modules: str) -> Callable[[], str]:
+    """A function giving a digest of the named modules' source files,
+    read once, on its first call.  An owner puts the token in its entry
+    names: a store outlives the code that filled it, and changed code
+    must never read what the old code wrote."""
+    @functools.lru_cache(maxsize=None)
+    def token() -> str:
+        digest = hashlib.sha256()
+        for module in modules:
+            with open(sys.modules[module].__file__, "rb") as handle:
+                digest.update(handle.read())
+        return digest.hexdigest()[:16]
+    return token
 
 
 class Store:

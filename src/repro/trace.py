@@ -147,13 +147,6 @@ class Origin:
             return f"{name} @ {self.use_site}"
         return name
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mayan": self.mayan,
-            "template": self.template,
-            "use_site": str(self.use_site) if self.use_site.is_known else None,
-        }
-
     def __repr__(self) -> str:
         return f"<origin {self.describe()}>"
 
@@ -340,8 +333,9 @@ class Tracer:
     def render(self, max_attr_width: int = 72) -> str:
         """The mcpyrate-style indented human view."""
         lines: List[str] = ["== mayac trace =="]
-
-        def emit(span: Span, depth: int) -> None:
+        pending = [(root, 0) for root in reversed(self.roots)]
+        while pending:
+            span, depth = pending.pop()
             pad = "  " * depth
             head = f"{pad}{span.kind} {span.name}  [{span.duration * 1e3:.2f} ms]"
             lines.append(head)
@@ -356,11 +350,8 @@ class Tracer:
                     if len(text) > max_attr_width:
                         text = text[:max_attr_width] + "..."
                     lines.append(f"{pad}  {key}: {text}")
-            for child in span.children:
-                emit(child, depth + 1)
-
-        for root in self.roots:
-            emit(root, 0)
+            pending.extend((child, depth + 1)
+                           for child in reversed(span.children))
         return "\n".join(lines)
 
 

@@ -32,7 +32,7 @@ from repro.types.types import (
     can_cast,
 )
 from repro.types.registry import TypeRegistry
-from repro.types.builtins import install_builtins
+from repro.types.skeleton import export, install, validate
 
 __all__ = [
     "ArrayType",
@@ -60,5 +60,7 @@ __all__ = [
     "binary_numeric_promotion",
     "can_assign",
     "can_cast",
-    "install_builtins",
+    "export",
+    "install",
+    "validate",
 ]

@@ -7,10 +7,9 @@ imports; ``java.lang`` is always imported on demand, as in Java.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.types.types import (
-    ArrayType,
     ClassType,
     PRIMITIVES,
     Type,
@@ -62,14 +61,6 @@ class TypeRegistry:
         if found is None:
             raise TypeError_(f"unknown class {qualified_name}")
         return found
-
-    def package_members(self, package: str) -> List[ClassType]:
-        prefix = package + "."
-        return [
-            klass
-            for name, klass in self.classes.items()
-            if name.startswith(prefix) and "." not in name[len(prefix):]
-        ]
 
     def resolve(
         self,
@@ -127,3 +118,18 @@ class TypeRegistry:
                 raise TypeError_(f"unknown type {'.'.join(parts)}")
             base = resolved
         return array_of(base, dims) if dims else base
+
+    def parse_type(
+        self,
+        spec: str,
+        imports: Sequence[Tuple[Tuple[str, ...], bool]] = (),
+        package: str = "",
+    ) -> Type:
+        """Resolve a type's ``str`` spelling (``int``, ``void``,
+        ``java.lang.Object[]``)."""
+        dims = 0
+        while spec.endswith("[]"):
+            spec = spec[:-2]
+            dims += 1
+        return self.resolve_type(tuple(spec.split(".")), dims, imports,
+                                 package)

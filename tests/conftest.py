@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import gc
 import os
 import shutil
 import tempfile
@@ -43,6 +44,27 @@ def cache_events(cache: str, event: str) -> int:
 def corrupt_entries(cache: str) -> int:
     """Entries of one on-disk cache quarantined as corrupt so far."""
     return cache_events(cache, "corrupt")
+
+
+def cyclic_garbage(make) -> int:
+    """Objects only the cyclic collector frees, once ``make()``'s
+    result is dropped.  The automatic collector is off while ``make``
+    runs, so garbage it drops midway counts too."""
+    gc.collect()
+    gc.disable()
+    try:
+        made = make()
+        del made
+    finally:
+        gc.enable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+    return found
 
 
 def make_compiler(macros: bool = False, multijava: bool = False) -> MayaCompiler:

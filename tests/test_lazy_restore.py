@@ -44,7 +44,7 @@ from repro.modules.build import format_module_report
 from repro.modules.cache import ModuleCache, ModuleEntry
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import REGISTRY
-from tests.conftest import corrupt_entries
+from tests.conftest import corrupt_entries, cyclic_garbage
 
 LAYERS, WIDTH, HELPERS = 7, 3, 12
 
@@ -117,27 +117,6 @@ WARM_MODULE_BUILD_CEILING = 148
 
 #: Warm builds the collector-off leak guard runs.
 LEAK_BUILDS = int(os.environ.get("LEAK_BUILDS", "20"))
-
-
-def cyclic_garbage(make) -> int:
-    """Objects only the cyclic collector frees, once ``make()``'s
-    result is dropped.  The automatic collector is off while ``make``
-    runs, so garbage it drops midway counts too."""
-    gc.collect()
-    gc.disable()
-    try:
-        made = make()
-        del made
-    finally:
-        gc.enable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        found = gc.collect()
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.collect()
-    return found
 
 
 def _edited(rng, constant):

@@ -448,6 +448,55 @@ class TestModuleCache:
         assert corrupt_entries("modules.disk") == before + 1
 
 
+    @pytest.mark.parametrize("iface", [
+        [{"name": "lib.Base", "is_interface": False}],
+        [["lib.Base", None, [], False, [], [["property", "x", [], "int",
+                                              []]]]],
+        [["lib.Base", None, [], False, []]],
+    ], ids=["format-3 record", "unknown member kind", "record arity"])
+    def test_wrong_shape_skeleton_is_corrupt(self, tmp_path, iface):
+        before = corrupt_entries("modules.disk")
+        cache = ModuleCache(str(tmp_path))
+        key = "k" * 64
+        cache._store.store(cache._name("lib.Base"), json.dumps({
+            "format": CACHE_FORMAT, "name": "lib.Base", "key": key,
+            "expanded": "", "iface": iface, "exports": [],
+        }).encode("utf-8"))
+        assert cache.load("lib.Base", key) is None
+        assert corrupt_entries("modules.disk") == before + 1
+
+    def test_format_3_entry_is_a_plain_miss(self, tmp_path):
+        """Entries an older build wrote, with nested-dict skeletons, are
+        stale: every module recompiles and its entry is overwritten,
+        and nothing is quarantined.  The key is left current, so the
+        format check alone turns them away."""
+        before = corrupt_entries("modules.disk")
+        make_builder(CHAIN, tmp_path).build(["app.Main"])
+        cache = ModuleCache(str(tmp_path))
+        for path in tmp_path.glob("module-*.json"):
+            payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+            payload["format"] = 3
+            payload["iface"] = [{
+                "name": name, "is_interface": is_interface,
+                "modifiers": modifiers, "superclass": superclass,
+                "interfaces": interfaces, "fields": [], "constructors": [],
+                "methods": [{"name": member, "params": [],
+                             "return": [type_.split("."), 0],
+                             "modifiers": member_modifiers}
+                            for _, member, _, type_, member_modifiers
+                            in members]}
+                for name, superclass, interfaces, is_interface, modifiers,
+                members in payload["iface"]]
+            cache._store.store(path.name, json.dumps(
+                payload, sort_keys=True).encode("utf-8"))
+        rebuilt = make_builder(CHAIN, tmp_path).build(["app.Main"])
+        assert rebuilt.recompiled == rebuilt.order
+        assert corrupt_entries("modules.disk") == before
+        assert not list(tmp_path.glob("*.quarantine"))
+        again = make_builder(CHAIN, tmp_path).build(["app.Main"])
+        assert again.recompiled == []
+        assert again.expanded() == rebuilt.expanded()
+
 # ---------------------------------------------------------------------------
 # Golden caret diagnostics for the module-graph failure modes
 # ---------------------------------------------------------------------------

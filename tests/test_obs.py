@@ -23,7 +23,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     sanitize_name,
 )
-from tests.conftest import compile_source
+from tests.conftest import compile_source, cyclic_garbage
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -332,6 +332,86 @@ class TestFlamegraphExport:
             "compile demo.maya;phase parse+expand;dispatch Statement 3000\n"
             "compile demo.maya;phase parse+expand;dispatch Statement;"
             "expand EForEach 3000\n")
+
+
+def nested_tracer() -> trace.Tracer:
+    """Two roots, siblings, four levels, attributes the human view
+    prints; the clocks are binary fractions of a second, so every
+    exported number is exact."""
+    tracer = trace.Tracer()
+
+    def span(kind, name, start, end, children=()):
+        entry = tracer.begin(kind, name)
+        for child in children:
+            span(*child)
+        tracer.end(entry)
+        entry.start, entry.end = start, end
+
+    span("compile", "a.maya", 0.0, 1.0, [
+        ("phase", "lex", 0.0, 0.125),
+        ("phase", "parse", 0.125, 0.875, [
+            ("dispatch", "Statement", 0.25, 0.75, [
+                ("expand", "EForEach", 0.25, 0.5),
+                ("expand", "EForEach", 0.5625, 0.6875)])])])
+    span("compile", "b.maya", 2.0, 2.5, [("phase", "lex", 2.0, 2.375)])
+    tracer.roots[0].children[1].children[0].attrs.update(
+        mayan="EForEach", before="x" * 80, after="for (;;) {\n  y();\n}")
+    return tracer
+
+
+class TestExportersOfNestedTraces:
+    """The exporters walk the span tree with explicit stacks: their
+    output is what the recursive walks printed, and a call leaves no
+    cycle for the collector."""
+
+    def test_render(self):
+        assert nested_tracer().render() == "\n".join([
+            "== mayac trace ==",
+            "compile a.maya  [1000.00 ms]",
+            "  phase lex  [125.00 ms]",
+            "  phase parse  [750.00 ms]",
+            "    dispatch Statement  [500.00 ms]",
+            "      mayan: EForEach",
+            "      before: " + "x" * 72 + "...",
+            "      after: for (;;) { y(); }",
+            "      expand EForEach  [250.00 ms]",
+            "      expand EForEach  [125.00 ms]",
+            "compile b.maya  [500.00 ms]",
+            "  phase lex  [375.00 ms]"])
+
+    def test_folded_stacks(self):
+        assert flamegraph.folded_stacks(nested_tracer()) == (
+            "compile a.maya 125000\n"
+            "compile a.maya;phase lex 125000\n"
+            "compile a.maya;phase parse 250000\n"
+            "compile a.maya;phase parse;dispatch Statement 125000\n"
+            "compile a.maya;phase parse;dispatch Statement;"
+            "expand EForEach 375000\n"
+            "compile b.maya 125000\n"
+            "compile b.maya;phase lex 375000\n")
+
+    def test_speedscope(self):
+        doc = flamegraph.to_speedscope(nested_tracer(), name="demo")
+        assert [frame["name"] for frame in doc["shared"]["frames"]] == [
+            "compile a.maya", "phase lex", "phase parse",
+            "dispatch Statement", "expand EForEach", "compile b.maya"]
+        profile = doc["profiles"][0]
+        assert profile["endValue"] == 2500.0
+        assert [(e["type"], e["frame"], e["at"])
+                for e in profile["events"]] == [
+            ("O", 0, 0.0), ("O", 1, 0.0), ("C", 1, 125.0),
+            ("O", 2, 125.0), ("O", 3, 250.0), ("O", 4, 250.0),
+            ("C", 4, 500.0), ("O", 4, 562.5), ("C", 4, 687.5),
+            ("C", 3, 750.0), ("C", 2, 875.0), ("C", 0, 1000.0),
+            ("O", 5, 2000.0), ("O", 1, 2000.0), ("C", 1, 2375.0),
+            ("C", 5, 2500.0)]
+
+    @pytest.mark.parametrize("export", [
+        trace.Tracer.render, flamegraph.folded_stacks,
+        flamegraph.to_speedscope], ids=["render", "folded", "speedscope"])
+    def test_no_cyclic_garbage(self, export):
+        tracer = nested_tracer()
+        assert cyclic_garbage(lambda: export(tracer)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,13 @@ def typed_expr(source: str, bindings=None):
     env = CompileEnv()
     scope = Scope(env=env)
     for name, type_spec in (bindings or {}).items():
-        scope.define(name, _resolve(env, type_spec))
+        scope.define(name, env.registry.parse_type(type_spec))
     ctx = CompileContext(env, scope)
     parser = Parser(env.tables(), ctx)
     expr, _ = parser.parse("Expression", stream_lex(source))
     return expr, static_type_of(expr), env
 
 
-def _resolve(env, spec):
-    dims = 0
-    while spec.endswith("[]"):
-        spec = spec[:-2]
-        dims += 1
-    return env.registry.resolve_type(tuple(spec.split(".")), dims)
 
 
 def type_of(source: str, bindings=None):
