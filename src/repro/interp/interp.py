@@ -72,10 +72,15 @@ class Counters:
 
     Since the telemetry unification this is a per-interpreter *view*
     over the process-wide ``maya_interp_ops_total{op}`` registry family.
-    Both backends bump the registry children directly; each view subtracts the
-    baseline captured at construction / ``reset()``, so the historical
-    per-interpreter semantics and ``snapshot()`` shape are unchanged
-    while ``--metrics-out`` exports the same numbers.
+    Each view subtracts the baseline captured at construction /
+    ``reset()``, so the historical per-interpreter semantics and
+    ``snapshot()`` shape are unchanged while ``--metrics-out`` exports
+    the same numbers.  The walker bumps the registry children at each
+    operation; pycode's plans count into locals and add them at every
+    method exit, return or throw.  So the totals are exact whenever no
+    Java frame is running, and, under ``max_steps`` (which runs every
+    method on the walker), at every statement, where the budget is
+    checked.
     """
 
     __slots__ = ("_base",)
@@ -178,7 +183,9 @@ class Interpreter:
     ``repro.interp.pycodegen`` — methods its codegen cannot reproduce
     fall back to the walker) or ``"walk"`` (the seed tree-walker, the
     reference semantics).  When None, the ``MAYA_BACKEND`` environment
-    variable decides, defaulting to :data:`DEFAULT_BACKEND`.
+    variable decides, defaulting to :data:`DEFAULT_BACKEND`.  A
+    statement budget (``max_steps``) runs every method on the walker,
+    whichever backend is selected.
     """
 
     def __init__(self, program: CompiledProgram, echo: bool = False,

@@ -29,11 +29,23 @@ generating and ``compile()``-ing a method's source costs about what a
 disk lookup would, whose key alone needs the unparsed body
 (EXPERIMENTS.md, E19).
 
-Observable behaviour is bit-for-bit the walker's: the same operation
-counters bump at the same points, the same Java exceptions carry the
-same messages, and any shape this compiler cannot prove it reproduces
-raises :class:`CodegenError`, caching a ``FALLBACK`` sentinel so the
-method transparently runs on the walker.  A plan is never invalidated:
+Observable behaviour is bit-for-bit the walker's: the operation
+counters' totals are exact whenever a method returns or throws, the
+same Java exceptions carry the same messages, and any shape this
+compiler cannot prove it reproduces raises :class:`CodegenError`,
+caching a ``FALLBACK`` sentinel so the method transparently runs on
+the walker.  A plan counts operations into Python locals (``_st``,
+``_fr``, ``_mc``, ...) and adds each local it uses to the registry in
+one ``finally``.  Counts stay pending in the generator until a line
+that may raise or branch (a call, an allocation, an ``if``), where one
+``+=`` per counter adds them; lines that cannot raise (local stores,
+int arithmetic, guarded field accesses) keep them pending, and a null
+guard adds them on its way out only.  So a loop body of field accesses
+pays one ``_st += k``, ``_fr += k``, ``_fw += k`` per iteration, and
+the totals match the walker's at every return and every throw.  A plan
+has no step-budget test: an interpreter with a statement budget
+(``max_steps``) runs every method on the walker, which checks the
+budget at each statement.  A plan is never invalidated:
 ``Interpreter`` seals the program's classes before anything runs, so
 the member tables a plan and its patched sites resolved against are
 final (``ClassType.sealed``).
@@ -155,8 +167,12 @@ def plan_for(method, interp):
     """The cached compiled plan for a method (or ``FALLBACK``).
 
     The plan never captures ``interp``, so plans are shared across
-    Interpreter instances.
+    Interpreter instances.  An interpreter with a statement budget
+    (``max_steps``) gets ``FALLBACK`` without a plan being built: the
+    walker checks the budget at every statement.
     """
+    if interp.max_steps is not None:
+        return FALLBACK
     plan = getattr(method, "_pycode_plan", None)
     if plan is None:
         plan = method._pycode_plan = _build_plan(method)
@@ -414,7 +430,7 @@ def _runtime_ns() -> dict:
         "_AR": _C_ARRAY_READS, "_AW": _C_ARRAY_WRITES,
         "_AL": _C_ALLOCATIONS,
         "_JO": JavaObject, "_JA": JavaArray, "_JT": JavaThrow,
-        "_MI": _MISSING, "_ME": MayaError,
+        "_ME": MayaError,
         "_num": _num, "_bop": _binary_op, "_jeq": _java_equal,
         "_jstr": java_str, "_pcast": _primitive_cast, "_i32": _int32,
         "_ovf": _overflow, "_unb": _raise_unbound,
@@ -448,6 +464,10 @@ def method_label(method) -> str:
 # The code generator
 # ---------------------------------------------------------------------------
 
+#: The operation counters' registry children, by their plan-namespace
+#: names; a plan counts each into the local of the lowercase name.
+_COUNTERS = ("_ST", "_MC", "_FR", "_FW", "_AR", "_AW", "_AL")
+
 #: Literal types whose ``repr`` round-trips as Python source.
 _INLINE_LITERALS = (bool, int, float, str, type(None))
 
@@ -477,6 +497,18 @@ def _is_numeric_type(t) -> bool:
 
 def _is_string_type(t) -> bool:
     return getattr(t, "name", "") == "java.lang.String"
+
+
+def _int_literal(expr) -> int:
+    """The value of an int or long literal, or of a minus sign applied
+    to one (the parser keeps ``-3`` a unary minus); 0 for anything
+    else."""
+    sign = 1
+    if isinstance(expr, n.UnaryExpr) and expr.op == "-":
+        sign, expr = -1, expr.operand
+    if isinstance(expr, n.Literal) and expr.kind in ("int", "long"):
+        return sign * expr.value
+    return 0
 
 
 def _stmts_of(block):
@@ -541,7 +573,14 @@ class _MethodGen:
         self.body = body
         self.formals = decl.formals
         self.lines: List[str] = []
-        self.indent = 2
+        self._indent = 2
+        #: Operations counted but not yet added to their locals, by
+        #: counter; see :meth:`count`.
+        self.pending: Dict[str, int] = {}
+        #: Locals bound wherever the current scope can read them (the
+        #: formals and the declarations of enclosing blocks): a read of
+        #: one cannot raise, so it needs no flush of the pending counts.
+        self._bound = set()
         self.ntemp = 0
         self.nsite = 0
         self.names: Dict[str, str] = {}
@@ -551,12 +590,51 @@ class _MethodGen:
         self._nonnull = set()
         self.consts: List[Tuple[str, object]] = []
         self.sites: List[Tuple[int, str, object]] = []
+        #: The counters the plan counts into locals.
+        self.counted = set()
         self.formal_names = [self.pyname(f.name.name) for f in self.formals]
+        self._bound.update(self.formal_names)
 
     # -- emission helpers ------------------------------------------------
 
+    @property
+    def indent(self) -> int:
+        return self._indent
+
+    @indent.setter
+    def indent(self, value: int) -> None:
+        # Counts pending inside a suite belong to it, not to the lines
+        # after it.
+        self.flush()
+        self._indent = value
+
     def put(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
+        """A line that may raise or transfer control: the operations
+        counted so far are added to their locals first."""
+        self.flush()
+        self.lines.append("    " * self._indent + line)
+
+    def pure(self, line: str) -> None:
+        """A line that cannot raise or transfer control (a store to a
+        local, a guarded field access, int arithmetic on atoms): the
+        pending counts stay pending across it."""
+        self.lines.append("    " * self._indent + line)
+
+    def flush(self) -> None:
+        """Add the pending counts to their locals, one line per
+        counter."""
+        for counter, ops in self.pending.items():
+            self.lines.append("    " * self._indent
+                              + f"{counter.lower()} += {ops}")
+        self.pending.clear()
+
+    def guard(self, cond: str, exc: str, detail: str) -> None:
+        """``if cond: raise interp.throw(exc, detail)``, adding the
+        pending counts to their locals on the way out only."""
+        counts = "".join(f"{counter.lower()} += {ops}; "
+                         for counter, ops in self.pending.items())
+        self.pure(f"if {cond}: {counts}raise interp.throw({exc!r}, "
+                  f"{detail})")
 
     def temp(self) -> str:
         self.ntemp += 1
@@ -597,16 +675,22 @@ class _MethodGen:
         null; a non-null literal needs no guard (and ``'s' is None``
         would draw a SyntaxWarning from ``compile()``)."""
         if atom not in self._nonnull:
-            self.put(f"if {atom} is None: raise interp.throw("
-                     f"'java.lang.NullPointerException', {detail!r})")
+            self.guard(f"{atom} is None", "java.lang.NullPointerException",
+                       repr(detail))
 
     def spill(self, atom: str) -> str:
         """Force a (pure) atom into a stable temp."""
         if atom in self._atomic:
             return atom
         t = self.temp()
-        self.put(f"{t} = {atom}")
+        self.pure(f"{t} = {atom}")
         return t
+
+    def reread(self, atom: str) -> str:
+        """``atom`` for a guard and the access right after it: a local's
+        name as it stands, since no line between assigns it; anything
+        else spilled."""
+        return atom if atom.isidentifier() else self.spill(atom)
 
     def seq(self, thunks) -> List[str]:
         """Evaluate operands left to right, retroactively spilling any
@@ -629,13 +713,15 @@ class _MethodGen:
     def subcompile(self, expr, indent_delta: int):
         """Compile ``expr`` into a detached buffer (for conditionally
         executed operands).  Returns (atom, lines)."""
-        saved_lines, saved_indent = self.lines, self.indent
-        self.lines, self.indent = [], self.indent + indent_delta
+        saved = self.lines, self._indent, self.pending
+        self.lines, self.pending = [], {}
+        self._indent += indent_delta
         try:
             atom = self.expr(expr)
+            self.flush()
             return atom, self.lines
         finally:
-            self.lines, self.indent = saved_lines, saved_indent
+            self.lines, self._indent, self.pending = saved
 
     def splice(self, lines: List[str]) -> None:
         self.lines.extend(lines)
@@ -646,6 +732,7 @@ class _MethodGen:
         mark = len(self.lines)
         try:
             emit()
+            self.flush()
             if len(self.lines) == mark:
                 self.put("pass")
         finally:
@@ -657,40 +744,59 @@ class _MethodGen:
         self.sites.append((index, kind, payload))
         return index
 
+    def count(self, counter: str) -> None:
+        """One operation on ``counter`` (a registry child's name in the
+        plan namespace, e.g. ``_FR``), into the method's local
+        (``_fr``).  The count stays pending until the next line that
+        may raise or branch (:meth:`put`) or the end of the suite, and
+        a guard adds it on its way out, so a run of pure lines and
+        guards pays one ``+=`` per counter."""
+        self.counted.add(counter)
+        self.pending[counter] = self.pending.get(counter, 0) + 1
+
     def tick(self) -> None:
-        """The per-statement op count + step budget check (identical
-        observable points to the walker)."""
-        self.put("_ST.value += 1")
-        self.put("if _ms is not None and _cnt.statements > _ms: "
-                 "interp._raise_step_limit()")
+        """The per-statement op count (identical observable points to
+        the walker)."""
+        self.count("_ST")
 
     # -- top level -------------------------------------------------------
 
     def generate(self):
+        """``(source, consts, sites)`` of the method's plan.  The plan
+        counts into Python locals, one per counter it uses, and adds
+        them to the registry in one ``finally``, so the totals are
+        exact whenever the method returns or throws."""
         for stmt in self.body.stmts:
             self.stmt(stmt)
+        self.flush()
+        counted = [c for c in _COUNTERS if c in self.counted]
         header = [
             f"# pycode: {method_label(self.method)}",
             "def _m(interp, v_this"
             + "".join(f", {p}" for p in self.formal_names) + "):",
-            "    _ms = interp.max_steps",
-            "    _cnt = interp.counters",
-            "    try:",
         ]
+        header += [f"    {counter.lower()} = 0" for counter in counted]
+        header.append("    try:")
         body = self.lines or ["        pass"]
         unb = self.const(dict(self.unbound))
         footer = [
             "    except (UnboundLocalError, NameError) as _exc:",
             f"        _unb(_exc, {unb})",
         ]
+        if counted:
+            footer.append("    finally:")
+            footer += [f"        {counter}.value += {counter.lower()}"
+                       for counter in counted]
         source = "\n".join(header + body + footer) + "\n"
         return source, self.consts, self.sites
 
     # -- statements ------------------------------------------------------
 
     def block(self, block) -> None:
+        bound = set(self._bound)
         for stmt in _stmts_of(block):
             self.stmt(stmt)
+        self._bound = bound
 
     def stmt(self, stmt) -> None:
         handler = _STMT_HANDLERS.get(stmt.node_kind)
@@ -720,10 +826,21 @@ class _MethodGen:
 
     def _stmt_expr(self, stmt) -> None:
         self.tick()
-        atom = self.expr(stmt.expr)
-        if atom not in self._atomic:
-            # Force evaluation (a bare local read can raise "unbound").
-            self.put(atom)
+        self.effect(stmt.expr)
+
+    def effect(self, expr) -> None:
+        """Evaluate ``expr`` for its effects: a ``++``/``--`` of an int
+        local whose value is unused updates it in place."""
+        if expr.node_kind in ("unary_expr", "postfix_expr") and \
+                expr.op in ("++", "--") and \
+                _is_int_type(getattr(expr.operand, "_static_type", None)) \
+                and expr.operand.node_kind == "name_expr":
+            kind, payload, fields = self._resolve(expr.operand)
+            if kind == "local" and not fields:
+                local = self._local_read(payload.name)
+                self.pure(f"{local} {expr.op[0]}= 1")
+                return
+        self._discard(self.expr(expr))
 
     def _stmt_local_var(self, stmt) -> None:
         self.tick()
@@ -736,15 +853,15 @@ class _MethodGen:
             pname = self.pyname(ident.name)
             if init is None:
                 value = default_value(var_type) if var_type else None
-                self.put(f"{pname} = {self.literal_atom(value)}")
+                atom = self.literal_atom(value)
             elif isinstance(init, n.ArrayInitializer):
                 if not isinstance(var_type, ArrayType):
                     raise CodegenError("array init on non-array")
                 atom = self.array_init(init, var_type)
-                self.put(f"{pname} = {atom}")
             else:
                 atom = self.expr(init)
-                self.put(f"{pname} = {atom}")
+            self.pure(f"{pname} = {atom}")
+            self._bound.add(pname)
 
     def _stmt_if(self, stmt) -> None:
         self.tick()
@@ -797,12 +914,17 @@ class _MethodGen:
         self.indent -= 1
 
     def _stmt_for(self, stmt) -> None:
+        bound = set(self._bound)
+        self._for(stmt)
+        self._bound = bound
+
+    def _for(self, stmt) -> None:
         self.tick()
         if isinstance(stmt.init, n.LocalVarDecl):
             self.stmt(stmt.init)
         elif isinstance(stmt.init, list):
             for init in stmt.init:
-                self._discard(self.expr(init))
+                self.effect(init)
         elif stmt.init is not None:
             raise CodegenError("for-init shape")
         has_cond = stmt.cond is not None
@@ -818,7 +940,7 @@ class _MethodGen:
             self.indent += 1
             mark = len(self.lines)
             for update in stmt.update:
-                self._discard(self.expr(update))
+                self.effect(update)
             if len(self.lines) == mark:
                 self.put("pass")
             self.indent -= 1
@@ -846,7 +968,7 @@ class _MethodGen:
         # exactly the walker's "break skips the updates".
         self.indent += 1
         for update in stmt.update:
-            self._discard(self.expr(update))
+            self.effect(update)
         self.indent -= 1
 
     def _discard(self, atom: str) -> None:
@@ -905,7 +1027,9 @@ class _MethodGen:
                 self.indent += 1
                 self.put(f"{pname} = {val}")
                 self.indent -= 1
+                self._bound.add(pname)
                 self.suite(lambda b=body: self.block(b))
+                self._bound.discard(pname)
                 branch = "elif"
             self.put("else:")
             self.put("    raise")
@@ -921,7 +1045,7 @@ class _MethodGen:
 
     def array_init(self, init, array_type: ArrayType) -> str:
         element = array_type.element
-        self.put("_AL.value += 1")  # walker: allocation counted first
+        self.count("_AL")  # walker: allocation counted first
         thunks = []
         for item in init.elements:
             if isinstance(item, n.ArrayInitializer):
@@ -951,6 +1075,9 @@ class _MethodGen:
     def _local_read(self, name: str) -> str:
         pname = self.pyname(name)
         self.unbound.setdefault(pname, f"unbound local {name}")
+        if pname not in self._bound:
+            # The read may raise "unbound": count what came before it.
+            self.flush()
         return pname
 
     def _expr_name(self, expr) -> str:
@@ -991,14 +1118,16 @@ class _MethodGen:
             t = self.temp()
             self.put(f"{t} = interp._read_field({base}, {kf})")
             return t
-        b = self.spill(base)
+        b = self.reread(base)
         fname = field.name
         t = self.temp()
-        self.put("_FR.value += 1")
+        self.count("_FR")
         self.null_guard(b, fname)
-        self.put(f"{t} = {b}.fields.get({fname!r}, _MI)")
-        self.put(f"if {t} is _MI: {t} = {b}.fields[{fname!r}] = "
-                 f"{self.literal_atom(default_value(field.type))}")
+        self.pure("try:")
+        self.pure(f"    {t} = {b}.fields[{fname!r}]")
+        self.pure("except KeyError:")
+        self.pure(f"    {t} = {b}.fields[{fname!r}] = "
+                  f"{self.literal_atom(default_value(field.type))}")
         return t
 
     def _expr_reference(self, expr) -> str:
@@ -1061,9 +1190,9 @@ class _MethodGen:
         a = self.spill(arr)
         i = self.spill(idx)
         t = self.temp()
-        self.put("_AR.value += 1")
+        self.count("_AR")
         self.null_guard(a, None)
-        self.put(f"{t} = {a}.values")
+        self.pure(f"{t} = {a}.values")
         self.put(f"if {i} < 0 or {i} >= len({t}): raise interp.throw("
                  f"'java.lang.ArrayIndexOutOfBoundsException', str({i}))")
         t2 = self.temp()
@@ -1141,19 +1270,19 @@ class _MethodGen:
         tup = ", ".join(arg_atoms) + ("," if len(arg_atoms) == 1 else "")
         if null_check:
             self.null_guard(r, mname)
-            self.put("_MC.value += 1")
+            self.count("_MC")
         else:
             # A this-call may legally see a None receiver (static
             # contexts): the walker skips dispatch and calls exactly.
             self.put(f"if {r} is None:")
             self.indent += 1
-            self.put("_MC.value += 1")
+            self.count("_MC")
             self.put(f"{t} = interp.invoke_exact(_s{index}_m0, {r}, "
                      f"[{', '.join(arg_atoms)}])")
             self.indent -= 1
             self.put("else:")
             self.indent += 1
-            self.put("_MC.value += 1")
+            self.count("_MC")
         k = self.temp()
         self.put(f"{k} = {r}.class_type if type({r}) is _JO "
                  f"else interp._class_of_value({r})")
@@ -1188,7 +1317,7 @@ class _MethodGen:
             r = self.spill(recv)
             self.null_guard(r, method.name)
             recv = r
-        self.put("_MC.value += 1")
+        self.count("_MC")
         t = self.temp()
         tup = ", ".join(arg_atoms) + ("," if len(arg_atoms) == 1 else "")
         self.put(f"if _s{index}_f is not None:")
@@ -1271,7 +1400,10 @@ class _MethodGen:
             self.put(f"{t} = _num({old})")
             old = t
         new = self.temp()
-        self.put(f"{new} = {old} {delta}")
+        if _is_int_type(stype):
+            self.pure(f"{new} = {old} {delta}")
+        else:
+            self.put(f"{new} = {old} {delta}")
         store(new)
         return new if prefix else old
 
@@ -1337,15 +1469,26 @@ class _MethodGen:
         here.  Floating ``/`` and ``%`` stay generic: a ``double`` local
         may still hold a Python int (no widening on assignment yet), and
         ``_binary_op`` picks integer or floating division at run time.
+
+        An inline atom is evaluated by a later line that may not flush
+        the pending counts, so an atom that can raise (a shift by a
+        negative count, float arithmetic on an int too large for a
+        float) flushes them here, before the operations that follow it.
         """
+        ints = _is_int_type(lt) and _is_int_type(rt)
         if _is_numeric_type(lt) and _is_numeric_type(rt) and \
                 op in ("+", "-", "*", "<", ">", "<=", ">="):
+            if not ints and op in ("+", "-", "*"):
+                self.flush()
             return f"({left} {op} {right})"
-        if not (_is_int_type(lt) and _is_int_type(rt)):
+        if not ints:
             return None
         if op in ("/", "%"):
             return self._int_divide(op, left, right, right_expr)
-        if op in ("&", "|", "^", ">>"):
+        if op in ("&", "|", "^"):
+            return f"({left} {op} {right})"
+        self.flush()
+        if op == ">>":
             return f"({left} {op} {right})"
         if op == "<<":
             return f"_i32({left} << {right})"
@@ -1355,22 +1498,27 @@ class _MethodGen:
 
     def _int_divide(self, op, left, right, right_expr) -> str:
         """Java's truncating integer ``/`` or ``%``.  A nonzero int
-        literal divisor needs no zero check and no ``abs``."""
+        literal divisor ``d`` (or ``-d``) needs no zero check, and its
+        remainder is Python's ``%`` by ``|d|`` moved to the dividend's
+        sign."""
         a = self.spill(left)
         t = self.temp()
-        divisor = right_expr.value if isinstance(right_expr, n.Literal) \
-            and right_expr.kind in ("int", "long") else 0
+        divisor = _int_literal(right_expr)
         if divisor:
-            b = repr(divisor)
-            self.put(f"{t} = abs({a}) // {abs(divisor)}")
+            m = abs(divisor)
+            if op == "%":
+                self.pure(f"{t} = {a} % {m}")
+                self.pure(f"if {t} and {a} < 0: {t} -= {m}")
+                return t
+            self.pure(f"{t} = abs({a}) // {m}")
             negate = f"{a} < 0" if divisor > 0 else f"{a} >= 0"
-            self.put(f"if {negate}: {t} = -{t}")
-        else:
-            b = self.spill(right)
-            self.put(f"if {b} == 0: raise interp.throw("
-                     f"'java.lang.ArithmeticException', '{op} by zero')")
-            self.put(f"{t} = abs({a}) // abs({b})")
-            self.put(f"if ({a} >= 0) != ({b} >= 0): {t} = -{t}")
+            self.pure(f"if {negate}: {t} = -{t}")
+            return t
+        b = self.spill(right)
+        self.put(f"if {b} == 0: raise interp.throw("
+                 f"'java.lang.ArithmeticException', '{op} by zero')")
+        self.put(f"{t} = abs({a}) // abs({b})")
+        self.put(f"if ({a} >= 0) != ({b} >= 0): {t} = -{t}")
         if op == "/":
             return t
         t2 = self.temp()
@@ -1506,20 +1654,23 @@ class _MethodGen:
             if not isinstance(name, str):
                 raise CodegenError("reference binding shape")
             pname = self.pyname(name)
-            return lambda value: self.put(f"{pname} = {value}")
+            return lambda value: self.pure(f"{pname} = {value}")
         raise CodegenError(f"assignment target {type(lhs).__name__}")
 
     def _store_name(self, lhs):
         kind, payload, fields = self._resolve(lhs)
         if kind == "local" and not fields:
             pname = self.pyname(payload.name)
-            return lambda value: self.put(f"{pname} = {value}")
+            return lambda value: self.pure(f"{pname} = {value}")
         if kind == "local":
             pname = self.pyname(payload.name)
             name = payload.name
             mids, last = fields[:-1], fields[-1]
 
             def emit(value):
+                if pname in self._bound:
+                    self._store_chain(pname, mids, last, value)
+                    return
                 t = self.temp()
                 self.put("try:")
                 self.put(f"    {t} = {pname}")
@@ -1537,7 +1688,7 @@ class _MethodGen:
                 key = (field.declaring_class.name, field.name)
 
                 def emit(value):
-                    self.put("_FW.value += 1")
+                    self.count("_FW")
                     self.put(f"interp.statics[{key!r}] = {value}")
                 return emit
             first, mids, last = fields[0], fields[1:-1], fields[-1]
@@ -1563,10 +1714,10 @@ class _MethodGen:
             kf = self.const(field)
             self.put(f"interp._write_field({target}, {kf}, {value})")
             return
-        r = self.spill(target)
-        self.put("_FW.value += 1")
+        r = self.reread(target)
+        self.count("_FW")
         self.null_guard(r, field.name)
-        self.put(f"{r}.fields[{field.name!r}] = {value}")
+        self.pure(f"{r}.fields[{field.name!r}] = {value}")
 
     def _store_field_access(self, lhs):
         field = getattr(lhs, "field", None)
@@ -1585,7 +1736,7 @@ class _MethodGen:
             arr, idx = self.operands(lhs.array, lhs.index)
             a = self.spill(arr)
             i = self.spill(idx)
-            self.put("_AW.value += 1")
+            self.count("_AW")
             self.null_guard(a, None)
             t = self.temp()
             self.put(f"{t} = {a}.values")

@@ -27,8 +27,9 @@ Options:
                       MAYA_BACKEND environment variable
     --dump-codegen [METHOD]
                       print the pycode backend's generated Python
-                      source (optionally only for methods whose
-                      qualified label contains METHOD, e.g. Demo.main)
+                      source of the plans a run uses (optionally
+                      only for methods whose qualified label contains
+                      METHOD, e.g. Demo.main)
     --expand          print the expanded (plain Java) source
     --module-path DIR resolve ``import``s against .maya module files
                       under DIR (repeatable).  Naming several source
@@ -156,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-codegen", nargs="?", const="",
                         default=None, metavar="METHOD",
                         help="print the pycode backend's generated "
-                             "Python source (optionally filtered to "
-                             "methods whose label contains METHOD)")
+                             "Python source of the plans a run uses "
+                             "(optionally filtered to methods whose "
+                             "label contains METHOD)")
     parser.add_argument("--expand", action="store_true",
                         help="print the expanded source")
     parser.add_argument("--module-path", action="append", default=[],

@@ -17,7 +17,8 @@ import warnings
 import pytest
 
 from repro.core import CompileEnv, MayaError
-from repro.interp import Interpreter, JavaThrow, StepLimitExceeded
+from repro.interp import (Interpreter, JavaStackOverflow, JavaThrow,
+                          StepLimitExceeded)
 from repro.interp import pycodegen
 from repro.mayac import main as mayac_main
 from repro.obs.metrics import REGISTRY
@@ -466,6 +467,171 @@ class TestThrowParity:
         for backend in BACKENDS[1:]:
             assert messages["walk"] == messages[backend]
         assert "Java stack overflow" in messages["walk"]
+
+
+# ---------------------------------------------------------------------------
+# Exact counters: a plan counts into locals and adds them to the
+# registry in one ``finally``; a budgeted interpreter runs the walker
+# ---------------------------------------------------------------------------
+
+
+def _snapshot_after(program, backend, error, **options):
+    """The counter snapshot of a run that must end in ``error``."""
+    interp = Interpreter(program, backend=backend, **options)
+    with pytest.raises(error):
+        interp.run_static("Demo")
+    return interp.counters.snapshot()
+
+
+class TestExactCounters:
+    def test_callee_throw_caught_by_the_caller(self):
+        # Each odd round's callee throws mid-block, after a statement,
+        # a field read and a field write; the caller catches and goes
+        # on counting.
+        assert_equivalent("""
+            class Cell { int v; Cell next; }
+            class Demo {
+                static int poke(Cell c, int n) {
+                    int a = n + c.v;
+                    c.next.v = a;
+                    return a + 1;
+                }
+                int probe(Cell c) {
+                    int[] xs = new int[2];
+                    return c.next.v + xs[1];
+                }
+                static int main() {
+                    Cell cell = new Cell();
+                    Demo self = new Demo();
+                    int total = 0;
+                    for (int i = 0; i < 6; i++) {
+                        if (i % 2 == 1) { cell.next = null; }
+                        else { cell.next = new Cell(); }
+                        try {
+                            total += Demo.poke(cell, i);
+                            total += self.probe(cell);
+                        } catch (NullPointerException e) {
+                            total += 100;
+                        }
+                    }
+                    return total;
+                }
+            }
+        """)
+
+    def test_guard_throws_inside_a_straight_line_run(self):
+        # Each guard of the try block's run of field accesses throws
+        # in some round and the method catches it; the counts that run
+        # leaves pending must reach the totals at every guard, as must
+        # those before the array-bounds and division checks.
+        assert_equivalent("""
+            class Cell { int v; Cell next; }
+            class Demo {
+                static int main() {
+                    Cell a = new Cell();
+                    a.next = new Cell();
+                    int[] xs = new int[3];
+                    int total = 0;
+                    for (int i = 0; i < 12; i++) {
+                        Cell c = a;
+                        if (i % 6 == 1) { c = null; }
+                        if (i % 6 == 2) { a.next.next = null; }
+                        else { a.next.next = new Cell(); }
+                        try {
+                            c.v = c.v + i;
+                            total += c.next.v % 7;
+                            c.next.next.v = total;
+                            total += c.next.next.v;
+                            xs[i % 6 - 2] = total;
+                            total += 60 / (i % 6 - 4);
+                            c.next.v = total % 5;
+                        } catch (NullPointerException e) {
+                            total += 1000;
+                        } catch (ArrayIndexOutOfBoundsException e) {
+                            total += 2000;
+                        } catch (ArithmeticException e) {
+                            total += 3000;
+                        }
+                    }
+                    return total;
+                }
+            }
+        """)
+
+    def test_stack_overflow(self):
+        program = compile_source("""
+            class Node { int depth; }
+            class Demo {
+                static int down(Node n, int k) {
+                    n.depth = k;
+                    int next = k + 1;
+                    return Demo.down(n, next);
+                }
+                static int main() { return Demo.down(new Node(), 0); }
+            }
+        """)
+        walk, pycode = (_snapshot_after(program, backend, JavaStackOverflow,
+                                        max_call_depth=40)
+                        for backend in BACKENDS)
+        assert walk == pycode
+        assert walk["field_writes"] == 39
+
+    SITES = """
+        class Adder { int bump(int x) { int y = x + 1; return y + 2; } }
+        class Doubler extends Adder { int bump(int x) { return x + 30; } }
+        class Demo {
+            static int twice(Adder a, int x) { return a.bump(a.bump(x)); }
+            static int main() {
+                Adder a = new Adder();
+                Adder b = new Doubler();
+                int total = 0;
+                for (int i = 0; i < 20; i++) {
+                    total += Demo.twice(a, i) + b.bump(total % 13);
+                }
+                return total;
+            }
+        }
+    """
+
+    @pytest.mark.parametrize("budget_first", [False, True])
+    def test_budgeted_and_plain_interpreters_interleave(self, budget_first):
+        # A budgeted interpreter runs every method on the walker and
+        # builds no plan; a plain one runs the shared plans.  Neither
+        # disturbs the other's totals.
+        program = compile_source(self.SITES)
+        methods = [m for compiled in program.classes.values()
+                   for overloads in compiled.type.methods.values()
+                   for m in overloads]
+        walk = Interpreter(program, backend="walk")
+        value = walk.run_static("Demo")
+        full = walk.counters.snapshot()
+        budgets = (3, 41, full["statements"] // 2)
+        trips = {budget: _snapshot_after(program, "walk",
+                                         StepLimitExceeded, max_steps=budget)
+                 for budget in budgets}
+        if budget_first:
+            budgeted = Interpreter(program, backend="pycode",
+                                   max_steps=10 ** 9)
+            assert budgeted.run_static("Demo") == value
+            assert not any(getattr(m, "_pycode_plan", None)
+                           for m in methods)
+        for budget in budgets:
+            kinds = [None, budget, 10 ** 9]
+            if budget_first:
+                kinds.reverse()
+            for max_steps in kinds:
+                if max_steps == budget:
+                    assert _snapshot_after(
+                        program, "pycode", StepLimitExceeded,
+                        max_steps=budget) == trips[budget], budget
+                    continue
+                interp = Interpreter(program, backend="pycode",
+                                     max_steps=max_steps)
+                assert interp.run_static("Demo") == value
+                assert interp.counters.snapshot() == full, max_steps
+                plan = pycodegen.plan_for(methods[0], interp)
+                assert (plan is pycodegen.FALLBACK) == \
+                    (max_steps is not None), max_steps
 
 
 # ---------------------------------------------------------------------------

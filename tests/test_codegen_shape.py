@@ -9,12 +9,14 @@ dispatch program's type tests, at run time.  A step-limit trip anywhere
 inside their loops must leave the same counter snapshot on both tiers.
 """
 
+import re
+
 import pytest
 
 from repro.interp import Interpreter, JavaThrow, StepLimitExceeded
 from repro.interp import interp as interp_module
 from repro.interp import pycodegen
-from tests.conftest import compile_source
+from tests.conftest import compile_source, cyclic_garbage
 
 LOOP = """
 class Demo {
@@ -141,9 +143,86 @@ def test_field_stores_are_inline():
 
 def test_constant_divisors_skip_the_zero_check():
     main = generated_sources(compile_source(LOOP))["Demo.main()"]
-    assert "// 3" in main and "// 100003" in main
+    # t = a % m, then the sign fix: Java's remainder takes the
+    # dividend's sign.
+    for m in (3, 100003):
+        assert re.search(rf"(_t\d+) = (_t\d+) % {m}\n +"
+                         rf"if \1 and \2 < 0: \1 -= {m}\n", main), m
     assert "ArithmeticException" not in main
-    assert "abs(3)" not in main
+    assert "abs(" not in main
+
+
+def test_field_loop_counts_once_per_iteration():
+    # The loop body's statements, field reads and field writes cannot
+    # raise except at their null guards: each counter is added once
+    # per iteration, and each guard adds what is counted so far.
+    main = generated_sources(compile_source(FIELD))["Demo.main()"]
+    head = re.search(r"^( +)while True:\n", main, re.M)
+    body = re.match(rf"(?:{head.group(1)} .*\n)+", main[head.end():])
+    loop = body.group(0)
+    for local in ("_st", "_fr", "_fw"):
+        assert re.findall(rf"^ +{local} \+= (\d+)$", loop, re.M) == \
+            [{"_st": "5", "_fr": "6", "_fw": "2"}[local]], local
+    guards = re.findall(r"^ +if \w+ is None: (.*)raise ", loop, re.M)
+    assert len(guards) == 8
+    assert guards[0] == "_st += 2; _fr += 1; "
+    assert guards[-1] == "_st += 5; _fr += 6; _fw += 2; "
+    # A discarded i++ updates the local in place.
+    assert re.search(r"^ +v\d+_i \+= 1$", loop, re.M)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_plans_count_in_locals_and_budgets_run_on_the_walker(name):
+    source, multijava = PROGRAMS[name]
+    program = compile_source(source, multijava=multijava)
+    for label, text in generated_sources(program).items():
+        # No per-statement registry bump and no budget test.
+        assert "_ms" not in text and "_ST.value += 1" not in text, label
+        # One flush per counter the method counts into its local.
+        for counter in pycodegen._COUNTERS:
+            local = counter.lower()
+            counts = re.search(rf"^ +{local} \+= ", text, re.M)
+            flush = f"{counter}.value += {local}"
+            assert text.count(f"{counter}.value") == \
+                text.count(flush) == (1 if counts else 0), (label, counter)
+    budgeted = Interpreter(program, backend="pycode", max_steps=10 ** 9)
+    for compiled in program.classes.values():
+        for overloads in compiled.type.methods.values():
+            for method in overloads:
+                assert pycodegen.plan_for(method, budgeted) is \
+                    pycodegen.FALLBACK
+
+
+#: Objects only the cyclic collector frees after compiling a program
+#: and running it on one interpreter per ``max_steps`` value, in
+#: order: the counts from before plans counted into locals (most are
+#: the session's builtin registry; the dispatch program's rest are its
+#: self-guarded call sites).  A run may not add to them.
+CYCLIC_GARBAGE = {
+    "plain": {"call": 100, "dispatch": 208, "field": 113, "loop": 100},
+    "budgeted": {"call": 100, "dispatch": 208, "field": 113, "loop": 100},
+    "plain-then-budgeted":
+        {"call": 100, "dispatch": 208, "field": 117, "loop": 100},
+}
+RUNS = {"plain": (None,), "budgeted": (10 ** 9,),
+        "plain-then-budgeted": (None, 10 ** 9)}
+
+
+@pytest.mark.parametrize("runs", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_runs_add_no_cyclic_garbage(name, runs):
+    source, multijava = PROGRAMS[name]
+
+    def compile_and_run():
+        program = compile_source(source, multijava=multijava)
+        for max_steps in RUNS[runs]:
+            Interpreter(program, backend="pycode",
+                        max_steps=max_steps).run_static("Demo")
+        return program
+
+    compile_and_run()  # fill the process-wide caches
+    assert 0 < cyclic_garbage(compile_and_run) <= \
+        CYCLIC_GARBAGE[runs][name]
 
 
 def test_inline_field_store_keeps_the_null_check():

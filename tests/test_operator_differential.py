@@ -20,12 +20,15 @@ return value, stdout, the operation-counter snapshot and the thrown
 The case count defaults to a tier-1 sized run of a few seconds; set
 ``OPERATOR_DIFF_CASES`` to run more (CI runs ten times as many).
 
-Also here: the floating division-by-zero regression (JLS 15.17.2-3),
-checked on both tiers against the output Java prints.
+Also here: fixed literal-divisor cases (pycode's constant ``/`` and
+``%`` shapes) checked on both tiers against Java's truncating division,
+and the floating division-by-zero regression (JLS 15.17.2-3), checked
+on both tiers against the output Java prints.
 """
 
 import os
 import random
+import re
 import warnings
 
 from repro.interp import Interpreter, JavaThrow
@@ -182,6 +185,47 @@ def test_compound_and_binary_operators_match_the_walker():
         diffs.extend(run_batch(all_cases[start:start + BATCH]))
     assert not diffs, f"{len(diffs)} of {len(all_cases)} cases differ; " \
         f"first: {diffs[0]}"
+
+
+#: Dividends and nonzero literal divisors for ``/`` and ``%``.  A
+#: negative divisor is a unary minus on a literal in the AST, which the
+#: codegen folds into the same constant shape.
+LITERAL_DIVIDENDS = {"int": (-2**31, -7, -1, 0, 1, 7, 2**31 - 1),
+                     "long": (-2**63, -7, -1, 0, 1, 7, 2**63 - 1)}
+LITERAL_DIVISORS = (1, 3, 7, 147, 100003, -3, -100003)
+
+
+def java_divide(op: str, x: int, d: int) -> int:
+    """Java's ``x / d`` (truncating) or ``x % d`` (the dividend's
+    sign), for the in-range cases above."""
+    quotient = abs(x) // abs(d)
+    if (x < 0) != (d < 0):
+        quotient = -quotient
+    return quotient if op == "/" else x - quotient * d
+
+
+def test_literal_divisors_match_java():
+    all_cases = [(op, t, t, literal(t, x), literal(t, d),
+                  java_divide(op, x, d))
+                 for t in ("int", "long") for op in ("/", "%")
+                 for x in LITERAL_DIVIDENDS[t] for d in LITERAL_DIVISORS]
+    for start in range(0, len(all_cases), BATCH):
+        batch = all_cases[start:start + BATCH]
+        program = compile_source(program_source([c[:5] for c in batch]))
+        klass = program.classes["Demo"].type
+        for number, (op, _, _, x, d, expected) in enumerate(batch):
+            name = f"c{number}"
+            walk = outcome(program, "walk", name)
+            pycode = outcome(program, "pycode", name)
+            assert walk == pycode, (op, x, d)
+            assert pycode[:2] == (("value", repr(expected)),
+                                  [str(expected)] * 2), (op, x, d)
+            plan = pycodegen.plan_for(klass.methods[name][0],
+                                      Interpreter(program))
+            m = d.lstrip("-").rstrip("L")
+            shape = rf"if (_t\d+) and _t\d+ < 0: \1 -= {m}\n" if op == "%" \
+                else rf"abs\(_t\d+\) // {m}\n"
+            assert re.search(shape, plan.source), (op, x, d)
 
 
 def test_typed_compound_assignment_leaves_the_generic_operator():
