@@ -4,11 +4,12 @@ Each workload is compiled once and then run under both backends
 (``Interpreter(backend=...)``) as interleaved pairs; walk and pycode
 must produce identical results.  The speedup (walk ms / pycode ms) is
 the payoff of compiling method bodies to generated Python source with
-inline caches, guarded direct calls and native operators.  The E9
-workload reruns the MultiJava dispatcher benchmark so the speedup is
-measured on expanded (generated) code, not just hand-written loops.
-The inline caches' hit rate is a count, checked in tier-1
-(``tests/test_paper_claims.py``).
+call sites that patch once into guarded direct calls, and native
+operators.  The E9 workload reruns the MultiJava dispatcher benchmark
+so the speedup is measured on expanded (generated) code, not just
+hand-written loops.  That a call site looks up each receiver class's
+target once is a count, checked in tier-1
+(``tests/test_paper_claims.py``, E14).
 """
 
 from conftest import make_compiler, paired, report
@@ -28,7 +29,7 @@ LOOP_SOURCE = """
     }
 """
 
-#: Virtual-call-heavy: the inline caches' home turf.
+#: Virtual-call-heavy: the patched call sites' home turf.
 CALL_SOURCE = """
     class Adder {
         int bump(int x) { return x + 1; }
@@ -49,7 +50,7 @@ CALL_SOURCE = """
     }
 """
 
-#: Field read/write loop: the field inline caches and direct stores.
+#: Field read/write loop: checked field reads and direct stores.
 FIELD_SOURCE = """
     class Cell {
         int value;
@@ -123,7 +124,7 @@ def test_e14_loop_workload():
 
 
 def test_e14_call_workload():
-    # The headline: inline caches and guarded direct calls through
+    # The headline: patched call sites and guarded direct calls through
     # generated code must pay off on call-heavy code.
     assert _compare("virtual-call workload", CALL_SOURCE).ratio >= 4.0
 

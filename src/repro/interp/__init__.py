@@ -6,8 +6,9 @@ operation counters (allocations, method calls, field reads) let the
 benchmarks measure what the paper's optimized expansions save.
 
 Two execution backends share one observable semantics: the Python
-code generator with profile-guided specialization — guarded direct
-calls, native operators, inline caches — (``backend="pycode"``, the
+code generator with profile-guided specialization — call sites that
+patch once into guarded direct calls, native operators, per-site type
+test caches — (``backend="pycode"``, the
 default, in ``repro.interp.pycodegen``) and
 the seed tree-walker (``backend="walk"``), which is the reference
 semantics the differential tests compare against.  A method the code

@@ -372,3 +372,8 @@ def _hash_key(value):
             return value.peer
         return id(value)
     return value
+
+
+#: The one table of the process: its implementations keep no state, so
+#: every interpreter shares it.
+BUILTINS = build_table()

@@ -12,7 +12,7 @@ from repro.core import CompiledProgram, MayaError
 from repro.diag import DiagnosticError
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import REGISTRY
-from repro.interp.builtins import StreamPeer, build_table
+from repro.interp.builtins import BUILTINS, StreamPeer
 from repro.interp.values import (
     JavaArray,
     JavaObject,
@@ -212,7 +212,7 @@ class Interpreter:
         # (ClassType._check_open).
         for klass in self.registry.classes.values():
             klass.sealed = True
-        self.builtins = build_table()
+        self.builtins = BUILTINS
         self.counters = Counters()
         self.statics: Dict[Tuple[str, str], object] = {}
         self.out = self._make_stream(echo)
@@ -396,7 +396,7 @@ class Interpreter:
                 and decl.body is not None:
             plan = _pycodegen.plan_for(method, self)
             if plan is not _pycodegen.FALLBACK:
-                return _pycodegen.run_plan(self, plan, receiver, args)
+                return plan.entry(self, receiver, *args)
             # Codegen declined this method: it runs on the walker below.
         impl = None
         if decl is None:

@@ -11,14 +11,14 @@ as bare operators.
 
 Profile-guided specialization happens at the call sites:
 
-* **Self-patching monomorphic call sites** — every virtual call emits a
-  class guard plus a direct call through three plan-namespace cells
+* **Call sites that patch once** — every virtual call emits a class
+  guard plus a direct call through three plan-namespace cells
   (``_sN_k`` guard class, ``_sN_f`` entry function, ``_sN_m`` resolved
   method).  The first receiver class observed patches the site to call
   the callee's generated entry *directly* (no ``invoke_exact``, no
-  dict lookup); a guard failure deopts to the generic inline-cache
-  dispatcher (counted in ``maya_interp_codegen_deopts_total``), and
-  after ``MEGAMORPHIC`` deopts the site unpatches itself for good.
+  dict lookup).  A site never deoptimizes: the program's classes are
+  sealed, so any other receiver class is resolved once into the site's
+  own dict and called through ``invoke_exact``.
 * **Caller-side depth guards** — direct calls bump the interpreter's
   call depth inline (the same ``JavaStackOverflow`` contract as
   ``invoke_exact``) so a patched call chain observes exactly one depth
@@ -98,25 +98,6 @@ from repro.types import (
     array_of,
 )
 
-#: Inline-cache events by site kind (call / field / type) — surfaced in
-#: ``--profile`` and exported by ``--metrics-out``.
-_IC_EVENTS = REGISTRY.counter(
-    "maya_interp_ic_events_total",
-    "Pycode-backend inline-cache events, by site kind.",
-    ("site", "event"))
-_IC_CALL_HIT = _IC_EVENTS.labels("call", "hit")
-_IC_CALL_MISS = _IC_EVENTS.labels("call", "miss")
-_IC_CALL_MEGA = _IC_EVENTS.labels("call", "megamorphic")
-_IC_FIELD_HIT = _IC_EVENTS.labels("field", "hit")
-_IC_FIELD_MISS = _IC_EVENTS.labels("field", "miss")
-_IC_FIELD_MEGA = _IC_EVENTS.labels("field", "megamorphic")
-_IC_TYPE_HIT = _IC_EVENTS.labels("type", "hit")
-_IC_TYPE_MISS = _IC_EVENTS.labels("type", "miss")
-
-#: Inline-cache size past which a site is megamorphic: new receiver
-#: classes stop being cached (existing entries keep hitting).
-MEGAMORPHIC = 8
-
 #: Method-body codegen outcomes (compiled / fallback).
 _CODEGEN = REGISTRY.counter(
     "maya_interp_codegen_total",
@@ -124,14 +105,6 @@ _CODEGEN = REGISTRY.counter(
     ("outcome",))
 _CG_COMPILED = _CODEGEN.labels("compiled")
 _CG_FALLBACK = _CODEGEN.labels("fallback")
-
-#: Guard failures at specialized sites: the call deopts to the generic
-#: inline-cache dispatcher (observable behaviour unchanged).
-_DEOPTS = REGISTRY.counter(
-    "maya_interp_codegen_deopts_total",
-    "Pycode specialized-site guard failures (deopt to generic dispatch).",
-    ("site",))
-_DEOPT_CALL = _DEOPTS.labels("call")
 
 #: Plan sentinel: this method always executes on the tree-walker.
 FALLBACK = object()
@@ -177,12 +150,6 @@ def plan_for(method, interp):
     if plan is None:
         plan = method._pycode_plan = _build_plan(method)
     return plan
-
-
-def run_plan(interp, plan: PyPlan, receiver, args):
-    """Execute a compiled plan (called under invoke_exact's depth
-    guard, exactly like the walker's dict-frame execution)."""
-    return plan.entry(interp, receiver, *args)
 
 
 def _build_plan(method):
@@ -253,45 +220,30 @@ class _Home:
 
 
 def _make_call_site(ns, home, index, method):
-    """A self-patching virtual call site.
+    """A virtual call site that patches itself once.
 
     The generated guard is ``if _k is _sN_k: <direct call>``;  this
-    dispatcher is the slow path.  While unpatched it is a per-site
-    inline cache keyed by receiver class, and the first receiver class it
-    sees specializes the site.  Reached with a *patched* guard it is a
-    deopt: counted, and past ``MEGAMORPHIC`` misses the site unpatches
-    itself permanently (generic dict-IC mode)."""
+    dispatcher is the slow path.  The first receiver class it sees
+    patches the site to call that class's target's generated entry
+    directly.  Any other class is resolved once into a per-site dict
+    and called through ``invoke_exact``.  The program's classes are
+    sealed, so a class's target never changes, and they are finitely
+    many, so the dict needs no bound."""
     k_name, f_name, m_name = (f"_s{index}_k", f"_s{index}_f",
                               f"_s{index}_m")
-    cache: Dict[object, object] = {}
-    state = [0, False]  # deopt misses, permanently-polymorphic
+    others: Dict[object, object] = {}
 
     def dispatch(interp, receiver, klass, args):
-        ns = home.ns()
-        resolved = cache.get(klass)
+        resolved = others.get(klass)
         if resolved is None:
-            if len(cache) >= MEGAMORPHIC:
-                _IC_CALL_MEGA.value += 1
-                resolved = interp._virtual_lookup(klass, method)
+            resolved = interp._virtual_lookup(klass, method)
+            ns = home.ns()
+            if ns[k_name] is None:
+                ns[m_name] = resolved
+                ns[f_name] = _entry_for(resolved, interp)
+                ns[k_name] = klass
             else:
-                _IC_CALL_MISS.value += 1
-                resolved = cache[klass] = \
-                    interp._virtual_lookup(klass, method)
-        else:
-            _IC_CALL_HIT.value += 1
-        if ns[k_name] is not None:
-            # The fast-path guard was patched and still missed: deopt.
-            _DEOPT_CALL.value += 1
-            state[0] += 1
-            if state[0] >= MEGAMORPHIC:
-                ns[k_name] = None
-                ns[f_name] = None
-                state[1] = True
-        elif not state[1]:
-            # First receiver class observed: specialize the site.
-            ns[m_name] = resolved
-            ns[f_name] = _entry_for(resolved, interp)
-            ns[k_name] = klass
+                others[klass] = resolved
         return interp.invoke_exact(resolved, receiver, list(args))
 
     ns[k_name] = None
@@ -318,53 +270,6 @@ def _make_static_site(ns, home, index, method):
     ns[f"_s{index}_g"] = call_generic
 
 
-def _make_ifield_site(ns, home, index, name):
-    """Unchecked runtime field *read* — an inline cache keyed by
-    receiver class (including the array-length probe)."""
-    cache: Dict[object, object] = {}
-
-    def read(interp, receiver):
-        if isinstance(receiver, JavaArray) and name == "length":
-            return len(receiver)
-        klass = receiver.class_type if type(receiver) is JavaObject \
-            else interp._class_of_value(receiver)
-        found = cache.get(klass, _MISSING)
-        if found is _MISSING:
-            if len(cache) >= MEGAMORPHIC:
-                _IC_FIELD_MEGA.value += 1
-                found = klass.find_field(name)
-            else:
-                _IC_FIELD_MISS.value += 1
-                found = cache[klass] = klass.find_field(name)
-        else:
-            _IC_FIELD_HIT.value += 1
-        return interp._read_field(receiver, found)
-
-    ns[f"_s{index}"] = read
-
-
-def _make_sfield_site(ns, home, index, name):
-    """Unchecked runtime field *store* inline cache."""
-    cache: Dict[object, object] = {}
-
-    def store(interp, receiver, value):
-        klass = receiver.class_type if type(receiver) is JavaObject \
-            else interp._class_of_value(receiver)
-        found = cache.get(klass, _MISSING)
-        if found is _MISSING:
-            if len(cache) >= MEGAMORPHIC:
-                _IC_FIELD_MEGA.value += 1
-                found = klass.find_field(name)
-            else:
-                _IC_FIELD_MISS.value += 1
-                found = cache[klass] = klass.find_field(name)
-        else:
-            _IC_FIELD_HIT.value += 1
-        interp._write_field(receiver, found, value)
-
-    ns[f"_s{index}"] = store
-
-
 def _make_instanceof_site(ns, home, index, target):
     """``instanceof`` with a per-runtime-type verdict cache."""
     cache: Dict[object, object] = {}
@@ -374,12 +279,9 @@ def _make_instanceof_site(ns, home, index, target):
             return False
         runtime = value.class_type if type(value) is JavaObject \
             else interp._runtime_type(value)
-        verdict = cache.get(runtime, _MISSING)
-        if verdict is _MISSING:
-            _IC_TYPE_MISS.value += 1
+        verdict = cache.get(runtime)
+        if verdict is None:
             verdict = cache[runtime] = runtime.is_subtype_of(target)
-        else:
-            _IC_TYPE_HIT.value += 1
         return verdict
 
     ns[f"_s{index}"] = test
@@ -394,12 +296,9 @@ def _make_cast_site(ns, home, index, target):
             return None
         runtime = value.class_type if type(value) is JavaObject \
             else interp._runtime_type(value)
-        verdict = cache.get(runtime, _MISSING)
-        if verdict is _MISSING:
-            _IC_TYPE_MISS.value += 1
+        verdict = cache.get(runtime)
+        if verdict is None:
             verdict = cache[runtime] = runtime.is_subtype_of(target)
-        else:
-            _IC_TYPE_HIT.value += 1
         if not verdict:
             raise interp.throw("java.lang.ClassCastException",
                                f"{runtime} to {target}")
@@ -411,8 +310,6 @@ def _make_cast_site(ns, home, index, target):
 _SITE_BUILDERS = {
     "call": _make_call_site,
     "scall": _make_static_site,
-    "ifield": _make_ifield_site,
-    "sfield": _make_sfield_site,
     "instanceof": _make_instanceof_site,
     "cast": _make_cast_site,
 }
@@ -726,9 +623,11 @@ class _MethodGen:
     def splice(self, lines: List[str]) -> None:
         self.lines.extend(lines)
 
-    def suite(self, emit) -> None:
-        """Emit an indented suite, padding with ``pass`` if empty."""
+    def suite(self, emit, pending=None) -> None:
+        """Emit an indented suite, padding with ``pass`` if empty; it
+        starts with the ``pending`` counts."""
         self.indent += 1
+        self.pending.update(pending or {})
         mark = len(self.lines)
         try:
             emit()
@@ -866,11 +765,17 @@ class _MethodGen:
     def _stmt_if(self, stmt) -> None:
         self.tick()
         cond = self.expr(stmt.cond)
-        self.put(f"if {cond}:")
-        self.suite(lambda: self.stmt(stmt.then_stmt))
-        if stmt.else_stmt is not None:
-            self.put("else:")
-            self.suite(lambda: self.stmt(stmt.else_stmt))
+        if stmt.else_stmt is None:
+            self.put(f"if {cond}:")
+            self.suite(lambda: self.stmt(stmt.then_stmt))
+            return
+        # Both branches add the counts so far with their own.
+        carried = dict(self.pending)
+        self.pending.clear()
+        self.pure(f"if {cond}:")
+        self.suite(lambda: self.stmt(stmt.then_stmt), carried)
+        self.pure("else:")
+        self.suite(lambda: self.stmt(stmt.else_stmt), carried)
 
     def _stmt_while(self, stmt) -> None:
         self.tick()
@@ -1153,19 +1058,15 @@ class _MethodGen:
         return self.expr(expr.inner)
 
     def _expr_field_access(self, expr) -> str:
+        field = getattr(expr, "field", _MISSING)
+        if field is _MISSING:
+            # The checker stamps every access it checks.
+            raise CodegenError("unchecked field access")
         name = expr.name
         if isinstance(expr.receiver, n.SuperExpr):
             recv = "v_this"
         else:
             recv = self.expr(expr.receiver)
-        field = getattr(expr, "field", _MISSING)
-        if field is _MISSING:
-            # Unchecked access: runtime field lookup, inline-cached.
-            index = self.site("ifield", name)
-            r = self.spill(recv)
-            t = self.temp()
-            self.put(f"{t} = _s{index}(interp, {r})")
-            return t
         if field is None:  # array length, statically known
             r = self.spill(recv)
             t = self.temp()
@@ -1274,10 +1175,11 @@ class _MethodGen:
         else:
             # A this-call may legally see a None receiver (static
             # contexts): the walker skips dispatch and calls exactly.
+            km = self.const(method)
             self.put(f"if {r} is None:")
             self.indent += 1
             self.count("_MC")
-            self.put(f"{t} = interp.invoke_exact(_s{index}_m0, {r}, "
+            self.put(f"{t} = interp.invoke_exact({km}, {r}, "
                      f"[{', '.join(arg_atoms)}])")
             self.indent -= 1
             self.put("else:")
@@ -1295,19 +1197,7 @@ class _MethodGen:
         self.put(f"    {t} = _s{index}_d(interp, {r}, {k}, ({tup}))")
         if not null_check:
             self.indent -= 1
-            # The static target constant for the None-receiver branch.
-            km = self.const(method)
-            # Alias it under the name the branch above used.
-            self._alias_const(km, f"_s{index}_m0")
         return t
-
-    def _alias_const(self, existing: str, alias: str) -> None:
-        for i, (name, value) in enumerate(self.consts):
-            if name == existing:
-                self.consts[i] = (alias, value)
-                self._atomic.add(alias)
-                return
-        raise CodegenError("alias target missing")
 
     def _static_call(self, method, args, recv_expr=None, recv_atom=None,
                      null_check=False) -> str:
@@ -1501,7 +1391,7 @@ class _MethodGen:
         literal divisor ``d`` (or ``-d``) needs no zero check, and its
         remainder is Python's ``%`` by ``|d|`` moved to the dividend's
         sign."""
-        a = self.spill(left)
+        a = self.reread(left)
         t = self.temp()
         divisor = _int_literal(right_expr)
         if divisor:
@@ -1721,15 +1611,10 @@ class _MethodGen:
 
     def _store_field_access(self, lhs):
         field = getattr(lhs, "field", None)
-        if field is not None:
-            return lambda value: self.field_write(self.expr(lhs.receiver),
-                                                  field, value)
-        index = self.site("sfield", lhs.name)
-
-        def emit(value):
-            recv = self.expr(lhs.receiver)
-            self.put(f"_s{index}(interp, {recv}, {value})")
-        return emit
+        if field is None:
+            raise CodegenError("unchecked field store")
+        return lambda value: self.field_write(self.expr(lhs.receiver),
+                                              field, value)
 
     def _store_array_access(self, lhs):
         def emit(value):

@@ -12,7 +12,7 @@ Expansion counts and the ``expansion.depth`` histogram come from the
 ``expand`` spans, which record the Mayan and its depth.  The
 ``dispatch:`` line is the run's growth of the reduction counters (a
 :class:`~repro.obs.metrics.Deltas` view); cache hit rates and the
-module and inline-cache sections come from the registry.
+module-cache section come from the registry.
 """
 
 from __future__ import annotations
@@ -101,28 +101,19 @@ def render(tracer, reductions: Deltas) -> str:
         lines.append(f"  {depth.name:<22} n={depth.count:<6} "
                      f"min={depth.min} max={depth.max} "
                      f"mean={depth.mean:.2f}")
-    for section in _HIT_RATE_SECTIONS:
-        lines.extend(_hit_rate_lines(*section))
+    lines.extend(_hit_rate_lines("cache hit rates:",
+                                 "maya_cache_events_total",
+                                 ("eviction", "evicted")))
     lines.extend(_module_cache_lines())
     return "\n".join(lines)
 
 
-#: (header, events family, (event, word) noted in parentheses) per
-#: hit-rate section.
-_HIT_RATE_SECTIONS = (
-    ("cache hit rates:", "maya_cache_events_total", ("eviction", "evicted")),
-    ("inline caches (pycode backend):", "maya_interp_ic_events_total",
-     ("megamorphic", "megamorphic")),
-)
-
-
 def hit_rates(family_name: str = "maya_cache_events_total"
               ) -> Dict[str, Dict[str, float]]:
-    """Event counts per cache (or inline-cache site) of an events
-    family, plus ``hit_ratio``: hits over lookups (every event but
-    evictions and corrupt entries) when there were lookups.  The one
-    reader behind this report's hit-rate sections and the daemon's
-    ``stats.caches``."""
+    """Event counts per cache of an events family, plus
+    ``hit_ratio``: hits over lookups (every event but evictions and
+    corrupt entries) when there were lookups.  The one reader behind
+    this report's hit-rate section and the daemon's ``stats.caches``."""
     family = REGISTRY.get(family_name)
     caches: Dict[str, Dict[str, float]] = {}
     for (name, event), child in (family.samples() if family is not None

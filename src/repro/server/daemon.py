@@ -62,7 +62,7 @@ from repro.lalr import tables as lalr_tables
 from repro.obs import export as obs_export
 from repro.obs import log as obs_log
 from repro.obs import profile as obs_profile
-from repro.obs.metrics import REGISTRY, Deltas, family_total
+from repro.obs.metrics import REGISTRY, family_total
 from repro.server import protocol, state
 from repro.server.protocol import (
     STATUS_BAD_REQUEST,
@@ -102,9 +102,6 @@ REQUEST_MS = REGISTRY.histogram(
     bounds=(1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000))
 
 _STOP = object()
-
-_IC_EVENTS = "maya_interp_ic_events_total"
-_DEOPTS = "maya_interp_codegen_deopts_total"
 
 #: Upper bounds on a request's ``fuel`` and ``max_errors`` options.
 FUEL_CAP = 1024
@@ -797,10 +794,6 @@ class MayaDaemon:
         cls = str(options.get("run"))
         backend = options.get("backend") or None
         run_started = time.perf_counter()
-        # Per-request IC/deopt counts are the growth of the
-        # process-wide families (approximate when runs overlap across
-        # workers, exact in the common serial case).
-        counts = Deltas(_IC_EVENTS, _DEOPTS)
         try:
             interp = Interpreter(program, backend=backend)
         except Exception as error:
@@ -817,10 +810,6 @@ class MayaDaemon:
             result["error"] = str(error)
         result["run_ms"] = round(
             (time.perf_counter() - run_started) * 1000.0, 3)
-        context = obs_log.current_request()
-        if context is not None:
-            context.note(ic_events=int(counts.total(_IC_EVENTS)),
-                         codegen_deopts=int(counts.total(_DEOPTS)))
         return result
 
     @staticmethod

@@ -294,7 +294,7 @@ class ClassType(Type):
     def _check_open(self, action: str, name: str) -> None:
         """Members change only at compile time (the class shaper and
         intercession Mayans).  ``Interpreter`` seals every class of the
-        program it runs, so the plans and inline caches built while it
+        program it runs, so the plans and call sites built while it
         runs never go stale; a sealed class's mutators raise."""
         if self.sealed:
             raise TypeError_(

@@ -5,9 +5,10 @@ sites, the default) must be observably identical to the seed
 tree-walker: same stdout, same operation-counter snapshots (step
 equivalence), and the same thrown ``JavaThrow`` classes.  Every shipped
 example runs under both backends, plus targeted programs covering the
-``_virtual_lookup`` shadowing edges, inline cache transitions, the
-pycode backend's deoptimization paths (guard failures must be invisible
-apart from the deopt counter) and its fallback to the walker.
+``_virtual_lookup`` shadowing edges, call sites that see more than one
+receiver class (each class is resolved once per site, and the first
+one's guarded direct call is all a monomorphic site pays) and the
+pycode backend's fallback to the walker.
 """
 
 import json
@@ -16,6 +17,7 @@ import warnings
 
 import pytest
 
+from repro.ast import nodes as n
 from repro.core import CompileEnv, MayaError
 from repro.interp import (Interpreter, JavaStackOverflow, JavaThrow,
                           StepLimitExceeded)
@@ -711,54 +713,11 @@ class TestVirtualLookupShadowing:
 
 
 # ---------------------------------------------------------------------------
-# Inline-cache behaviour and metrics
+# Plan reuse and metrics
 # ---------------------------------------------------------------------------
 
 
-def _ic_counts():
-    family = REGISTRY.get("maya_interp_ic_events_total")
-    return {labels: child.value for labels, child in family.samples()}
-
-
 class TestInlineCaches:
-    def test_megamorphic_transition(self):
-        decls = "\n".join(
-            f"class C{i} extends Base {{ int tag() {{ return {i}; }} }}"
-            for i in range(10))
-        news = "\n".join(
-            f"xs[{i}] = new C{i}();" for i in range(10))
-        source = f"""
-            class Base {{ int tag() {{ return -1; }} }}
-            {decls}
-            class Demo {{
-                static int main() {{
-                    Base[] xs = new Base[10];
-                    {news}
-                    int total = 0;
-                    for (int round = 0; round < 3; round++) {{
-                        for (int i = 0; i < xs.length; i++) {{
-                            total += xs[i].tag();
-                        }}
-                    }}
-                    return total;
-                }}
-            }}
-        """
-        program = compile_source(source)
-        before = _ic_counts()
-        interp = Interpreter(program, backend="pycode")
-        assert interp.run_static("Demo") == 3 * sum(range(10))
-        after = _ic_counts()
-        mega = after.get(("call", "megamorphic"), 0) - \
-            before.get(("call", "megamorphic"), 0)
-        hits = after.get(("call", "hit"), 0) - \
-            before.get(("call", "hit"), 0)
-        # 10 receiver classes at one site: once the site unpatches for
-        # good, 8 classes stay cached and the other 2 spill to
-        # megamorphic lookups every round.
-        assert mega >= 4
-        assert hits >= 8 * 2  # cached classes keep hitting
-
     def test_plan_reused_across_interpreters(self):
         source = """
             class Demo {
@@ -778,26 +737,7 @@ class TestInlineCaches:
         assert second.run_static("Demo") == 10
         assert method._pycode_plan is plan  # one plan, shared
 
-    def test_profile_renders_ic_section(self, tmp_path, capsys):
-        src = tmp_path / "demo.maya"
-        src.write_text("""
-            class Greeter { String greet() { return "yo"; } }
-            class Demo {
-                static void main() {
-                    Greeter g = new Greeter();
-                    for (int i = 0; i < 10; i++) {
-                        System.out.println(g.greet());
-                    }
-                }
-            }
-        """)
-        assert mayac_main([str(src), "--run", "Demo",
-                           "--backend", "pycode", "--profile"]) == 0
-        err = capsys.readouterr().err
-        assert "inline caches (pycode backend):" in err
-        assert "call" in err
-
-    def test_metrics_out_exports_ic_families(self, tmp_path, capsys):
+    def test_metrics_out_exports_interp_families(self, tmp_path, capsys):
         src = tmp_path / "demo.maya"
         src.write_text("""
             class Demo {
@@ -816,7 +756,6 @@ class TestInlineCaches:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         names = {family["name"] for family in payload["families"]}
-        assert "maya_interp_ic_events_total" in names
         assert "maya_interp_ops_total" in names
         assert "maya_interp_codegen_total" in names
 
@@ -1067,19 +1006,13 @@ class TestWalkFallback:
 
 
 # ---------------------------------------------------------------------------
-# Pycode backend: codegen metrics, deopt paths, plan invalidation
+# Pycode backend: codegen metrics, polymorphic sites, walker fallback
 # ---------------------------------------------------------------------------
 
 
 def _codegen_counts():
     family = REGISTRY.get("maya_interp_codegen_total")
     return {labels[0]: child.value for labels, child in family.samples()}
-
-
-def _deopt_count(site="call"):
-    family = REGISTRY.get("maya_interp_codegen_deopts_total")
-    return sum(child.value for labels, child in family.samples()
-               if labels[0] == site)
 
 
 POLY_SOURCE = """
@@ -1099,6 +1032,43 @@ POLY_SOURCE = """
         }
     }
 """
+
+#: One call site that sees ten receiver classes, in three rounds.
+TEN_CLASSES_SOURCE = """
+    class Base {{ int tag() {{ return -1; }} }}
+    {decls}
+    class Demo {{
+        static int main() {{
+            Base[] xs = new Base[10];
+            {news}
+            int total = 0;
+            for (int round = 0; round < 3; round++) {{
+                for (int i = 0; i < xs.length; i++) {{
+                    total += xs[i].tag();
+                }}
+            }}
+            return total;
+        }}
+    }}
+""".format(
+    decls="\n".join(f"class C{i} extends Base {{ int tag() {{ return {i}; }} }}"
+                    for i in range(10)),
+    news="\n".join(f"xs[{i}] = new C{i}();" for i in range(10)))
+
+
+def _field_accesses(node, found):
+    """Every ``FieldAccess`` under ``node``, forcing lazy nodes."""
+    if isinstance(node, n.LazyNode):
+        node = node.force()
+    if isinstance(node, n.FieldAccess):
+        found.append(node)
+    if isinstance(node, list):
+        for child in node:
+            _field_accesses(child, found)
+    elif isinstance(node, n.Node):
+        for child in node.children():
+            _field_accesses(child, found)
+    return found
 
 
 class TestPycodeBackend:
@@ -1120,47 +1090,61 @@ class TestPycodeBackend:
         assert compiled >= 2  # main + helper
         assert fallback == 0
 
-    def test_guard_failure_deopts_and_preserves_semantics(self):
-        # A monomorphic-patched site that later sees a second receiver
-        # class must deopt (counter bumps) with identical observables.
+    def test_second_receiver_class_keeps_the_walkers_semantics(self):
+        # poke's site patches to Base.tag and then sees Sub.
         walk = assert_equivalent(POLY_SOURCE)
         assert walk[0] == 9  # 3 * Base.tag() + 3 * Sub.tag()
-        program = compile_source(POLY_SOURCE)
-        before = _deopt_count()
-        interp = Interpreter(program, backend="pycode")
-        assert interp.run_static("Demo") == 9
-        assert _deopt_count() - before >= 1
 
-    def test_megamorphic_site_unpatches_permanently(self):
-        decls = "\n".join(
-            f"class C{i} extends Base {{ int tag() {{ return {i}; }} }}"
-            for i in range(10))
-        news = "\n".join(f"xs[{i}] = new C{i}();" for i in range(10))
-        source = f"""
-            class Base {{ int tag() {{ return -1; }} }}
-            {decls}
-            class Demo {{
-                static int main() {{
-                    Base[] xs = new Base[10];
-                    {news}
-                    int total = 0;
-                    for (int round = 0; round < 3; round++) {{
-                        for (int i = 0; i < xs.length; i++) {{
-                            total += xs[i].tag();
-                        }}
-                    }}
-                    return total;
-                }}
-            }}
-        """
-        program = compile_source(source)
-        before = _deopt_count()
+    def test_ten_receiver_classes_at_one_site(self, monkeypatch):
+        walk = assert_equivalent(TEN_CLASSES_SOURCE)
+        assert walk[0] == 3 * sum(range(10))
+        lookups = []
+        original = Interpreter._virtual_lookup
+
+        def counted(self, klass, method):
+            lookups.append(klass.name)
+            return original(self, klass, method)
+
+        monkeypatch.setattr(Interpreter, "_virtual_lookup", counted)
+        program = compile_source(TEN_CLASSES_SOURCE)
         interp = Interpreter(program, backend="pycode")
         assert interp.run_static("Demo") == 3 * sum(range(10))
-        # C0 patches the site; C1..C8 deopt until the MEGAMORPHIC
-        # threshold unpatches it for good, so rounds 2-3 add nothing.
-        delta = _deopt_count() - before
-        assert delta == pycodegen.MEGAMORPHIC
+        # C0 patches the site; C1..C9 are each resolved once, in the
+        # first round, and never again.
+        assert sorted(lookups) == [f"C{i}" for i in range(10)]
+
+    def test_unchecked_field_access_runs_on_the_walker(self):
+        source = """
+            class Cell {
+                int value;
+                int get() { return this.value; }
+            }
+            class Demo {
+                static int main() {
+                    Cell c = new Cell();
+                    c.value = 5;
+                    int total = 0;
+                    for (int i = 0; i < 4; i++) { total += c.get(); }
+                    System.out.println(total);
+                    return total;
+                }
+            }
+        """
+        program = compile_source(source)
+        method = program.class_named("Cell").type.methods["get"][0]
+        (access,) = _field_accesses(method.decl.body, [])
+        del access.field  # as if the checker had not stamped it
+        runs = {}
+        for backend in BACKENDS:
+            before = _codegen_counts().get("fallback", 0)
+            interp = Interpreter(program, backend=backend)
+            runs[backend] = (interp.run_static("Demo"), interp.output,
+                             interp.counters.snapshot(),
+                             _codegen_counts().get("fallback", 0) - before)
+        assert method._pycode_plan is pycodegen.FALLBACK
+        assert runs["walk"][:3] == runs["pycode"][:3]
+        assert runs["walk"][:2] == (20, ["20"])
+        assert runs["pycode"][3] == 1 and runs["walk"][3] == 0
 
     def test_pycode_plan_reused_across_interpreters(self):
         program = compile_source("""

@@ -144,12 +144,26 @@ def test_field_stores_are_inline():
 def test_constant_divisors_skip_the_zero_check():
     main = generated_sources(compile_source(LOOP))["Demo.main()"]
     # t = a % m, then the sign fix: Java's remainder takes the
-    # dividend's sign.
-    for m in (3, 100003):
-        assert re.search(rf"(_t\d+) = (_t\d+) % {m}\n +"
+    # dividend's sign.  A local dividend is read in place, not copied.
+    for m, local in ((3, "i"), (100003, "total")):
+        assert re.search(rf"(_t\d+) = (v\d+_{local}) % {m}\n +"
                          rf"if \1 and \2 < 0: \1 -= {m}\n", main), m
     assert "ArithmeticException" not in main
     assert "abs(" not in main
+
+
+def test_if_else_branches_carry_the_counts_so_far():
+    # The loop body's block and if statements are counted in each
+    # branch, together with the branch's own two: one ``_st += 4`` per
+    # branch and no add before the test.
+    main = generated_sources(compile_source(LOOP))["Demo.main()"]
+    branches = re.search(r"\n( +)if \(_t\d+ == 0\):\n((?:\1 .*\n)+)"
+                         r"\1else:\n((?:\1 .*\n)+)", main)
+    assert branches, main
+    for branch in branches.group(2, 3):
+        assert re.findall(r"^ +_st \+= (\d+)$", branch, re.M) == ["4"]
+    before = main[:branches.start()].splitlines()[-1]
+    assert "_st +=" not in before, before
 
 
 def test_field_loop_counts_once_per_iteration():

@@ -223,8 +223,9 @@ def test_literal_divisors_match_java():
             plan = pycodegen.plan_for(klass.methods[name][0],
                                       Interpreter(program))
             m = d.lstrip("-").rstrip("L")
-            shape = rf"if (_t\d+) and _t\d+ < 0: \1 -= {m}\n" if op == "%" \
-                else rf"abs\(_t\d+\) // {m}\n"
+            # The dividend is the local x, read in place.
+            shape = rf"if (_t\d+) and v\d+_x < 0: \1 -= {m}\n" \
+                if op == "%" else rf"abs\(v\d+_x\) // {m}\n"
             assert re.search(shape, plan.source), (op, x, d)
 
 

@@ -9,10 +9,12 @@ import time
 import tokenize
 from pathlib import Path
 
+import pytest
+
 from repro.core import CompileContext, CompileEnv
 from repro.dispatch import Mayan
 from repro.grammar.grammar import GrammarFingerprint
-from repro.interp import Interpreter, pycodegen
+from repro.interp import Interpreter
 from repro.lalr import Parser
 from repro.lexer import stream_lex
 from repro.macros.foreach import ForEach
@@ -85,44 +87,52 @@ def test_e13_multijava_leaves_half_its_bodies_unparsed():
     assert profiler.never_parsed_token_fraction >= 0.5 * 0.75
 
 
-# -- E14: inline caches ------------------------------------------------------
+# -- E14: call sites ---------------------------------------------------------
 
 
-def test_e14_call_sites_almost_never_look_up():
-    """On E14's virtual-call workload, a pycode call site is a
-    monomorphic inline cache (its patched class guard) backed by a
-    per-site dict cache, so only a site's first receivers (misses) and
-    megamorphic overflow pay a full lookup: more than 99% hit."""
-    program = compile_source("""
-        class Adder {
-            int bump(int x) { return x + 1; }
-        }
-        class Doubler extends Adder {
-            int bump(int x) { return x + 2; }
-        }
-        class Demo {
-            static int main() {
+@pytest.mark.parametrize("iterations", (1200, 12000))
+def test_e14_call_sites_resolve_each_receiver_class_once(iterations,
+                                                         monkeypatch):
+    """On E14's virtual-call workload, a pycode call site looks up the
+    target of each receiver class it sees once: the first class patches
+    the site's guarded direct call, any other lands in the site's dict.
+    The program's classes are sealed, so the lookups do not grow with
+    the number of calls."""
+    program = compile_source(f"""
+        class Adder {{
+            int bump(int x) {{ return x + 1; }}
+        }}
+        class Doubler extends Adder {{
+            int bump(int x) {{ return x + 2; }}
+        }}
+        class Demo {{
+            static int main() {{
                 Adder a = new Adder();
                 Adder b = new Doubler();
                 int total = 0;
-                for (int i = 0; i < 12000; i++) {
+                for (int i = 0; i < {iterations}; i++) {{
                     total += a.bump(i) + b.bump(total % 7);
-                }
+                    Adder either = i % 2 == 0 ? a : b;
+                    total -= either.bump(1);
+                }}
                 return total;
-            }
-        }
+            }}
+        }}
     """)
+    lookups = []
+    original = Interpreter._virtual_lookup
 
-    def lookups():
-        return sum(pycodegen._IC_EVENTS.labels("call", event).value
-                   for event in ("miss", "megamorphic"))
+    def counted(self, klass, method):
+        lookups.append(klass.name)
+        return original(self, klass, method)
 
-    before = lookups()
+    monkeypatch.setattr(Interpreter, "_virtual_lookup", counted)
     interp = Interpreter(program, backend="pycode")
     interp.run_static("Demo")
-    calls = interp.counters.method_calls
-    assert calls > 0
-    assert 1.0 - (lookups() - before) / calls > 0.99
+    assert interp.counters.method_calls == 1 + 3 * iterations
+    # (a's site, Adder), (b's site, Doubler), (either's site, Adder)
+    # and (either's site, Doubler).
+    assert sorted(lookups) == ["Adder", "Adder", "Doubler", "Doubler"]
 
 
 # -- E7: Mayan dispatch ------------------------------------------------------
