@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 SITE_CACHE_LOAD = "cache.disk.load"
 SITE_MODULE_CACHE_LOAD = "cache.module.load"
 SITE_MODULE_IFACE = "cache.module.iface"
-SITE_MODULE_IMPORTS = "cache.module.imports"
 SITE_WORKER_EXECUTE = "worker.execute"
 SITE_SOCKET_READ = "socket.read"
 SITE_SOCKET_WRITE = "socket.write"

@@ -428,7 +428,7 @@ def default_cache_dir() -> str:
     return os.path.join(xdg, "maya")
 
 
-#: Part of every entry's name, so a changed symbol numbering or table
+#: Checked inside every entry, so a changed symbol numbering or table
 #: builder never restores tables the old code built.
 _generator_token = code_token(__name__, automaton_module.__name__,
                               encoded_module.__name__)
@@ -441,10 +441,10 @@ _generator_token = code_token(__name__, automaton_module.__name__,
 _DISK = Store(default_cache_dir(), "lalr.tables.disk",
               faults.SITE_CACHE_LOAD)
 
-#: Part of every entry's name, so a format bump writes fresh entries
-#: instead of missing on the old ones forever.  Format 2 stores the
-#: FIRST/nullable sets with the tables.
-_SNAPSHOT_FORMAT = 2
+#: Checked inside every entry, so a format bump is a plain miss whose
+#: regenerated tables overwrite the old entry.  Format 2 stores the
+#: FIRST/nullable sets with the tables; format 3 the generator token.
+_SNAPSHOT_FORMAT = 3
 
 #: When set (via :func:`bypass_caches`), ``tables_for`` neither reads
 #: nor writes any shared cache — the daemon's degraded single-shot
@@ -487,9 +487,9 @@ def table_cache_clear() -> None:
 
 
 def _disk_name(fingerprint: GrammarFingerprint) -> str:
-    digest = hashlib.sha256(
-        f"{_SNAPSHOT_FORMAT}\x00{_generator_token()}\x00{fingerprint.key!r}"
-        .encode()).hexdigest()
+    """Named by grammar alone: regenerated tables overwrite the entry
+    another format or generator wrote."""
+    digest = hashlib.sha256(repr(fingerprint.key).encode()).hexdigest()
     return f"tables-{digest[:32]}.pickle"
 
 
@@ -497,11 +497,15 @@ def _disk_load(grammar: Grammar, fingerprint: GrammarFingerprint):
     def decode(data: bytes) -> Optional[ParseTables]:
         payload = pickle.loads(data)
         if (payload["format"] != _SNAPSHOT_FORMAT
+                or payload["generator"] != _generator_token()
                 or payload["key"] != fingerprint.key):
             return None  # stale: well-formed, just not ours to use
         return ParseTables.from_snapshot(grammar, payload["snapshot"])
 
-    return _DISK.load(_disk_name(fingerprint), decode)
+    tables = _DISK.load(_disk_name(fingerprint), decode)
+    if tables is not None:
+        _DISK.count(hit=True)
+    return tables
 
 
 def _disk_store(tables: ParseTables, fingerprint: GrammarFingerprint) -> None:
@@ -509,6 +513,7 @@ def _disk_store(tables: ParseTables, fingerprint: GrammarFingerprint) -> None:
         return
     payload = {
         "format": _SNAPSHOT_FORMAT,
+        "generator": _generator_token(),
         "key": fingerprint.key,
         "snapshot": tables.snapshot(),
     }

@@ -79,8 +79,9 @@ from repro.lexer import Location
 from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.modules import procpool
-from repro.modules.cache import (ModuleCache, ModuleEntry, module_key,
-                                 options_signature)
+from repro.modules.cache import (ModuleCache, ModuleEntry, import_records,
+                                 module_key, options_signature,
+                                 source_digest)
 from repro.modules.graph import ModuleGraph, ModuleInfo, ModuleSources
 from repro.modules.snapshot import load_unit, snapshot_unit
 from repro.types import skeleton
@@ -258,7 +259,9 @@ class ModuleBuilder:
         """
         entries: Dict[str, ModuleEntry] = {}
         for name in order:
-            entry = self.cache.load(name, graph.modules[name].key)
+            info = graph.modules[name]
+            entry = self.cache.reuse(name, info.key, info.entry)
+            info.entry = None  # judged: a stale entry is freed now
             if entry is not None:
                 entries[name] = entry
         misses = [name for name in order if name not in entries]
@@ -373,7 +376,9 @@ class ModuleBuilder:
         entry = ModuleEntry(
             info.name, info.key, expanded,
             skeleton.export([c.type for c in classes]),
-            exports, deep=snapshot_unit(unit, self.provenance))
+            exports, deep=snapshot_unit(unit, self.provenance),
+            imports=import_records(info.imports),
+            source=source_digest(info.source))
         _COMPILED_TOTAL.inc()
         self.cache.store(entry)
         return ModuleBuild(info.name, info.key, expanded, False,

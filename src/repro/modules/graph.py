@@ -14,14 +14,13 @@ token, so scanning the *top level* for ``import <dotted name> ;``
 sequences is exact — an ``import`` inside a class body cannot be
 confused for a declaration.  Deciding *what* to recompile therefore
 never parses anything.  With a module cache, it does not lex an
-unchanged module either: each module's scanned imports are recorded
-next to its cache entry, keyed by the SHA-256 of its source text
-(:class:`repro.modules.cache.ModuleCache`), so a warm build lexes only
-the modules whose source changed.  Lexing a module of ~2,500
-characters costs about 1.7 ms, and lexing all 22 modules of the
-benchmark project cost 44 ms of discovery per build before the records
-(2-CPU x86-64 host, Python 3.11; EXPERIMENTS E18, E30).  Without a
-cache, discovery lexes every module.
+unchanged module either: each module's cache entry records its imports
+(:class:`repro.modules.cache.ModuleEntry`), and discovery reads it and
+leaves it on the :class:`ModuleInfo` for the builder.  Lexing a module
+of ~2,500 characters costs about 1.7 ms, and lexing all 22 modules of
+the benchmark project cost 44 ms of discovery per build before imports
+were recorded (2-CPU x86-64 host, Python 3.11; EXPERIMENTS E18, E30).
+Without a cache, discovery lexes every module.
 
 Failure modes are located diagnostics, all pointing at the ``import``
 site (the paper's diagnostics discipline): a module that imports itself
@@ -180,10 +179,12 @@ class MemorySources(ModuleSources):
 class ModuleInfo:
     """One discovered module: source, imports, and resolved deps."""
 
-    __slots__ = ("name", "filename", "source", "imports", "deps", "key")
+    __slots__ = ("name", "filename", "source", "imports", "deps", "key",
+                 "entry")
 
     def __init__(self, name: str, filename: str, source: str,
-                 imports: List[ModuleImport], deps: List[str]):
+                 imports: List[ModuleImport], deps: List[str],
+                 entry=None):
         self.name = name
         self.filename = filename
         self.source = source
@@ -193,6 +194,8 @@ class ModuleInfo:
         #: Transitive cache key; stamped by the builder (needs every
         #: dep's key, so it is computed in topological order).
         self.key: Optional[str] = None
+        #: The module's last cache entry, whatever its key, or None.
+        self.entry = entry
 
 
 class ModuleGraph:
@@ -219,7 +222,7 @@ class ModuleGraph:
         DiagnosticEngine) gets every loaded source registered under its
         display filename, so the located errors render with carets.
         ``cache`` (a ModuleCache) serves the imports of each module
-        whose source it has scanned before, and records the rest.
+        whose source its entry was scanned from; the others are lexed.
         """
         graph = cls(sources)
         pending = list(roots)
@@ -241,12 +244,10 @@ class ModuleGraph:
         source, filename = self.sources.load(name)
         if diag is not None:
             diag.add_source(filename, source)
-        imports = cache.load_imports(name, source, filename) \
-            if cache else None
+        entry = cache.load(name) if cache else None
+        imports = entry and entry.scanned_imports(source, filename)
         if imports is None:
             imports = scan_imports(source, filename)
-            if cache:
-                cache.store_imports(name, source, imports)
         deps: List[str] = []
         for imp in imports:
             if imp.on_demand:
@@ -268,7 +269,7 @@ class ModuleGraph:
             raise MayaError(
                 f"cannot find module {imp.name!r}: no module file and no "
                 f"builtin class by that name", location=imp.location)
-        return ModuleInfo(name, filename, source, imports, deps)
+        return ModuleInfo(name, filename, source, imports, deps, entry)
 
     # -- ordering ----------------------------------------------------------
 

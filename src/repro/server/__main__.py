@@ -84,19 +84,7 @@ def main(argv=None) -> int:
         metrics_out=args.metrics_out,
         log_out=args.log_out, log_level=args.log_level)
     daemon = MayaDaemon(config)
-    try:
-        daemon.start()
-    except OSError as error:
-        print(f"mayad: cannot bind {args.socket or args.port}: {error}",
-              file=sys.stderr)
-        return 1
-    print(f"mayad: serving on {daemon.address} "
-          f"(workers={config.workers}, queue={config.queue_size}, "
-          f"prewarm={daemon.prewarm_s * 1000:.0f}ms)", file=sys.stderr)
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as out:
-            out.write(daemon.address + "\n")
-
+    # Before --port-file appears: a client may signal at once.
     stop = threading.Event()
 
     def _signalled(_signum, _frame):
@@ -111,6 +99,18 @@ def main(argv=None) -> int:
             daemon.flush_metrics()
 
         signal.signal(signal.SIGUSR1, _flush)
+    try:
+        daemon.start()
+    except OSError as error:
+        print(f"mayad: cannot bind {args.socket or args.port}: {error}",
+              file=sys.stderr)
+        return 1
+    print(f"mayad: serving on {daemon.address} "
+          f"(workers={config.workers}, queue={config.queue_size}, "
+          f"prewarm={daemon.prewarm_s * 1000:.0f}ms)", file=sys.stderr)
+    if args.port_file:
+        with open(args.port_file, "w", encoding="utf-8") as out:
+            out.write(daemon.address + "\n")
     # Wake on a signal or on a client-initiated shutdown op.
     while not stop.is_set() and daemon.running:
         stop.wait(0.5)

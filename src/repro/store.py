@@ -18,19 +18,19 @@ and keys, and this module owns the policy for the files:
   scratch file;
 * **the load ladder** — an absent or unreadable entry, an injected
   I/O fault at the owner's fault site, or a *stale* entry (well-formed,
-  but the owner's decoder says it is not for this key or format) is a
-  plain miss.  A bad checksum or a decoder that raises means the
-  entry is *corrupt*: it is moved aside to ``*.quarantine`` (so the
-  next load does not trip over it and the bytes stay for
-  postmortems), counted, and the caller regenerates.  A bad cache
-  file never takes a build down.
+  but not for this key, format or code) is a plain miss.  A bad
+  checksum or a decoder that raises means the entry is *corrupt*: it
+  is moved aside to ``*.quarantine`` (so the next load does not trip
+  over it and the bytes stay for postmortems), counted, and the caller
+  regenerates.  A bad cache file never takes a build down.
 
 Hits, misses and corrupt entries land in the
 ``maya_cache_events_total{cache,event}`` family under the store's
-cache name; a corrupt entry also counts as a miss.  An owner whose
-entry names carry a token of the code that wrote them
-(:func:`code_token`) prunes the other tokens' entries of a name when
-it stores one (``pruned``).
+cache name, one hit or miss per lookup; a corrupt entry also counts as
+a miss.  An entry :meth:`Store.load` returns is counted by its owner,
+where it decides (:meth:`Store.count`).  Nothing is pruned: a name
+never carries the code that wrote it, so a new entry overwrites the
+stale one in place.
 
 In memory, every process-wide cache is *content-keyed* (a grammar
 fingerprint, a request digest) and is an :class:`LRUCache`, whose
@@ -65,8 +65,8 @@ def _header(payload: bytes) -> bytes:
 
 def code_token(*modules: str) -> Callable[[], str]:
     """A function giving a digest of the named modules' source files,
-    read once, on its first call.  An owner puts the token in its entry
-    names: a store outlives the code that filled it, and changed code
+    read once, on its first call.  An owner checks the token inside its
+    entries: a store outlives the code that filled it, and changed code
     must never read what the old code wrote."""
     @functools.lru_cache(maxsize=None)
     def token() -> str:
@@ -90,9 +90,9 @@ class Store:
     def __init__(self, directory: Optional[str], cache: str, site: str):
         self.directory = directory
         self.site = site
-        self._hits, self._misses, self._corrupt, self._pruned = (
+        self._hits, self._misses, self._corrupt = (
             CACHE_EVENTS.labels(cache, event)
-            for event in ("hit", "miss", "corrupt", "pruned"))
+            for event in ("hit", "miss", "corrupt"))
 
     def __bool__(self) -> bool:
         return self.directory is not None
@@ -107,7 +107,8 @@ class Store:
         ``decode`` turns verified payload bytes into the owner's value.
         It returns None for a stale entry and raises for one it cannot
         parse; an :class:`repro.faults.InjectedFault` it raises is a
-        plain miss like any other injected I/O fault."""
+        plain miss like any other injected I/O fault.  A None is
+        counted as a miss here; a value is counted by its owner."""
         if self.directory is None:
             return None
         path = self.path(name)
@@ -137,9 +138,12 @@ class Store:
             return None
         if value is None:
             self._misses.inc()
-        else:
-            self._hits.inc()
         return value
+
+    def count(self, hit: bool) -> None:
+        """Count the owner's verdict on an entry :meth:`load` returned:
+        a hit if it is used, a miss if it turned out stale or bad."""
+        (self._hits if hit else self._misses).inc()
 
     def store(self, name: str, payload: bytes) -> None:
         """Write ``name`` atomically; a failed write leaves no file."""
@@ -162,30 +166,6 @@ class Store:
                 os.unlink(scratch)
             except OSError:
                 pass
-
-    def prune(self, prefix: str, keep: str) -> None:
-        """Delete the entries named ``prefix`` + one more dot-free,
-        dash-free part + ``.json``, except ``keep``, counting each as
-        pruned: the same entry written under another token, which the
-        running code never reads again."""
-        if self.directory is None:
-            return
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        for name in names:
-            if name == keep or not name.startswith(prefix) \
-                    or not name.endswith(".json"):
-                continue
-            token = name[len(prefix):-len(".json")]
-            if not token or "." in token or "-" in token:
-                continue  # a scratch file, or another entry's name
-            try:
-                os.unlink(self.path(name))
-            except OSError:
-                continue
-            self._pruned.inc()
 
     def discard(self, name: str) -> None:
         """Quarantine entry ``name`` and count it corrupt: for an entry

@@ -381,7 +381,7 @@ class TestModuleCache:
     def test_disabled_cache_is_falsy_and_inert(self):
         cache = ModuleCache(None)
         assert not cache
-        assert cache.load("lib.Base", "k") is None
+        assert cache.load("lib.Base") is None
         cache.store(ModuleEntry("lib.Base", "k", "", [], []))
 
     def test_snapshot_format_bump_rekeys_instead_of_falling_back(
@@ -434,19 +434,51 @@ class TestModuleCache:
         third = make_builder(CHAIN, tmp_path).build(["app.Main"])
         assert third.recompiled == []
 
-    def test_wrong_shape_payload_is_corrupt(self, tmp_path):
-        before = corrupt_entries("modules.disk")
+    @staticmethod
+    def _load_written(tmp_path, **fields):
+        """Write a lib.Base entry with ``fields`` over a well-formed
+        payload, through the store so the checksum holds, and load it
+        for reuse under its own key."""
         cache = ModuleCache(str(tmp_path))
         key = "k" * 64
-        # Written through the store, so the checksum holds and the
-        # shape check is what rejects the entry.
-        cache._store.store(cache._name("lib.Base"), json.dumps({
-            "format": CACHE_FORMAT, "name": "lib.Base", "key": key,
-            "expanded": 42, "iface": [], "exports": [], "deps": [],
-        }).encode("utf-8"))
-        assert cache.load("lib.Base", key) is None
+        payload = ModuleEntry("lib.Base", key, "", [], []).payload()
+        payload.update(fields)
+        cache._store.store(cache._name("lib.Base"),
+                           json.dumps(payload).encode("utf-8"))
+        return cache.reuse("lib.Base", key, cache.load("lib.Base"))
+
+    def test_wrong_shape_payload_is_corrupt(self, tmp_path):
+        before = corrupt_entries("modules.disk")
+        assert self._load_written(tmp_path, expanded=42) is None
         assert corrupt_entries("modules.disk") == before + 1
 
+
+    @pytest.mark.parametrize("module, field, value", [
+        ("lib.Base", "exports", "a.B"),
+        ("lib.Base", "name", 7),
+        ("lib.Mid", "imports", [[["lib", "Base"], "no", 2, 9]]),
+    ], ids=["exports string", "name number", "import record"])
+    def test_misshapen_entry_is_quarantined_and_recompiled(
+            self, tmp_path, module, field, value):
+        """A hand-written entry under its real key with a valid
+        checksum, one field of the wrong shape: never replayed."""
+        make_builder(CHAIN, tmp_path).build(["app.Main"])
+        cache = ModuleCache(str(tmp_path))
+        path = tmp_path / cache._name(module)
+        payload = json.loads(path.read_bytes().partition(b"\n")[2])
+        payload[field] = value
+        cache._store.store(path.name, json.dumps(payload).encode("utf-8"))
+        before = corrupt_entries("modules.disk")
+        result = make_builder(CHAIN, tmp_path).build(["app.Main"],
+                                                     need_bodies=True)
+        assert result.recompiled == [module]
+        assert corrupt_entries("modules.disk") == before + 1
+        assert [p.name for p in tmp_path.glob("*.quarantine")] == \
+            [path.name + ".quarantine"]
+        assert result.expanded() == \
+            make_builder(CHAIN).build(["app.Main"]).expanded()
+        assert make_builder(CHAIN, tmp_path).build(["app.Main"]) \
+            .recompiled == []
 
     @pytest.mark.parametrize("iface", [
         [{"name": "lib.Base", "is_interface": False}],
@@ -456,13 +488,7 @@ class TestModuleCache:
     ], ids=["format-3 record", "unknown member kind", "record arity"])
     def test_wrong_shape_skeleton_is_corrupt(self, tmp_path, iface):
         before = corrupt_entries("modules.disk")
-        cache = ModuleCache(str(tmp_path))
-        key = "k" * 64
-        cache._store.store(cache._name("lib.Base"), json.dumps({
-            "format": CACHE_FORMAT, "name": "lib.Base", "key": key,
-            "expanded": "", "iface": iface, "exports": [],
-        }).encode("utf-8"))
-        assert cache.load("lib.Base", key) is None
+        assert self._load_written(tmp_path, iface=iface) is None
         assert corrupt_entries("modules.disk") == before + 1
 
     def test_format_3_entry_is_a_plain_miss(self, tmp_path):

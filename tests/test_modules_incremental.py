@@ -75,19 +75,14 @@ def edit_module(rng, sources):
 
 
 def _cache_digests(directory):
-    """Name -> sha256 of every entry file and every import record
-    (``imports/<name>``), quarantines excluded."""
+    """Name -> sha256 of every entry file, quarantines excluded."""
     out = {}
-    for sub in ("", "imports"):
-        folder = os.path.join(directory, sub)
-        for name in sorted(os.listdir(folder)):
-            if not name.endswith(".json"):
-                continue
-            with open(os.path.join(folder, name), "rb") as handle:
-                out[f"{sub}/{name}" if sub else name] = \
-                    hashlib.sha256(handle.read()).hexdigest()
-    assert any(name.startswith("imports/") for name in out), \
-        f"{directory}: no import records"
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".json"):
+            continue
+        with open(os.path.join(directory, name), "rb") as handle:
+            out[name] = hashlib.sha256(handle.read()).hexdigest()
+    assert out, f"{directory}: no cache entries"
     return out
 
 

@@ -2,9 +2,13 @@
 deadlines, the artifact cache, and the client's retry discipline."""
 
 import json
+import os
+import pathlib
 import random
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -832,3 +836,37 @@ class TestLiveIntrospection:
         out = capsys.readouterr().out
         assert "workers" in out
         assert "p95" in out
+
+
+@pytest.mark.parametrize("attempt", range(5))
+def test_sigint_right_after_the_port_file_stops_cleanly(tmp_path, attempt):
+    """mayad's signal handlers are in place before ``--port-file``
+    appears: a SIGINT sent the moment it holds a line drains and exits
+    0, never a KeyboardInterrupt traceback."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    port_file = tmp_path / "port"
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro.server", "--port", "0",
+         "--no-prewarm", "--port-file", str(port_file)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                 MAYA_CACHE_DIR=str(tmp_path / "store")),
+        cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 60
+        # No sleep: the signal should land as close to the write as
+        # this process can manage.
+        while not (port_file.exists()
+                   and port_file.read_text().endswith("\n")):
+            assert daemon.poll() is None, "mayad exited before serving"
+            assert time.monotonic() < deadline, "mayad never served"
+    finally:
+        daemon.send_signal(signal.SIGINT)
+        try:
+            _, stderr = daemon.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            daemon.kill()
+            daemon.communicate()
+            pytest.fail("mayad did not stop on SIGINT")
+    assert daemon.returncode == 0, stderr
+    assert "Traceback" not in stderr

@@ -182,13 +182,14 @@ class TestSnapshot:
 class TestGeneratorToken:
     def test_changed_generator_is_a_plain_miss(self, tmp_path, monkeypatch):
         """An entry written by other generator code is never restored:
-        it is a miss and a regeneration under a new name, not a
-        quarantine."""
+        it is a miss and a regeneration that overwrites the entry in
+        place, not a quarantine, and no dead file is left behind."""
         grammar = CompileEnv().grammar
         with tables.disk_cache_at(str(tmp_path)):
             tables.table_cache_clear()
             tables.tables_for(grammar)
             (old,) = tmp_path.glob("tables-*.pickle")
+            written = old.read_bytes()
             monkeypatch.setattr(tables, "_generator_token",
                                 lambda: "0" * 16)
             hits = cache_events("lalr.tables.disk", "hit")
@@ -200,8 +201,8 @@ class TestGeneratorToken:
         assert cache_events("lalr.tables.disk", "hit") == hits
         assert corrupt_entries("lalr.tables.disk") == corrupt
         assert not list(tmp_path.glob("*.quarantine"))
-        assert old.exists()
-        assert len(list(tmp_path.glob("tables-*.pickle"))) == 2
+        assert list(tmp_path.glob("tables-*.pickle")) == [old]
+        assert old.read_bytes() != written
 
     @pytest.mark.parametrize("module", ["automaton_module",
                                         "encoded_module"])
