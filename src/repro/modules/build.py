@@ -213,31 +213,31 @@ class ModuleBuilder:
         load just the class skeletons — the cheap path the incremental
         speedup comes from.
         """
-        # Nothing here collects garbage: the program this build makes
-        # owns its parts one way (units, syntax, scopes, environments,
-        # registry, types; every edge back is weak), so the previous
-        # build's program is freed by reference counting as soon as
-        # the caller drops it.
-        graph = ModuleGraph.discover(roots, self.sources,
-                                     registry=self.env.registry,
-                                     diag=self.env.diag,
-                                     cache=self.cache)
-        order = graph.order()
-        for name in order:
-            info = graph.modules[name]
-            dep_keys = [(dep, graph.modules[dep].key)
-                        for dep in info.deps]
-            info.key = module_key(name, info.source,
-                                  self._options_sig, dep_keys)
-        jobs = min(self.jobs, len(order))
-        builds = self._build_modules(graph, order, need_bodies, jobs)
-        result = BuildResult(self.env, graph, builds, self.compiler.program)
-        obs_log.emit("modules.build.done",
-                     modules=len(result.order),
-                     recompiled=len(result.recompiled),
-                     reused=len(result.reused),
-                     jobs=jobs)
-        return result
+        # The build pauses the automatic collector: its program owns
+        # its parts one way (every edge back is weak), so it makes no
+        # cyclic garbage for a collection to find.
+        with trace.collector_paused():
+            graph = ModuleGraph.discover(roots, self.sources,
+                                         registry=self.env.registry,
+                                         diag=self.env.diag,
+                                         cache=self.cache)
+            order = graph.order()
+            for name in order:
+                info = graph.modules[name]
+                dep_keys = [(dep, graph.modules[dep].key)
+                            for dep in info.deps]
+                info.key = module_key(name, info.source,
+                                      self._options_sig, dep_keys)
+            jobs = min(self.jobs, len(order))
+            builds = self._build_modules(graph, order, need_bodies, jobs)
+            result = BuildResult(self.env, graph, builds,
+                                 self.compiler.program)
+            obs_log.emit("modules.build.done",
+                         modules=len(result.order),
+                         recompiled=len(result.recompiled),
+                         reused=len(result.reused),
+                         jobs=jobs)
+            return result
 
     def _build_modules(self, graph: ModuleGraph, order: Sequence[str],
                        need_bodies: bool,

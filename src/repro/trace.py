@@ -424,6 +424,27 @@ def _on_gc(event: str, info: Dict[str, int]) -> None:
         tracer.end(span)
 
 
+class collector_paused:
+    """Pause the automatic collector for a ``with`` block, on the main
+    thread only, and restore its prior state on the way out.  For work
+    that makes no cyclic garbage: the survivors it allocates are then
+    scanned once, by the first collection after the block, at the
+    caller's next allocation.  Other threads never touch the
+    process-wide switch.  A class, not a generator: a generator's exit
+    allocates its ``StopIteration``, which would start that collection
+    before the block's caller resumes."""
+
+    def __enter__(self) -> None:
+        self._paused = gc.isenabled() and \
+            threading.current_thread() is threading.main_thread()
+        if self._paused:
+            gc.disable()
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if self._paused:
+            gc.enable()
+
+
 @contextmanager
 def scoped(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
     """Activate ``tracer`` for this dynamic extent only (the daemon's

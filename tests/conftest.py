@@ -46,24 +46,24 @@ def corrupt_entries(cache: str) -> int:
     return cache_events(cache, "corrupt")
 
 
-def cyclic_garbage(make) -> int:
+def cyclic_garbage(make, keep: bool = False) -> int:
     """Objects only the cyclic collector frees, once ``make()``'s
-    result is dropped.  The automatic collector is off while ``make``
-    runs, so garbage it drops midway counts too."""
+    result is dropped, or with ``keep`` while it is still alive.  The
+    automatic collector stays off from before ``make`` runs until the
+    census is taken, so garbage it drops midway counts too."""
     gc.collect()
     gc.disable()
     try:
         made = make()
-        del made
-    finally:
-        gc.enable()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
+        if not keep:
+            del made
+        gc.set_debug(gc.DEBUG_SAVEALL)
         found = gc.collect()
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-        gc.collect()
+        gc.enable()
+    gc.collect()
     return found
 
 
