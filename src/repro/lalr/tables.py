@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -25,7 +24,7 @@ from repro.lalr import automaton as automaton_module
 from repro.lalr import encoded as encoded_module
 from repro.lalr.automaton import Automaton
 from repro.lalr.encoded import EncodedGrammar
-from repro.store import LRUCache, Store, code_token
+from repro.store import LRUCache, Store, code_token, decode, encode
 
 
 class ConflictError(Exception):
@@ -494,15 +493,15 @@ def _disk_name(fingerprint: GrammarFingerprint) -> str:
 
 
 def _disk_load(grammar: Grammar, fingerprint: GrammarFingerprint):
-    def decode(data: bytes) -> Optional[ParseTables]:
-        payload = pickle.loads(data)
+    def restore(data: bytes) -> Optional[ParseTables]:
+        payload = decode(data)  # plain data: no global is allowed
         if (payload["format"] != _SNAPSHOT_FORMAT
                 or payload["generator"] != _generator_token()
                 or payload["key"] != fingerprint.key):
             return None  # stale: well-formed, just not ours to use
         return ParseTables.from_snapshot(grammar, payload["snapshot"])
 
-    tables = _DISK.load(_disk_name(fingerprint), decode)
+    tables = _DISK.load(_disk_name(fingerprint), restore)
     if tables is not None:
         _DISK.count(hit=True)
     return tables
@@ -517,8 +516,9 @@ def _disk_store(tables: ParseTables, fingerprint: GrammarFingerprint) -> None:
         "key": fingerprint.key,
         "snapshot": tables.snapshot(),
     }
-    _DISK.store(_disk_name(fingerprint),
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    # ``share``: equal actions are one tuple (``_build``), in the entry
+    # and in the tables a restore rebuilds from it.
+    _DISK.store(_disk_name(fingerprint), encode(payload, share=True))
 
 
 def build_tables(grammar: Grammar) -> ParseTables:

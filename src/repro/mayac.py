@@ -554,12 +554,14 @@ def _local_main(args) -> int:
 
     interp = None
     if args.run and program is not None:
-        interp = Interpreter(program, echo=True, backend=args.backend)
         try:
+            interp = Interpreter(program, echo=True, backend=args.backend)
             with trace.phase("interp"):
                 interp.run_static(args.run)
         except DiagnosticError as error:
-            print(engine.render(error.diagnostic), file=sys.stderr)
+            # No interpreter yet: ``MAYA_BACKEND`` names no backend.
+            print(f"mayac: {error}" if interp is None
+                  else engine.render(error.diagnostic), file=sys.stderr)
             return finish(2)
         except Exception as error:
             print(f"mayac: runtime error: {error}", file=sys.stderr)

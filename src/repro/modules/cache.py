@@ -1,6 +1,7 @@
 """The per-module incremental build cache.
 
-One JSON file per module name holds that module's last good build:
+One entry per module name holds that module's last good build, a
+plain dict pickled by the store's codec (:func:`repro.store.encode`):
 
 * ``expanded`` — its fully expanded source, the byte-exact artifact;
 * ``iface`` — its classes' skeletons (:mod:`repro.types.skeleton`):
@@ -10,7 +11,8 @@ One JSON file per module name holds that module's last good build:
 * ``exports`` — its exported metaprogram names, the grammar delta
   importers replay;
 * ``deep`` — the pickled stripped copy of its *checked* AST
-  (:mod:`repro.modules.snapshot`).  A ``need_bodies`` hit restores it
+  (:mod:`repro.modules.snapshot`), raw bytes, or None where the
+  snapshot declined.  A ``need_bodies`` hit restores it
   and re-runs only shaping, checking each method body when it is first
   called, so lexing and parsing are skipped outright;
 * ``imports`` — its top-level imports as ``[parts, on_demand, line,
@@ -31,8 +33,8 @@ changed expander or shaper serves the old entries until
 
 **One read per module.**  Discovery reads each entry by name and
 leaves it on the module's ``ModuleInfo``; the builder reuses it only if
-its key matches (:meth:`ModuleCache.reuse`), and only then decodes the
-deep blob and validates the skeletons.
+its key matches (:meth:`ModuleCache.reuse`), and only then validates
+the skeletons.
 
 **Hygiene ladder.**  Entries live in a :class:`repro.store.Store`,
 which owns the policy for crash-safe files: a SHA-256 checksum over
@@ -47,7 +49,8 @@ per module.  In this cache's terms:
   well-formed, just not ours; it is overwritten on store.  A snapshot
   format bump is a key mismatch, so an entry whose deep blob the
   running code cannot load is rebuilt once, quietly;
-* *corrupt* entry (any changed byte, truncated JSON, wrong shape, or
+* *corrupt* entry (any changed byte, a truncated pickle, a global the
+  codec does not allow, wrong shape, or
   skeletons that fail :func:`repro.types.skeleton.validate`, which is
   where an injected ``cache.module.iface`` corruption lands) —
   quarantined and regenerated.  A bad cache file must never take a
@@ -61,7 +64,6 @@ per module.  In this cache's terms:
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -72,7 +74,7 @@ from repro.core.compiler import configuration
 from repro.lexer import Location
 from repro.modules.graph import ModuleImport
 from repro.modules.snapshot import SNAPSHOT_FORMAT
-from repro.store import Store, code_token
+from repro.store import Store, code_token, decode, encode
 from repro.types import skeleton
 
 #: Format 2: deep artifact (pickled checked AST).  Format 3: no
@@ -80,7 +82,8 @@ from repro.types import skeleton
 #: ``iface`` holds :mod:`repro.types.skeleton` records, the builtin
 #: library's format, instead of nested dicts.  Format 5: the entry
 #: records the module's imports, source digest and scanner token.
-CACHE_FORMAT = 5
+#: Format 6: a pickled dict (``repro.store``'s codec), not JSON.
+CACHE_FORMAT = 6
 
 
 #: In every entry and every key: a changed lexer serves nothing the
@@ -142,7 +145,7 @@ def _import_record(record) -> bool:
 class ModuleEntry:
     """One cached module build."""
 
-    __slots__ = ("name", "key", "expanded", "iface", "exports", "_deep",
+    __slots__ = ("name", "key", "expanded", "iface", "exports", "deep",
                  "imports", "source", "scanner")
 
     def __init__(self, name: str, key: str, expanded: str,
@@ -161,25 +164,14 @@ class ModuleEntry:
         #: ``use`` names plus its deps' exports (the grammar delta an
         #: importer replays).
         self.exports = exports
-        self._deep = deep
+        #: Deep artifact: pickled stripped checked AST, or None when
+        #: the snapshot layer declined (a runnable hit then recompiles).
+        self.deep = deep
         #: Top-level imports (:func:`import_records`), scanned from the
         #: source whose SHA-256 is ``source`` by scanner ``scanner``.
         self.imports = list(imports)
         self.source = source
         self.scanner = _scanner_token() if scanner is None else scanner
-
-    @property
-    def deep(self) -> Optional[bytes]:
-        """Deep artifact: pickled stripped checked AST, or None when
-        the snapshot layer declined (a runnable hit then recompiles).
-        Read from disk, it is decoded on first use."""
-        if isinstance(self._deep, str):
-            self._deep = base64.b64decode(self._deep, validate=True)
-        return self._deep
-
-    @deep.setter
-    def deep(self, value: Optional[bytes]) -> None:
-        self._deep = value
 
     def scanned_imports(self, source: str, filename: str
                         ) -> Optional[List[ModuleImport]]:
@@ -193,39 +185,18 @@ class ModuleEntry:
                 for parts, on_demand, line, column in self.imports]
 
     def payload(self) -> dict:
-        payload = {
-            "format": CACHE_FORMAT,
-            "name": self.name,
-            "key": self.key,
-            "expanded": self.expanded,
-            "iface": self.iface,
-            "exports": self.exports,
-            "imports": self.imports,
-            "source": self.source,
-            "scanner": self.scanner,
-        }
-        if self.deep is not None:
-            payload["deep"] = base64.b64encode(self.deep).decode("ascii")
-        return payload
+        return {"format": CACHE_FORMAT,
+                **{field: getattr(self, field) for field in self.__slots__}}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ModuleEntry":
         """The entry ``payload`` holds; ``ValueError`` unless it has
-        this format's shape (skeletons and blob are checked on reuse)."""
-        entry = cls(
-            name=payload["name"],
-            key=payload["key"],
-            expanded=payload["expanded"],
-            iface=payload["iface"],
-            exports=payload["exports"],
-            deep=payload.get("deep"),
-            imports=payload["imports"],
-            source=payload["source"],
-            scanner=payload["scanner"],
-        )
+        this format's shape (skeletons are checked on reuse, the blob
+        when it is restored)."""
+        entry = cls(**{field: payload[field] for field in cls.__slots__})
         if not (_strings([entry.name, entry.key, entry.expanded,
-                          entry.source, entry.scanner,
-                          payload.get("deep", "")])
+                          entry.source, entry.scanner])
+                and isinstance(entry.deep, (bytes, type(None)))
                 and _strings(payload["exports"])
                 and isinstance(payload["imports"], list)
                 and all(map(_import_record, entry.imports))):
@@ -247,30 +218,29 @@ class ModuleCache:
     def _name(name: str) -> str:
         safe = name.replace(os.sep, ".")
         digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
-        return f"module-{safe}-{digest}.json"
+        return f"module-{safe}-{digest}.pickle"
 
     def load(self, name: str) -> Optional[ModuleEntry]:
         """``name``'s last stored entry, whatever its key, or None (a
         miss, counted here; an entry is counted by :meth:`reuse`)."""
-        def decode(data: bytes) -> Optional[ModuleEntry]:
-            payload = json.loads(data.decode("utf-8"))
+        def entry(data: bytes) -> Optional[ModuleEntry]:
+            payload = decode(data)
             if payload["format"] != CACHE_FORMAT:
                 return None  # stale: another format's entry
             return ModuleEntry.from_payload(payload)
 
-        return self._store.load(self._name(name), decode)
+        return self._store.load(self._name(name), entry)
 
     def reuse(self, name: str, key: str,
               entry: Optional[ModuleEntry]) -> Optional[ModuleEntry]:
         """``entry``, as :meth:`load` gave it for ``name``, if it is
-        keyed ``key`` and its artifacts decode, counting the verdict; a
-        bad blob or skeleton is quarantined."""
+        keyed ``key`` and its skeletons validate, counting the verdict;
+        bad skeletons are quarantined."""
         if entry is None:
             return None  # counted when loaded
         hit = False
         try:
             if entry.key == key:  # else stale: an edit here or upstream
-                entry.deep  # decodes the blob, or raises
                 faults.check(faults.SITE_MODULE_IFACE)
                 if faults.corrupting(faults.SITE_MODULE_IFACE):
                     entry.iface = [{"truncated": True}]  # injected
@@ -290,8 +260,7 @@ class ModuleCache:
     def store(self, entry: ModuleEntry) -> None:
         if not self._store:
             return
-        # sort_keys: identical builds write byte-identical entry files,
-        # whatever thread or process produced them — the jobs=1 vs
-        # jobs=N property test diffs the cache directories directly.
-        self._store.store(self._name(entry.name), json.dumps(
-            entry.payload(), sort_keys=True).encode("utf-8"))
+        # Identical builds write byte-identical entry files, whatever
+        # process made them: the jobs=1 vs jobs=N property test diffs
+        # the cache directories directly.
+        self._store.store(self._name(entry.name), encode(entry.payload()))

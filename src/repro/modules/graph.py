@@ -236,7 +236,7 @@ class ModuleGraph:
             for dep in info.deps:
                 if dep not in graph.modules:
                     pending.append(dep)
-        graph._check_cycles()
+        graph.order()  # rejects an import cycle
         return graph
 
     def _scan_module(self, name: str, registry, diag=None,
@@ -273,21 +273,33 @@ class ModuleGraph:
 
     # -- ordering ----------------------------------------------------------
 
-    def _check_cycles(self) -> None:
-        """Reject cyclic imports with a diagnostic at the closing edge."""
-        state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-        stack: List[str] = []
-        for root in self.roots:
-            self._visit_acyclic(root, state, stack)
+    def order(self) -> List[str]:
+        """Deterministic topological order (dependencies first).
 
-    def _visit_acyclic(self, name: str, state: Dict[str, int],
-                       stack: List[str]) -> None:
+        DFS postorder from the roots, deps visited in import order —
+        a pure function of the graph, so a clean build and an
+        incremental rebuild emit per-module artifacts identically
+        ordered (byte-identical combined ``--expand`` output).  The
+        same walk rejects cyclic imports, with a diagnostic at the
+        closing edge; :meth:`discover` takes the order first, so a
+        discovered graph is acyclic.
+        """
+        if self._order is None:
+            order: List[str] = []
+            done: set = set()
+            stack: List[str] = []
+            for root in self.roots:
+                self._visit(root, done, stack, order)
+            self._order = order
+        return self._order
+
+    def _visit(self, name: str, done: set, stack: List[str],
+               order: List[str]) -> None:
         # A method, not a closure: a recursive closure refers to itself
         # through its cell, a cycle only the cyclic collector frees.
-        mark = state.get(name)
-        if mark == 1:
+        if name in done:
             return
-        if mark == 0:
+        if name in stack:
             cycle = stack[stack.index(name):] + [name]
             importer = self.modules[stack[-1]]
             location = Location.UNKNOWN
@@ -298,37 +310,11 @@ class ModuleGraph:
             raise MayaError(
                 "import cycle: " + " -> ".join(cycle),
                 location=location)
-        state[name] = 0
         stack.append(name)
         for dep in self.modules[name].deps:
-            self._visit_acyclic(dep, state, stack)
+            self._visit(dep, done, stack, order)
         stack.pop()
-        state[name] = 1
-
-    def order(self) -> List[str]:
-        """Deterministic topological order (dependencies first).
-
-        DFS postorder from the roots, deps visited in import order —
-        a pure function of the graph, so a clean build and an
-        incremental rebuild emit per-module artifacts identically
-        ordered (byte-identical combined ``--expand`` output).
-        """
-        if self._order is not None:
-            return self._order
-        order: List[str] = []
-        seen: set = set()
-        for root in self.roots:
-            self._visit_postorder(root, seen, order)
-        self._order = order
-        return order
-
-    def _visit_postorder(self, name: str, seen: set,
-                         order: List[str]) -> None:
-        if name in seen:
-            return
-        seen.add(name)
-        for dep in self.modules[name].deps:
-            self._visit_postorder(dep, seen, order)
+        done.add(name)
         order.append(name)
 
     def dependents_of(self, name: str) -> List[str]:

@@ -39,8 +39,11 @@ Anything else surprising — an unforced ``LazyNode``, an unknown leaf
 object, a constructor that refuses the copied fields — makes
 :func:`snapshot_unit` **decline** (return None) rather than persist a
 blob it can't vouch for.  On the load side the cache entry's checksum
-(:mod:`repro.store`) vouches for the blob's bytes; a skeleton that
-still fails to unpickle into a unit raises :class:`SnapshotError`.
+(:mod:`repro.store`) vouches for the blob's bytes, and the store's
+unpickler admits only the globals a stripped copy is made of, so a
+rewritten blob naming ``builtins.print`` fails before the name is
+looked up.  A skeleton that fails to unpickle into a unit raises
+:class:`SnapshotError`.
 Either way the module builder quarantines the entry and recompiles the
 module from its source.  A body blob that fails later, at its first
 call, stops the program with a located diagnostic, and its entry is
@@ -49,7 +52,6 @@ quarantined the same way.
 
 from __future__ import annotations
 
-import io
 import pickle
 from typing import Optional
 
@@ -57,6 +59,7 @@ from repro import trace
 from repro.ast import nodes as n
 from repro.diag import DiagnosticError
 from repro.lexer import Location
+from repro.store import decode
 
 #: Bump when the snapshot's structural conventions change; baked into
 #: the pickle header so stale blobs fail closed as a format mismatch,
@@ -69,12 +72,17 @@ SNAPSHOT_FORMAT = 4
 
 _PRIMITIVE = (str, int, float, bool, type(None))
 
-#: Classes allowed to unpickle.  A module-cache blob is local build
-#: state, but keeping the set closed (AST nodes + locations + builtin
-#: containers, and ``trace.Origin``) costs nothing and keeps a tampered entry from
-#: instantiating arbitrary classes.
-_ALLOWED_MODULES = ("repro.ast.nodes", "repro.lexer",
-                    "repro.lexer.source", "repro.lexer.tokens")
+#: The globals a blob may name, exactly: the node classes a stripped
+#: copy is built from (never the lazy, reference or resolved-type
+#: nodes :func:`_strip` rewrites), its locations and its statements'
+#: origins.  Containers and primitives are pickle opcodes, not globals.
+_ALLOWED = frozenset(
+    [(n.__name__, name) for name, cls in vars(n).items()
+     if isinstance(cls, type) and issubclass(cls, n.Node)
+     and cls.__module__ == n.__name__
+     and not issubclass(cls, (n.LazyNode, n.Reference, n.StrictTypeName))]
+    + [(Location.__module__, Location.__name__),
+       (trace.__name__, trace.Origin.__name__)])
 
 
 class SnapshotError(DiagnosticError):
@@ -162,24 +170,6 @@ def snapshot_unit(unit: "n.CompilationUnit",
         return None
 
 
-class _NodeUnpickler(pickle.Unpickler):
-    def find_class(self, module, name):
-        if module.split(".")[0] == "builtins" \
-                or module in _ALLOWED_MODULES \
-                or (module, name) == ("repro.trace", "Origin"):
-            return super().find_class(module, name)
-        raise SnapshotError(f"snapshot references {module}.{name}")
-
-
-def _unpickle(blob: bytes, what: str):
-    try:
-        return _NodeUnpickler(io.BytesIO(blob)).load()
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"undecodable {what}: {error}")
-
-
 def load_unit(blob: bytes) -> "n.CompilationUnit":
     """Unpickle a deep artifact; raise :class:`SnapshotError` if it is
     corrupt, stale, or not shaped like a compilation unit.
@@ -188,9 +178,9 @@ def load_unit(blob: bytes) -> "n.CompilationUnit":
     :class:`~repro.ast.nodes.RestoredBody` that :func:`load_body`
     decodes on first use."""
     try:
-        fmt, unit = _unpickle(blob, "snapshot")
-    except (TypeError, ValueError):
-        raise SnapshotError("snapshot is not a (format, unit) pair")
+        fmt, unit = decode(blob, _ALLOWED)
+    except Exception as error:
+        raise SnapshotError(f"undecodable snapshot: {error}")
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(f"snapshot format {fmt!r}, "
                             f"want {SNAPSHOT_FORMAT}")
@@ -212,7 +202,10 @@ def load_unit(blob: bytes) -> "n.CompilationUnit":
 def load_body(blob: bytes) -> "n.BlockStmts":
     """Unpickle one method body blob; raise :class:`SnapshotError` if
     it is corrupt or not a statement block."""
-    body = _unpickle(blob, "method body")
+    try:
+        body = decode(blob, _ALLOWED)
+    except Exception as error:
+        raise SnapshotError(f"undecodable method body: {error}")
     if not isinstance(body, n.BlockStmts):
         raise SnapshotError("method body blob is not a statement block")
     return body

@@ -4,13 +4,20 @@ process-wide ones.
 
 The LALR table cache (:mod:`repro.lalr.tables`) and the incremental
 module cache (:mod:`repro.modules.cache`) keep their entries here.  A
-store maps a name to bytes; each owner keeps its own payload format
-and keys, and this module owns the policy for the files:
+store maps a name to bytes; each owner keeps its own keys and entry
+shape, and this module owns the policy for the files and their codec:
 
+* **one codec** — an entry is plain data, pickled by :func:`encode`.
+  :func:`decode` resolves only the exact ``(module, name)`` globals
+  its caller allows: none for plain data, AST node classes for
+  :mod:`repro.modules.snapshot` blobs.  An entry rewritten to name
+  anything else (``builtins.exec``, ``os.system``) fails to decode,
+  and nothing it names runs; the owner checks the shape of the rest;
 * **checksum** — an entry file is one header line carrying the
   SHA-256 of the whole payload, then the payload.  Any byte that
   changed on disk (a torn write, disk rot, a hand edit) fails the
-  check before the owner decodes anything;
+  check before the owner decodes anything; a rewrite that recomputes
+  the header is the codec's to stop;
 * **atomic writes** — every write goes to a scratch file unique to
   that write (``tempfile.mkstemp`` in the target directory), then
   ``os.replace``: a reader sees the old entry or the new one, never a
@@ -44,12 +51,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import os
+import pickle
 import sys
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional, TypeVar
+from typing import AbstractSet, Callable, Optional, Tuple, TypeVar
 
 from repro import faults
 from repro.obs.metrics import CACHE_EVENTS
@@ -61,6 +70,40 @@ T = TypeVar("T")
 
 def _header(payload: bytes) -> bytes:
     return _MAGIC + hashlib.sha256(payload).hexdigest().encode("ascii")
+
+
+def encode(value, share: bool = False) -> bytes:
+    """``value``, plain and acyclic data, as entry bytes.
+
+    Without its memo (``fast``) the pickler's bytes depend on the value
+    alone, not on which parts are one object, so identical builds write
+    identical entries.  ``share`` keeps the memo, so that equal parts
+    that are one object stay one after a round trip (the LALR tables'
+    actions); the tables also hold frozensets, and CPython's fast mode
+    miscounts its nesting on them and fails past fifty."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = not share
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+class _Unpickler(pickle.Unpickler):
+    def __init__(self, data: bytes, allowed: AbstractSet[Tuple[str, str]]):
+        super().__init__(io.BytesIO(data))
+        self.allowed = allowed
+
+    def find_class(self, module: str, name: str):
+        if (module, name) in self.allowed:
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"entry names {module}.{name}")
+
+
+def decode(data: bytes,
+           allowed: AbstractSet[Tuple[str, str]] = frozenset()):
+    """The value pickled in ``data``, which may name only the exact
+    ``(module, name)`` globals in ``allowed``; raises otherwise."""
+    return _Unpickler(data, allowed).load()
 
 
 def code_token(*modules: str) -> Callable[[], str]:

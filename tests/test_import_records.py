@@ -28,6 +28,7 @@ from repro.modules import MemorySources, ModuleBuilder
 from repro.modules import build as module_build
 from repro.modules import cache as module_cache
 from repro.modules import graph as module_graph
+from repro.store import decode
 from tests.conftest import cache_events
 from tests.test_lazy_restore import layered_project
 from tests.test_modules import CHAIN, _SyntaxExtension
@@ -49,7 +50,7 @@ def _added(before):
 
 
 def _entries(cache_dir, name=""):
-    return sorted(cache_dir.glob(f"module-{name}*.json"))
+    return sorted(cache_dir.glob(f"module-{name}*.pickle"))
 
 
 @pytest.fixture
@@ -209,7 +210,8 @@ def test_another_scanner_never_serves_its_records(tmp_path, count_scans,
     assert sorted(tmp_path.iterdir()) == sorted(written)
     for path, data in written.items():
         assert path.read_bytes() != data
-        assert b'"scanner": "0123456789abcdef"' in path.read_bytes()
+        assert decode(path.read_bytes().partition(b"\n")[2])[
+            "scanner"] == "0123456789abcdef"
     del count_scans[:]
     assert _builder(CHAIN, tmp_path).build(["app.Main"]).recompiled == []
     assert count_scans == []

@@ -24,9 +24,7 @@ Covers what the laziness buys and what it must not cost:
   what a clean build prints, provenance annotations included.
 """
 
-import base64
 import gc
-import json
 import os
 import pickle
 import random
@@ -44,6 +42,7 @@ from repro.modules.build import format_module_report
 from repro.modules.cache import ModuleCache, ModuleEntry
 from repro.obs import lazy as obs_lazy
 from repro.obs.metrics import REGISTRY
+from repro.store import decode, encode
 from tests.conftest import corrupt_entries, cyclic_garbage
 
 LAYERS, WIDTH, HELPERS = 7, 3, 12
@@ -255,27 +254,24 @@ def _rewrite_body(cache_dir, module, method, blob):
     entry, written through the store so the checksum holds."""
     cache = ModuleCache(str(cache_dir))
     name = cache._name(module)
-    payload = json.loads(
-        (cache_dir / name).read_bytes().partition(b"\n")[2])
-    fmt, unit = pickle.loads(base64.b64decode(payload["deep"]))
+    payload = decode((cache_dir / name).read_bytes().partition(b"\n")[2])
+    fmt, unit = pickle.loads(payload["deep"])
     for decl in unit.types:
         for member in decl.members:
             if isinstance(member, n.MethodDecl) \
                     and member.name.name == method:
                 assert isinstance(member.body, bytes)
                 member.body = blob
-    payload["deep"] = base64.b64encode(
-        pickle.dumps((fmt, unit), protocol=4)).decode("ascii")
-    cache._store.store(name, json.dumps(payload, sort_keys=True)
-                       .encode("utf-8"))
+    payload["deep"] = pickle.dumps((fmt, unit), protocol=4)
+    cache._store.store(name, encode(payload))
 
 
 def _restore_deep(cache_dir, module, rewrite):
     """Re-store ``module``'s entry through :meth:`ModuleCache.store`,
     checksum and all, with its deep artifact ``rewrite(deep)``."""
     cache = ModuleCache(str(cache_dir))
-    payload = json.loads((cache_dir / cache._name(module))
-                         .read_bytes().partition(b"\n")[2])
+    payload = decode((cache_dir / cache._name(module))
+                     .read_bytes().partition(b"\n")[2])
     entry = ModuleEntry.from_payload(payload)
     entry.deep = rewrite(entry.deep)
     cache.store(entry)

@@ -226,6 +226,17 @@ class TestUnixExitConventions:
         assert cli([str(bad)]) == 1
         capsys.readouterr()
 
+    def test_unknown_backend_is_one_line_exit_2(self, demo_file, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("MAYA_BACKEND", "bogus")
+        assert cli([demo_file, "--run", "Demo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "mayac: unknown interpreter backend 'bogus' "
+            "(expected 'walk' or 'pycode')"]
+        assert "Traceback" not in captured.err
+
 
 class TestDaemonFrontEnd:
     """``mayac --daemon ADDR`` delegates to a running mayad."""

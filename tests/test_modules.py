@@ -8,7 +8,6 @@ its quarantine-corrupt-entries ladder, the ``mayac`` module mode, and
 the daemon's multi-file compile requests.
 """
 
-import json
 import pathlib
 
 import pytest
@@ -22,6 +21,7 @@ from repro.modules import (CACHE_FORMAT, MemorySources, ModuleBuilder,
                            ModuleCache, ModuleEntry, ModuleGraph,
                            module_key, options_signature, scan_imports)
 from repro.obs.metrics import REGISTRY
+from repro.store import decode, encode
 from tests.conftest import corrupt_entries
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -423,7 +423,7 @@ class TestModuleCache:
         make_builder(CHAIN, tmp_path).build(["app.Main"])
         victim = next(p for p in tmp_path.iterdir()
                       if "lib.Base" in p.name)
-        victim.write_text("{ not json", encoding="utf-8")
+        victim.write_bytes(b"\x80\x05 not a pickle")
         result = make_builder(CHAIN, tmp_path).build(["app.Main"])
         # lib.Base misses (corrupt) which invalidates nothing else —
         # downstream keys never depended on the cache's health.
@@ -443,8 +443,7 @@ class TestModuleCache:
         key = "k" * 64
         payload = ModuleEntry("lib.Base", key, "", [], []).payload()
         payload.update(fields)
-        cache._store.store(cache._name("lib.Base"),
-                           json.dumps(payload).encode("utf-8"))
+        cache._store.store(cache._name("lib.Base"), encode(payload))
         return cache.reuse("lib.Base", key, cache.load("lib.Base"))
 
     def test_wrong_shape_payload_is_corrupt(self, tmp_path):
@@ -457,7 +456,9 @@ class TestModuleCache:
         ("lib.Base", "exports", "a.B"),
         ("lib.Base", "name", 7),
         ("lib.Mid", "imports", [[["lib", "Base"], "no", 2, 9]]),
-    ], ids=["exports string", "name number", "import record"])
+        ("lib.Base", "deep", "gASV"),
+    ], ids=["exports string", "name number", "import record",
+            "deep text"])
     def test_misshapen_entry_is_quarantined_and_recompiled(
             self, tmp_path, module, field, value):
         """A hand-written entry under its real key with a valid
@@ -465,9 +466,9 @@ class TestModuleCache:
         make_builder(CHAIN, tmp_path).build(["app.Main"])
         cache = ModuleCache(str(tmp_path))
         path = tmp_path / cache._name(module)
-        payload = json.loads(path.read_bytes().partition(b"\n")[2])
+        payload = decode(path.read_bytes().partition(b"\n")[2])
         payload[field] = value
-        cache._store.store(path.name, json.dumps(payload).encode("utf-8"))
+        cache._store.store(path.name, encode(payload))
         before = corrupt_entries("modules.disk")
         result = make_builder(CHAIN, tmp_path).build(["app.Main"],
                                                      need_bodies=True)
@@ -499,8 +500,8 @@ class TestModuleCache:
         before = corrupt_entries("modules.disk")
         make_builder(CHAIN, tmp_path).build(["app.Main"])
         cache = ModuleCache(str(tmp_path))
-        for path in tmp_path.glob("module-*.json"):
-            payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+        for path in tmp_path.glob("module-*.pickle"):
+            payload = decode(path.read_bytes().split(b"\n", 1)[1])
             payload["format"] = 3
             payload["iface"] = [{
                 "name": name, "is_interface": is_interface,
@@ -513,8 +514,7 @@ class TestModuleCache:
                             in members]}
                 for name, superclass, interfaces, is_interface, modifiers,
                 members in payload["iface"]]
-            cache._store.store(path.name, json.dumps(
-                payload, sort_keys=True).encode("utf-8"))
+            cache._store.store(path.name, encode(payload))
         rebuilt = make_builder(CHAIN, tmp_path).build(["app.Main"])
         assert rebuilt.recompiled == rebuilt.order
         assert corrupt_entries("modules.disk") == before

@@ -78,7 +78,7 @@ def _cache_digests(directory):
     """Name -> sha256 of every entry file, quarantines excluded."""
     out = {}
     for name in sorted(os.listdir(directory)):
-        if not name.endswith(".json"):
+        if not name.endswith(".pickle"):
             continue
         with open(os.path.join(directory, name), "rb") as handle:
             out[name] = hashlib.sha256(handle.read()).hexdigest()

@@ -8,8 +8,6 @@ plan, and every error a cached outcome replays is byte-identical to
 the uncached one.
 """
 
-import pickle
-
 import pytest
 
 from repro.ast import nodes as n
@@ -19,7 +17,7 @@ from repro.lalr import Parser
 from repro.lalr import tables as lalr_tables
 from repro.lalr.tables import disk_cache_at, table_cache_clear, tables_for
 from repro.lexer import stream_lex
-from repro.store import LRUCache
+from repro.store import LRUCache, decode, encode
 from tests.conftest import cache_events, corrupt_entries
 
 
@@ -270,7 +268,7 @@ class TestDiskCache:
             # good entry at the original path.
             quarantined = entry.with_suffix(".pickle.quarantine")
             assert quarantined.read_bytes().startswith(b"\x00\xff")
-            assert pickle.loads(payload_of(entry))["format"] >= 1
+            assert decode(payload_of(entry))["format"] >= 1
 
             # A quarantined entry is never trusted again: the next load
             # round-trips the regenerated file cleanly.
@@ -287,9 +285,10 @@ class TestDiskCache:
             table_cache_clear()
             CompileEnv().tables()
             (entry,) = tmp_path.glob("tables-*.pickle")
-            payload = pickle.loads(payload_of(entry))
+            payload = decode(payload_of(entry))
             payload["format"] = 0
-            lalr_tables._DISK.store(entry.name, pickle.dumps(payload))
+            lalr_tables._DISK.store(entry.name,
+                                    encode(payload, share=True))
             before = corrupt_entries("lalr.tables.disk")
 
             table_cache_clear()
@@ -306,9 +305,10 @@ class TestDiskCache:
             table_cache_clear()
             CompileEnv().tables()
             (entry,) = tmp_path.glob("tables-*.pickle")
-            payload = pickle.loads(payload_of(entry))
+            payload = decode(payload_of(entry))
             payload["key"] = ("tampered",)
-            lalr_tables._DISK.store(entry.name, pickle.dumps(payload))
+            lalr_tables._DISK.store(entry.name,
+                                    encode(payload, share=True))
 
             table_cache_clear()
             tables = tables_for(CompileEnv().grammar)  # regenerated

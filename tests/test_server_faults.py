@@ -14,6 +14,7 @@ from repro.server import DaemonConfig, MayaClient, MayaDaemon
 from repro.server import protocol
 from repro.server.client import DaemonError
 from repro.server.daemon import CRASHES, REPLACED
+from repro.store import decode, encode
 from tests.conftest import corrupt_entries
 
 SOURCE = "class Victim { static void main() { } }"
@@ -377,11 +378,11 @@ class TestModuleCacheCorruption:
             client = MayaClient(server.address, retries=0)
             assert client.compile_modules(MODULE_SOURCES, ["app.Main"],
                                           cache=False)["status"] == "ok"
-            # Truncate a real entry mid-JSON, no fault injection: the
+            # Truncate a real entry mid-pickle, no fault injection: the
             # ladder must handle organic disk rot the same way.
             victim = next(path for path in tmp_path.iterdir()
                           if path.name.startswith("module-"))
-            victim.write_text(victim.read_text()[:40], encoding="utf-8")
+            victim.write_bytes(victim.read_bytes()[:40])
             response = client.compile_modules(MODULE_SOURCES,
                                               ["app.Main"], cache=False)
             assert response["status"] == "ok"
@@ -446,13 +447,10 @@ class TestModuleCacheCorruption:
                    if path.suffix == ".quarantine") == 1
 
     def test_truncated_deep_blob_on_disk_falls_back(self, tmp_path):
-        """Organic rot in the deep payload (well-formed JSON, bad blob
-        bytes, the old checksum line): the entry checksum catches it,
-        the warm hit quarantines and the module recompiles — output
+        """Organic rot in the deep payload (a well-formed entry, bad
+        blob bytes, the old checksum line): the entry checksum catches
+        it, the warm hit quarantines and the module recompiles — output
         unchanged."""
-        import base64
-        import json as json_mod
-
         before = corrupt_entries("modules.disk")
         server = _daemon(module_cache_dir=str(tmp_path))
         try:
@@ -463,13 +461,10 @@ class TestModuleCacheCorruption:
             victim = next(path for path in tmp_path.iterdir()
                           if path.name.startswith("module-"))
             checksum, _, text = victim.read_bytes().partition(b"\n")
-            payload = json_mod.loads(text)
+            payload = decode(text)
             assert payload.get("deep"), "entry should carry a deep blob"
-            blob = base64.b64decode(payload["deep"])
-            payload["deep"] = base64.b64encode(
-                blob[: len(blob) // 2]).decode("ascii")
-            victim.write_bytes(checksum + b"\n" + json_mod.dumps(
-                payload, sort_keys=True).encode("utf-8"))
+            payload["deep"] = payload["deep"][: len(payload["deep"]) // 2]
+            victim.write_bytes(checksum + b"\n" + encode(payload))
             second = client.compile_modules(MODULE_SOURCES, ["app.Main"],
                                             cache=False, run="Main")
             assert second["status"] == "ok"

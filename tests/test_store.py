@@ -110,7 +110,7 @@ class ModuleStore:
         return result.expanded(), "lib.Base" not in result.recompiled
 
     def entry(self):
-        (path,) = self.directory.glob("module-lib.Base-*.json")
+        (path,) = self.directory.glob("module-lib.Base-*.pickle")
         return path
 
     def build_stale(self):
